@@ -18,7 +18,7 @@ from .data import (
     tokenize,
     write_tsv,
 )
-from .encoder import EncoderConfig, EncoderStack, encode, trainable_parameters
+from .encoder import EncoderConfig, EncoderStack, encode
 from .errors import (
     ConfigError,
     ContractError,
@@ -37,7 +37,7 @@ from .model import DpmnModel
 from .optim import Adam, Sgd
 from .prompt import PrefixBank, PromptConfig, init_prompt, sweep_configs
 from .runconfig import TrainConfig, format_config, parse_config
-from .tensor import Tape, Tensor, backward
+from .tensor import ParameterStore, Tape, Tensor, backward
 from .trainer import RunLog, TrainResult, ablate, evaluate_checkpoint, evaluate_model, train
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "LinearHead",
     "LossWeights",
     "NumericError",
+    "ParameterStore",
     "ParseError",
     "PrefixBank",
     "PromptConfig",
@@ -89,6 +90,5 @@ __all__ = [
     "tokenize",
     "total_loss",
     "train",
-    "trainable_parameters",
     "write_tsv",
 ]

@@ -16,7 +16,7 @@ from .errors import ConfigError, DataError, NumericError
 from .gradcheck import run_gradcheck
 from .prompt import sweep_configs
 from .runconfig import TrainConfig, load_config_file
-from .trainer import ablate, evaluate_checkpoint, train
+from .trainer import ablate, evaluate_checkpoint, run_grid, train
 
 
 def _load_config(args) -> TrainConfig:
@@ -103,19 +103,16 @@ def _cmd_sweep(args) -> int:
     forms = _parse_csv_list(args.forms, str, "--forms")
     inits = _parse_csv_list(args.inits, str, "--inits")
     configs = sweep_configs(lengths, forms, inits, tuning=cfg.prompt.tuning)
-    print("length,form,init,tuning,dev_macro_f1_a,best_epoch")
-    lines = []
-    for prompt_cfg in configs:
-        run_cfg = replace(cfg, prompt=prompt_cfg, out_dir=None)
-        result = train(run_cfg, train_set, dev_set)
-        line = (f"{prompt_cfg.length},{prompt_cfg.form},{prompt_cfg.init},"
-                f"{prompt_cfg.tuning},{result.best_metric!r},{result.best_epoch}")
-        print(line)
-        lines.append(line)
+    lines = ["length,form,init,tuning,dev_macro_f1_a,best_epoch"]
+    print(lines[0])
+    runs = [(p, replace(cfg, prompt=p)) for p in configs]
+    for p, result in run_grid(runs, train_set, dev_set):
+        lines.append(f"{p.length},{p.form},{p.init},{p.tuning},"
+                     f"{result.best_metric!r},{result.best_epoch}")
+        print(lines[-1])
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
         with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", encoding="utf-8") as f:
-            f.write("length,form,init,tuning,dev_macro_f1_a,best_epoch\n")
             f.write("\n".join(lines) + "\n")
     return 0
 

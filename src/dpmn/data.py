@@ -50,31 +50,33 @@ class Example:
     label_c: str | None = None
 
     def __post_init__(self):
-        if not self.text:
-            raise ContractError(f"example {self.id!r} has empty text")
-        if self.label_a not in LABELS_A:
-            raise ContractError(f"example {self.id!r}: bad task-A label {self.label_a!r}")
-        if self.label_b is not None and self.label_b not in LABELS_B:
-            raise ContractError(f"example {self.id!r}: bad task-B label {self.label_b!r}")
-        if self.label_c is not None and self.label_c not in LABELS_C:
-            raise ContractError(f"example {self.id!r}: bad task-C label {self.label_c!r}")
-        if self.label_b is not None and self.label_a != "OFF":
-            raise ContractError(
-                f"example {self.id!r}: task-B label requires label_a == OFF"
-            )
-        if self.label_c is not None and self.label_b != "TIN":
-            raise ContractError(
-                f"example {self.id!r}: task-C label requires label_b == TIN"
-            )
+        problem = _label_problem(self.text, self.label_a, self.label_b, self.label_c)
+        if problem is not None:
+            raise ContractError(f"example {self.id!r}: {problem[1]}")
 
 
-def _parse_label(raw: str, allowed: tuple, line_no: int, column: str) -> str | None:
+def _label_problem(text: str, label_a, label_b, label_c) -> tuple[type, str] | None:
+    """The first defect of a row's text and labels as (error type, message),
+    or None. Unknown labels and empty text are ParseErrors; labels that
+    contradict their parent label are HierarchyErrors."""
+    if label_a not in LABELS_A:
+        return ParseError, f"unknown subtask_a label {label_a!r}"
+    for label, allowed, column in ((label_b, LABELS_B, "subtask_b"),
+                                   (label_c, LABELS_C, "subtask_c")):
+        if label is not None and label not in allowed:
+            return ParseError, f"unknown {column} label {label!r}"
+    if label_b is not None and label_a != "OFF":
+        return HierarchyError, f"label_b={label_b} with label_a={label_a}"
+    if label_c is not None and label_b != "TIN":
+        return HierarchyError, f"label_c={label_c} with label_b={label_b}"
+    if not text:
+        return ParseError, "empty tweet text"
+    return None
+
+
+def _absent_or(raw: str) -> str | None:
     value = raw.strip()
-    if value == "" or value == "NULL":
-        return None
-    if value not in allowed:
-        raise ParseError(line_no, f"unknown {column} label {value!r}")
-    return value
+    return None if value in ("", "NULL") else value
 
 
 def parse_tsv(path) -> list[Example]:
@@ -100,26 +102,13 @@ def parse_tsv(path) -> list[Example]:
                 line_no, f"expected {len(header)} fields, got {len(fields)}"
             )
         text = fields[columns["tweet"]]
-        raw_a = fields[columns["subtask_a"]].strip()
-        if raw_a not in LABELS_A:
-            raise ParseError(line_no, f"unknown subtask_a label {raw_a!r}")
-        label_b = _parse_label(fields[columns["subtask_b"]], LABELS_B, line_no, "subtask_b")
-        label_c = _parse_label(fields[columns["subtask_c"]], LABELS_C, line_no, "subtask_c")
-        if label_b is not None and raw_a != "OFF":
-            raise HierarchyError(line_no, f"label_b={label_b} with label_a={raw_a}")
-        if label_c is not None and label_b != "TIN":
-            raise HierarchyError(line_no, f"label_c={label_c} with label_b={label_b}")
-        if not text:
-            raise ParseError(line_no, "empty tweet text")
-        examples.append(
-            Example(
-                id=fields[columns["id"]],
-                text=text,
-                label_a=raw_a,
-                label_b=label_b,
-                label_c=label_c,
-            )
-        )
+        label_a = fields[columns["subtask_a"]].strip()
+        label_b = _absent_or(fields[columns["subtask_b"]])
+        label_c = _absent_or(fields[columns["subtask_c"]])
+        problem = _label_problem(text, label_a, label_b, label_c)
+        if problem is not None:
+            raise problem[0](line_no, problem[1])
+        examples.append(Example(fields[columns["id"]], text, label_a, label_b, label_c))
     return examples
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .prompt import PrefixBank
 from .tensor import (
+    ParameterStore,
     Tensor,
     broadcast_to,
     concat,
@@ -62,27 +63,27 @@ class EncoderConfig:
 
 
 class TransformerLayer:
-    def __init__(self, index: int, config: EncoderConfig, register):
-        d = config.hidden_size
+    def __init__(self, index: int, config: EncoderConfig, store: ParameterStore):
+        d, f = config.hidden_size, config.ffn_size
         pre = f"layer{index}"
         self.num_heads = config.num_heads
         self.head_size = d // config.num_heads
-        self.wq = register(f"{pre}.attention.wq", (d, d), "normal")
-        self.bq = register(f"{pre}.attention.bq", (d,), "zeros")
-        self.wk = register(f"{pre}.attention.wk", (d, d), "normal")
-        self.bk = register(f"{pre}.attention.bk", (d,), "zeros")
-        self.wv = register(f"{pre}.attention.wv", (d, d), "normal")
-        self.bv = register(f"{pre}.attention.bv", (d,), "zeros")
-        self.wo = register(f"{pre}.attention.wo", (d, d), "normal")
-        self.bo = register(f"{pre}.attention.bo", (d,), "zeros")
-        self.attn_gain = register(f"{pre}.attention_norm.gain", (d,), "ones")
-        self.attn_bias = register(f"{pre}.attention_norm.bias", (d,), "zeros")
-        self.ffn_w1 = register(f"{pre}.ffn.w1", (d, config.ffn_size), "normal")
-        self.ffn_b1 = register(f"{pre}.ffn.b1", (config.ffn_size,), "zeros")
-        self.ffn_w2 = register(f"{pre}.ffn.w2", (config.ffn_size, d), "normal")
-        self.ffn_b2 = register(f"{pre}.ffn.b2", (d,), "zeros")
-        self.ffn_gain = register(f"{pre}.ffn_norm.gain", (d,), "ones")
-        self.ffn_bias = register(f"{pre}.ffn_norm.bias", (d,), "zeros")
+        self.wq = store.new(f"{pre}.attention.wq", (d, d))
+        self.bq = store.new(f"{pre}.attention.bq", (d,), 0.0)
+        self.wk = store.new(f"{pre}.attention.wk", (d, d))
+        self.bk = store.new(f"{pre}.attention.bk", (d,), 0.0)
+        self.wv = store.new(f"{pre}.attention.wv", (d, d))
+        self.bv = store.new(f"{pre}.attention.bv", (d,), 0.0)
+        self.wo = store.new(f"{pre}.attention.wo", (d, d))
+        self.bo = store.new(f"{pre}.attention.bo", (d,), 0.0)
+        self.attn_gain = store.new(f"{pre}.attention_norm.gain", (d,), 1.0)
+        self.attn_bias = store.new(f"{pre}.attention_norm.bias", (d,), 0.0)
+        self.ffn_w1 = store.new(f"{pre}.ffn.w1", (d, f))
+        self.ffn_b1 = store.new(f"{pre}.ffn.b1", (f,), 0.0)
+        self.ffn_w2 = store.new(f"{pre}.ffn.w2", (f, d))
+        self.ffn_b2 = store.new(f"{pre}.ffn.b2", (d,), 0.0)
+        self.ffn_gain = store.new(f"{pre}.ffn_norm.gain", (d,), 1.0)
+        self.ffn_bias = store.new(f"{pre}.ffn_norm.bias", (d,), 0.0)
 
     def _split_heads(self, t: Tensor, batch: int, seq: int) -> Tensor:
         return swapaxes(reshape(t, (batch, seq, self.num_heads, self.head_size)), 1, 2)
@@ -107,44 +108,15 @@ class TransformerLayer:
 
 
 class EncoderStack:
-    """Token/position embeddings plus a stack of transformer layers.
+    """Token/position embeddings plus a stack of transformer layers, with
+    every parameter created in `store` under a unique, stable name."""
 
-    Parameter names are unique and stable; load_weights() is the import
-    hook for externally produced checkpoints with matching names.
-    """
-
-    def __init__(self, config: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, config: EncoderConfig, store: ParameterStore):
         self.config = config
-        self._params: dict[str, Tensor] = {}
-
-        def register(name, shape, kind):
-            if kind == "normal":
-                values = rng.normal(0.0, 0.02, size=shape)
-            elif kind == "zeros":
-                values = np.zeros(shape)
-            else:
-                values = np.ones(shape)
-            t = Tensor(values, trainable=True, name=name)
-            self._params[name] = t
-            return t
-
-        self.token_emb = register("embedding.token", (config.vocab_size, config.hidden_size), "normal")
-        self.pos_emb = register("embedding.position", (config.max_seq_len, config.hidden_size), "normal")
-        self.layers = [TransformerLayer(i, config, register) for i in range(config.num_layers)]
-
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self._params)
-
-    def load_weights(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, values in arrays.items():
-            if name not in self._params:
-                raise ConfigError(f"unknown encoder parameter {name!r}")
-            p = self._params[name]
-            if p.shape != values.shape:
-                raise ConfigError(
-                    f"shape mismatch for {name!r}: have {p.shape}, got {values.shape}"
-                )
-            p.data = np.asarray(values, dtype=np.float64).copy()
+        d = config.hidden_size
+        self.token_emb = store.new("embedding.token", (config.vocab_size, d))
+        self.pos_emb = store.new("embedding.position", (config.max_seq_len, d))
+        self.layers = [TransformerLayer(i, config, store) for i in range(config.num_layers)]
 
     def embed(self, token_ids: np.ndarray, prompt_len: int = 0) -> Tensor:
         """Token plus position embeddings, with positions offset by the
@@ -213,16 +185,3 @@ def encode(stack: EncoderStack, input_emb: Tensor, bank: PrefixBank, form: str,
         x = layer.forward(x, attn_bias, rate, dropout_rng)
     return x
 
-
-def trainable_parameters(stack: EncoderStack, bank: PrefixBank,
-                         strategy: str) -> dict[str, Tensor]:
-    """Parameters the optimizer may update, before task heads are added.
-
-    fixed-lm freezes the encoder entirely; lm-plus-prompt trains encoder
-    and prefix bank together. The prompt is trainable under both.
-    """
-    if strategy == "fixed-lm":
-        return bank.parameters()
-    if strategy == "lm-plus-prompt":
-        return {**stack.parameters(), **bank.parameters()}
-    raise ConfigError(f"unknown tuning strategy {strategy!r}")

@@ -50,6 +50,17 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), _REL_FLOOR)
 
 
+def _central_difference(loss_fn, flat: np.ndarray, j: int) -> float:
+    """d loss_fn() / d flat[j] by central differences; flat[j] is restored."""
+    kept = flat[j]
+    flat[j] = kept + FD_STEP
+    up = loss_fn()
+    flat[j] = kept - FD_STEP
+    down = loss_fn()
+    flat[j] = kept
+    return (up - down) / (2.0 * FD_STEP)
+
+
 def _fd_max_rel(loss_fn, inputs: list[Tensor], grads: list[np.ndarray]) -> float:
     """Perturb every coordinate of every input and compare against `grads`."""
     worst = 0.0
@@ -57,14 +68,7 @@ def _fd_max_rel(loss_fn, inputs: list[Tensor], grads: list[np.ndarray]) -> float
         flat = t.data.reshape(-1)
         gflat = np.zeros_like(flat) if g is None else g.reshape(-1)
         for j in range(flat.size):
-            kept = flat[j]
-            flat[j] = kept + FD_STEP
-            up = loss_fn()
-            flat[j] = kept - FD_STEP
-            down = loss_fn()
-            flat[j] = kept
-            numeric = (up - down) / (2.0 * FD_STEP)
-            worst = max(worst, relative_error(gflat[j], numeric))
+            worst = max(worst, relative_error(gflat[j], _central_difference(loss_fn, flat, j)))
     return worst
 
 
@@ -194,14 +198,7 @@ def check_network(n_probes: int, seed: int = 0,
     for i in range(n_probes):
         p = params[i % len(params)]
         j = int(rng.integers(p.size))
-        flat = p.data.reshape(-1)
-        kept = flat[j]
-        flat[j] = kept + FD_STEP
-        up = float(compute_loss().data)
-        flat[j] = kept - FD_STEP
-        down = float(compute_loss().data)
-        flat[j] = kept
-        numeric = (up - down) / (2.0 * FD_STEP)
+        numeric = _central_difference(lambda: compute_loss().item(), p.data.reshape(-1), j)
         analytic = 0.0 if p.grad is None else p.grad.reshape(-1)[j]
         group = _group_of(p.name)
         worst[group] = max(worst.get(group, 0.0), relative_error(analytic, numeric))

@@ -11,9 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .tensor import Tensor, concat, matmul, mul, relu, sigmoid, tanh
-
-INIT_STD = 0.02
+from .tensor import ParameterStore, Tensor, concat, matmul, mul, relu, sigmoid, tanh
 
 
 def _lstm_scan(x: Tensor, lengths: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor,
@@ -48,32 +46,20 @@ class BiLstmFfnHead:
     """Bi-LSTM over the shared sequence, then two linear layers with ReLU."""
 
     def __init__(self, input_size: int, lstm_hidden: int, ffn_hidden: int,
-                 n_classes: int, rng: np.random.Generator, name: str):
-        self.input_size = input_size
+                 n_classes: int, store: ParameterStore, name: str):
         self.lstm_hidden = lstm_hidden
         self.n_classes = n_classes
-        self._params: dict[str, Tensor] = {}
-
-        def register(suffix, shape, zeros=False):
-            values = np.zeros(shape) if zeros else rng.normal(0.0, INIT_STD, size=shape)
-            t = Tensor(values, trainable=True, name=f"{name}.{suffix}")
-            self._params[t.name] = t
-            return t
-
         gates = 4 * lstm_hidden
-        self.fw_x = register("lstm_forward.w_x", (input_size, gates))
-        self.fw_h = register("lstm_forward.w_h", (lstm_hidden, gates))
-        self.fw_b = register("lstm_forward.b", (gates,), zeros=True)
-        self.bw_x = register("lstm_backward.w_x", (input_size, gates))
-        self.bw_h = register("lstm_backward.w_h", (lstm_hidden, gates))
-        self.bw_b = register("lstm_backward.b", (gates,), zeros=True)
-        self.w_f1 = register("ffn.w1", (2 * lstm_hidden, ffn_hidden))
-        self.b_f1 = register("ffn.b1", (ffn_hidden,), zeros=True)
-        self.w_f2 = register("ffn.w2", (ffn_hidden, n_classes))
-        self.b_f2 = register("ffn.b2", (n_classes,), zeros=True)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self._params)
+        self.fw_x = store.new(f"{name}.lstm_forward.w_x", (input_size, gates))
+        self.fw_h = store.new(f"{name}.lstm_forward.w_h", (lstm_hidden, gates))
+        self.fw_b = store.new(f"{name}.lstm_forward.b", (gates,), 0.0)
+        self.bw_x = store.new(f"{name}.lstm_backward.w_x", (input_size, gates))
+        self.bw_h = store.new(f"{name}.lstm_backward.w_h", (lstm_hidden, gates))
+        self.bw_b = store.new(f"{name}.lstm_backward.b", (gates,), 0.0)
+        self.w_f1 = store.new(f"{name}.ffn.w1", (2 * lstm_hidden, ffn_hidden))
+        self.b_f1 = store.new(f"{name}.ffn.b1", (ffn_hidden,), 0.0)
+        self.w_f2 = store.new(f"{name}.ffn.w2", (ffn_hidden, n_classes))
+        self.b_f2 = store.new(f"{name}.ffn.b2", (n_classes,), 0.0)
 
     def bilstm(self, shared: Tensor, lengths: np.ndarray) -> Tensor:
         """Concatenated final states of both directions, shape [batch, 2h]."""
@@ -99,15 +85,10 @@ class BiLstmFfnHead:
 class LinearHead:
     """Single linear layer over the first sequence position's hidden vector."""
 
-    def __init__(self, input_size: int, n_classes: int, rng: np.random.Generator, name: str):
+    def __init__(self, input_size: int, n_classes: int, store: ParameterStore, name: str):
         self.n_classes = n_classes
-        self.w = Tensor(rng.normal(0.0, INIT_STD, size=(input_size, n_classes)),
-                        trainable=True, name=f"{name}.w")
-        self.b = Tensor(np.zeros(n_classes), trainable=True, name=f"{name}.b")
-        self._params = {self.w.name: self.w, self.b.name: self.b}
-
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self._params)
+        self.w = store.new(f"{name}.w", (input_size, n_classes))
+        self.b = store.new(f"{name}.b", (n_classes,), 0.0)
 
     def forward(self, shared: Tensor, lengths: np.ndarray) -> Tensor:
         return matmul(shared[:, 0, :], self.w) + self.b
@@ -117,9 +98,9 @@ HEAD_KINDS = ("bilstm-ffn", "linear")
 
 
 def make_head(kind: str, input_size: int, lstm_hidden: int, ffn_hidden: int,
-              n_classes: int, rng: np.random.Generator, name: str):
+              n_classes: int, store: ParameterStore, name: str):
     if kind == "bilstm-ffn":
-        return BiLstmFfnHead(input_size, lstm_hidden, ffn_hidden, n_classes, rng, name)
+        return BiLstmFfnHead(input_size, lstm_hidden, ffn_hidden, n_classes, store, name)
     if kind == "linear":
-        return LinearHead(input_size, n_classes, rng, name)
+        return LinearHead(input_size, n_classes, store, name)
     raise ConfigError(f"head kind must be one of {HEAD_KINDS}, got {kind!r}")

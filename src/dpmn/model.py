@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from .data import TASK_CLASSES, Batch
-from .encoder import EncoderConfig, EncoderStack, encode, trainable_parameters
+from .encoder import EncoderConfig, EncoderStack, encode
 from .errors import ConfigError
 from .heads import make_head
-from .prompt import PrefixBank, PromptConfig, init_prompt
-from .tensor import Tensor
+from .prompt import TUNINGS, PrefixBank, PromptConfig, init_prompt
+from .tensor import ParameterStore, Tensor
 
 TASKS = ("a", "b", "c")
 
@@ -23,7 +23,12 @@ def head_forward(head, shared: Tensor, lengths: np.ndarray, task: str) -> Tensor
 
 
 class DpmnModel:
-    """Encoder + prefix bank + one head per task, with a stable parameter registry.
+    """Encoder + prefix bank + one head per task, over one named parameter store.
+
+    Every parameter lives in the store, in creation order: encoder, then
+    prompt.layer*, then head_a/head_b/head_c. Weight matrices draw from one
+    generator seeded with rng_seed in that order; the prefix bank draws
+    from its own, seeded with rng_seed + 1.
 
     All three heads always exist; single-task training simply weights the
     auxiliary losses to zero. LSTM hidden size defaults to half the encoder
@@ -33,36 +38,32 @@ class DpmnModel:
     def __init__(self, encoder_config: EncoderConfig, prompt_config: PromptConfig,
                  head_kind: str = "bilstm-ffn", rng_seed: int = 0,
                  lstm_hidden: int | None = None, head_ffn_size: int | None = None):
-        self.encoder_config = encoder_config
         self.prompt_config = prompt_config
-        self.head_kind = head_kind
         d = encoder_config.hidden_size
-        rng = np.random.Generator(np.random.PCG64(rng_seed))
-        self.encoder = EncoderStack(encoder_config, rng)
+        self._store = ParameterStore(np.random.Generator(np.random.PCG64(rng_seed)))
+        self.encoder = EncoderStack(encoder_config, self._store)
+        self._encoder_names = set(self._store.tensors)
         self.bank: PrefixBank = init_prompt(
-            prompt_config, encoder_config, self.encoder.token_emb.data, rng_seed + 1
+            prompt_config, encoder_config, self.encoder.token_emb.data, self._store, rng_seed + 1
         )
         lstm_hidden = lstm_hidden or d // 2
         head_ffn_size = head_ffn_size or d
         self.heads = {
             task: make_head(head_kind, d, lstm_hidden, head_ffn_size,
-                            TASK_CLASSES[task], rng, f"head_{task}")
+                            TASK_CLASSES[task], self._store, f"head_{task}")
             for task in TASKS
         }
 
     def parameters(self) -> dict[str, Tensor]:
-        params = {**self.encoder.parameters(), **self.bank.parameters()}
-        for task in TASKS:
-            params.update(self.heads[task].parameters())
-        return params
+        return dict(self._store.tensors)
 
     def trainable_parameters(self, strategy: str) -> dict[str, Tensor]:
         """Optimizer-visible set: heads always train; the encoder only under
         lm-plus-prompt; the prefix bank under both strategies."""
-        params = trainable_parameters(self.encoder, self.bank, strategy)
-        for task in TASKS:
-            params.update(self.heads[task].parameters())
-        return params
+        if strategy not in TUNINGS:
+            raise ConfigError(f"unknown tuning strategy {strategy!r}")
+        return {name: p for name, p in self._store.tensors.items()
+                if strategy == "lm-plus-prompt" or name not in self._encoder_names}
 
     def forward(self, batch: Batch,
                 dropout_rng: np.random.Generator | None = None) -> dict[str, Tensor]:
@@ -85,12 +86,12 @@ class DpmnModel:
                 f"unknown {sorted(unknown)[:3]}"
             )
         for name, values in arrays.items():
-            p = params[name]
-            if p.shape != np.asarray(values).shape:
+            values = np.array(values, dtype=np.float64)
+            if params[name].shape != values.shape:
                 raise ConfigError(
-                    f"shape mismatch for {name!r}: have {p.shape}, got {np.asarray(values).shape}"
+                    f"shape mismatch for {name!r}: have {params[name].shape}, got {values.shape}"
                 )
-            p.data = np.asarray(values, dtype=np.float64).copy()
+            params[name].data = values
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.parameters().items()}

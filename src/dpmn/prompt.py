@@ -8,13 +8,11 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, EmbeddingIndexError
-from .tensor import Tensor
+from .tensor import ParameterStore, Tensor
 
 FORMS = ("deep", "light")
 INITS = ("random", "token")
 TUNINGS = ("fixed-lm", "lm-plus-prompt")
-
-RANDOM_INIT_STD = 0.02  # BERT-style initializer scale
 
 
 @dataclass(frozen=True)
@@ -59,52 +57,43 @@ class PrefixBank:
     carries zero prefix parameters.
     """
 
-    def __init__(self, form: str, prompt_len: int, matrices: list[Tensor]):
-        self.form = form
+    def __init__(self, prompt_len: int, matrices: list[Tensor]):
         self.prompt_len = prompt_len
         self.matrices = matrices
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {m.name: m for m in self.matrices}
 
     def value_count(self) -> int:
         return sum(m.size for m in self.matrices)
 
 
 def init_prompt(config: PromptConfig, encoder_config, embedding_table: np.ndarray,
-                rng_seed: int) -> PrefixBank:
-    """Build the prefix bank for an encoder.
+                store: ParameterStore, rng_seed: int) -> PrefixBank:
+    """Build the prefix bank for an encoder, its matrices created in `store`.
 
-    Random init draws every entry i.i.d. Normal(0, 0.02^2) from rng_seed;
-    token init copies embedding-table rows, replicated into every layer
-    matrix for the deep form.
+    Random init draws every entry i.i.d. Normal(0, INIT_STD^2) from its own
+    generator seeded with rng_seed; token init copies embedding-table rows,
+    replicated into every layer matrix for the deep form.
     """
     if config.length > encoder_config.max_seq_len - 1:
         raise ConfigError(
             f"prompt length {config.length} leaves no room for text "
             f"(max_seq_len {encoder_config.max_seq_len})"
         )
-    d = encoder_config.hidden_size
+    shape = (config.length, encoder_config.hidden_size)
     n_matrices = 0 if config.length == 0 else (
         encoder_config.num_layers if config.form == "deep" else 1
     )
 
+    rows = None
     if config.init == "token" and n_matrices > 0:
         if config.token_ids is None:
             raise ConfigError("token init requires concrete token ids")
         for tid in config.token_ids:
             if not 0 <= tid < embedding_table.shape[0]:
                 raise EmbeddingIndexError(tid, embedding_table.shape[0])
-        base = np.asarray(embedding_table)[list(config.token_ids)].astype(np.float64)
-    else:
-        rng = np.random.Generator(np.random.PCG64(rng_seed))
-        base = rng.normal(0.0, RANDOM_INIT_STD, size=(n_matrices, config.length, d))
-
-    matrices = []
-    for i in range(n_matrices):
-        values = base[i] if config.init == "random" else base.copy()
-        matrices.append(Tensor(values, trainable=True, name=f"prompt.layer{i}"))
-    return PrefixBank(config.form, config.length, matrices)
+        rows = np.asarray(embedding_table)[list(config.token_ids)]
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    matrices = [store.new(f"prompt.layer{i}", shape, rows, rng) for i in range(n_matrices)]
+    return PrefixBank(config.length, matrices)
 
 
 def sweep_configs(lengths, forms, inits, tuning: str = "lm-plus-prompt") -> list[PromptConfig]:

@@ -8,7 +8,8 @@ fixed order; optional keys are omitted when unset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from typing import get_args, get_type_hints
 
 from .data import Vocab
 from .encoder import EncoderConfig
@@ -54,74 +55,75 @@ class TrainConfig:
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
-        return EncoderConfig(
-            vocab_size=vocab_size,
-            num_layers=self.num_layers,
-            hidden_size=self.hidden_size,
-            num_heads=self.num_heads,
-            ffn_size=self.ffn_size,
-            max_seq_len=self.max_seq_len,
-            dropout=self.dropout,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(EncoderConfig)
+                  if f.name != "vocab_size"}
+        return EncoderConfig(vocab_size=vocab_size, **shared)
 
 
-def _fmt(value) -> str:
+# The text form is flat: the fields of a nested config dataclass appear in
+# its place, their keys prefixed, and one key renamed.
+_NESTED = {"loss_weights": "loss_weight_", "prompt": "prompt_"}
+_RENAMED = {"prompt_tuning": "tuning_strategy"}
+_PATH_KEYS = ("train_path", "dev_path", "out_dir")
+
+
+def _int_tuple(raw: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in raw.split(","))
+
+
+# value type -> (parser, what a value that fails to parse should be)
+_PARSERS = {int: (int, "an integer"), float: (float, "a number"), str: (str, "a string"),
+            tuple[int, ...]: (_int_tuple, "comma-separated ints")}
+
+
+def _field_types(cls):
+    """(field name, type hint) per dataclass field, with Optional unwrapped."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        args = get_args(hints[f.name])
+        yield f.name, args[0] if type(None) in args else hints[f.name]
+
+
+_FIELD_TYPES = dict(_field_types(TrainConfig))
+
+
+def _config_keys() -> dict[str, tuple[str | None, str, type]]:
+    """key -> (nested field or None, field name, value type), in canonical order."""
+    keys = {}
+    for name, kind in _FIELD_TYPES.items():
+        if name not in _NESTED:
+            keys[name] = (None, name, kind)
+            continue
+        for sub, sub_kind in _field_types(kind):
+            key = _NESTED[name] + sub
+            keys[_RENAMED.get(key, key)] = (name, sub, sub_kind)
+    return keys
+
+
+_KEYS = _config_keys()
+KNOWN_KEYS = frozenset(_KEYS)
+
+
+def _fmt(value) -> str | None:
+    """Text of a value, or None to omit the key: unset, or no token ids."""
+    if isinstance(value, tuple):
+        return ",".join(str(i) for i in value) or None
+    if value is None:
+        return None
     return repr(value) if isinstance(value, float) else str(value)
 
 
 def format_config(cfg: TrainConfig, include_paths: bool = False) -> str:
-    """Canonical text form; parse_config() inverts it."""
-    w = cfg.loss_weights
-    p = cfg.prompt
-    pairs = [
-        ("learning_rate", _fmt(cfg.learning_rate)),
-        ("batch_size", _fmt(cfg.batch_size)),
-        ("max_epochs", _fmt(cfg.max_epochs)),
-        ("early_stop_patience", _fmt(cfg.early_stop_patience)),
-        ("loss_weight_main", _fmt(w.main)),
-        ("loss_weight_auxi1", _fmt(w.auxi1)),
-        ("loss_weight_auxi2", _fmt(w.auxi2)),
-        ("prompt_length", _fmt(p.length)),
-        ("prompt_form", p.form),
-        ("prompt_init", p.init),
-        ("prompt_token_ids", ",".join(str(i) for i in p.token_ids) if p.token_ids else None),
-        ("tuning_strategy", p.tuning),
-        ("num_layers", _fmt(cfg.num_layers)),
-        ("hidden_size", _fmt(cfg.hidden_size)),
-        ("num_heads", _fmt(cfg.num_heads)),
-        ("ffn_size", _fmt(cfg.ffn_size)),
-        ("max_seq_len", _fmt(cfg.max_seq_len)),
-        ("dropout", _fmt(cfg.dropout)),
-        ("head_kind", cfg.head_kind),
-        ("lstm_hidden", None if cfg.lstm_hidden is None else _fmt(cfg.lstm_hidden)),
-        ("head_ffn_size", None if cfg.head_ffn_size is None else _fmt(cfg.head_ffn_size)),
-        ("optimizer", cfg.optimizer),
-        ("min_freq", _fmt(cfg.min_freq)),
-        ("rng_seed", _fmt(cfg.rng_seed)),
-    ]
-    if include_paths:
-        pairs += [
-            ("train_path", cfg.train_path),
-            ("dev_path", cfg.dev_path),
-            ("out_dir", cfg.out_dir),
-        ]
-    return "\n".join(f"{k} = {v}" for k, v in pairs if v is not None) + "\n"
-
-
-_INT_KEYS = {
-    "batch_size", "max_epochs", "early_stop_patience", "prompt_length",
-    "num_layers", "hidden_size", "num_heads", "ffn_size", "max_seq_len",
-    "lstm_hidden", "head_ffn_size", "min_freq", "rng_seed",
-}
-_FLOAT_KEYS = {
-    "learning_rate", "loss_weight_main", "loss_weight_auxi1", "loss_weight_auxi2",
-    "dropout",
-}
-_STR_KEYS = {
-    "prompt_form", "prompt_init", "prompt_token_ids", "tuning_strategy",
-    "head_kind", "optimizer", "train_path", "dev_path", "out_dir",
-}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+    """Canonical text form; parse_config() inverts it. Unset optional keys
+    are omitted."""
+    lines = []
+    for key, (nested, name, _) in _KEYS.items():
+        if key in _PATH_KEYS and not include_paths:
+            continue
+        text = _fmt(getattr(getattr(cfg, nested) if nested else cfg, name))
+        if text is not None:
+            lines.append(f"{key} = {text}")
+    return "\n".join(lines) + "\n"
 
 
 def _parse_pairs(text: str, allow_prefix: str | None = None) -> dict[str, str]:
@@ -142,42 +144,18 @@ def _parse_pairs(text: str, allow_prefix: str | None = None) -> dict[str, str]:
 
 
 def _build_config(pairs: dict[str, str]) -> TrainConfig:
-    values: dict = {}
+    top: dict = {}
+    nested: dict[str, dict] = {name: {} for name in _NESTED}
     for key, raw in pairs.items():
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"key {key!r} needs an integer, got {raw!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(raw)
-            except ValueError:
-                raise ConfigError(f"key {key!r} needs a number, got {raw!r}") from None
-        else:
-            values[key] = raw
-
-    defaults = TrainConfig()
-    weights = LossWeights(
-        main=values.pop("loss_weight_main", defaults.loss_weights.main),
-        auxi1=values.pop("loss_weight_auxi1", defaults.loss_weights.auxi1),
-        auxi2=values.pop("loss_weight_auxi2", defaults.loss_weights.auxi2),
-    )
-    token_ids = None
-    raw_ids = values.pop("prompt_token_ids", None)
-    if raw_ids:
+        owner, name, kind = _KEYS[key]
+        parse, expected = _PARSERS[kind]
         try:
-            token_ids = tuple(int(t) for t in raw_ids.split(","))
+            value = parse(raw)
         except ValueError:
-            raise ConfigError(f"prompt_token_ids must be comma-separated ints, got {raw_ids!r}") from None
-    prompt = PromptConfig(
-        length=values.pop("prompt_length", defaults.prompt.length),
-        form=values.pop("prompt_form", defaults.prompt.form),
-        init=values.pop("prompt_init", defaults.prompt.init),
-        token_ids=token_ids,
-        tuning=values.pop("tuning_strategy", defaults.prompt.tuning),
-    )
-    return TrainConfig(loss_weights=weights, prompt=prompt, **values)
+            raise ConfigError(f"key {key!r} needs {expected}, got {raw!r}") from None
+        (nested[owner] if owner else top)[name] = value
+    return TrainConfig(**top, **{owner: _FIELD_TYPES[owner](**values)
+                                 for owner, values in nested.items()})
 
 
 def parse_config(text: str) -> TrainConfig:
@@ -195,7 +173,6 @@ def load_config_file(path) -> TrainConfig:
 
 def format_checkpoint_header(cfg: TrainConfig, vocab: Vocab) -> str:
     """Config followed by the vocabulary, one 'vocab.<id> = <token>' line per token."""
-    cfg = replace(cfg, train_path=None, dev_path=None, out_dir=None)
     lines = [format_config(cfg).rstrip("\n")]
     lines += [f"vocab.{i} = {tok}" for i, tok in enumerate(vocab.tokens)]
     return "\n".join(lines) + "\n"

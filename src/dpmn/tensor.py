@@ -17,16 +17,17 @@ from .errors import ContractError, EmbeddingIndexError, ShapeError
 
 _active_tape = None
 
+INIT_STD = 0.02  # BERT-style initializer scale
+
 
 class Tensor:
     """N-dimensional float64 value with an optional gradient slot."""
 
-    __slots__ = ("data", "grad", "trainable", "name")
+    __slots__ = ("data", "grad", "name")
 
-    def __init__(self, data, trainable: bool = False, name: str | None = None):
+    def __init__(self, data, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.trainable = trainable
         self.name = name
 
     @property
@@ -93,6 +94,29 @@ class Tensor:
 
     def tanh(self):
         return tanh(self)
+
+
+class ParameterStore:
+    """Named parameters in creation order; the one place parameters are made.
+
+    A parameter without a fill is a weight matrix and draws
+    Normal(0, INIT_STD^2) from `rng`, or from the store's own generator when
+    none is given. A fill (a constant, or an array broadcast to the shape)
+    draws nothing.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.tensors: dict[str, Tensor] = {}
+
+    def new(self, name: str, shape, fill=None,
+            rng: np.random.Generator | None = None) -> Tensor:
+        if fill is None:
+            values = (self.rng if rng is None else rng).normal(0.0, INIT_STD, size=shape)
+        else:
+            values = np.full(shape, fill, dtype=np.float64)
+        t = self.tensors[name] = Tensor(values, name=name)
+        return t
 
 
 class Tape:

@@ -292,8 +292,7 @@ def _variant_config(base: TrainConfig, head: str, mtl: bool, prompt: bool) -> Tr
     prompt_cfg = base.prompt if prompt else PromptConfig(
         length=0, form="light", init="random", tuning=base.prompt.tuning
     )
-    return replace(base, head_kind=head, loss_weights=weights, prompt=prompt_cfg,
-                   out_dir=None)
+    return replace(base, head_kind=head, loss_weights=weights, prompt=prompt_cfg)
 
 
 def _describe(head: str, mtl: bool, prompt: bool) -> str:
@@ -305,6 +304,16 @@ def _describe(head: str, mtl: bool, prompt: bool) -> str:
     return " + ".join(parts)
 
 
+def run_grid(runs, train_examples, dev_examples, *, log=None):
+    """Train each (label, config) run in turn on the same data, writing no
+    artifacts, and yield (label, result) as each run finishes. log, when
+    given, receives each label before its run starts."""
+    for label, cfg in runs:
+        if log is not None:
+            log(label)
+        yield label, train(replace(cfg, out_dir=None), train_examples, dev_examples)
+
+
 def ablate(base: TrainConfig, train_examples, dev_examples, *,
            log=None) -> AblationResult:
     """Train every architecture variant with identical seed and data.
@@ -313,17 +322,13 @@ def ablate(base: TrainConfig, train_examples, dev_examples, *,
     exist but receive zero gradient. Prompt off means a zero-length prompt,
     so no prefix parameters exist at all.
     """
-    rows = []
-    for name, head, mtl, prompt in ABLATION_VARIANTS:
-        cfg = _variant_config(base, head, mtl, prompt)
-        if log is not None:
-            log(f"ablation variant {name}: {_describe(head, mtl, prompt)}")
-        result = train(cfg, train_examples, dev_examples)
-        rows.append(AblationRow(
-            name=name,
-            architecture=_describe(head, mtl, prompt),
-            dev_f1_a=result.best_metric,
-            best_epoch=result.best_epoch,
-            prefix_values=result.model.bank.value_count(),
-        ))
-    return AblationResult(rows)
+    variants = [(name, _describe(head, mtl, prompt), _variant_config(base, head, mtl, prompt))
+                for name, head, mtl, prompt in ABLATION_VARIANTS]
+    runs = [(f"ablation variant {name}: {architecture}", cfg)
+            for name, architecture, cfg in variants]
+    results = run_grid(runs, train_examples, dev_examples, log=log)
+    return AblationResult([
+        AblationRow(name, architecture, result.best_metric, result.best_epoch,
+                    result.model.bank.value_count())
+        for (name, architecture, _), (_, result) in zip(variants, results)
+    ])

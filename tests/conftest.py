@@ -1,7 +1,10 @@
-"""Shared test helpers: an independent finite-difference gradient oracle."""
+"""Shared test helpers: an independent finite-difference gradient oracle and
+a parameter store for building model parts on their own."""
 
 import numpy as np
 import pytest
+
+from dpmn.tensor import ParameterStore
 
 FD_STEP = 1e-5
 # Coordinates whose gradient magnitude sits below this floor are judged by
@@ -33,6 +36,20 @@ def max_rel_error(analytic, numeric, floor: float = REL_FLOOR) -> float:
     a, n = np.asarray(analytic, dtype=float), np.asarray(numeric, dtype=float)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return float((np.abs(a - n) / denom).max())
+
+
+def make_store(seed: int = 0) -> ParameterStore:
+    """An empty parameter store drawing weights from a generator seeded with `seed`."""
+    return ParameterStore(np.random.Generator(np.random.PCG64(seed)))
+
+
+def encoder_parameters(model) -> dict:
+    """The encoder's parameters (embeddings and transformer layers) of a DpmnModel."""
+    return {n: p for n, p in model.parameters().items() if n.startswith(("embedding.", "layer"))}
+
+
+def head_parameters(model, task: str) -> dict:
+    return {n: p for n, p in model.parameters().items() if n.startswith(f"head_{task}.")}
 
 
 @pytest.fixture

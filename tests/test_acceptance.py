@@ -26,6 +26,7 @@ from dpmn.runconfig import TrainConfig, parse_config
 from dpmn.tensor import Tape, backward
 from dpmn.trainer import ablate, evaluate_checkpoint, train
 
+from conftest import encoder_parameters, head_parameters, make_store
 from test_metrics import brute_force_macro_f1
 
 
@@ -63,8 +64,8 @@ def test_criterion_2_prompt_parameter_count_identities():
         cfg = EncoderConfig(vocab_size=9, num_layers=layers, hidden_size=d,
                             num_heads=2, ffn_size=2 * d, max_seq_len=16, dropout=0.0)
         table = np.zeros((9, d))
-        deep = init_prompt(PromptConfig(length=p_n, form="deep"), cfg, table, 0)
-        light = init_prompt(PromptConfig(length=p_n, form="light"), cfg, table, 0)
+        deep = init_prompt(PromptConfig(length=p_n, form="deep"), cfg, table, make_store(), 0)
+        light = init_prompt(PromptConfig(length=p_n, form="light"), cfg, table, make_store(), 0)
         ok &= deep.value_count() == layers * p_n * d
         ok &= light.value_count() == p_n * d
         details.append(f"L={layers},p={p_n},d={d}: deep {deep.value_count()}, "
@@ -73,7 +74,7 @@ def test_criterion_2_prompt_parameter_count_identities():
 
 
 def _encoder_bytes(model) -> bytes:
-    return b"".join(p.data.tobytes() for p in model.encoder.parameters().values())
+    return b"".join(p.data.tobytes() for p in encoder_parameters(model).values())
 
 
 def test_criterion_3_tuning_strategy_freezing():
@@ -149,7 +150,7 @@ def test_criterion_6_hierarchy_masking():
     zero_losses = loss_b.item() == 0.0 and loss_c.item() == 0.0
     zero_grads = all(
         p.grad is not None and not p.grad.any()
-        for task in ("b", "c") for p in model.heads[task].parameters().values()
+        for task in ("b", "c") for p in head_parameters(model, task).values()
     )
 
     # removing B/C labels leaves the task-A loss bitwise identical at step 1

@@ -1,5 +1,6 @@
 """Corpus parsing, tokenization, vocabulary, and batching."""
 
+import itertools
 import os
 
 import numpy as np
@@ -100,6 +101,23 @@ def test_empty_text_rejected(tmp_path):
     path = _write(tmp_path, HEADER + "1\t\tNOT\tNULL\tNULL\n")
     with pytest.raises(ParseError, match="empty"):
         parse_tsv(path)
+
+
+def test_example_and_parse_tsv_share_one_label_check(tmp_path):
+    """Every text/label combination is accepted by both or rejected by both
+    with the same message; the corpus path adds the line number."""
+    for text, a, b, c in itertools.product(("", "t"), ("NOT", "OFF", "BAD"),
+                                           (None, "TIN", "UNT", "BAD"),
+                                           (None, "IND", "GRP", "OTH", "BAD")):
+        path = _write(tmp_path, HEADER + f"1\t{text}\t{a}\t{b or 'NULL'}\t{c or 'NULL'}\n")
+        try:
+            expected = [Example("1", text, a, b, c)]
+        except ContractError as e:
+            with pytest.raises((ParseError, HierarchyError)) as parsed:
+                parse_tsv(path)
+            assert str(parsed.value) == "line 2: " + str(e).removeprefix("example '1': ")
+        else:
+            assert parse_tsv(path) == expected
 
 
 def test_round_trip_through_rows(tmp_path):

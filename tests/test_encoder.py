@@ -9,23 +9,24 @@ from dpmn.encoder import (
     EncoderStack,
     TransformerLayer,
     encode,
-    trainable_parameters,
 )
 from dpmn.errors import ConfigError, ContractError, EmbeddingIndexError
 from dpmn.prompt import PromptConfig, init_prompt
 from dpmn.tensor import Tape, Tensor, backward, softmax
+
+from conftest import make_store
 
 CFG = EncoderConfig(vocab_size=11, num_layers=2, hidden_size=8, num_heads=2,
                     ffn_size=16, max_seq_len=10, dropout=0.0)
 
 
 def _stack(seed=0, cfg=CFG):
-    return EncoderStack(cfg, np.random.Generator(np.random.PCG64(seed)))
+    return EncoderStack(cfg, make_store(seed))
 
 
 def _bank(stack, length=1, form="deep", seed=1):
     cfg = PromptConfig(length=length, form=form)
-    return init_prompt(cfg, stack.config, stack.token_emb.data, seed)
+    return init_prompt(cfg, stack.config, stack.token_emb.data, make_store(), seed)
 
 
 def test_embed_pad_only_sequence():
@@ -181,36 +182,11 @@ def test_parameter_count_identities():
                             num_heads=2, ffn_size=2 * d, max_seq_len=16, dropout=0.0)
         stack = _stack(cfg=cfg)
         deep = init_prompt(PromptConfig(length=p_n, form="deep"), cfg,
-                           stack.token_emb.data, 0)
+                           stack.token_emb.data, make_store(), 0)
         light = init_prompt(PromptConfig(length=p_n, form="light"), cfg,
-                            stack.token_emb.data, 0)
+                            stack.token_emb.data, make_store(), 0)
         assert deep.value_count() == layers * p_n * d
         assert light.value_count() == p_n * d
-
-
-def test_trainable_parameters_by_strategy():
-    stack = _stack()
-    bank = _bank(stack, length=2)
-    fixed = trainable_parameters(stack, bank, "fixed-lm")
-    assert set(fixed) == {m.name for m in bank.matrices}
-    full = trainable_parameters(stack, bank, "lm-plus-prompt")
-    assert set(full) == set(stack.parameters()) | set(bank.parameters())
-    extra = sum(full[k].size for k in full) - sum(
-        p.size for p in stack.parameters().values())
-    assert extra == CFG.num_layers * 2 * CFG.hidden_size  # deep, p_n=2
-    with pytest.raises(ConfigError):
-        trainable_parameters(stack, bank, "frozen")
-
-
-def test_load_weights_hook_checks_names_and_shapes():
-    stack = _stack()
-    other = _stack(seed=9)
-    stack.load_weights({"embedding.token": other.token_emb.data})
-    assert np.array_equal(stack.token_emb.data, other.token_emb.data)
-    with pytest.raises(ConfigError):
-        stack.load_weights({"nope": np.zeros(3)})
-    with pytest.raises(ConfigError):
-        stack.load_weights({"embedding.token": np.zeros((2, 2))})
 
 
 def test_config_validation():

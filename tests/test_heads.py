@@ -8,14 +8,13 @@ from dpmn.heads import BiLstmFfnHead, LinearHead, make_head
 from dpmn.model import head_forward
 from dpmn.tensor import Tape, Tensor, backward
 
-from conftest import max_rel_error, numeric_gradient
+from conftest import make_store, max_rel_error, numeric_gradient
 
 D, H, F = 6, 4, 5
 
 
 def _head(n_classes=2, seed=0):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return BiLstmFfnHead(D, H, F, n_classes, rng, "head_t")
+    return BiLstmFfnHead(D, H, F, n_classes, make_store(seed), "head_t")
 
 
 def test_single_step_concatenates_both_directions(rng):
@@ -49,8 +48,9 @@ def test_pad_invariance_holds_for_logits_bitwise(rng):
 
 
 def test_all_zero_weights_give_zero_states(rng):
-    head = _head()
-    for p in head.parameters().values():
+    store = make_store()
+    head = BiLstmFfnHead(D, H, F, 2, store, "head_t")
+    for p in store.tensors.values():
         p.data[:] = 0.0
     shared = Tensor(rng.normal(size=(3, 4, D)))
     states = head.bilstm(shared, np.array([4, 2, 1]))
@@ -106,7 +106,8 @@ def test_ffn_gradients_match_finite_differences(rng):
 
 
 def test_bilstm_head_gradients_match_finite_differences(rng):
-    head = _head()
+    store = make_store()
+    head = BiLstmFfnHead(D, H, F, 2, store, "head_t")
     shared = Tensor(rng.normal(size=(2, 3, D)))
     lengths = np.array([3, 2])
     with Tape() as tape:
@@ -118,7 +119,7 @@ def test_bilstm_head_gradients_match_finite_differences(rng):
     def value():
         return float((head.forward(Tensor(shared.data), lengths).data * proj.data).sum())
 
-    for t in [shared, *head.parameters().values()]:
+    for t in [shared, *store.tensors.values()]:
         assert max_rel_error(
             np.zeros_like(t.data) if t.grad is None else t.grad,
             numeric_gradient(value, t.data),
@@ -128,9 +129,9 @@ def test_bilstm_head_gradients_match_finite_differences(rng):
 def test_head_widths_per_task(rng):
     shared = Tensor(rng.normal(size=(2, 3, D)))
     lengths = np.array([3, 3])
-    gen = np.random.Generator(np.random.PCG64(0))
-    head_a = make_head("bilstm-ffn", D, H, F, 2, gen, "head_a")
-    head_c = make_head("bilstm-ffn", D, H, F, 3, gen, "head_c")
+    store = make_store(0)
+    head_a = make_head("bilstm-ffn", D, H, F, 2, store, "head_a")
+    head_c = make_head("bilstm-ffn", D, H, F, 3, store, "head_c")
     assert head_forward(head_a, shared, lengths, "a").shape == (2, 2)
     assert head_forward(head_c, shared, lengths, "c").shape == (2, 3)
     with pytest.raises(ConfigError, match="classes"):
@@ -147,9 +148,9 @@ def test_forward_is_deterministic(rng):
 
 
 def test_linear_and_bilstm_heads_differ(rng):
-    gen = np.random.Generator(np.random.PCG64(3))
-    linear = make_head("linear", D, H, F, 2, gen, "head_l")
-    bilstm = make_head("bilstm-ffn", D, H, F, 2, gen, "head_b")
+    store = make_store(3)
+    linear = make_head("linear", D, H, F, 2, store, "head_l")
+    bilstm = make_head("bilstm-ffn", D, H, F, 2, store, "head_b")
     shared = Tensor(rng.normal(size=(2, 4, D)))
     lengths = np.array([4, 4])
     assert not np.allclose(linear.forward(shared, lengths).data,
@@ -157,8 +158,8 @@ def test_linear_and_bilstm_heads_differ(rng):
 
 
 def test_linear_head_reads_first_position_only(rng):
-    gen = np.random.Generator(np.random.PCG64(4))
-    head = LinearHead(D, 2, gen, "head_l")
+    store = make_store(4)
+    head = LinearHead(D, 2, store, "head_l")
     shared = rng.normal(size=(2, 4, D))
     altered = shared.copy()
     altered[:, 1:, :] = 0.0
@@ -168,6 +169,6 @@ def test_linear_head_reads_first_position_only(rng):
 
 
 def test_unknown_head_kind_rejected():
-    gen = np.random.Generator(np.random.PCG64(0))
+    store = make_store(0)
     with pytest.raises(ConfigError):
-        make_head("attention", D, H, F, 2, gen, "head_x")
+        make_head("attention", D, H, F, 2, store, "head_x")

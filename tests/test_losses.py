@@ -24,7 +24,7 @@ def test_uniform_logits_give_log_two():
 
 
 def test_all_absent_labels_give_exact_zero_and_zero_grads(rng):
-    w = Tensor(rng.normal(size=(4, 2)), trainable=True)
+    w = Tensor(rng.normal(size=(4, 2)))
     x = Tensor(rng.normal(size=(3, 4)))
     with Tape() as tape:
         logits = matmul(x, w)
@@ -95,7 +95,7 @@ def test_total_loss_is_linear_in_each_subloss(rng):
 
 def test_total_gradient_is_weighted_sum_of_task_gradients(rng):
     """Shared-parameter gradient decomposes across tasks to 1e-10."""
-    shared = Tensor(rng.normal(size=(3, 4)), trainable=True)
+    shared = Tensor(rng.normal(size=(3, 4)))
     heads = [Tensor(rng.normal(size=(4, 2))) for _ in range(3)]
     labels = [np.array([0, 1, 1]), np.array([1, -1, 0]), np.array([-1, 0, 1])]
     w = LossWeights(0.4, 0.3, 0.3)

@@ -16,7 +16,7 @@ from dpmn.model import DpmnModel
 from dpmn.prompt import PromptConfig
 from dpmn.tensor import Tape, backward
 
-from conftest import max_rel_error, numeric_gradient
+from conftest import encoder_parameters, head_parameters, max_rel_error, numeric_gradient
 
 
 def _tiny_model(head_kind="bilstm-ffn", p_n=1, form="deep", seed=0):
@@ -72,10 +72,10 @@ def test_gradients_isolated_per_task_head():
         logits = model.forward(batch)
         loss = cross_entropy(logits["a"], batch.labels_a)
     backward(tape, loss)
-    for name, p in model.heads["a"].parameters().items():
+    for name, p in head_parameters(model, "a").items():
         assert p.grad is not None, name
     for task in ("b", "c"):
-        for p in model.heads[task].parameters().values():
+        for p in head_parameters(model, task).values():
             assert p.grad is None
     # shared parameters receive gradient from the task-A loss
     assert model.encoder.token_emb.grad is not None
@@ -87,12 +87,42 @@ def test_trainable_parameters_strategies_include_heads():
     model = _tiny_model()
     head_names = set()
     for task in ("a", "b", "c"):
-        head_names |= set(model.heads[task].parameters())
+        head_names |= set(head_parameters(model, task))
     fixed = model.trainable_parameters("fixed-lm")
     assert head_names <= set(fixed)
     assert not any(k.startswith("layer") or k.startswith("embedding") for k in fixed)
     full = model.trainable_parameters("lm-plus-prompt")
-    assert set(model.encoder.parameters()) <= set(full)
+    assert set(encoder_parameters(model)) <= set(full)
+
+
+def test_trainable_parameters_by_strategy():
+    model = _tiny_model(p_n=2)
+    encoder = encoder_parameters(model)
+    prompt = {m.name for m in model.bank.matrices}
+    fixed = model.trainable_parameters("fixed-lm")
+    assert prompt <= set(fixed)
+    assert set(fixed) == set(model.parameters()) - set(encoder)
+    full = model.trainable_parameters("lm-plus-prompt")
+    assert list(full) == list(model.parameters())
+    prompt_values = sum(full[k].size for k in prompt)
+    assert prompt_values == model.encoder.config.num_layers * 2 * model.encoder.config.hidden_size
+    with pytest.raises(ConfigError):
+        model.trainable_parameters("frozen")
+
+
+def test_load_state_checks_names_and_shapes():
+    model = _tiny_model(seed=0)
+    other = _tiny_model(seed=9)
+    model.load_state(other.state_arrays())
+    assert np.array_equal(model.encoder.token_emb.data, other.encoder.token_emb.data)
+    with pytest.raises(ConfigError):
+        model.load_state({**other.state_arrays(), "nope": np.zeros(3)})
+    missing = other.state_arrays()
+    del missing["embedding.token"]
+    with pytest.raises(ConfigError):
+        model.load_state(missing)
+    with pytest.raises(ConfigError, match="shape"):
+        model.load_state({**other.state_arrays(), "embedding.token": np.zeros((2, 2))})
 
 
 def test_state_round_trip():

@@ -9,7 +9,7 @@ from dpmn.tensor import Tensor
 
 
 def test_zero_gradient_leaves_parameter_unchanged():
-    w = Tensor([1.5, -2.0], trainable=True)
+    w = Tensor([1.5, -2.0])
     before = w.data.copy()
     opt = Adam({"w": w}, lr=0.1)
     w.grad = np.zeros(2)
@@ -19,7 +19,7 @@ def test_zero_gradient_leaves_parameter_unchanged():
 
 def test_single_step_descends_quadratic():
     # f(w) = w^2 from w=1: gradient 2, so w must decrease
-    w = Tensor([1.0], trainable=True)
+    w = Tensor([1.0])
     opt = Adam({"w": w}, lr=0.1)
     w.grad = 2.0 * w.data
     opt.step()
@@ -31,7 +31,7 @@ def test_adam_converges_on_2d_quadratic():
     # A (w - target) is the oracle for the convergence criterion.
     a = np.array([[3.0, 0.0], [0.0, 1.0]])
     target = np.array([1.0, -2.0])
-    w = Tensor([5.0, 4.0], trainable=True)
+    w = Tensor([5.0, 4.0])
     opt = Adam({"w": w}, lr=0.05)
     for _ in range(500):
         w.grad = a @ (w.data - target)
@@ -40,7 +40,7 @@ def test_adam_converges_on_2d_quadratic():
 
 
 def test_missing_gradient_raises_contract_error():
-    w = Tensor([1.0], trainable=True)
+    w = Tensor([1.0])
     opt = Adam({"w": w}, lr=0.1)
     with pytest.raises(ContractError, match="'w'"):
         opt.step()
@@ -49,7 +49,7 @@ def test_missing_gradient_raises_contract_error():
 
 
 def test_timestep_increments_once_per_call():
-    w = Tensor([1.0], trainable=True)
+    w = Tensor([1.0])
     opt = Adam({"w": w}, lr=0.1)
     for expected in (1, 2, 3):
         w.grad = np.ones(1)
@@ -58,7 +58,7 @@ def test_timestep_increments_once_per_call():
 
 
 def test_sgd_step_is_plain_descent():
-    w = Tensor([2.0, -1.0], trainable=True)
+    w = Tensor([2.0, -1.0])
     opt = Sgd({"w": w}, lr=0.5)
     w.grad = np.array([1.0, -2.0])
     opt.step()
@@ -66,7 +66,7 @@ def test_sgd_step_is_plain_descent():
 
 
 def test_zero_grad_clears_to_none():
-    w = Tensor([1.0], trainable=True)
+    w = Tensor([1.0])
     opt = Adam({"w": w}, lr=0.1)
     w.grad = np.ones(1)
     opt.zero_grad()

@@ -1,12 +1,16 @@
 """The flat key-value config format and checkpoint headers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpmn.data import build_vocab, generate_synthetic_corpus
 from dpmn.errors import ConfigError
+from dpmn.heads import HEAD_KINDS
 from dpmn.losses import LossWeights
-from dpmn.prompt import PromptConfig
+from dpmn.prompt import FORMS, INITS, TUNINGS, PromptConfig
 from dpmn.runconfig import (
+    KNOWN_KEYS,
     TrainConfig,
     format_checkpoint_header,
     format_config,
@@ -39,6 +43,77 @@ def test_format_parse_round_trip():
         rng_seed=11,
     )
     assert parse_config(format_config(cfg)) == cfg
+
+
+# Values the one-line 'key = value' form can hold: non-empty, no line
+# breaks, no surrounding whitespace.
+_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                min_size=1).filter(lambda t: t == t.strip())
+_ANY_INT = st.integers(-10**12, 10**12)
+_POSITIVE = st.integers(1, 10**12)
+
+
+@st.composite
+def _configs(draw):
+    length = draw(st.integers(0, 6))
+    init = draw(st.sampled_from(INITS))
+    ids = st.lists(st.integers(0, 10**6), min_size=length, max_size=length).map(tuple)
+    prompt = PromptConfig(
+        length=length,
+        form="light" if length == 0 else draw(st.sampled_from(FORMS)),
+        init=init,
+        token_ids=draw(st.none() | ids) if init == "token" and length > 0 else None,
+        tuning=draw(st.sampled_from(TUNINGS)),
+    )
+    main = draw(st.floats(0.0, 1.0))
+    auxi1 = draw(st.floats(0.0, 1.0 - main))
+    return TrainConfig(
+        learning_rate=draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False)),
+        batch_size=draw(_POSITIVE),
+        max_epochs=draw(_POSITIVE),
+        early_stop_patience=draw(_POSITIVE),
+        loss_weights=LossWeights(main, auxi1, (1.0 - main) - auxi1),
+        prompt=prompt,
+        num_layers=draw(_ANY_INT),
+        hidden_size=draw(_ANY_INT),
+        num_heads=draw(_ANY_INT),
+        ffn_size=draw(_ANY_INT),
+        max_seq_len=draw(_ANY_INT),
+        dropout=draw(st.floats(allow_nan=False)),
+        head_kind=draw(st.sampled_from(HEAD_KINDS)),
+        lstm_hidden=draw(st.none() | _ANY_INT),
+        head_ffn_size=draw(st.none() | _ANY_INT),
+        optimizer=draw(st.sampled_from(("adam", "sgd"))),
+        min_freq=draw(_POSITIVE),
+        rng_seed=draw(_ANY_INT),
+        train_path=draw(st.none() | _TEXT),
+        dev_path=draw(st.none() | _TEXT),
+        out_dir=draw(st.none() | _TEXT),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs())
+def test_every_field_round_trips_through_text(cfg):
+    assert parse_config(format_config(cfg, include_paths=True)) == cfg
+
+
+def test_key_order_is_fixed():
+    """The key order is part of the checkpoint header format."""
+    cfg = TrainConfig(
+        prompt=PromptConfig(length=1, init="token", token_ids=(3,)),
+        lstm_hidden=8, head_ffn_size=16, train_path="t", dev_path="d", out_dir="o",
+    )
+    keys = [line.split(" = ")[0] for line in format_config(cfg, include_paths=True).splitlines()]
+    assert keys == [
+        "learning_rate", "batch_size", "max_epochs", "early_stop_patience",
+        "loss_weight_main", "loss_weight_auxi1", "loss_weight_auxi2",
+        "prompt_length", "prompt_form", "prompt_init", "prompt_token_ids", "tuning_strategy",
+        "num_layers", "hidden_size", "num_heads", "ffn_size", "max_seq_len", "dropout",
+        "head_kind", "lstm_hidden", "head_ffn_size", "optimizer", "min_freq", "rng_seed",
+        "train_path", "dev_path", "out_dir",
+    ]
+    assert set(keys) == KNOWN_KEYS
 
 
 def test_serialization_is_canonical():

@@ -22,6 +22,8 @@ from dpmn.trainer import (
     train,
 )
 
+from conftest import encoder_parameters, head_parameters
+
 TINY = dict(num_layers=2, hidden_size=16, num_heads=2, ffn_size=32, max_seq_len=24,
             dropout=0.0, batch_size=16)
 
@@ -69,11 +71,11 @@ def test_fixed_lm_keeps_encoder_weights_bitwise_frozen(corpus):
     from dpmn.trainer import _build_model
 
     reference = _build_model(cfg, vocab)
-    before = _checksum({k: v.data for k, v in reference.encoder.parameters().items()})
+    before = _checksum({k: v.data for k, v in encoder_parameters(reference).items()})
     result = train(cfg, corpus, corpus)
     assert len(result.runlog.step_losses) >= 10
     after = _checksum({k: v.data
-                       for k, v in result.model.encoder.parameters().items()})
+                       for k, v in encoder_parameters(result.model).items()})
     assert before == after
     # the prompt did move
     bank_before = _checksum({m.name: m.data for m in reference.bank.matrices})
@@ -88,10 +90,10 @@ def test_lm_plus_prompt_updates_encoder_weights(corpus):
     from dpmn.trainer import _build_model
 
     before = _checksum({k: v.data
-                        for k, v in _build_model(cfg, vocab).encoder.parameters().items()})
+                        for k, v in encoder_parameters(_build_model(cfg, vocab)).items()})
     result = train(cfg, corpus, corpus)
     after = _checksum({k: v.data
-                       for k, v in result.model.encoder.parameters().items()})
+                       for k, v in encoder_parameters(result.model).items()})
     assert before != after
 
 
@@ -199,7 +201,7 @@ def test_constant_predictor_scores_one_third_on_balanced_data():
 
     model = _build_model(cfg, vocab)
     head = model.heads["a"]
-    for p in head.parameters().values():
+    for p in head_parameters(model, "a").values():
         p.data[:] = 0.0
     head.b_f2.data[:] = np.array([10.0, 0.0])  # always predict class 0 (NOT)
     batches = make_batches(balanced, vocab, 8, cfg.max_seq_len - 1)
