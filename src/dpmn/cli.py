@@ -31,13 +31,19 @@ def _load_config(args) -> TrainConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
+def _read_corpus(path):
+    if not os.path.exists(path):
+        raise DataError(f"corpus not found: {path}")
+    examples = parse_tsv(path)
+    if not examples:
+        raise DataError(f"corpus has no examples: {path}")
+    return examples
+
+
 def _load_datasets(cfg: TrainConfig):
     if not cfg.train_path or not cfg.dev_path:
         raise ConfigError("both --train and --dev corpora are required")
-    for path in (cfg.train_path, cfg.dev_path):
-        if not os.path.exists(path):
-            raise DataError(f"corpus not found: {path}")
-    return parse_tsv(cfg.train_path), parse_tsv(cfg.dev_path)
+    return _read_corpus(cfg.train_path), _read_corpus(cfg.dev_path)
 
 
 def _cmd_train(args) -> int:
@@ -53,9 +59,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     if not os.path.exists(args.checkpoint):
         raise DataError(f"checkpoint not found: {args.checkpoint}")
-    if not os.path.exists(args.data):
-        raise DataError(f"corpus not found: {args.data}")
-    report = evaluate_checkpoint(args.checkpoint, parse_tsv(args.data))
+    report = evaluate_checkpoint(args.checkpoint, _read_corpus(args.data))
     for task in ("a", "b", "c"):
         print(f"task {task}: macro_f1 {report.f1[task]:.4f} over {report.counts[task]} examples")
         if report.counts[task]:

@@ -28,6 +28,7 @@ from .tensor import (
     embedding_lookup,
     layer_norm,
     log_softmax,
+    lstm_scan,
     matmul,
     mul,
     relu,
@@ -107,6 +108,10 @@ def _op_catalog(rng: np.random.Generator):
     sum_in = t(3, 4, 5)
     rs_in, sw_in = t(2, 3, 4), t(2, 3, 4)
     bc_in = t(1, 4)
+    # one padded row; each direction gets its own inputs because .grad accumulates
+    scan_lengths = np.array([4, 2])
+    fw_scan = [t(2, 4, 3), t(3, 8), t(2, 8), t(8)]
+    bw_scan = [t(2, 4, 3), t(3, 8), t(2, 8), t(8)]
 
     return [
         ("matmul", [a34, b42], lambda: matmul(a34, b42)),
@@ -126,6 +131,9 @@ def _op_catalog(rng: np.random.Generator):
         ("reshape", [rs_in], lambda: reshape(rs_in, (6, 4))),
         ("swapaxes", [sw_in], lambda: swapaxes(sw_in, 0, 2)),
         ("broadcast_to", [bc_in], lambda: broadcast_to(bc_in, (3, 4))),
+        ("lstm_scan", fw_scan, lambda: lstm_scan(fw_scan[0], scan_lengths, *fw_scan[1:])),
+        ("lstm_scan_reverse", bw_scan,
+         lambda: lstm_scan(bw_scan[0], scan_lengths, *bw_scan[1:], reverse=True)),
     ]
 
 

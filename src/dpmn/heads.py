@@ -11,35 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .tensor import ParameterStore, Tensor, concat, matmul, mul, relu, sigmoid, tanh
-
-
-def _lstm_scan(x: Tensor, lengths: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor,
-               hidden: int, reverse: bool) -> Tensor:
-    """One LSTM direction with masked state updates.
-
-    Updates only happen at positions t < length, so padded positions leave
-    both states bitwise untouched; the returned state is the one at each
-    example's last real position (forward) or at position 0 after scanning
-    from the last real position (reverse).
-    """
-    batch, seq, _ = x.shape
-    h = Tensor(np.zeros((batch, hidden)))
-    c = Tensor(np.zeros((batch, hidden)))
-    steps = range(seq - 1, -1, -1) if reverse else range(seq)
-    for t in steps:
-        gates = matmul(x[:, t, :], w_x) + matmul(h, w_h) + b
-        i_gate = sigmoid(gates[:, :hidden])
-        f_gate = sigmoid(gates[:, hidden:2 * hidden])
-        o_gate = sigmoid(gates[:, 2 * hidden:3 * hidden])
-        g_gate = tanh(gates[:, 3 * hidden:])
-        c_new = f_gate * c + i_gate * g_gate
-        h_new = o_gate * tanh(c_new)
-        step_mask = Tensor((t < lengths).astype(np.float64)[:, None])
-        keep = Tensor(1.0 - step_mask.data)
-        h = mul(step_mask, h_new) + mul(keep, h)
-        c = mul(step_mask, c_new) + mul(keep, c)
-    return h
+from .tensor import ParameterStore, Tensor, concat, lstm_scan, matmul, relu
 
 
 class BiLstmFfnHead:
@@ -47,7 +19,6 @@ class BiLstmFfnHead:
 
     def __init__(self, input_size: int, lstm_hidden: int, ffn_hidden: int,
                  n_classes: int, store: ParameterStore, name: str):
-        self.lstm_hidden = lstm_hidden
         self.n_classes = n_classes
         gates = 4 * lstm_hidden
         self.fw_x = store.new(f"{name}.lstm_forward.w_x", (input_size, gates))
@@ -66,12 +37,8 @@ class BiLstmFfnHead:
         lengths = np.asarray(lengths)
         if (lengths < 1).any():
             raise ContractError("every sequence must have at least one real position")
-        if (lengths > shared.shape[1]).any():
-            raise ContractError("length exceeds the sequence axis")
-        forward = _lstm_scan(shared, lengths, self.fw_x, self.fw_h, self.fw_b,
-                             self.lstm_hidden, reverse=False)
-        backward = _lstm_scan(shared, lengths, self.bw_x, self.bw_h, self.bw_b,
-                              self.lstm_hidden, reverse=True)
+        forward = lstm_scan(shared, lengths, self.fw_x, self.fw_h, self.fw_b, reverse=False)
+        backward = lstm_scan(shared, lengths, self.bw_x, self.bw_h, self.bw_b, reverse=True)
         return concat([forward, backward], axis=1)
 
     def ffn(self, states: Tensor) -> Tensor:

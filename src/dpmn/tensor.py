@@ -253,11 +253,15 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # two-sided form only exponentiates negative values, so it never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    # two-sided form only exponentiates negative values, so it never overflows
-    e = np.exp(-np.abs(a.data))
-    y = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = _sigmoid(a.data)
     out = Tensor(y)
     _record(out, (a,), lambda g: (g * y * (1.0 - y),))
     return out
@@ -430,3 +434,79 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
     return mul(a, Tensor(mask))
+
+
+def lstm_scan(x: Tensor, lengths: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor,
+              reverse: bool = False) -> Tensor:
+    """One masked LSTM direction over x [batch, seq, d]; returns h [batch, hidden].
+
+    w_x [d, 4h], w_h [h, 4h] and b [4h] pack the gates in the order i, f, o, g.
+    Position t updates only the rows with t < lengths, so padded positions
+    leave both states bitwise untouched: the result is each row's state at
+    its last real position (forward), or at position 0 after scanning right
+    to left from there (reverse).
+
+    The input projection of every position is one GEMM ahead of the
+    recurrence, and the whole scan is one tape entry whose backward is
+    hand-written backpropagation through time. Without an active tape no
+    per-step state is kept.
+    """
+    x, w_x, w_h, b = _as_tensor(x), _as_tensor(w_x), _as_tensor(w_h), _as_tensor(b)
+    lengths = np.asarray(lengths)
+    if x.ndim != 3:
+        raise ShapeError(f"lstm_scan needs x of rank 3, got {x.shape}")
+    batch, seq, d = x.shape
+    hidden = w_h.shape[0]
+    gates = 4 * hidden
+    if w_x.shape != (d, gates) or w_h.shape != (hidden, gates) or b.shape != (gates,):
+        raise ShapeError(f"lstm_scan weights disagree: w_x {w_x.shape}, w_h {w_h.shape}, "
+                         f"b {b.shape} for x {x.shape}")
+    if lengths.shape != (batch,):
+        raise ShapeError(f"lstm_scan needs one length per row, got {lengths.shape} for x {x.shape}")
+    if ((lengths < 0) | (lengths > seq)).any():
+        raise ContractError("length exceeds the sequence axis")
+
+    projected = (x.data.reshape(batch * seq, d) @ w_x.data + b.data).reshape(batch, seq, gates)
+    top = int(lengths.max(initial=0))  # no row is live past its longest length
+    steps = range(top - 1, -1, -1) if reverse else range(top)
+    taped = _active_tape is not None
+    cache = []
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    for t in steps:
+        act = projected[:, t] + h @ w_h.data
+        act[:, :3 * hidden] = _sigmoid(act[:, :3 * hidden])
+        np.tanh(act[:, 3 * hidden:], out=act[:, 3 * hidden:])
+        i, f, o, g = (act[:, k * hidden:(k + 1) * hidden] for k in range(4))
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        live = (t < lengths)[:, None]
+        if taped:
+            cache.append((t, live, h, c, act, tanh_c))
+        h = np.where(live, o * tanh_c, h)
+        c = np.where(live, c_new, c)
+    out = Tensor(h)
+    if not taped:
+        return out
+
+    def bw(g_out):
+        d_gates = np.zeros((batch, seq, gates))
+        d_w_h = np.zeros_like(w_h.data)
+        dh, dc = g_out, np.zeros((batch, hidden))
+        for t, live, h_prev, c_prev, act, tanh_c in reversed(cache):
+            i, f, o, g = (act[:, k * hidden:(k + 1) * hidden] for k in range(4))
+            dc_new = dc + dh * o * (1.0 - tanh_c * tanh_c)
+            d_act = np.concatenate([dc_new * g, dc_new * c_prev, dh * tanh_c, dc_new * i], axis=1)
+            d_act[:, :3 * hidden] *= act[:, :3 * hidden] * (1.0 - act[:, :3 * hidden])
+            d_act[:, 3 * hidden:] *= 1.0 - g * g
+            d_step = d_gates[:, t] = np.where(live, d_act, 0.0)
+            d_w_h += h_prev.T @ d_step
+            dh = np.where(live, d_step @ w_h.data.T, dh)
+            dc = np.where(live, dc_new * f, dc)
+        flat = d_gates.reshape(batch * seq, gates)
+        dx = (flat @ w_x.data.T).reshape(x.shape)
+        d_w_x = x.data.reshape(batch * seq, d).T @ flat
+        return dx, d_w_x, d_w_h, flat.sum(axis=0)
+
+    _record(out, (x, w_x, w_h, b), bw)
+    return out

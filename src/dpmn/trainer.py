@@ -197,6 +197,8 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *,
             monitored = float(dev_metric_override[epoch - 1])
         else:
             monitored = report.f1["a"]
+        if not np.isfinite(monitored):
+            raise NumericError(f"non-finite dev metric at epoch {epoch}")
         mean = [float(v) for v in epoch_losses / len(batches)]
         row = EpochRow(epoch, mean[0], mean[1], mean[2], mean[3],
                        monitored, report.f1["b"], report.f1["c"],

@@ -94,6 +94,38 @@ def test_malformed_corpus_exits_three(workdir):
                  "--train", str(mangled), "--dev", str(workdir / "dev.tsv")]) == 3
 
 
+def _header_only(workdir):
+    empty = workdir / "empty.tsv"
+    write_tsv(empty, [])
+    return str(empty)
+
+
+@pytest.mark.parametrize("command,empty_flag", [
+    ("train", "--train"), ("train", "--dev"), ("ablate", "--train"), ("ablate", "--dev"),
+    ("sweep", "--train"), ("sweep", "--dev"),
+])
+def test_header_only_corpus_exits_three(workdir, capsys, command, empty_flag):
+    corpora = {"--train": str(workdir / "train.tsv"), "--dev": str(workdir / "dev.tsv")}
+    corpora[empty_flag] = _header_only(workdir)
+    grid = ["--lengths", "1", "--forms", "deep", "--inits", "random"] if command == "sweep" else []
+    argv = [command, *grid, "--config", str(workdir / "run.cfg")]
+    for flag, path in corpora.items():
+        argv += [flag, path]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and corpora[empty_flag] in err
+
+
+def test_eval_header_only_corpus_exits_three(workdir, capsys):
+    out = workdir / "out"
+    assert main(["train", "--config", str(workdir / "run.cfg"),
+                 "--train", str(workdir / "train.tsv"),
+                 "--dev", str(workdir / "dev.tsv"), "--out", str(out)]) == 0
+    empty = _header_only(workdir)
+    assert main(["eval", "--checkpoint", str(out / "model.ckpt"), "--data", empty]) == 3
+    assert empty in capsys.readouterr().err
+
+
 def test_gradcheck_command_passes(capsys):
     assert main(["gradcheck", "--probes", "40", "--seed", "1"]) == 0
     printed = capsys.readouterr().out

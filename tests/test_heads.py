@@ -1,16 +1,131 @@
 """Bi-LSTM + FFN head and the linear ablation head."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpmn.errors import ConfigError, ContractError
+from dpmn.data import build_vocab, generate_synthetic_corpus, make_batches
+from dpmn.errors import ConfigError, ContractError, ShapeError
 from dpmn.heads import BiLstmFfnHead, LinearHead, make_head
-from dpmn.model import head_forward
-from dpmn.tensor import Tape, Tensor, backward
+from dpmn.losses import cross_entropy, total_loss
+from dpmn.model import DpmnModel, head_forward
+from dpmn.prompt import PromptConfig
+from dpmn.runconfig import TrainConfig
+from dpmn.tensor import (Tape, Tensor, backward, lstm_scan, matmul, mul, sigmoid,
+                         sum_, tanh)
 
 from conftest import make_store, max_rel_error, numeric_gradient
 
 D, H, F = 6, 4, 5
+# Fused and per-timestep scans sum in different orders; in float64 they
+# agree far inside this bound, so any real disagreement stands out.
+SCAN_REL_TOL = 1e-12
+
+
+def _reference_scan(x, lengths, w_x, w_h, b, hidden, reverse):
+    """One masked LSTM direction composed of per-timestep tape ops: the
+    reference the fused lstm_scan primitive must reproduce."""
+    batch, seq, _ = x.shape
+    h = Tensor(np.zeros((batch, hidden)))
+    c = Tensor(np.zeros((batch, hidden)))
+    steps = range(seq - 1, -1, -1) if reverse else range(seq)
+    for t in steps:
+        gates = matmul(x[:, t, :], w_x) + matmul(h, w_h) + b
+        i_gate = sigmoid(gates[:, :hidden])
+        f_gate = sigmoid(gates[:, hidden:2 * hidden])
+        o_gate = sigmoid(gates[:, 2 * hidden:3 * hidden])
+        g_gate = tanh(gates[:, 3 * hidden:])
+        c_new = f_gate * c + i_gate * g_gate
+        h_new = o_gate * tanh(c_new)
+        step_mask = Tensor((t < lengths).astype(np.float64)[:, None])
+        keep = Tensor(1.0 - step_mask.data)
+        h = mul(step_mask, h_new) + mul(keep, h)
+        c = mul(step_mask, c_new) + mul(keep, c)
+    return h
+
+
+def _relative(a, b):
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+def _scan_with_grads(scan, arrays, proj):
+    """Final state and the gradients of (state * proj).sum() for x, w_x, w_h, b."""
+    inputs = [Tensor(a.copy()) for a in arrays]
+    with Tape() as tape:
+        out = scan(*inputs)
+        loss = sum_(mul(out, Tensor(proj)))
+    backward(tape, loss)
+    return out.data, [t.grad for t in inputs]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 4), st.integers(1, 3),
+       st.booleans(), st.integers(0, 2 ** 31), st.data())
+def test_lstm_scan_matches_per_timestep_reference(batch, seq, d, hidden, reverse, seed, data):
+    lengths = np.array(data.draw(st.lists(st.integers(1, seq), min_size=batch, max_size=batch)))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    arrays = [rng.normal(size=(batch, seq, d)), rng.normal(0.0, 0.5, size=(d, 4 * hidden)),
+              rng.normal(0.0, 0.5, size=(hidden, 4 * hidden)),
+              rng.normal(0.0, 0.5, size=(4 * hidden,))]
+    proj = rng.normal(size=(batch, hidden))
+
+    fused, fused_grads = _scan_with_grads(
+        lambda x, w_x, w_h, b: lstm_scan(x, lengths, w_x, w_h, b, reverse=reverse), arrays, proj)
+    ref, ref_grads = _scan_with_grads(
+        lambda x, w_x, w_h, b: _reference_scan(x, lengths, w_x, w_h, b, hidden, reverse),
+        arrays, proj)
+    assert _relative(fused, ref) <= SCAN_REL_TOL
+    for name, got, want in zip(("x", "w_x", "w_h", "b"), fused_grads, ref_grads):
+        assert _relative(got, want) <= SCAN_REL_TOL, name
+    # the untaped path keeps no cache but computes the same state bitwise
+    x, w_x, w_h, b = (Tensor(a) for a in arrays)
+    untaped = lstm_scan(x, lengths, w_x, w_h, b, reverse=reverse)
+    assert np.array_equal(untaped.data, fused)
+
+
+def test_lstm_scan_records_one_tape_entry(rng):
+    x = Tensor(rng.normal(size=(2, 5, 3)))
+    w_x, w_h, b = Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(2, 8))), Tensor(np.zeros(8))
+    with Tape() as tape:
+        lstm_scan(x, np.array([5, 2]), w_x, w_h, b, reverse=True)
+    assert len(tape) == 1
+
+
+def test_lstm_scan_rejects_bad_shapes_and_lengths(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    w_x, w_h, b = Tensor(np.zeros((4, 8))), Tensor(np.zeros((2, 8))), Tensor(np.zeros(8))
+    with pytest.raises(ShapeError):
+        lstm_scan(x, np.array([3, 3]), Tensor(np.zeros((3, 8))), w_h, b)
+    with pytest.raises(ShapeError):
+        lstm_scan(x, np.array([3]), w_x, w_h, b)
+    with pytest.raises(ContractError, match="exceeds"):
+        lstm_scan(x, np.array([3, 4]), w_x, w_h, b)
+
+
+def test_bilstm_training_step_tape_is_short():
+    """One taped step of the T=30 learnability model (L=2, d=32, deep prompt
+    p=2, Bi-LSTM heads, B=32): the heads must not record per-timestep ops."""
+    cfg = TrainConfig(batch_size=32, num_layers=2, hidden_size=32, num_heads=2, ffn_size=64,
+                      max_seq_len=32, dropout=0.0, head_kind="bilstm-ffn",
+                      prompt=PromptConfig(length=2, form="deep", init="random",
+                                          tuning="lm-plus-prompt"))
+    corpus = generate_synthetic_corpus(32, seed=3)
+    vocab = build_vocab(corpus)
+    model = DpmnModel(cfg.encoder_config(vocab.size), cfg.prompt, head_kind=cfg.head_kind)
+    cap = cfg.max_seq_len - cfg.prompt.length
+    padded = [replace(ex, text=" ".join([ex.text] + ["filler"] * cap)) for ex in corpus]
+    batch = make_batches(padded, vocab, cfg.batch_size, cap)[0]
+    assert batch.token_ids.shape == (32, 30)
+    with Tape() as tape:
+        logits = model.forward(batch)
+        loss = total_loss(cross_entropy(logits["a"], batch.labels_a),
+                          cross_entropy(logits["b"], batch.labels_b),
+                          cross_entropy(logits["c"], batch.labels_c), cfg.loss_weights)
+    backward(tape, loss)
+    assert len(tape) < 200
 
 
 def _head(n_classes=2, seed=0):

@@ -231,6 +231,13 @@ def test_non_finite_loss_aborts_with_step_number(corpus):
             train(cfg, corpus, corpus)
 
 
+@pytest.mark.parametrize("metrics,epoch", [([float("nan")], 1), ([0.5, float("nan")], 2)])
+def test_non_finite_dev_metric_aborts_with_epoch(corpus, metrics, epoch):
+    cfg = _cfg(learning_rate=1e-3, max_epochs=len(metrics), early_stop_patience=10)
+    with pytest.raises(NumericError, match=f"epoch {epoch}"):
+        train(cfg, corpus, corpus, dev_metric_override=metrics)
+
+
 def test_override_sequence_must_cover_epochs(corpus):
     cfg = _cfg(learning_rate=1e-3, max_epochs=5, early_stop_patience=10)
     with pytest.raises(ContractError, match="override"):
