@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from .data import parse_tsv
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, IntegrityError, NumericError
 from .gradcheck import run_gradcheck
 from .prompt import sweep_configs
 from .runconfig import TrainConfig, load_config_file
@@ -31,10 +32,21 @@ def _load_config(args) -> TrainConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
+@contextmanager
+def _reading(what: str, path):
+    """Report a file that cannot be opened, is not UTF-8 text or fails its
+    checksum as a DataError naming it."""
+    try:
+        yield
+    except OSError as e:
+        raise DataError(f"cannot read {what} {path}: {e.strerror}") from None
+    except (UnicodeDecodeError, IntegrityError) as e:
+        raise DataError(f"cannot read {what} {path}: {e}") from None
+
+
 def _read_corpus(path):
-    if not os.path.exists(path):
-        raise DataError(f"corpus not found: {path}")
-    examples = parse_tsv(path)
+    with _reading("corpus", path):
+        examples = parse_tsv(path)
     if not examples:
         raise DataError(f"corpus has no examples: {path}")
     return examples
@@ -57,9 +69,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if not os.path.exists(args.checkpoint):
-        raise DataError(f"checkpoint not found: {args.checkpoint}")
-    report = evaluate_checkpoint(args.checkpoint, _read_corpus(args.data))
+    examples = _read_corpus(args.data)
+    with _reading("checkpoint", args.checkpoint):
+        report = evaluate_checkpoint(args.checkpoint, examples)
     for task in ("a", "b", "c"):
         print(f"task {task}: macro_f1 {report.f1[task]:.4f} over {report.counts[task]} examples")
         if report.counts[task]:
@@ -107,6 +119,8 @@ def _cmd_sweep(args) -> int:
     forms = _parse_csv_list(args.forms, str, "--forms")
     inits = _parse_csv_list(args.inits, str, "--inits")
     configs = sweep_configs(lengths, forms, inits, tuning=cfg.prompt.tuning)
+    if not configs:
+        raise ConfigError("no valid prompt setting in the sweep grid")
     lines = ["length,form,init,tuning,dev_macro_f1_a,best_epoch"]
     print(lines[0])
     runs = [(p, replace(cfg, prompt=p)) for p in configs]

@@ -37,6 +37,9 @@ _URL_RE = re.compile(r"https?://\S+|www\.\S+|\bURL\b")
 _TOKEN_RE = re.compile(r"<user>|<url>|\w+|[^\w\s]")
 
 _REQUIRED_COLUMNS = ("id", "tweet", "subtask_a", "subtask_b", "subtask_c")
+# The field separator plus every line boundary str.splitlines breaks on:
+# an id or text holding one would not parse back from its row.
+_ROW_BREAK_RE = re.compile("[\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,9 @@ class Example:
         problem = _label_problem(self.text, self.label_a, self.label_b, self.label_c)
         if problem is not None:
             raise ContractError(f"example {self.id!r}: {problem[1]}")
+        for name in ("id", "text"):
+            if _ROW_BREAK_RE.search(getattr(self, name)):
+                raise ContractError(f"example {self.id!r}: {name} holds a tab or line break")
 
 
 def _label_problem(text: str, label_a, label_b, label_c) -> tuple[type, str] | None:
@@ -143,8 +149,11 @@ def tokenize_words(text: str) -> list[str]:
 class Vocab:
     """token -> id map with PAD/UNK/CLS reserved at ids 0/1/2."""
 
-    token_to_id: dict[str, int]
-    tokens: tuple[str, ...] = field(default=())
+    tokens: tuple[str, ...]
+    token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "token_to_id", {t: i for i, t in enumerate(self.tokens)})
 
     @property
     def size(self) -> int:
@@ -158,7 +167,7 @@ class Vocab:
         tokens = tuple(tokens)
         if tokens[: len(RESERVED)] != RESERVED:
             raise ContractError("vocab token list must start with the reserved tokens")
-        return Vocab({t: i for i, t in enumerate(tokens)}, tokens)
+        return Vocab(tokens)
 
 
 def build_vocab(examples, min_freq: int = 1) -> Vocab:
@@ -189,18 +198,19 @@ def _encode_label(value: str | None, allowed: tuple) -> int:
 
 @dataclass(frozen=True)
 class Batch:
-    """Padded token ids plus masks, lengths, and per-task label arrays."""
+    """Padded token ids plus lengths and per-task label arrays."""
 
     token_ids: np.ndarray      # [batch, T] int64, PAD-padded
-    mask: np.ndarray           # [batch, T] float64, 1.0 at real positions
     lengths: np.ndarray        # [batch] int64
     labels_a: np.ndarray       # [batch] int64
     labels_b: np.ndarray       # [batch] int64, ABSENT where missing
     labels_c: np.ndarray       # [batch] int64, ABSENT where missing
 
-    def __post_init__(self):
-        if not np.array_equal(self.mask.sum(axis=1).astype(np.int64), self.lengths):
-            raise ContractError("mask and lengths disagree")
+    @property
+    def mask(self) -> np.ndarray:
+        """[batch, T] float64, 1.0 at the first `lengths` positions of each row."""
+        width = self.token_ids.shape[1]
+        return (np.arange(width) < self.lengths[:, None]).astype(np.float64)
 
     def __len__(self):
         return self.token_ids.shape[0]
@@ -234,14 +244,11 @@ def make_batches(examples, vocab: Vocab, batch_size: int, max_len: int,
         id_lists = [tokenize(ex.text, vocab)[:max_len] for ex in chunk]
         width = max(len(ids) for ids in id_lists)
         token_ids = np.full((len(chunk), width), PAD_ID, dtype=np.int64)
-        mask = np.zeros((len(chunk), width))
         for i, ids in enumerate(id_lists):
             token_ids[i, : len(ids)] = ids
-            mask[i, : len(ids)] = 1.0
         batches.append(
             Batch(
                 token_ids=token_ids,
-                mask=mask,
                 lengths=np.array([len(ids) for ids in id_lists], dtype=np.int64),
                 labels_a=np.array([_encode_label(ex.label_a, LABELS_A) for ex in chunk]),
                 labels_b=np.array([_encode_label(ex.label_b, LABELS_B) for ex in chunk]),

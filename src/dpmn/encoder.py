@@ -1,9 +1,10 @@
 """BERT-style transformer encoder with continuous prompt prefixes.
 
-The prompt occupies the first p_n sequence positions. Light form injects
-the prefix once, ahead of layer 0; deep form additionally overwrites the
-prompt slots with that layer's own prefix matrix before every later layer.
-Attention is unmasked toward prompt positions, and padding stays masked.
+The prompt occupies the first p_n sequence positions. Prefix matrix 0 is
+injected ahead of layer 0, and each further matrix i overwrites the prompt
+slots before layer i, so the bank's matrix count alone sets the form: one
+matrix is the light form, one per layer the deep form. Attention is
+unmasked toward prompt positions, and padding stays masked.
 
 Residual ordering is post-layer-norm, matching the original BERT.
 """
@@ -133,36 +134,15 @@ class EncoderStack:
         return tok + embedding_lookup(self.pos_emb, positions)
 
 
-def _check_bank(stack: EncoderStack, bank: PrefixBank, form: str) -> None:
-    if form not in ("deep", "light"):
-        raise ConfigError(f"prompt form must be 'deep' or 'light', got {form!r}")
-    if bank.prompt_len == 0:
-        if bank.matrices:
-            raise ConfigError("zero-length prompt must carry no prefix matrices")
-        return
-    expected = stack.config.num_layers if form == "deep" else 1
-    if len(bank.matrices) != expected:
-        raise ConfigError(
-            f"{form} form needs {expected} prefix matrices, bank has {len(bank.matrices)}"
-        )
-    d = stack.config.hidden_size
-    for m in bank.matrices:
-        if m.shape != (bank.prompt_len, d):
-            raise ConfigError(
-                f"prefix matrix {m.name} has shape {m.shape}, expected {(bank.prompt_len, d)}"
-            )
-
-
-def encode(stack: EncoderStack, input_emb: Tensor, bank: PrefixBank, form: str,
+def encode(stack: EncoderStack, input_emb: Tensor, bank: PrefixBank,
            mask: np.ndarray, dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Run the full stack over prompt prefix + text.
 
-    Layer 0 consumes the prefix concatenated ahead of the text embeddings.
-    In deep form every later layer first overwrites the prompt slots with
-    its own prefix matrix. Returns the last layer's full hidden sequence,
-    shape [batch, p_n + T, hidden].
+    Layer 0 consumes prefix matrix 0 concatenated ahead of the text
+    embeddings; every later layer i that has a matrix i in the bank first
+    overwrites the prompt slots with it. Returns the last layer's full
+    hidden sequence, shape [batch, p_n + T, hidden].
     """
-    _check_bank(stack, bank, form)
     batch, seq, d = input_emb.shape
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != (batch, seq):
@@ -180,7 +160,7 @@ def encode(stack: EncoderStack, input_emb: Tensor, bank: PrefixBank, form: str,
     x = prefixed(0, input_emb) if p > 0 else input_emb
     rate = stack.config.dropout
     for i, layer in enumerate(stack.layers):
-        if i > 0 and p > 0 and form == "deep":
+        if 0 < i < len(bank.matrices):
             x = prefixed(i, x[:, p:, :])
         x = layer.forward(x, attn_bias, rate, dropout_rng)
     return x

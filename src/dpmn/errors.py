@@ -14,7 +14,7 @@ class ConfigError(DpmnError):
 
 
 class DataError(DpmnError):
-    """Problem with an input corpus."""
+    """Problem with an input file: a corpus or a checkpoint."""
 
 
 class ParseError(DataError):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Example, build_vocab, make_batches
+from .errors import ConfigError
 from .losses import LossWeights, cross_entropy, total_loss
 from .model import DpmnModel
 from .prompt import PromptConfig
@@ -237,6 +238,8 @@ class GradcheckReport:
 
 
 def run_gradcheck(n_probes: int = 200, seed: int = 0) -> GradcheckReport:
+    if n_probes < 1:
+        raise ConfigError(f"gradcheck needs at least one network probe, got {n_probes}")
     op_errors = check_all_ops(seed)
     network_errors = check_network(n_probes, seed)
     op_coords = sum(t.size for _, inputs, _ in _op_catalog(

@@ -38,7 +38,6 @@ class DpmnModel:
     def __init__(self, encoder_config: EncoderConfig, prompt_config: PromptConfig,
                  head_kind: str = "bilstm-ffn", rng_seed: int = 0,
                  lstm_hidden: int | None = None, head_ffn_size: int | None = None):
-        self.prompt_config = prompt_config
         d = encoder_config.hidden_size
         self._store = ParameterStore(np.random.Generator(np.random.PCG64(rng_seed)))
         self.encoder = EncoderStack(encoder_config, self._store)
@@ -70,8 +69,7 @@ class DpmnModel:
         """Logits per task. Pass a dropout generator only while training."""
         p = self.bank.prompt_len
         emb = self.encoder.embed(batch.token_ids, prompt_len=p)
-        shared = encode(self.encoder, emb, self.bank, self.prompt_config.form,
-                        batch.mask, dropout_rng)
+        shared = encode(self.encoder, emb, self.bank, batch.mask, dropout_rng)
         lengths = batch.lengths + p
         return {task: head_forward(self.heads[task], shared, lengths, task)
                 for task in TASKS}

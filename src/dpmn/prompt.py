@@ -57,9 +57,12 @@ class PrefixBank:
     carries zero prefix parameters.
     """
 
-    def __init__(self, prompt_len: int, matrices: list[Tensor]):
-        self.prompt_len = prompt_len
+    def __init__(self, matrices: list[Tensor]):
         self.matrices = matrices
+
+    @property
+    def prompt_len(self) -> int:
+        return self.matrices[0].shape[0] if self.matrices else 0
 
     def value_count(self) -> int:
         return sum(m.size for m in self.matrices)
@@ -93,7 +96,7 @@ def init_prompt(config: PromptConfig, encoder_config, embedding_table: np.ndarra
         rows = np.asarray(embedding_table)[list(config.token_ids)]
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     matrices = [store.new(f"prompt.layer{i}", shape, rows, rng) for i in range(n_matrices)]
-    return PrefixBank(config.length, matrices)
+    return PrefixBank(matrices)
 
 
 def sweep_configs(lengths, forms, inits, tuning: str = "lm-plus-prompt") -> list[PromptConfig]:

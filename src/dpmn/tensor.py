@@ -55,22 +55,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return slice_(self, idx)
@@ -82,18 +70,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
-
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def tanh(self):
-        return tanh(self)
 
 
 class ParameterStore:
@@ -215,13 +191,6 @@ def mul(a, b) -> Tensor:
         )
 
     _record(out, (a, b), bw)
-    return out
-
-
-def neg(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(-a.data)
-    _record(out, (a,), lambda g: (-g,))
     return out
 
 

@@ -80,10 +80,13 @@ class TrainResult:
     model: DpmnModel
     runlog: RunLog
     vocab: Vocab
-    best_epoch: int
     best_metric: float
     header_text: str
     checkpoint_path: str | None = None
+
+    @property
+    def best_epoch(self) -> int:
+        return self.runlog.best_epoch
 
     def checkpoint_blob(self) -> bytes:
         return checkpoint_bytes(self.header_text, self.model.state_arrays())
@@ -221,8 +224,7 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *,
     model.load_state(best_state)
     header = format_checkpoint_header(cfg, vocab)
     result = TrainResult(model=model, runlog=runlog, vocab=vocab,
-                         best_epoch=runlog.best_epoch, best_metric=best_metric,
-                         header_text=header)
+                         best_metric=best_metric, header_text=header)
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
         path = os.path.join(cfg.out_dir, CHECKPOINT_NAME)

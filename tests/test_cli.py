@@ -126,11 +126,72 @@ def test_eval_header_only_corpus_exits_three(workdir, capsys):
     assert empty in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """A model.ckpt trained with FAST_CONFIG, shared by the eval tests."""
+    root = tmp_path_factory.mktemp("trained")
+    write_tsv(root / "train.tsv", generate_synthetic_corpus(24, seed=6))
+    write_tsv(root / "dev.tsv", generate_synthetic_corpus(12, seed=7))
+    (root / "run.cfg").write_text(FAST_CONFIG, encoding="utf-8")
+    assert main(["train", "--config", str(root / "run.cfg"), "--train", str(root / "train.tsv"),
+                 "--dev", str(root / "dev.tsv"), "--out", str(root / "out")]) == 0
+    return root / "out" / "model.ckpt"
+
+
+def _unreadable_input_exits_three(argv, path, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and str(path) in err
+
+
+@pytest.mark.parametrize("flag", ["--train", "--dev"])
+def test_directory_as_training_corpus_exits_three(workdir, capsys, flag):
+    corpora = {"--train": str(workdir / "train.tsv"), "--dev": str(workdir / "dev.tsv")}
+    corpora[flag] = str(workdir)
+    argv = ["train", "--config", str(workdir / "run.cfg")]
+    for name, path in corpora.items():
+        argv += [name, path]
+    _unreadable_input_exits_three(argv, workdir, capsys)
+
+
+def test_directory_as_eval_input_exits_three(workdir, checkpoint, capsys):
+    _unreadable_input_exits_three(
+        ["eval", "--checkpoint", str(checkpoint), "--data", str(workdir)], workdir, capsys)
+    _unreadable_input_exits_three(
+        ["eval", "--checkpoint", str(workdir), "--data", str(workdir / "dev.tsv")], workdir, capsys)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob[:40] + bytes([blob[40] ^ 1]) + blob[41:],
+    lambda blob: blob[:10],
+], ids=["flipped-byte", "truncated"])
+def test_corrupted_checkpoint_exits_three(workdir, checkpoint, capsys, damage):
+    damaged = workdir / "damaged.ckpt"
+    damaged.write_bytes(damage(checkpoint.read_bytes()))
+    _unreadable_input_exits_three(
+        ["eval", "--checkpoint", str(damaged), "--data", str(workdir / "dev.tsv")], damaged, capsys)
+
+
+def test_non_utf8_corpus_exits_three(workdir, capsys):
+    mangled = workdir / "latin1.tsv"
+    mangled.write_bytes(b"id\ttweet\tsubtask_a\tsubtask_b\tsubtask_c\n1\tcaf\xe9\tNOT\tNULL\tNULL\n")
+    _unreadable_input_exits_three(
+        ["train", "--config", str(workdir / "run.cfg"), "--train", str(mangled),
+         "--dev", str(workdir / "dev.tsv")], mangled, capsys)
+
+
 def test_gradcheck_command_passes(capsys):
     assert main(["gradcheck", "--probes", "40", "--seed", "1"]) == 0
     printed = capsys.readouterr().out
     assert "result PASS" in printed
     assert "op matmul" in printed
+
+
+@pytest.mark.parametrize("probes", ["0", "-3"])
+def test_gradcheck_without_network_probes_exits_two(capsys, probes):
+    assert main(["gradcheck", "--probes", probes]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "PASS" not in captured.out
 
 
 def test_gradcheck_failure_exits_four(monkeypatch, capsys):
@@ -164,6 +225,15 @@ def test_sweep_runs_filtered_grid(workdir, capsys):
     # (0, deep) is invalid and filtered: 3 runs remain
     assert len([l for l in lines if l and l[0].isdigit()]) == 3
     assert (workdir / "sweepdir" / "sweep.csv").exists()
+
+
+def test_sweep_without_a_valid_setting_exits_two(workdir, capsys):
+    out = workdir / "sweepdir"
+    assert main(["sweep", "--lengths", "0", "--forms", "deep", "--inits", "random",
+                 "--config", str(workdir / "run.cfg"), "--train", str(workdir / "train.tsv"),
+                 "--dev", str(workdir / "dev.tsv"), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_bad_lengths_exit_two(workdir):

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -126,6 +127,39 @@ def test_round_trip_through_rows(tmp_path):
     write_tsv(path, examples)
     assert parse_tsv(path) == examples
     assert example_to_row(examples[0]).count("\t") == 4
+
+
+# The characters a TSV row cannot hold in a field: the field separator and
+# every line boundary of str.splitlines, which parse_tsv splits rows on.
+ROW_BREAKS = "\t" + "".join(
+    chr(c) for c in range(0x110000)
+    if not 0xD800 <= c < 0xE000 and len(f"a{chr(c)}b".splitlines()) > 1
+)
+
+
+@pytest.mark.parametrize("char", ROW_BREAKS)
+def test_example_rejects_fields_a_row_cannot_hold(char):
+    with pytest.raises(ContractError, match="id holds a tab or line break"):
+        Example(f"1{char}2", "text", "NOT")
+    with pytest.raises(ContractError, match="text holds a tab or line break"):
+        Example("1", f"a{char}b", "NOT")
+
+
+_LABELS = st.sampled_from([("NOT", None, None), ("OFF", None, None), ("OFF", "UNT", None),
+                           ("OFF", "TIN", None), ("OFF", "TIN", "IND"), ("OFF", "TIN", "GRP"),
+                           ("OFF", "TIN", "OTH")])
+_FIELD_CHARS = st.characters(exclude_categories=("Cs",), exclude_characters=ROW_BREAKS)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.text(_FIELD_CHARS), st.text(_FIELD_CHARS, min_size=1), _LABELS),
+                max_size=5))
+def test_write_then_parse_is_identity(rows):
+    examples = [Example(id_, text, *labels) for id_, text, labels in rows]
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "corpus.tsv")
+        write_tsv(path, examples)
+        assert parse_tsv(path) == examples
 
 
 def test_tokenize_empty_text_is_cls_only():

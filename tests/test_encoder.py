@@ -59,24 +59,24 @@ def test_embed_rejects_out_of_range_id():
         stack.embed(np.array([[99]]))
 
 
-def _run(stack, bank, form, ids, mask=None):
+def _run(stack, bank, ids, mask=None):
     mask = np.ones(ids.shape) if mask is None else mask
     emb = stack.embed(ids, prompt_len=bank.prompt_len)
-    return encode(stack, emb, bank, form, mask)
+    return encode(stack, emb, bank, mask)
 
 
 def test_zero_length_prompt_gives_vanilla_transformer_shape():
     stack = _stack()
     bank = _bank(stack, length=0, form="light")
     ids = np.array([[2, 3, 4]])
-    out = _run(stack, bank, "light", ids)
+    out = _run(stack, bank, ids)
     assert out.shape == (1, 3, CFG.hidden_size)
 
 
 def test_output_shape_includes_prompt_positions():
     stack = _stack()
     bank = _bank(stack, length=2)
-    out = _run(stack, bank, "deep", np.array([[2, 3, 4], [5, 6, 0]]),
+    out = _run(stack, bank, np.array([[2, 3, 4], [5, 6, 0]]),
                mask=np.array([[1, 1, 1], [1, 1, 0]], dtype=float))
     assert out.shape == (2, 5, CFG.hidden_size)
 
@@ -84,9 +84,9 @@ def test_output_shape_includes_prompt_positions():
 def test_deep_and_light_forms_differ_on_generic_input():
     ids = np.array([[2, 3, 4, 5]])
     deep_stack = _stack(seed=0)
-    deep = _run(deep_stack, _bank(deep_stack, 1, "deep"), "deep", ids)
+    deep = _run(deep_stack, _bank(deep_stack, 1, "deep"), ids)
     light_stack = _stack(seed=0)
-    light = _run(light_stack, _bank(light_stack, 1, "light"), "light", ids)
+    light = _run(light_stack, _bank(light_stack, 1, "light"), ids)
     assert not np.allclose(deep.data, light.data)
 
 
@@ -95,24 +95,12 @@ def test_gradients_reach_every_deep_prefix_matrix():
     bank = _bank(stack, length=2)
     ids = np.array([[2, 3, 4]])
     with Tape() as tape:
-        out = _run(stack, bank, "deep", ids)
+        out = _run(stack, bank, ids)
         loss = out.sum()
     backward(tape, loss)
     assert len(bank.matrices) == CFG.num_layers
     for m in bank.matrices:
         assert m.grad is not None and np.abs(m.grad).max() > 0
-
-
-def test_form_bank_mismatch_rejected():
-    stack = _stack()
-    deep_bank = _bank(stack, length=1, form="deep")
-    light_bank = _bank(stack, length=1, form="light")
-    ids = np.array([[2, 3]])
-    emb = stack.embed(ids, prompt_len=1)
-    with pytest.raises(ConfigError, match="prefix"):
-        encode(stack, emb, light_bank, "deep", np.ones((1, 2)))
-    with pytest.raises(ConfigError, match="prefix"):
-        encode(stack, emb, deep_bank, "light", np.ones((1, 2)))
 
 
 def test_deep_layers_replace_prompt_slots(monkeypatch):
@@ -128,7 +116,7 @@ def test_deep_layers_replace_prompt_slots(monkeypatch):
         return original(self, x, attn_bias, rate, rng)
 
     monkeypatch.setattr(TransformerLayer, "forward", spy)
-    _run(stack, bank, "deep", np.array([[2, 3, 4], [5, 6, 7]]))
+    _run(stack, bank, np.array([[2, 3, 4], [5, 6, 7]]))
     assert len(seen) == CFG.num_layers
     for i, slots in enumerate(seen):
         for row in slots:  # broadcast over the batch
@@ -146,7 +134,7 @@ def test_light_prefix_flows_through_after_layer_zero(monkeypatch):
         return original(self, x, attn_bias, rate, rng)
 
     monkeypatch.setattr(TransformerLayer, "forward", spy)
-    _run(stack, bank, "light", np.array([[2, 3, 4]]))
+    _run(stack, bank, np.array([[2, 3, 4]]))
     assert np.array_equal(seen[0][0], bank.matrices[0].data)
     # layer 1 input is whatever layer 0 produced, not the prefix
     assert not np.allclose(seen[1][0], bank.matrices[0].data)
@@ -160,8 +148,8 @@ def test_masked_attention_weight_is_negligible():
     # wiring: padded positions do not influence real positions' outputs
     stack = _stack()
     bank = _bank(stack, length=1)
-    short = _run(stack, bank, "deep", np.array([[2, 3]]), mask=np.ones((1, 2)))
-    padded = _run(stack, bank, "deep", np.array([[2, 3, 0, 0]]),
+    short = _run(stack, bank, np.array([[2, 3]]), mask=np.ones((1, 2)))
+    padded = _run(stack, bank, np.array([[2, 3, 0, 0]]),
                   mask=np.array([[1.0, 1.0, 0.0, 0.0]]))
     assert np.allclose(short.data, padded.data[:, :3, :], atol=1e-12, rtol=0)
 
@@ -170,9 +158,9 @@ def test_encode_is_permutation_equivariant_over_batch():
     stack = _stack()
     bank = _bank(stack, length=1)
     ids = np.array([[2, 3, 4], [5, 6, 7], [8, 9, 10]])
-    out = _run(stack, bank, "deep", ids)
+    out = _run(stack, bank, ids)
     perm = [2, 0, 1]
-    out_perm = _run(stack, bank, "deep", ids[perm])
+    out_perm = _run(stack, bank, ids[perm])
     assert np.array_equal(out_perm.data, out.data[perm])
 
 
