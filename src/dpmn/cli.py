@@ -12,7 +12,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
-from .data import parse_tsv
+from .data import TASKS, parse_tsv
 from .errors import ConfigError, DataError, IntegrityError, NumericError
 from .gradcheck import run_gradcheck
 from .prompt import sweep_configs
@@ -33,19 +33,19 @@ def _load_config(args) -> TrainConfig:
 
 
 @contextmanager
-def _reading(what: str, path):
-    """Report a file that cannot be opened, is not UTF-8 text or fails its
-    checksum as a DataError naming it."""
+def _file_errors(action: str, path):
+    """Report a file that cannot be opened or created, is not UTF-8 text or
+    fails its checksum as a DataError naming it."""
     try:
         yield
     except OSError as e:
-        raise DataError(f"cannot read {what} {path}: {e.strerror}") from None
+        raise DataError(f"cannot {action} {path}: {e.strerror}") from None
     except (UnicodeDecodeError, IntegrityError) as e:
-        raise DataError(f"cannot read {what} {path}: {e}") from None
+        raise DataError(f"cannot {action} {path}: {e}") from None
 
 
 def _read_corpus(path):
-    with _reading("corpus", path):
+    with _file_errors("read corpus", path):
         examples = parse_tsv(path)
     if not examples:
         raise DataError(f"corpus has no examples: {path}")
@@ -58,9 +58,18 @@ def _load_datasets(cfg: TrainConfig):
     return _read_corpus(cfg.train_path), _read_corpus(cfg.dev_path)
 
 
+def _make_out_dir(cfg: TrainConfig) -> None:
+    """Create --out before any training, so a path that cannot be a
+    directory fails at once rather than after the last epoch."""
+    if cfg.out_dir:
+        with _file_errors("create output directory", cfg.out_dir):
+            os.makedirs(cfg.out_dir, exist_ok=True)
+
+
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     train_set, dev_set = _load_datasets(cfg)
+    _make_out_dir(cfg)
     result = train(cfg, train_set, dev_set, log=print)
     print(f"best epoch {result.best_epoch}: dev macro F1 (task A) {result.best_metric:.4f}")
     if result.checkpoint_path:
@@ -70,9 +79,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     examples = _read_corpus(args.data)
-    with _reading("checkpoint", args.checkpoint):
+    with _file_errors("read checkpoint", args.checkpoint):
         report = evaluate_checkpoint(args.checkpoint, examples)
-    for task in ("a", "b", "c"):
+    for task in TASKS:
         print(f"task {task}: macro_f1 {report.f1[task]:.4f} over {report.counts[task]} examples")
         if report.counts[task]:
             print("confusion (gold rows x predicted columns):")
@@ -84,10 +93,10 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = _load_config(args)
     train_set, dev_set = _load_datasets(cfg)
+    _make_out_dir(cfg)
     result = ablate(cfg, train_set, dev_set, log=print)
     print(result.to_markdown(), end="")
     if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         for name, text in (("ablation.md", result.to_markdown()),
                            ("ablation.csv", result.to_csv())):
             with open(os.path.join(cfg.out_dir, name), "w", encoding="utf-8") as f:
@@ -121,6 +130,7 @@ def _cmd_sweep(args) -> int:
     configs = sweep_configs(lengths, forms, inits, tuning=cfg.prompt.tuning)
     if not configs:
         raise ConfigError("no valid prompt setting in the sweep grid")
+    _make_out_dir(cfg)
     lines = ["length,form,init,tuning,dev_macro_f1_a,best_epoch"]
     print(lines[0])
     runs = [(p, replace(cfg, prompt=p)) for p in configs]
@@ -129,7 +139,6 @@ def _cmd_sweep(args) -> int:
                      f"{result.best_metric!r},{result.best_epoch}")
         print(lines[-1])
     if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", encoding="utf-8") as f:
             f.write("\n".join(lines) + "\n")
     return 0

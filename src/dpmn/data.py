@@ -25,10 +25,12 @@ RESERVED = ("[PAD]", "[UNK]", "[CLS]")
 
 ABSENT = -1
 
-LABELS_A = ("NOT", "OFF")
-LABELS_B = ("TIN", "UNT")
-LABELS_C = ("IND", "GRP", "OTH")
-TASK_CLASSES = {"a": len(LABELS_A), "b": len(LABELS_B), "c": len(LABELS_C)}
+# The three tasks in loss and report order, each with its labels in
+# class-id order: A (main) is offensive or not, B targeted or not, C the
+# target type.
+TASK_LABELS = {"a": ("NOT", "OFF"), "b": ("TIN", "UNT"), "c": ("IND", "GRP", "OTH")}
+TASKS = tuple(TASK_LABELS)
+TASK_CLASSES = {task: len(labels) for task, labels in TASK_LABELS.items()}
 
 USER_TOKEN = "<user>"
 URL_TOKEN = "<url>"
@@ -36,7 +38,7 @@ _USER_RE = re.compile(r"@\w+")
 _URL_RE = re.compile(r"https?://\S+|www\.\S+|\bURL\b")
 _TOKEN_RE = re.compile(r"<user>|<url>|\w+|[^\w\s]")
 
-_REQUIRED_COLUMNS = ("id", "tweet", "subtask_a", "subtask_b", "subtask_c")
+_REQUIRED_COLUMNS = ("id", "tweet", *(f"subtask_{task}" for task in TASKS))
 # The field separator plus every line boundary str.splitlines breaks on:
 # an id or text holding one would not parse back from its row.
 _ROW_BREAK_RE = re.compile("[\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
@@ -57,20 +59,24 @@ class Example:
         if problem is not None:
             raise ContractError(f"example {self.id!r}: {problem[1]}")
         for name in ("id", "text"):
-            if _ROW_BREAK_RE.search(getattr(self, name)):
+            value = getattr(self, name)
+            if _ROW_BREAK_RE.search(value):
                 raise ContractError(f"example {self.id!r}: {name} holds a tab or line break")
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ContractError(
+                    f"example {self.id!r}: {name} cannot be written as UTF-8") from None
 
 
 def _label_problem(text: str, label_a, label_b, label_c) -> tuple[type, str] | None:
     """The first defect of a row's text and labels as (error type, message),
     or None. Unknown labels and empty text are ParseErrors; labels that
     contradict their parent label are HierarchyErrors."""
-    if label_a not in LABELS_A:
-        return ParseError, f"unknown subtask_a label {label_a!r}"
-    for label, allowed, column in ((label_b, LABELS_B, "subtask_b"),
-                                   (label_c, LABELS_C, "subtask_c")):
-        if label is not None and label not in allowed:
-            return ParseError, f"unknown {column} label {label!r}"
+    for task, label in zip(TASKS, (label_a, label_b, label_c)):
+        # only the main task's label is required
+        if label not in TASK_LABELS[task] and (label is not None or task == TASKS[0]):
+            return ParseError, f"unknown subtask_{task} label {label!r}"
     if label_b is not None and label_a != "OFF":
         return HierarchyError, f"label_b={label_b} with label_a={label_a}"
     if label_c is not None and label_b != "TIN":
@@ -120,15 +126,8 @@ def parse_tsv(path) -> list[Example]:
 
 def example_to_row(example: Example) -> str:
     """Inverse of parse_tsv for one example, using the canonical column order."""
-    return "\t".join(
-        (
-            example.id,
-            example.text,
-            example.label_a,
-            example.label_b or "NULL",
-            example.label_c or "NULL",
-        )
-    )
+    labels = (getattr(example, f"label_{task}") or "NULL" for task in TASKS)
+    return "\t".join((example.id, example.text, *labels))
 
 
 def write_tsv(path, examples) -> None:
@@ -192,8 +191,9 @@ def tokenize(text: str, vocab: Vocab) -> list[int]:
     return [CLS_ID] + [vocab.id_of(t) for t in tokenize_words(text)]
 
 
-def _encode_label(value: str | None, allowed: tuple) -> int:
-    return ABSENT if value is None else allowed.index(value)
+def _class_id(example: Example, task: str) -> int:
+    label = getattr(example, f"label_{task}")
+    return ABSENT if label is None else TASK_LABELS[task].index(label)
 
 
 @dataclass(frozen=True)
@@ -202,9 +202,7 @@ class Batch:
 
     token_ids: np.ndarray      # [batch, T] int64, PAD-padded
     lengths: np.ndarray        # [batch] int64
-    labels_a: np.ndarray       # [batch] int64
-    labels_b: np.ndarray       # [batch] int64, ABSENT where missing
-    labels_c: np.ndarray       # [batch] int64, ABSENT where missing
+    labels: dict[str, np.ndarray]  # task -> [batch] int64 class ids, ABSENT where missing
 
     @property
     def mask(self) -> np.ndarray:
@@ -214,9 +212,6 @@ class Batch:
 
     def __len__(self):
         return self.token_ids.shape[0]
-
-    def labels(self, task: str) -> np.ndarray:
-        return {"a": self.labels_a, "b": self.labels_b, "c": self.labels_c}[task]
 
 
 def make_batches(examples, vocab: Vocab, batch_size: int, max_len: int,
@@ -250,9 +245,7 @@ def make_batches(examples, vocab: Vocab, batch_size: int, max_len: int,
             Batch(
                 token_ids=token_ids,
                 lengths=np.array([len(ids) for ids in id_lists], dtype=np.int64),
-                labels_a=np.array([_encode_label(ex.label_a, LABELS_A) for ex in chunk]),
-                labels_b=np.array([_encode_label(ex.label_b, LABELS_B) for ex in chunk]),
-                labels_c=np.array([_encode_label(ex.label_c, LABELS_C) for ex in chunk]),
+                labels={task: np.array([_class_id(ex, task) for ex in chunk]) for task in TASKS},
             )
         )
     return batches
@@ -294,7 +287,7 @@ def generate_synthetic_corpus(n: int, seed: int, off_fraction: float = 0.5,
             words = base[:2] + insults
             examples.append(Example(f"syn{i:04d}", " ".join(words), "OFF", "UNT"))
             continue
-        target = ("IND", "GRP", "OTH")[int(rng.choice(3, p=mix))]
+        target = TASK_LABELS["c"][int(rng.choice(3, p=mix))]
         cue = {
             "IND": ["@USER", "you"],
             "GRP": ["@USER", str(rng.choice(_GROUP_CUES))],

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Example, build_vocab, make_batches
+from .data import TASKS, Example, build_vocab, make_batches
 from .errors import ConfigError
 from .losses import LossWeights, cross_entropy, total_loss
 from .model import DpmnModel
@@ -173,12 +173,8 @@ def build_probe_setup(cfg: TrainConfig = TINY_CONFIG):
 
     def compute_loss():
         logits = model.forward(batch)
-        return total_loss(
-            cross_entropy(logits["a"], batch.labels_a),
-            cross_entropy(logits["b"], batch.labels_b),
-            cross_entropy(logits["c"], batch.labels_c),
-            cfg.loss_weights,
-        )
+        return total_loss(*(cross_entropy(logits[t], batch.labels[t]) for t in TASKS),
+                          cfg.loss_weights)
 
     return model, batch, compute_loss
 

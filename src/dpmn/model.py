@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import TASK_CLASSES, Batch
+from .data import TASK_CLASSES, TASKS, Batch
 from .encoder import EncoderConfig, EncoderStack, encode
 from .errors import ConfigError
 from .heads import make_head
 from .prompt import TUNINGS, PrefixBank, PromptConfig, init_prompt
 from .tensor import ParameterStore, Tensor
-
-TASKS = ("a", "b", "c")
 
 
 def head_forward(head, shared: Tensor, lengths: np.ndarray, task: str) -> Tensor:

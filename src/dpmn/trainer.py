@@ -17,6 +17,7 @@ import numpy as np
 from .checkpoint import checkpoint_bytes, load_checkpoint
 from .data import (
     TASK_CLASSES,
+    TASKS,
     Batch,
     RESERVED,
     Vocab,
@@ -26,7 +27,7 @@ from .data import (
 from .errors import ConfigError, ContractError, NumericError
 from .losses import LossWeights, cross_entropy, total_loss
 from .metrics import confusion_matrix, macro_f1
-from .model import TASKS, DpmnModel
+from .model import DpmnModel
 from .optim import make_optimizer
 from .prompt import PromptConfig
 from .runconfig import TrainConfig, format_checkpoint_header, parse_checkpoint_header
@@ -41,30 +42,23 @@ RUNLOG_HEADER = ("epoch,train_loss_total,train_loss_a,train_loss_b,train_loss_c,
 @dataclass
 class EpochRow:
     epoch: int
-    loss_total: float
-    loss_a: float
-    loss_b: float
-    loss_c: float
-    f1_a: float
-    f1_b: float
-    f1_c: float
+    losses: tuple[float, ...]  # mean training loss: the total, then one per task
+    f1: dict[str, float]       # dev macro F1 per task; task A's is the monitored metric
     wall_time: float  # console diagnostics only; kept out of the CSV
 
 
 @dataclass
 class RunLog:
     rows: list[EpochRow] = field(default_factory=list)
-    step_losses: list[tuple[float, float, float, float]] = field(default_factory=list)
+    step_losses: list[tuple[float, ...]] = field(default_factory=list)
     best_epoch: int = 0
 
     def to_csv(self) -> str:
         lines = [RUNLOG_HEADER]
         for r in self.rows:
             best = 1 if r.epoch == self.best_epoch else 0
-            lines.append(
-                f"{r.epoch},{r.loss_total!r},{r.loss_a!r},{r.loss_b!r},{r.loss_c!r},"
-                f"{r.f1_a!r},{r.f1_b!r},{r.f1_c!r},{best}"
-            )
+            values = (*r.losses, *(r.f1[t] for t in TASKS))
+            lines.append(",".join([str(r.epoch), *map(repr, values), str(best)]))
         return "\n".join(lines) + "\n"
 
 
@@ -72,7 +66,11 @@ class RunLog:
 class EvalReport:
     f1: dict[str, float]
     confusion: dict[str, np.ndarray]
-    counts: dict[str, int]
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Examples scored per task: those whose label for it is present."""
+        return {task: int(m.sum()) for task, m in self.confusion.items()}
 
 
 @dataclass
@@ -126,24 +124,23 @@ def evaluate_model(model: DpmnModel, batches: list[Batch]) -> EvalReport:
     for batch in batches:
         logits = model.forward(batch)
         for task in TASKS:
-            labels = batch.labels(task)
+            labels = batch.labels[task]
             present = labels >= 0
             if not present.any():
                 continue
             choices = np.argmax(logits[task].data, axis=1)
             gold[task].extend(labels[present].tolist())
             pred[task].extend(choices[present].tolist())
-    f1, confusion, counts = {}, {}, {}
+    f1, confusion = {}, {}
     for task in TASKS:
         c = TASK_CLASSES[task]
-        counts[task] = len(gold[task])
         if gold[task]:
             f1[task] = macro_f1(pred[task], gold[task], c)
             confusion[task] = confusion_matrix(gold[task], pred[task], c)
         else:
             f1[task] = 0.0
             confusion[task] = np.zeros((c, c), dtype=np.int64)
-    return EvalReport(f1=f1, confusion=confusion, counts=counts)
+    return EvalReport(f1=f1, confusion=confusion)
 
 
 def train(cfg: TrainConfig, train_examples, dev_examples, *,
@@ -161,6 +158,8 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *,
     dropout_rng = np.random.Generator(np.random.PCG64(cfg.rng_seed + 2))
     weights = cfg.loss_weights
     cap = cfg.max_seq_len - model.bank.prompt_len
+    if cfg.out_dir is not None:
+        os.makedirs(cfg.out_dir, exist_ok=True)  # fail before training, not after it
 
     dev_batches = make_batches(dev_examples, vocab, cfg.batch_size, cap)
     runlog = RunLog()
@@ -173,18 +172,16 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *,
         started = time.monotonic()
         batches = make_batches(train_examples, vocab, cfg.batch_size, cap,
                                shuffle_seed=cfg.rng_seed * 1_000_003 + epoch)
-        epoch_losses = np.zeros(4)
+        epoch_losses = np.zeros(1 + len(TASKS))
         for batch in batches:
             step += 1
             with Tape() as tape:
                 logits = model.forward(
                     batch, dropout_rng if cfg.dropout > 0 else None
                 )
-                loss_a = cross_entropy(logits["a"], batch.labels_a)
-                loss_b = cross_entropy(logits["b"], batch.labels_b)
-                loss_c = cross_entropy(logits["c"], batch.labels_c)
-                loss = total_loss(loss_a, loss_b, loss_c, weights)
-            parts = (loss.item(), loss_a.item(), loss_b.item(), loss_c.item())
+                task_losses = [cross_entropy(logits[t], batch.labels[t]) for t in TASKS]
+                loss = total_loss(*task_losses, weights)
+            parts = (loss.item(), *(part.item() for part in task_losses))
             if not all(np.isfinite(parts)):
                 raise NumericError(f"non-finite loss at training step {step}")
             runlog.step_losses.append(parts)
@@ -202,10 +199,8 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *,
             monitored = report.f1["a"]
         if not np.isfinite(monitored):
             raise NumericError(f"non-finite dev metric at epoch {epoch}")
-        mean = [float(v) for v in epoch_losses / len(batches)]
-        row = EpochRow(epoch, mean[0], mean[1], mean[2], mean[3],
-                       monitored, report.f1["b"], report.f1["c"],
-                       wall_time=time.monotonic() - started)
+        row = EpochRow(epoch, tuple(float(v) for v in epoch_losses / len(batches)),
+                       {**report.f1, "a": monitored}, wall_time=time.monotonic() - started)
         runlog.rows.append(row)
 
         if monitored > best_metric:
@@ -216,7 +211,7 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *,
         else:
             stale_epochs += 1
         if log is not None:
-            log(f"epoch {epoch}: loss {row.loss_total:.6f} dev_f1_a {monitored:.4f} "
+            log(f"epoch {epoch}: loss {row.losses[0]:.6f} dev_f1_a {monitored:.4f} "
                 f"({row.wall_time:.2f}s)")
         if stale_epochs >= cfg.early_stop_patience:
             break
@@ -226,7 +221,6 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *,
     result = TrainResult(model=model, runlog=runlog, vocab=vocab,
                          best_metric=best_metric, header_text=header)
     if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         path = os.path.join(cfg.out_dir, CHECKPOINT_NAME)
         with open(path, "wb") as f:
             f.write(result.checkpoint_blob())

@@ -144,7 +144,7 @@ def test_criterion_6_hierarchy_masking():
         logits = model.forward(batch)
         loss_b = cross_entropy(logits["b"], absent)
         loss_c = cross_entropy(logits["c"], absent)
-        combined = total_loss(cross_entropy(logits["a"], batch.labels_a),
+        combined = total_loss(cross_entropy(logits["a"], batch.labels["a"]),
                               loss_b, loss_c, LossWeights(0.4, 0.3, 0.3))
     backward(tape, combined)
     zero_losses = loss_b.item() == 0.0 and loss_c.item() == 0.0
@@ -200,7 +200,7 @@ def test_criterion_8_early_stopping_and_checkpointing(tmp_path):
     blob = (out / "model.ckpt").read_bytes()
     header, arrays = load_checkpoint(out / "model.ckpt")
     roundtrip_ok = checkpoint_bytes(header, arrays) == blob
-    best_logged = max(r.f1_a for r in trained.runlog.rows)
+    best_logged = max(r.f1["a"] for r in trained.runlog.rows)
     persisted = evaluate_checkpoint(out / "model.ckpt", corpus).f1["a"]
     best_ok = persisted == best_logged
 

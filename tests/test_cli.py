@@ -236,6 +236,21 @@ def test_sweep_without_a_valid_setting_exits_two(workdir, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+def test_out_naming_a_file_exits_three_before_training(workdir, capsys, command):
+    taken = workdir / "taken"
+    taken.write_text("not a directory\n")
+    grid = ["--lengths", "1", "--forms", "deep", "--inits", "random"] if command == "sweep" else []
+    assert main([command, *grid, "--config", str(workdir / "run.cfg"),
+                 "--train", str(workdir / "train.tsv"), "--dev", str(workdir / "dev.tsv"),
+                 "--out", str(taken)]) == 3
+    captured = capsys.readouterr()
+    assert "epoch 1:" not in captured.out
+    assert captured.out == ""  # no run started: no ablation variant, no sweep header
+    assert "data error" in captured.err and str(taken) in captured.err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_sweep_bad_lengths_exit_two(workdir):
     assert main(["sweep", "--lengths", "one", "--forms", "deep",
                  "--inits", "random", "--train", str(workdir / "train.tsv"),

@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpmn.data import (
+    ABSENT,
     CLS_ID,
     PAD_ID,
     RESERVED,
+    TASK_LABELS,
+    TASKS,
     UNK_ID,
     Example,
     build_vocab,
@@ -162,6 +165,39 @@ def test_write_then_parse_is_identity(rows):
         assert parse_tsv(path) == examples
 
 
+@pytest.mark.parametrize("surrogate", ["\ud800", "\udfff"])
+def test_example_rejects_an_id_utf8_cannot_encode(surrogate):
+    with pytest.raises(ContractError, match="id cannot be written as UTF-8"):
+        Example(f"1{surrogate}", "text", "NOT")
+
+
+@pytest.mark.parametrize("surrogate", ["\ud800", "\udfff"])
+def test_example_rejects_a_text_utf8_cannot_encode(surrogate):
+    with pytest.raises(ContractError, match="text cannot be written as UTF-8"):
+        Example("1", f"a{surrogate}b", "NOT")
+
+
+# Any code point, lone surrogates included; surrogates and row breaks are
+# also drawn on their own so that most lists hold some.
+_ANY_CHARS = st.one_of(st.characters(exclude_categories=()),
+                       st.sampled_from(ROW_BREAKS + "\ud800\udbff\udc00\udfff"))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.text(_ANY_CHARS), st.text(_ANY_CHARS), _LABELS), max_size=5))
+def test_every_example_is_rejected_or_parses_back(rows):
+    examples = []
+    for id_, text, labels in rows:
+        try:
+            examples.append(Example(id_, text, *labels))
+        except ContractError:
+            continue
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "corpus.tsv")
+        write_tsv(path, examples)
+        assert parse_tsv(path) == examples
+
+
 def test_tokenize_empty_text_is_cls_only():
     vocab = build_vocab([Example("1", "hello world", "NOT")])
     assert tokenize("", vocab) == [CLS_ID]
@@ -257,10 +293,32 @@ def test_label_arrays_follow_hierarchy():
     examples = generate_synthetic_corpus(50, seed=5)
     vocab = build_vocab(examples)
     for batch in make_batches(examples, vocab, 16, 30):
-        b_present = batch.labels_b >= 0
-        c_present = batch.labels_c >= 0
-        assert (batch.labels_a[b_present] == 1).all()  # OFF
-        assert (batch.labels_b[c_present] == 0).all()  # TIN
+        b_present = batch.labels["b"] >= 0
+        c_present = batch.labels["c"] >= 0
+        assert (batch.labels["a"][b_present] == 1).all()  # OFF
+        assert (batch.labels["b"][c_present] == 0).all()  # TIN
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(_LABELS, min_size=1, max_size=20), st.integers(1, 6),
+       st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+def test_label_arrays_decode_to_each_rows_labels(labels, batch_size, shuffle_seed):
+    # Each text is one unique word, so a batch row's first token after
+    # [CLS] names the example it came from, shuffled or not.
+    examples = [Example(str(i), f"w{i}", *row) for i, row in enumerate(labels)]
+    vocab = build_vocab(examples)
+    seen = []
+    for batch in make_batches(examples, vocab, batch_size, 4, shuffle_seed):
+        assert sorted(batch.labels) == sorted(TASKS)
+        assert all(ids.dtype == np.int64 for ids in batch.labels.values())
+        for r in range(len(batch)):
+            example = examples[int(vocab.tokens[batch.token_ids[r, 1]][1:])]
+            seen.append(example.id)
+            for task in TASKS:
+                class_id = batch.labels[task][r]
+                decoded = None if class_id == ABSENT else TASK_LABELS[task][class_id]
+                assert decoded == getattr(example, f"label_{task}")
+    assert sorted(seen) == sorted(ex.id for ex in examples)
 
 
 def test_generator_is_deterministic_and_valid():

@@ -121,9 +121,9 @@ def test_bilstm_training_step_tape_is_short():
     assert batch.token_ids.shape == (32, 30)
     with Tape() as tape:
         logits = model.forward(batch)
-        loss = total_loss(cross_entropy(logits["a"], batch.labels_a),
-                          cross_entropy(logits["b"], batch.labels_b),
-                          cross_entropy(logits["c"], batch.labels_c), cfg.loss_weights)
+        loss = total_loss(cross_entropy(logits["a"], batch.labels["a"]),
+                          cross_entropy(logits["b"], batch.labels["b"]),
+                          cross_entropy(logits["c"], batch.labels["c"]), cfg.loss_weights)
     backward(tape, loss)
     assert len(tape) < 200
 

@@ -70,7 +70,7 @@ def test_gradients_isolated_per_task_head():
     model, batch, _ = build_probe_setup()
     with Tape() as tape:
         logits = model.forward(batch)
-        loss = cross_entropy(logits["a"], batch.labels_a)
+        loss = cross_entropy(logits["a"], batch.labels["a"])
     backward(tape, loss)
     for name, p in head_parameters(model, "a").items():
         assert p.grad is not None, name

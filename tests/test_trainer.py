@@ -163,9 +163,18 @@ def test_artifacts_written_and_evaluate_matches_logged_best(tmp_path, corpus):
     report = evaluate_checkpoint(result.checkpoint_path, corpus)
     assert report.f1["a"] == result.best_metric
     best_row = result.runlog.rows[result.best_epoch - 1]
-    assert best_row.f1_a == result.best_metric
+    assert best_row.f1["a"] == result.best_metric
     runlog_file = (tmp_path / "run" / "runlog.csv").read_text()
     assert runlog_file == result.runlog.to_csv()
+
+
+def test_out_dir_naming_a_file_fails_before_the_first_epoch(tmp_path, corpus):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    logged = []
+    with pytest.raises(FileExistsError):
+        train(_cfg(max_epochs=2, out_dir=str(taken)), corpus, corpus, log=logged.append)
+    assert logged == []
 
 
 def test_checkpoint_file_save_load_save_identical(tmp_path, corpus):
