@@ -13,6 +13,7 @@ Loading is the byte-exact inverse of saving.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -82,8 +83,11 @@ def parse_checkpoint(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
         name = r.take(r.u32()).decode("utf-8")
         rank = r.u32()
         shape = tuple(r.u32() for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        values = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape)
+        values = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8")
+        try:
+            values = values.reshape(shape)
+        except ValueError:
+            raise IntegrityError(f"record {name!r} has unsupported rank {rank}") from None
         arrays[name] = values.astype(np.float64).copy()
     if r.offset != len(body):
         raise IntegrityError(f"{len(body) - r.offset} trailing bytes after records")

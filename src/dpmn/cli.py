@@ -22,14 +22,7 @@ from .trainer import ablate, evaluate_checkpoint, run_grid, train
 
 def _load_config(args) -> TrainConfig:
     cfg = load_config_file(args.config) if args.config else TrainConfig()
-    updates = {}
-    if getattr(args, "train", None):
-        updates["train_path"] = args.train
-    if getattr(args, "dev", None):
-        updates["dev_path"] = args.dev
-    if getattr(args, "out", None):
-        updates["out_dir"] = args.out
-    return replace(cfg, **updates) if updates else cfg
+    return replace(cfg, out_dir=args.out) if args.out else cfg
 
 
 @contextmanager
@@ -52,12 +45,6 @@ def _read_corpus(path):
     return examples
 
 
-def _load_datasets(cfg: TrainConfig):
-    if not cfg.train_path or not cfg.dev_path:
-        raise ConfigError("both --train and --dev corpora are required")
-    return _read_corpus(cfg.train_path), _read_corpus(cfg.dev_path)
-
-
 def _make_out_dir(cfg: TrainConfig) -> None:
     """Create --out before any training, so a path that cannot be a
     directory fails at once rather than after the last epoch."""
@@ -68,7 +55,7 @@ def _make_out_dir(cfg: TrainConfig) -> None:
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
-    train_set, dev_set = _load_datasets(cfg)
+    train_set, dev_set = _read_corpus(args.train), _read_corpus(args.dev)
     _make_out_dir(cfg)
     result = train(cfg, train_set, dev_set, log=print)
     print(f"best epoch {result.best_epoch}: dev macro F1 (task A) {result.best_metric:.4f}")
@@ -92,7 +79,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     cfg = _load_config(args)
-    train_set, dev_set = _load_datasets(cfg)
+    train_set, dev_set = _read_corpus(args.train), _read_corpus(args.dev)
     _make_out_dir(cfg)
     result = ablate(cfg, train_set, dev_set, log=print)
     print(result.to_markdown(), end="")
@@ -123,7 +110,7 @@ def _parse_csv_list(raw: str, converter, flag: str):
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    train_set, dev_set = _load_datasets(cfg)
+    train_set, dev_set = _read_corpus(args.train), _read_corpus(args.dev)
     lengths = _parse_csv_list(args.lengths, int, "--lengths")
     forms = _parse_csv_list(args.forms, str, "--forms")
     inits = _parse_csv_list(args.inits, str, "--inits")
@@ -150,12 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and probe the deep-prompt multi-task abuse-language classifier.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", help="flat key=value config file")
+    run.add_argument("--train", required=True, help="training corpus TSV")
+    run.add_argument("--dev", required=True, help="validation corpus TSV")
+    run.add_argument("--out", help="directory for the run's output files")
 
-    p_train = sub.add_parser("train", help="train a model and keep the best-dev checkpoint")
-    p_train.add_argument("--config", help="flat key=value config file")
-    p_train.add_argument("--train", required=True, help="training corpus TSV")
-    p_train.add_argument("--dev", required=True, help="validation corpus TSV")
-    p_train.add_argument("--out", help="directory for model.ckpt and runlog.csv")
+    p_train = sub.add_parser("train", parents=[run],
+                             help="train a model and keep the best-dev checkpoint")
     p_train.set_defaults(fn=_cmd_train)
 
     p_eval = sub.add_parser("eval", help="score a checkpoint on a corpus")
@@ -163,11 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True)
     p_eval.set_defaults(fn=_cmd_eval)
 
-    p_ablate = sub.add_parser("ablate", help="train all six architecture variants")
-    p_ablate.add_argument("--config")
-    p_ablate.add_argument("--train", required=True)
-    p_ablate.add_argument("--dev", required=True)
-    p_ablate.add_argument("--out")
+    p_ablate = sub.add_parser("ablate", parents=[run],
+                              help="train all six architecture variants")
     p_ablate.set_defaults(fn=_cmd_ablate)
 
     p_grad = sub.add_parser("gradcheck", help="compare analytic gradients to finite differences")
@@ -175,14 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.set_defaults(fn=_cmd_gradcheck)
 
-    p_sweep = sub.add_parser("sweep", help="train across prompt length/form/init combinations")
+    p_sweep = sub.add_parser("sweep", parents=[run],
+                             help="train across prompt length/form/init combinations")
     p_sweep.add_argument("--lengths", required=True, help="comma-separated prompt lengths")
     p_sweep.add_argument("--forms", required=True, help="comma-separated: deep,light")
     p_sweep.add_argument("--inits", required=True, help="comma-separated: random,token")
-    p_sweep.add_argument("--config")
-    p_sweep.add_argument("--train", required=True)
-    p_sweep.add_argument("--dev", required=True)
-    p_sweep.add_argument("--out")
     p_sweep.set_defaults(fn=_cmd_sweep)
     return parser
 

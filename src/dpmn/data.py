@@ -260,11 +260,14 @@ _OFFENSIVE = (
 )
 _GROUP_CUES = ("they", "everyone", "crowd")
 _OTHER_CUES = ("that", "thing", "show")
+# the share of texts that are offensive, the share of those that are
+# targeted, and the IND/GRP/OTH mix of the targets
+_OFF_FRACTION = 0.5
+_TARGETED_FRACTION = 0.6
+_TARGET_MIX = (0.5, 0.3, 0.2)
 
 
-def generate_synthetic_corpus(n: int, seed: int, off_fraction: float = 0.5,
-                              targeted_fraction: float = 0.6,
-                              target_mix: tuple = (0.5, 0.3, 0.2)) -> list[Example]:
+def generate_synthetic_corpus(n: int, seed: int) -> list[Example]:
     """Deterministic corpus whose labels are recoverable from surface tokens.
 
     Offensive texts contain words from a disjoint lexicon, targeted insults
@@ -274,20 +277,18 @@ def generate_synthetic_corpus(n: int, seed: int, off_fraction: float = 0.5,
     if n < 1:
         raise ContractError("corpus size must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    mix = np.asarray(target_mix, dtype=float)
-    mix = mix / mix.sum()
     examples = []
     for i in range(n):
         base = list(rng.choice(_BENIGN, size=rng.integers(3, 6)))
-        if rng.random() >= off_fraction:
+        if rng.random() >= _OFF_FRACTION:
             examples.append(Example(f"syn{i:04d}", " ".join(base), "NOT"))
             continue
         insults = list(rng.choice(_OFFENSIVE, size=rng.integers(1, 3)))
-        if rng.random() >= targeted_fraction:
+        if rng.random() >= _TARGETED_FRACTION:
             words = base[:2] + insults
             examples.append(Example(f"syn{i:04d}", " ".join(words), "OFF", "UNT"))
             continue
-        target = TASK_LABELS["c"][int(rng.choice(3, p=mix))]
+        target = TASK_LABELS["c"][int(rng.choice(3, p=_TARGET_MIX))]
         cue = {
             "IND": ["@USER", "you"],
             "GRP": ["@USER", str(rng.choice(_GROUP_CUES))],

@@ -33,7 +33,6 @@ from .tensor import (
     swapaxes,
 )
 
-LAYER_NORM_EPS = 1e-12
 MASK_BIAS = -1e9  # large enough that masked attention weights underflow to 0.0
 
 
@@ -101,11 +100,11 @@ class TransformerLayer:
         attn_out = matmul(context, self.wo) + self.bo
         if rng is not None:
             attn_out = dropout(attn_out, dropout_rate, rng)
-        x = layer_norm(x + attn_out, self.attn_gain, self.attn_bias, LAYER_NORM_EPS)
+        x = layer_norm(x + attn_out, self.attn_gain, self.attn_bias)
         ffn_out = matmul(relu(matmul(x, self.ffn_w1) + self.ffn_b1), self.ffn_w2) + self.ffn_b2
         if rng is not None:
             ffn_out = dropout(ffn_out, dropout_rate, rng)
-        return layer_norm(x + ffn_out, self.ffn_gain, self.ffn_bias, LAYER_NORM_EPS)
+        return layer_norm(x + ffn_out, self.ffn_gain, self.ffn_bias)
 
 
 class EncoderStack:

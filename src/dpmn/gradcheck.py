@@ -162,8 +162,9 @@ _PROBE_EXAMPLES = (
 )
 
 
-def build_probe_setup(cfg: TrainConfig = TINY_CONFIG):
+def build_probe_setup():
     """Tiny model plus one batch exercising all three task losses."""
+    cfg = TINY_CONFIG
     examples = list(_PROBE_EXAMPLES)
     vocab = build_vocab(examples, min_freq=1)
     model = DpmnModel(cfg.encoder_config(vocab.size), cfg.prompt,
@@ -183,15 +184,14 @@ def _group_of(name: str) -> str:
     return name.split(".", 1)[0]
 
 
-def check_network(n_probes: int, seed: int = 0,
-                  cfg: TrainConfig = TINY_CONFIG) -> dict[str, float]:
+def check_network(n_probes: int, seed: int = 0) -> dict[str, float]:
     """Probe random parameter coordinates of the composed network.
 
     Probes cycle through the parameter list so every module is hit, with
     the coordinate inside each parameter drawn at random. Returns the max
     relative error per top-level parameter group.
     """
-    model, _, compute_loss = build_probe_setup(cfg)
+    model, _, compute_loss = build_probe_setup()
     params = list(model.parameters().values())
     rng = np.random.Generator(np.random.PCG64(seed))
 

@@ -18,16 +18,15 @@ def zero_grad(params: dict[str, Tensor]) -> None:
         p.grad = None
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with bias correction; the timestep advances once per step() call."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -42,13 +41,13 @@ class Adam:
             g = p.grad
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            m_hat = m / (1.0 - BETA1 ** self.t)
+            v_hat = v / (1.0 - BETA2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def zero_grad(self) -> None:
         zero_grad(self.params)

@@ -42,6 +42,8 @@ class PromptConfig:
         if self.length == 0 and self.form != "light":
             raise ConfigError("prompt length 0 (no prompt) is only valid with the light form")
         if self.token_ids is not None:
+            if not self.token_ids:
+                raise ConfigError("token_ids must not be empty; leave it unset for no ids")
             if self.init != "token":
                 raise ConfigError("token_ids given but init is not 'token'")
             if len(self.token_ids) != self.length:

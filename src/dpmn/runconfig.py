@@ -8,7 +8,7 @@ fixed order; optional keys are omitted when unset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import get_args, get_type_hints
 
 from .data import Vocab
@@ -39,8 +39,6 @@ class TrainConfig:
     optimizer: str = "adam"
     min_freq: int = 1
     rng_seed: int = 0
-    train_path: str | None = None
-    dev_path: str | None = None
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -64,7 +62,6 @@ class TrainConfig:
 # its place, their keys prefixed, and one key renamed.
 _NESTED = {"loss_weights": "loss_weight_", "prompt": "prompt_"}
 _RENAMED = {"prompt_tuning": "tuning_strategy"}
-_PATH_KEYS = ("train_path", "dev_path", "out_dir")
 
 
 def _int_tuple(raw: str) -> tuple[int, ...]:
@@ -105,21 +102,23 @@ KNOWN_KEYS = frozenset(_KEYS)
 
 
 def _fmt(value) -> str | None:
-    """Text of a value, or None to omit the key: unset, or no token ids."""
+    """Text of a value, or None to omit an unset key."""
     if isinstance(value, tuple):
-        return ",".join(str(i) for i in value) or None
+        return ",".join(str(i) for i in value)
     if value is None:
         return None
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def format_config(cfg: TrainConfig, include_paths: bool = False) -> str:
+def format_config(cfg: TrainConfig) -> str:
     """Canonical text form; parse_config() inverts it. Unset optional keys
-    are omitted."""
+    are omitted. An out_dir that one config line cannot hold (empty, padded
+    with whitespace, or spanning lines) is a ConfigError."""
+    out = cfg.out_dir
+    if out is not None and (out.splitlines() != [out] or out != out.strip()):
+        raise ConfigError(f"out_dir {out!r} cannot be written as one config value")
     lines = []
     for key, (nested, name, _) in _KEYS.items():
-        if key in _PATH_KEYS and not include_paths:
-            continue
         text = _fmt(getattr(getattr(cfg, nested) if nested else cfg, name))
         if text is not None:
             lines.append(f"{key} = {text}")
@@ -172,8 +171,8 @@ def load_config_file(path) -> TrainConfig:
 
 
 def format_checkpoint_header(cfg: TrainConfig, vocab: Vocab) -> str:
-    """Config followed by the vocabulary, one 'vocab.<id> = <token>' line per token."""
-    lines = [format_config(cfg).rstrip("\n")]
+    """Config without out_dir, then one 'vocab.<id> = <token>' line per token."""
+    lines = [format_config(replace(cfg, out_dir=None)).rstrip("\n")]
     lines += [f"vocab.{i} = {tok}" for i, tok in enumerate(vocab.tokens)]
     return "\n".join(lines) + "\n"
 

@@ -18,6 +18,7 @@ from .errors import ContractError, EmbeddingIndexError, ShapeError
 _active_tape = None
 
 INIT_STD = 0.02  # BERT-style initializer scale
+LAYER_NORM_EPS = 1e-12
 
 
 class Tensor:
@@ -273,14 +274,12 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale and shift."""
-    if eps <= 0:
-        raise ContractError("layer_norm eps must be positive")
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     mean = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (a.data - mean) * inv
     out = Tensor(xhat * gain.data + bias.data)
 

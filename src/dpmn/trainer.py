@@ -24,7 +24,7 @@ from .data import (
     build_vocab,
     make_batches,
 )
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, NumericError
 from .losses import LossWeights, cross_entropy, total_loss
 from .metrics import confusion_matrix, macro_f1
 from .model import DpmnModel
@@ -143,14 +143,8 @@ def evaluate_model(model: DpmnModel, batches: list[Batch]) -> EvalReport:
     return EvalReport(f1=f1, confusion=confusion)
 
 
-def train(cfg: TrainConfig, train_examples, dev_examples, *,
-          dev_metric_override=None, log=None) -> TrainResult:
-    """Run the full training loop and keep the best-dev-epoch weights.
-
-    dev_metric_override, when given, supplies the monitored dev metric per
-    epoch in place of the real task-A Macro F1; it exists so the early-stop
-    rule can be exercised against a known metric sequence.
-    """
+def train(cfg: TrainConfig, train_examples, dev_examples, *, log=None) -> TrainResult:
+    """Run the full training loop and keep the best-dev-epoch weights."""
     vocab = build_vocab(train_examples, cfg.min_freq)
     model = _build_model(cfg, vocab)
     trainable = model.trainable_parameters(cfg.prompt.tuning)
@@ -191,16 +185,11 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *,
             optimizer.step()
 
         report = evaluate_model(model, dev_batches)
-        if dev_metric_override is not None:
-            if epoch - 1 >= len(dev_metric_override):
-                raise ContractError("dev_metric_override ran out of values")
-            monitored = float(dev_metric_override[epoch - 1])
-        else:
-            monitored = report.f1["a"]
+        monitored = report.f1["a"]
         if not np.isfinite(monitored):
             raise NumericError(f"non-finite dev metric at epoch {epoch}")
         row = EpochRow(epoch, tuple(float(v) for v in epoch_losses / len(batches)),
-                       {**report.f1, "a": monitored}, wall_time=time.monotonic() - started)
+                       report.f1, wall_time=time.monotonic() - started)
         runlog.rows.append(row)
 
         if monitored > best_metric:

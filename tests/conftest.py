@@ -1,9 +1,16 @@
-"""Shared test helpers: an independent finite-difference gradient oracle and
-a parameter store for building model parts on their own."""
+"""Shared test helpers: an independent finite-difference gradient oracle,
+a parameter store for building model parts on their own, a scripted dev
+metric and hand-made checkpoint blobs."""
+
+import struct
+import zlib
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from dpmn import trainer
+from dpmn.checkpoint import checkpoint_bytes
 from dpmn.tensor import ParameterStore
 
 FD_STEP = 1e-5
@@ -50,6 +57,34 @@ def encoder_parameters(model) -> dict:
 
 def head_parameters(model, task: str) -> dict:
     return {n: p for n, p in model.parameters().items() if n.startswith(f"head_{task}.")}
+
+
+@contextmanager
+def scripted_dev_metric(values):
+    """Within the block, epoch i of train() monitors values[i - 1] as its
+    task-A dev macro F1; tasks B and C keep their real scores."""
+    real = trainer.evaluate_model
+    script = iter(values)
+
+    def evaluate(model, batches):
+        report = real(model, batches)
+        report.f1["a"] = float(next(script))
+        return report
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer, "evaluate_model", evaluate)
+        yield
+
+
+def reseal(body: bytes) -> bytes:
+    """A checkpoint body followed by its CRC32, so parsing passes the checksum."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def one_record_checkpoint(*extents: int) -> bytes:
+    """A resealed checkpoint whose one record claims `extents` and holds no values."""
+    body = checkpoint_bytes("k = v\n", {"w": np.zeros(0)})[:-4]
+    return reseal(body[:-8] + struct.pack(f"<{len(extents) + 1}I", len(extents), *extents))
 
 
 @pytest.fixture

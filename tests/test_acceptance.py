@@ -26,7 +26,7 @@ from dpmn.runconfig import TrainConfig, parse_config
 from dpmn.tensor import Tape, backward
 from dpmn.trainer import ablate, evaluate_checkpoint, train
 
-from conftest import encoder_parameters, head_parameters, make_store
+from conftest import encoder_parameters, head_parameters, make_store, scripted_dev_metric
 from test_metrics import brute_force_macro_f1
 
 
@@ -190,7 +190,8 @@ def test_criterion_8_early_stopping_and_checkpointing(tmp_path):
     corpus = generate_synthetic_corpus(32, seed=4)
     injected = [0.3, 0.8, 0.7, 0.6, 0.5, 0.4, 0.35, 0.3]
     cfg = TrainConfig(**SMALL, max_epochs=8, early_stop_patience=4)
-    result = train(cfg, corpus, corpus, dev_metric_override=injected)
+    with scripted_dev_metric(injected):
+        result = train(cfg, corpus, corpus)
     stop_ok = len(result.runlog.rows) == 6 and result.best_epoch == 2
 
     out = tmp_path / "run"

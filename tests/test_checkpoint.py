@@ -1,7 +1,12 @@
 """Binary checkpoint container: round trips and integrity failures."""
 
+import struct
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpmn.checkpoint import (
     checkpoint_bytes,
@@ -9,7 +14,12 @@ from dpmn.checkpoint import (
     parse_checkpoint,
     save_checkpoint,
 )
+from dpmn.data import generate_synthetic_corpus
 from dpmn.errors import IntegrityError
+from dpmn.runconfig import TrainConfig
+from dpmn.trainer import train
+
+from conftest import one_record_checkpoint, reseal
 
 
 def _arrays(rng):
@@ -92,3 +102,46 @@ def test_empty_parameter_set_round_trips():
     blob = checkpoint_bytes("only = header\n", {})
     header, arrays = parse_checkpoint(blob)
     assert header == "only = header\n" and arrays == {}
+
+
+def test_extents_whose_product_overflows_int64_are_truncation():
+    # 2^21 * 2^21 * 2^22 = 2^64 wraps to 0 in int64 arithmetic
+    with pytest.raises(IntegrityError, match="truncated"):
+        parse_checkpoint(one_record_checkpoint(2**21, 2**21, 2**22))
+
+
+def test_rank_numpy_cannot_hold_rejected():
+    with pytest.raises(IntegrityError, match="rank 70"):
+        parse_checkpoint(one_record_checkpoint(*[0] * 70))
+
+
+@cache
+def _small_real_checkpoint() -> bytes:
+    cfg = TrainConfig(num_layers=1, hidden_size=2, num_heads=1, ffn_size=2, max_seq_len=12,
+                      max_epochs=1, batch_size=8, dropout=0.0)
+    corpus = generate_synthetic_corpus(8, seed=0)
+    return train(cfg, corpus, corpus).checkpoint_blob()
+
+
+@st.composite
+def _mutated_bodies(draw):
+    """The body of a real checkpoint with one byte, or one u32 at any offset,
+    overwritten by any value."""
+    body = bytearray(_small_real_checkpoint()[:-4])
+    if draw(st.booleans()):
+        body[draw(st.integers(0, len(body) - 1))] = draw(st.integers(0, 255))
+    else:
+        at = draw(st.integers(0, len(body) - 4))
+        body[at:at + 4] = struct.pack("<I", draw(st.integers(0, 2**32 - 1)))
+    return bytes(body)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_bodies())
+def test_resealed_mutation_parses_or_raises_a_file_error(body):
+    """The CLI reports IntegrityError and UnicodeDecodeError as data errors
+    (exit 3); anything else would escape as a traceback."""
+    try:
+        parse_checkpoint(reseal(body))
+    except (IntegrityError, UnicodeDecodeError):
+        pass

@@ -6,6 +6,8 @@ from dpmn.cli import main
 from dpmn.data import generate_synthetic_corpus, write_tsv
 from dpmn.gradcheck import GradcheckReport
 
+from conftest import one_record_checkpoint
+
 FAST_CONFIG = """\
 learning_rate = 0.001
 batch_size = 16
@@ -77,6 +79,16 @@ def test_unknown_config_key_exits_two(workdir):
     assert main(["train", "--config", str(bad),
                  "--train", str(workdir / "train.tsv"),
                  "--dev", str(workdir / "dev.tsv")]) == 2
+
+
+@pytest.mark.parametrize("key", ["train_path", "dev_path"])
+def test_config_cannot_name_corpora(workdir, capsys, key):
+    bad = workdir / "paths.cfg"
+    bad.write_text(f"{key} = x\n")
+    assert main(["train", "--config", str(bad),
+                 "--train", str(workdir / "train.tsv"),
+                 "--dev", str(workdir / "dev.tsv")]) == 2
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
 
 
 def test_missing_corpus_exits_three(workdir, capsys):
@@ -168,6 +180,13 @@ def test_directory_as_eval_input_exits_three(workdir, checkpoint, capsys):
 def test_corrupted_checkpoint_exits_three(workdir, checkpoint, capsys, damage):
     damaged = workdir / "damaged.ckpt"
     damaged.write_bytes(damage(checkpoint.read_bytes()))
+    _unreadable_input_exits_three(
+        ["eval", "--checkpoint", str(damaged), "--data", str(workdir / "dev.tsv")], damaged, capsys)
+
+
+def test_checkpoint_with_overflowing_extents_exits_three(workdir, capsys):
+    damaged = workdir / "overflow.ckpt"
+    damaged.write_bytes(one_record_checkpoint(2**21, 2**21, 2**22))
     _unreadable_input_exits_three(
         ["eval", "--checkpoint", str(damaged), "--data", str(workdir / "dev.tsv")], damaged, capsys)
 

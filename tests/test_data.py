@@ -328,11 +328,3 @@ def test_generator_is_deterministic_and_valid():
     assert len({e.id for e in a}) == 64
     labels = {e.label_a for e in a}
     assert labels == {"NOT", "OFF"}
-
-
-def test_generator_class_balance_is_controllable():
-    skewed = generate_synthetic_corpus(200, seed=1, off_fraction=0.9)
-    off = sum(1 for e in skewed if e.label_a == "OFF")
-    assert off > 150
-    benign = generate_synthetic_corpus(200, seed=1, off_fraction=0.1)
-    assert sum(1 for e in benign if e.label_a == "OFF") < 50

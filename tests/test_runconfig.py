@@ -1,5 +1,8 @@
 """The flat key-value config format and checkpoint headers."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,25 +58,26 @@ _POSITIVE = st.integers(1, 10**12)
 
 @st.composite
 def _configs(draw):
+    """(PromptConfig keyword arguments, the other TrainConfig fields); the
+    prompt's token_ids may be (), which PromptConfig rejects."""
     length = draw(st.integers(0, 6))
     init = draw(st.sampled_from(INITS))
     ids = st.lists(st.integers(0, 10**6), min_size=length, max_size=length).map(tuple)
-    prompt = PromptConfig(
+    prompt = dict(
         length=length,
         form="light" if length == 0 else draw(st.sampled_from(FORMS)),
         init=init,
-        token_ids=draw(st.none() | ids) if init == "token" and length > 0 else None,
+        token_ids=draw(st.none() | ids) if init == "token" else None,
         tuning=draw(st.sampled_from(TUNINGS)),
     )
     main = draw(st.floats(0.0, 1.0))
     auxi1 = draw(st.floats(0.0, 1.0 - main))
-    return TrainConfig(
+    return prompt, dict(
         learning_rate=draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False)),
         batch_size=draw(_POSITIVE),
         max_epochs=draw(_POSITIVE),
         early_stop_patience=draw(_POSITIVE),
         loss_weights=LossWeights(main, auxi1, (1.0 - main) - auxi1),
-        prompt=prompt,
         num_layers=draw(_ANY_INT),
         hidden_size=draw(_ANY_INT),
         num_heads=draw(_ANY_INT),
@@ -86,32 +90,54 @@ def _configs(draw):
         optimizer=draw(st.sampled_from(("adam", "sgd"))),
         min_freq=draw(_POSITIVE),
         rng_seed=draw(_ANY_INT),
-        train_path=draw(st.none() | _TEXT),
-        dev_path=draw(st.none() | _TEXT),
         out_dir=draw(st.none() | _TEXT),
     )
 
 
 @settings(max_examples=200, deadline=None)
 @given(_configs())
-def test_every_field_round_trips_through_text(cfg):
-    assert parse_config(format_config(cfg, include_paths=True)) == cfg
+def test_every_field_round_trips_through_text(drawn):
+    prompt_fields, fields = drawn
+    try:
+        prompt = PromptConfig(**prompt_fields)
+    except ConfigError:
+        assert prompt_fields["token_ids"] == ()  # None already spells "no ids"
+        return
+    cfg = TrainConfig(prompt=prompt, **fields)
+    assert parse_config(format_config(cfg)) == cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(exclude_categories=())))
+def test_out_dir_is_formatted_only_if_it_round_trips(out_dir):
+    cfg = TrainConfig(out_dir=out_dir)
+    try:
+        text = format_config(cfg)
+    except ConfigError:
+        return
+    assert parse_config(text) == cfg
+
+
+@pytest.mark.parametrize("out_dir", ["", "x ", "\tx", "a\nb", "a\rb", "a\x85b", "a\u2028b"])
+def test_out_dir_one_line_cannot_hold_is_rejected(out_dir):
+    with pytest.raises(ConfigError, match="out_dir"):
+        format_config(TrainConfig(out_dir=out_dir))
 
 
 def test_key_order_is_fixed():
     """The key order is part of the checkpoint header format."""
     cfg = TrainConfig(
         prompt=PromptConfig(length=1, init="token", token_ids=(3,)),
-        lstm_hidden=8, head_ffn_size=16, train_path="t", dev_path="d", out_dir="o",
+        lstm_hidden=8, head_ffn_size=16, out_dir="o",
     )
-    keys = [line.split(" = ")[0] for line in format_config(cfg, include_paths=True).splitlines()]
+    keys = [line.split(" = ")[0] for line in format_config(cfg).splitlines()]
     assert keys == [
         "learning_rate", "batch_size", "max_epochs", "early_stop_patience",
         "loss_weight_main", "loss_weight_auxi1", "loss_weight_auxi2",
         "prompt_length", "prompt_form", "prompt_init", "prompt_token_ids", "tuning_strategy",
         "num_layers", "hidden_size", "num_heads", "ffn_size", "max_seq_len", "dropout",
         "head_kind", "lstm_hidden", "head_ffn_size", "optimizer", "min_freq", "rng_seed",
-        "train_path", "dev_path", "out_dir",
+        "out_dir",
     ]
     assert set(keys) == KNOWN_KEYS
 
@@ -169,12 +195,19 @@ def test_load_config_file(tmp_path):
 
 def test_checkpoint_header_round_trips_vocab():
     vocab = build_vocab(generate_synthetic_corpus(20, seed=0))
-    cfg = TrainConfig(hidden_size=16, num_heads=2, train_path="ignored.tsv")
+    cfg = TrainConfig(hidden_size=16, num_heads=2, out_dir="ignored")
     header = format_checkpoint_header(cfg, vocab)
     parsed_cfg, parsed_vocab = parse_checkpoint_header(header)
     assert parsed_vocab.tokens == vocab.tokens
     assert parsed_cfg.hidden_size == 16
-    assert parsed_cfg.train_path is None  # paths never enter checkpoints
+    assert parsed_cfg.out_dir is None  # the output directory never enters checkpoints
+
+
+def test_readme_config_block_lists_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config files", 1)[1]
+    block = section.split("```", 2)[1]
+    assert set(re.findall(r"(\w+) = ", block)) == KNOWN_KEYS
 
 
 def test_validation_of_basic_invariants():

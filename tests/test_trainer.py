@@ -8,7 +8,7 @@ import pytest
 
 from dpmn.checkpoint import load_checkpoint
 from dpmn.data import build_vocab, generate_synthetic_corpus, make_batches
-from dpmn.errors import ContractError, NumericError
+from dpmn.errors import NumericError
 from dpmn.losses import LossWeights
 from dpmn.prompt import PromptConfig
 from dpmn.runconfig import TrainConfig
@@ -22,7 +22,7 @@ from dpmn.trainer import (
     train,
 )
 
-from conftest import encoder_parameters, head_parameters
+from conftest import encoder_parameters, head_parameters, scripted_dev_metric
 
 TINY = dict(num_layers=2, hidden_size=16, num_heads=2, ffn_size=32, max_seq_len=24,
             dropout=0.0, batch_size=16)
@@ -50,7 +50,8 @@ def test_patience_stops_four_epochs_after_the_peak(corpus):
     # dev metric peaks at epoch 2 then declines: training halts at epoch 6
     injected = [0.3, 0.8, 0.7, 0.6, 0.5, 0.4, 0.35, 0.3, 0.25, 0.2]
     cfg = _cfg(learning_rate=1e-4, max_epochs=10, early_stop_patience=4, rng_seed=0)
-    result = train(cfg, corpus, corpus, dev_metric_override=injected)
+    with scripted_dev_metric(injected):
+        result = train(cfg, corpus, corpus)
     assert len(result.runlog.rows) == 6
     assert result.best_epoch == 2
     assert result.best_metric == 0.8
@@ -59,7 +60,8 @@ def test_patience_stops_four_epochs_after_the_peak(corpus):
 def test_max_epochs_caps_training(corpus):
     rising = [0.1 * e for e in range(1, 10)]
     cfg = _cfg(learning_rate=1e-4, max_epochs=3, early_stop_patience=4)
-    result = train(cfg, corpus, corpus, dev_metric_override=rising)
+    with scripted_dev_metric(rising):
+        result = train(cfg, corpus, corpus)
     assert len(result.runlog.rows) == 3
     assert result.best_epoch == 3
 
@@ -201,7 +203,7 @@ def test_loaded_model_reproduces_predictions(tmp_path, corpus):
 
 
 def test_constant_predictor_scores_one_third_on_balanced_data():
-    corpus = generate_synthetic_corpus(40, seed=11, off_fraction=0.5)
+    corpus = generate_synthetic_corpus(40, seed=11)
     balanced = ([e for e in corpus if e.label_a == "NOT"][:10]
                 + [e for e in corpus if e.label_a == "OFF"][:10])
     cfg = _cfg(max_epochs=1)
@@ -243,14 +245,8 @@ def test_non_finite_loss_aborts_with_step_number(corpus):
 @pytest.mark.parametrize("metrics,epoch", [([float("nan")], 1), ([0.5, float("nan")], 2)])
 def test_non_finite_dev_metric_aborts_with_epoch(corpus, metrics, epoch):
     cfg = _cfg(learning_rate=1e-3, max_epochs=len(metrics), early_stop_patience=10)
-    with pytest.raises(NumericError, match=f"epoch {epoch}"):
-        train(cfg, corpus, corpus, dev_metric_override=metrics)
-
-
-def test_override_sequence_must_cover_epochs(corpus):
-    cfg = _cfg(learning_rate=1e-3, max_epochs=5, early_stop_patience=10)
-    with pytest.raises(ContractError, match="override"):
-        train(cfg, corpus, corpus, dev_metric_override=[0.5])
+    with scripted_dev_metric(metrics), pytest.raises(NumericError, match=f"epoch {epoch}"):
+        train(cfg, corpus, corpus)
 
 
 def test_sgd_optimizer_trains(corpus):
