@@ -20,17 +20,15 @@ from .prompt import PrefixBank
 from .tensor import (
     ParameterStore,
     Tensor,
+    attention,
     broadcast_to,
     concat,
     dropout,
     embedding_lookup,
     layer_norm,
-    matmul,
-    mul,
+    linear,
     relu,
     reshape,
-    softmax,
-    swapaxes,
 )
 
 MASK_BIAS = -1e9  # large enough that masked attention weights underflow to 0.0
@@ -67,7 +65,6 @@ class TransformerLayer:
         d, f = config.hidden_size, config.ffn_size
         pre = f"layer{index}"
         self.num_heads = config.num_heads
-        self.head_size = d // config.num_heads
         self.wq = store.new(f"{pre}.attention.wq", (d, d))
         self.bq = store.new(f"{pre}.attention.bq", (d,), 0.0)
         self.wk = store.new(f"{pre}.attention.wk", (d, d))
@@ -85,23 +82,18 @@ class TransformerLayer:
         self.ffn_gain = store.new(f"{pre}.ffn_norm.gain", (d,), 1.0)
         self.ffn_bias = store.new(f"{pre}.ffn_norm.bias", (d,), 0.0)
 
-    def _split_heads(self, t: Tensor, batch: int, seq: int) -> Tensor:
-        return swapaxes(reshape(t, (batch, seq, self.num_heads, self.head_size)), 1, 2)
-
-    def forward(self, x: Tensor, attn_bias: Tensor, dropout_rate: float,
+    def forward(self, x: Tensor, attn_bias: np.ndarray, dropout_rate: float,
                 rng: np.random.Generator | None) -> Tensor:
-        batch, seq, d = x.shape
-        q = self._split_heads(matmul(x, self.wq) + self.bq, batch, seq)
-        k = self._split_heads(matmul(x, self.wk) + self.bk, batch, seq)
-        v = self._split_heads(matmul(x, self.wv) + self.bv, batch, seq)
-        scores = mul(matmul(q, swapaxes(k, 2, 3)), self.head_size ** -0.5)
-        weights = softmax(scores + attn_bias, axis=-1)
-        context = reshape(swapaxes(matmul(weights, v), 1, 2), (batch, seq, d))
-        attn_out = matmul(context, self.wo) + self.bo
+        # Q, K and V come from one GEMM over the weights packed at call time,
+        # so the parameters (and checkpoints) keep their separate names
+        w_qkv = concat([self.wq, self.wk, self.wv], axis=1)
+        b_qkv = concat([self.bq, self.bk, self.bv], axis=0)
+        context = attention(linear(x, w_qkv, b_qkv), attn_bias, self.num_heads)
+        attn_out = linear(context, self.wo, self.bo)
         if rng is not None:
             attn_out = dropout(attn_out, dropout_rate, rng)
         x = layer_norm(x + attn_out, self.attn_gain, self.attn_bias)
-        ffn_out = matmul(relu(matmul(x, self.ffn_w1) + self.ffn_b1), self.ffn_w2) + self.ffn_b2
+        ffn_out = linear(relu(linear(x, self.ffn_w1, self.ffn_b1)), self.ffn_w2, self.ffn_b2)
         if rng is not None:
             ffn_out = dropout(ffn_out, dropout_rate, rng)
         return layer_norm(x + ffn_out, self.ffn_gain, self.ffn_bias)
@@ -149,7 +141,7 @@ def encode(stack: EncoderStack, input_emb: Tensor, bank: PrefixBank,
     p = bank.prompt_len
 
     full_mask = np.concatenate([np.ones((batch, p)), mask], axis=1)
-    attn_bias = Tensor((1.0 - full_mask)[:, None, None, :] * MASK_BIAS)
+    attn_bias = (1.0 - full_mask)[:, None, None, :] * MASK_BIAS
 
     def prefixed(layer_index: int, x_rest: Tensor) -> Tensor:
         m = bank.matrices[layer_index]

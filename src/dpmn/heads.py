@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .tensor import ParameterStore, Tensor, concat, lstm_scan, matmul, relu
+from .tensor import ParameterStore, Tensor, concat, linear, lstm_scan, relu
 
 
 class BiLstmFfnHead:
@@ -42,8 +42,7 @@ class BiLstmFfnHead:
         return concat([forward, backward], axis=1)
 
     def ffn(self, states: Tensor) -> Tensor:
-        hidden = relu(matmul(states, self.w_f1) + self.b_f1)
-        return matmul(hidden, self.w_f2) + self.b_f2
+        return linear(relu(linear(states, self.w_f1, self.b_f1)), self.w_f2, self.b_f2)
 
     def forward(self, shared: Tensor, lengths: np.ndarray) -> Tensor:
         return self.ffn(self.bilstm(shared, lengths))
@@ -58,7 +57,7 @@ class LinearHead:
         self.b = store.new(f"{name}.b", (n_classes,), 0.0)
 
     def forward(self, shared: Tensor, lengths: np.ndarray) -> Tensor:
-        return matmul(shared[:, 0, :], self.w) + self.b
+        return linear(shared[:, 0, :], self.w, self.b)
 
 
 HEAD_KINDS = ("bilstm-ffn", "linear")

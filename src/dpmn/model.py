@@ -36,6 +36,11 @@ class DpmnModel:
     def __init__(self, encoder_config: EncoderConfig, prompt_config: PromptConfig,
                  head_kind: str = "bilstm-ffn", rng_seed: int = 0,
                  lstm_hidden: int | None = None, head_ffn_size: int | None = None):
+        if rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {rng_seed}")
+        for name, size in (("lstm_hidden", lstm_hidden), ("head_ffn_size", head_ffn_size)):
+            if size is not None and size < 1:
+                raise ConfigError(f"{name} must be >= 1, got {size}")
         d = encoder_config.hidden_size
         self._store = ParameterStore(np.random.Generator(np.random.PCG64(rng_seed)))
         self.encoder = EncoderStack(encoder_config, self._store)

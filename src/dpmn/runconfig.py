@@ -8,6 +8,7 @@ fixed order; optional keys are omitted when unset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import get_args, get_type_hints
 
@@ -42,7 +43,7 @@ class TrainConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         for name in ("batch_size", "max_epochs", "early_stop_patience", "min_freq"):
             if getattr(self, name) < 1:
@@ -138,7 +139,7 @@ def _parse_pairs(text: str, allow_prefix: str | None = None) -> dict[str, str]:
             raise ConfigError(f"duplicate config key {key!r}")
         if key not in KNOWN_KEYS and not (allow_prefix and key.startswith(allow_prefix)):
             raise ConfigError(f"unknown config key {key!r}")
-        pairs[key] = value
+        pairs[key] = value.strip()
     return pairs
 
 
@@ -152,6 +153,8 @@ def _build_config(pairs: dict[str, str]) -> TrainConfig:
             value = parse(raw)
         except ValueError:
             raise ConfigError(f"key {key!r} needs {expected}, got {raw!r}") from None
+        if kind is float and math.isnan(value):  # NaN passes every range check
+            raise ConfigError(f"key {key!r} needs a number, got {raw!r}")
         (nested[owner] if owner else top)[name] = value
     return TrainConfig(**top, **{owner: _FIELD_TYPES[owner](**values)
                                  for owner, values in nested.items()})

@@ -195,23 +195,80 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    try:
-        out = Tensor(a.data @ b.data)
-    except ValueError:
-        raise ShapeError(f"matmul batch extents disagree: {a.shape} @ {b.shape}") from None
+def linear(x, w, b=None) -> Tensor:
+    """x [..., k] @ w [k, n] (+ b [n]) as one flat GEMM and one tape entry."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear needs x [..., k] @ w [k, n], got {x.shape} @ {w.shape}")
+    k, n = w.shape
+    flat = x.data.reshape(-1, k)
+    y = flat @ w.data
+    if b is not None:
+        b = _as_tensor(b)
+        if b.shape != (n,):
+            raise ShapeError(f"linear bias {b.shape} does not match {n} outputs")
+        y += b.data
+    out = Tensor(y.reshape(x.shape[:-1] + (n,)))
+    if _active_tape is None:
+        return out
 
     def bw(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
+        g2 = g.reshape(-1, n)
+        grads = ((g2 @ w.data.T).reshape(x.shape), flat.T @ g2)
+        return grads if b is None else grads + (g2.sum(axis=0),)
 
-    _record(out, (a, b), bw)
+    _record(out, (x, w) if b is None else (x, w, b), bw)
+    return out
+
+
+def matmul(a, b) -> Tensor:
+    """a [..., k] @ b [k, n]: `linear` without a bias."""
+    return linear(a, b)
+
+
+def attention(qkv: Tensor, bias: np.ndarray, num_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over a packed projection.
+
+    qkv [batch, seq, 3d] holds Q, K and V side by side, each split into
+    num_heads heads of d / num_heads columns. `bias` is a constant added to
+    the scores [batch, heads, seq, seq] before the softmax (a mask). Returns
+    the heads' context merged back to [batch, seq, d]. One tape entry; the
+    backward is derived by hand as in FlashAttention, without tiling.
+    """
+    qkv = _as_tensor(qkv)
+    if qkv.ndim != 3 or qkv.shape[2] % (3 * num_heads):
+        raise ShapeError(f"attention needs qkv [batch, seq, 3d] for {num_heads} heads, "
+                         f"got {qkv.shape}")
+    batch, seq, width = qkv.shape
+    d = width // 3
+    head_size = d // num_heads
+    scale = head_size ** -0.5
+    q, k, v = qkv.data.reshape(batch, seq, 3, num_heads, head_size).transpose(2, 0, 3, 1, 4)
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= scale
+    try:
+        scores += bias
+    except ValueError:
+        raise ShapeError(f"attention bias {np.shape(bias)} does not broadcast to "
+                         f"scores {scores.shape}") from None
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out = Tensor((weights @ v).transpose(0, 2, 1, 3).reshape(batch, seq, d))
+    if _active_tape is None:
+        return out
+
+    def bw(g):
+        g_context = g.reshape(batch, seq, num_heads, head_size).transpose(0, 2, 1, 3)
+        d_qkv = np.empty((3, batch, num_heads, seq, head_size))
+        np.matmul(weights.swapaxes(-1, -2), g_context, out=d_qkv[2])
+        d_weights = g_context @ v.swapaxes(-1, -2)
+        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
+        d_scores *= scale
+        np.matmul(d_scores, k, out=d_qkv[0])
+        np.matmul(d_scores.swapaxes(-1, -2), q, out=d_qkv[1])
+        return (d_qkv.transpose(1, 3, 0, 2, 4).reshape(qkv.shape),)
+
+    _record(out, (qkv,), bw)
     return out
 
 
@@ -373,13 +430,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.reshape(shape))
     _record(out, (a,), lambda g: (g.reshape(a.shape),))
-    return out
-
-
-def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.swapaxes(a.data, axis1, axis2))
-    _record(out, (a,), lambda g: (np.swapaxes(g, axis1, axis2),))
     return out
 
 

@@ -24,7 +24,7 @@ from .data import (
     build_vocab,
     make_batches,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, ContractError, IntegrityError, NumericError
 from .losses import LossWeights, cross_entropy, total_loss
 from .metrics import confusion_matrix, macro_f1
 from .model import DpmnModel
@@ -91,10 +91,15 @@ class TrainResult:
 
 
 def _resolve_prompt(cfg: TrainConfig, vocab: Vocab) -> PromptConfig:
-    """Fill in token-init ids when the config deferred them: the most
-    frequent non-reserved tokens, i.e. the first ids after the reserved ones."""
+    """Check token-init ids against the vocabulary, or pick them when the config
+    deferred them: the first ids after the reserved ones, the most frequent."""
     p = cfg.prompt
-    if p.init != "token" or p.token_ids is not None or p.length == 0:
+    if p.init != "token" or p.length == 0:
+        return p
+    if p.token_ids is not None:
+        if not all(0 <= t < vocab.size for t in p.token_ids):
+            raise ConfigError(f"prompt_token_ids {','.join(map(str, p.token_ids))} reach "
+                              f"outside the vocabulary of {vocab.size} tokens")
         return p
     first = len(RESERVED)
     if vocab.size < first + p.length:
@@ -221,9 +226,12 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *, log=None) -> TrainR
 
 def load_model(checkpoint_path) -> tuple[DpmnModel, TrainConfig, Vocab]:
     header_text, arrays = load_checkpoint(checkpoint_path)
-    cfg, vocab = parse_checkpoint_header(header_text)
-    model = _build_model(cfg, vocab)
-    model.load_state(arrays)
+    try:
+        cfg, vocab = parse_checkpoint_header(header_text)
+        model = _build_model(cfg, vocab)
+        model.load_state(arrays)
+    except (ConfigError, ContractError) as e:
+        raise IntegrityError(f"checkpoint does not describe a valid model: {e}") from None
     return model, cfg, vocab
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dpmn.checkpoint import checkpoint_bytes, load_checkpoint
 from dpmn.cli import main
 from dpmn.data import generate_synthetic_corpus, write_tsv
 from dpmn.gradcheck import GradcheckReport
@@ -191,6 +192,34 @@ def test_checkpoint_with_overflowing_extents_exits_three(workdir, capsys):
         ["eval", "--checkpoint", str(damaged), "--data", str(workdir / "dev.tsv")], damaged, capsys)
 
 
+# Config lines a trained FAST_CONFIG checkpoint cannot describe a model with;
+# the model rejects the last three, not the config.
+_INVALID_CONFIG = {"batch-size": "batch_size = 0", "heads": "num_heads = 0",
+                   "seed": "rng_seed = -1", "lstm-hidden": "lstm_hidden = 0",
+                   "token-ids": "prompt_init = token\nprompt_token_ids = 999"}
+_MODEL_REJECTS = ["seed", "lstm-hidden", "token-ids"]
+
+
+@pytest.mark.parametrize("lines", [*_INVALID_CONFIG.values(), "vocab.0 = x"],
+                         ids=[*_INVALID_CONFIG, "vocab"])
+def test_checkpoint_with_invalid_config_exits_three(workdir, checkpoint, capsys, lines):
+    header, arrays = load_checkpoint(checkpoint)
+    keys = {line.split(" = ")[0] for line in lines.splitlines()}
+    kept = [line for line in header.splitlines() if line.split(" = ")[0] not in keys]
+    damaged = workdir / "invalid.ckpt"
+    damaged.write_bytes(checkpoint_bytes("\n".join(kept) + "\n" + lines + "\n", arrays))
+    _unreadable_input_exits_three(
+        ["eval", "--checkpoint", str(damaged), "--data", str(workdir / "dev.tsv")], damaged, capsys)
+
+
+@pytest.mark.parametrize("lines", [_INVALID_CONFIG[k] for k in _MODEL_REJECTS], ids=_MODEL_REJECTS)
+def test_config_the_model_cannot_take_exits_two(workdir, capsys, lines):
+    (workdir / "run.cfg").write_text(FAST_CONFIG + lines + "\n", encoding="utf-8")
+    assert main(["train", "--config", str(workdir / "run.cfg"), "--train",
+                 str(workdir / "train.tsv"), "--dev", str(workdir / "dev.tsv")]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+
+
 def test_non_utf8_corpus_exits_three(workdir, capsys):
     mangled = workdir / "latin1.tsv"
     mangled.write_bytes(b"id\ttweet\tsubtask_a\tsubtask_b\tsubtask_c\n1\tcaf\xe9\tNOT\tNULL\tNULL\n")
@@ -204,6 +233,19 @@ def test_gradcheck_command_passes(capsys):
     printed = capsys.readouterr().out
     assert "result PASS" in printed
     assert "op matmul" in printed
+
+
+def test_gradcheck_reprobes_a_kink_and_passes(capsys):
+    """Seed 2 probes head_b.ffn.b1[5], whose ReLU pre-activation on one
+    probe example lies within the 1e-5 step of the kink."""
+    assert main(["gradcheck", "--probes", "200", "--seed", "2"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    reprobes = [line.split() for line in printed if line.startswith("reprobe")]
+    assert [words[:4] for words in reprobes] == [["reprobe", "head_b.ffn.b1[5]", "step", "1e-06"]]
+    assert float(reprobes[0][-1]) < 1e-4
+    assert printed[-1].endswith("result PASS")
+    ops = {line.split()[1] for line in printed if line.startswith("op ")}
+    assert {"linear", "linear_2d", "attention"} <= ops
 
 
 @pytest.mark.parametrize("probes", ["0", "-3"])

@@ -154,6 +154,17 @@ def test_masked_attention_weight_is_negligible():
     assert np.allclose(short.data, padded.data[:, :3, :], atol=1e-12, rtol=0)
 
 
+def test_transformer_layer_records_twelve_tape_entries(rng):
+    """Two weight concats, the packed QKV linear, attention, three more
+    linears, relu, two residual adds and two layer norms."""
+    layer = _stack().layers[0]
+    x = Tensor(rng.normal(size=(2, 5, CFG.hidden_size)))
+    bias = np.zeros((2, 1, 1, 5))
+    with Tape() as tape:
+        layer.forward(x, bias, 0.0, None)
+    assert len(tape) == 12
+
+
 def test_encode_is_permutation_equivariant_over_batch():
     stack = _stack()
     bank = _bank(stack, length=1)

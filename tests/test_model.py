@@ -14,7 +14,7 @@ from dpmn.gradcheck import (
 from dpmn.losses import cross_entropy
 from dpmn.model import DpmnModel
 from dpmn.prompt import PromptConfig
-from dpmn.tensor import Tape, backward
+from dpmn.tensor import Tape, Tensor, _record, backward
 
 from conftest import encoder_parameters, head_parameters, max_rel_error, numeric_gradient
 
@@ -59,6 +59,27 @@ def test_full_network_gradients_match_finite_differences_two_examples():
 
     worst = check_network(n_probes=140, seed=3)
     assert max(worst.values()) < NETWORK_TOLERANCE
+
+
+def test_kink_reprobe_leaves_clean_probes_alone():
+    reprobes = []
+    check_network(n_probes=200, seed=0, reprobes=reprobes)
+    assert reprobes == []
+
+
+def _relu_passing_every_gradient(a):
+    """ReLU forward with a wrong backward: it ignores the mask."""
+    out = Tensor(np.maximum(a.data, 0.0))
+    _record(out, (a,), lambda g: (g,))
+    return out
+
+
+def test_wrong_backward_still_fails_where_a_kink_is_reprobed(monkeypatch):
+    """Seed 2 is the seed whose probe straddles a ReLU kink in head_b: the
+    re-probe must not let a wrong head backward pass."""
+    monkeypatch.setattr("dpmn.heads.relu", _relu_passing_every_gradient)
+    worst = check_network(n_probes=200, seed=2, reprobes=[])
+    assert worst["head_b"] >= NETWORK_TOLERANCE
 
 
 def test_op_level_gradcheck_passes_packaged_harness():

@@ -179,6 +179,54 @@ def test_invalid_enum_values_rejected():
         parse_config("optimizer = lbfgs\n")
 
 
+def test_value_whitespace_is_stripped():
+    cfg = parse_config("out_dir =  run1\nbatch_size = \t8\nprompt_token_ids =  3, 4\n"
+                       "prompt_init = token\nprompt_length = 2\n")
+    assert cfg.out_dir == "run1" and cfg.batch_size == 8 and cfg.prompt.token_ids == (3, 4)
+    assert parse_config(format_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("key", ["learning_rate", "dropout", "loss_weight_main"])
+def test_nan_value_rejected(key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(f"{key} = nan\n")
+
+
+# Config text: distinct known keys, each with a value that is any text or
+# has the shape of some key's value, after one to three spaces or tabs.
+_VALUES = st.one_of(
+    st.text(),
+    st.integers(-1, 4).map(str),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.lists(st.integers(-1, 40), min_size=1, max_size=3).map(lambda v: ", ".join(map(str, v))),
+    st.sampled_from(FORMS + INITS + TUNINGS + HEAD_KINDS + ("adam", "sgd")),
+)
+_CONFIG_TEXT = st.lists(
+    st.tuples(st.sampled_from(sorted(KNOWN_KEYS)), st.text(" \t", max_size=2), _VALUES),
+    max_size=4, unique_by=lambda pair: pair[0],
+).map(lambda pairs: "".join(f"{k} = {pad}{v}\n" for k, pad, v in pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIG_TEXT | st.text() | st.lists(_CONFIG_TEXT | st.text()).map("\n".join))
+def test_config_text_raises_only_config_error(text):
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIG_TEXT)
+def test_every_accepted_config_round_trips(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert parse_config(format_config(cfg)) == cfg
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("# a comment\n\nbatch_size = 4\n")
     assert cfg.batch_size == 4

@@ -5,26 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpmn.encoder import MASK_BIAS
 from dpmn.errors import ContractError, EmbeddingIndexError, ShapeError
 from dpmn.tensor import (
     Tape,
     Tensor,
     add,
+    attention,
     backward,
     broadcast_to,
     concat,
     dropout,
     embedding_lookup,
     layer_norm,
+    linear,
     log_softmax,
     matmul,
     mul,
     relu,
+    reshape,
     sigmoid,
     slice_,
     softmax,
     sum_,
-    swapaxes,
     tanh,
 )
 
@@ -238,10 +241,9 @@ def test_concat_slice_sum_gradients(rng):
     _fd_check(lambda: sum_(x, axis=1), [x], rng)
 
 
-def test_reshape_swap_broadcast_gradients(rng):
+def test_reshape_broadcast_gradients(rng):
     x = Tensor(rng.normal(size=(2, 3, 4)))
     _fd_check(lambda: x.reshape(6, 4), [x], rng)
-    _fd_check(lambda: swapaxes(x, 0, 2), [x], rng)
     y = Tensor(rng.normal(size=(1, 4)))
     _fd_check(lambda: broadcast_to(y, (3, 4)), [y], rng)
 
@@ -277,3 +279,103 @@ def test_nested_tape_rejected():
         with pytest.raises(ContractError):
             with Tape():
                 pass
+
+
+# The fused primitives and their references sum in different orders; in
+# float64 they agree far inside this bound.
+FUSED_REL_TOL = 1e-12
+
+
+def _reference_linear(x, w, b):
+    """x @ w (+ b) composed of a broadcast multiply and a sum."""
+    out = sum_(mul(reshape(x, x.shape + (1,)), w), axis=-2)
+    return out if b is None else add(out, b)
+
+
+def _reference_attention(qkv, bias, heads):
+    """Masked multi-head attention composed of elementwise tape ops, laid
+    out as [batch, query, key, head] so no transpose op is needed."""
+    batch, seq, width = qkv.shape
+    d = width // 3
+    size = d // heads
+
+    def part(i, shape):
+        return reshape(qkv[:, :, i * d:(i + 1) * d], shape)
+
+    q = part(0, (batch, seq, 1, heads, size))
+    k = part(1, (batch, 1, seq, heads, size))
+    v = part(2, (batch, 1, seq, heads, size))
+    key_bias = np.moveaxis(np.broadcast_to(bias, (batch, heads, seq, seq)), 1, -1)
+    scores = add(mul(sum_(mul(q, k), axis=-1), size ** -0.5), Tensor(key_bias))
+    weights = softmax(scores, axis=2)
+    context = sum_(mul(reshape(weights, (batch, seq, seq, heads, 1)), v), axis=2)
+    return reshape(context, (batch, seq, d))
+
+
+def _relative(a, b):
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+def _value_and_grads(fn, arrays, proj):
+    """fn's output and the gradients of (output * proj).sum() for each array."""
+    inputs = [None if a is None else Tensor(a.copy()) for a in arrays]
+    with Tape() as tape:
+        out = fn(*inputs)
+        loss = sum_(mul(out, Tensor(proj)))
+    backward(tape, loss)
+    return out.data, [t.grad for t in inputs if t is not None]
+
+
+def _assert_matches_reference(fused, reference, arrays, proj):
+    got, got_grads = _value_and_grads(fused, arrays, proj)
+    want, want_grads = _value_and_grads(reference, arrays, proj)
+    assert _relative(got, want) <= FUSED_REL_TOL
+    for g, w in zip(got_grads, want_grads, strict=True):
+        assert _relative(g, w) <= FUSED_REL_TOL
+    # without a tape the primitive computes the same values bitwise
+    assert np.array_equal(fused(*(None if a is None else Tensor(a) for a in arrays)).data, got)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(1, 4), min_size=0, max_size=2), st.integers(1, 5),
+       st.integers(1, 5), st.booleans(), st.integers(0, 2 ** 31))
+def test_linear_matches_composed_reference(lead, k, n, with_bias, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    arrays = [rng.normal(size=(*lead, k)), rng.normal(size=(k, n)),
+              rng.normal(size=n) if with_bias else None]
+    _assert_matches_reference(linear, _reference_linear, arrays,
+                              rng.normal(size=(*lead, n)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2 ** 31), st.data())
+def test_attention_matches_composed_reference(batch, seq, heads, size, seed, data):
+    """Padded keys (every row keeps at least one real key) carry MASK_BIAS."""
+    lengths = np.array(data.draw(st.lists(st.integers(1, seq), min_size=batch, max_size=batch)))
+    bias = np.where(np.arange(seq) < lengths[:, None], 0.0, MASK_BIAS)[:, None, None, :]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    d = heads * size
+    _assert_matches_reference(
+        lambda qkv: attention(qkv, bias, heads),
+        lambda qkv: _reference_attention(qkv, bias, heads),
+        [rng.normal(size=(batch, seq, 3 * d))], rng.normal(size=(batch, seq, d)))
+
+
+def test_fused_primitives_record_one_tape_entry(rng):
+    x, w, b = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(4, 6))), Tensor(np.zeros(6))
+    with Tape() as tape:
+        attention(linear(x, w, b), np.zeros((2, 1, 1, 3)), num_heads=2)
+    assert len(tape) == 2
+
+
+def test_fused_primitives_reject_bad_shapes(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(5, 6\)"):
+        linear(x, Tensor(np.zeros((5, 6))))
+    with pytest.raises(ShapeError, match="bias"):
+        linear(x, Tensor(np.zeros((4, 6))), Tensor(np.zeros(5)))
+    with pytest.raises(ShapeError, match="heads"):
+        attention(Tensor(np.zeros((2, 3, 12))), np.zeros((2, 1, 1, 3)), num_heads=3)
+    with pytest.raises(ShapeError, match="bias"):
+        attention(Tensor(np.zeros((2, 3, 12))), np.zeros((2, 1, 1, 4)), num_heads=2)
