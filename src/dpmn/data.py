@@ -146,13 +146,20 @@ def tokenize_words(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocab:
-    """token -> id map with PAD/UNK/CLS reserved at ids 0/1/2."""
+    """token -> id map with PAD/UNK/CLS reserved at ids 0/1/2; each token
+    has exactly one id."""
 
     tokens: tuple[str, ...]
     token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "token_to_id", {t: i for i, t in enumerate(self.tokens)})
+        if self.tokens[: len(RESERVED)] != RESERVED:
+            raise ContractError("vocab token list must start with the reserved tokens")
+        token_to_id = {}
+        for i, t in enumerate(self.tokens):
+            if token_to_id.setdefault(t, i) != i:
+                raise ContractError(f"vocab token {t!r} repeats at ids {token_to_id[t]} and {i}")
+        object.__setattr__(self, "token_to_id", token_to_id)
 
     @property
     def size(self) -> int:
@@ -160,13 +167,6 @@ class Vocab:
 
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
-
-    @staticmethod
-    def from_tokens(tokens) -> "Vocab":
-        tokens = tuple(tokens)
-        if tokens[: len(RESERVED)] != RESERVED:
-            raise ContractError("vocab token list must start with the reserved tokens")
-        return Vocab(tokens)
 
 
 def build_vocab(examples, min_freq: int = 1) -> Vocab:
@@ -183,7 +183,7 @@ def build_vocab(examples, min_freq: int = 1) -> Vocab:
         (t for t, n in counts.items() if n >= min_freq),
         key=lambda t: (-counts[t], t),
     )
-    return Vocab.from_tokens(RESERVED + tuple(kept))
+    return Vocab(RESERVED + tuple(kept))
 
 
 def tokenize(text: str, vocab: Vocab) -> list[int]:
@@ -203,12 +203,6 @@ class Batch:
     token_ids: np.ndarray      # [batch, T] int64, PAD-padded
     lengths: np.ndarray        # [batch] int64
     labels: dict[str, np.ndarray]  # task -> [batch] int64 class ids, ABSENT where missing
-
-    @property
-    def mask(self) -> np.ndarray:
-        """[batch, T] float64, 1.0 at the first `lengths` positions of each row."""
-        width = self.token_ids.shape[1]
-        return (np.arange(width) < self.lengths[:, None]).astype(np.float64)
 
     def __len__(self):
         return self.token_ids.shape[0]

@@ -21,14 +21,13 @@ from .tensor import (
     ParameterStore,
     Tensor,
     attention,
-    broadcast_to,
     concat,
     dropout,
     embedding_lookup,
     layer_norm,
     linear,
+    prefix,
     relu,
-    reshape,
 )
 
 MASK_BIAS = -1e9  # large enough that masked attention weights underflow to 0.0
@@ -126,33 +125,21 @@ class EncoderStack:
 
 
 def encode(stack: EncoderStack, input_emb: Tensor, bank: PrefixBank,
-           mask: np.ndarray, dropout_rng: np.random.Generator | None = None) -> Tensor:
+           lengths: np.ndarray, dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Run the full stack over prompt prefix + text.
 
-    Layer 0 consumes prefix matrix 0 concatenated ahead of the text
-    embeddings; every later layer i that has a matrix i in the bank first
-    overwrites the prompt slots with it. Returns the last layer's full
-    hidden sequence, shape [batch, p_n + T, hidden].
+    `lengths` counts each row's real positions, prompt slots included;
+    attention to the positions after them is masked. Layer 0 consumes prefix
+    matrix 0 ahead of the text embeddings; every later layer i that has a
+    matrix i in the bank first overwrites the prompt slots with it. Returns
+    the last layer's full hidden sequence, shape [batch, p_n + T, hidden].
     """
-    batch, seq, d = input_emb.shape
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (batch, seq):
-        raise ContractError(f"mask shape {mask.shape} does not match ({batch}, {seq})")
     p = bank.prompt_len
-
-    full_mask = np.concatenate([np.ones((batch, p)), mask], axis=1)
-    attn_bias = (1.0 - full_mask)[:, None, None, :] * MASK_BIAS
-
-    def prefixed(layer_index: int, x_rest: Tensor) -> Tensor:
-        m = bank.matrices[layer_index]
-        tile = broadcast_to(reshape(m, (1, p, d)), (batch, p, d))
-        return concat([tile, x_rest], axis=1)
-
-    x = prefixed(0, input_emb) if p > 0 else input_emb
-    rate = stack.config.dropout
+    slots = np.arange(p + input_emb.shape[1])
+    attn_bias = np.where(slots < lengths[:, None], 0.0, MASK_BIAS)[:, None, None, :]
+    x = input_emb
     for i, layer in enumerate(stack.layers):
-        if 0 < i < len(bank.matrices):
-            x = prefixed(i, x[:, p:, :])
-        x = layer.forward(x, attn_bias, rate, dropout_rng)
+        if i < len(bank.matrices):
+            x = prefix(bank.matrices[i], x, skip=p if i else 0)
+        x = layer.forward(x, attn_bias, stack.config.dropout, dropout_rng)
     return x
-

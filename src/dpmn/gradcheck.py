@@ -27,15 +27,14 @@ from .tensor import (
     add,
     attention,
     backward,
-    broadcast_to,
     concat,
     embedding_lookup,
     layer_norm,
     linear,
     log_softmax,
     lstm_scan,
-    matmul,
     mul,
+    prefix,
     relu,
     reshape,
     sigmoid,
@@ -99,8 +98,6 @@ def _op_catalog(rng: np.random.Generator):
     def t(*shape, low=-1.0, high=1.0):
         return Tensor(rng.uniform(low, high, size=shape))
 
-    a34, b42 = t(3, 4), t(4, 2)
-    batched_a, shared_b = t(2, 3, 4), t(4, 3)
     add_a, add_b = t(2, 5), t(5)
     mul_a, mul_b = t(2, 5), t(2, 1)
     relu_in = Tensor(rng.uniform(0.1, 1.0, size=(3, 4)) * rng.choice([-1.0, 1.0], size=(3, 4)))
@@ -113,20 +110,21 @@ def _op_catalog(rng: np.random.Generator):
     sl_in = t(4, 5, 6)
     sum_in = t(3, 4, 5)
     rs_in = t(2, 3, 4)
-    bc_in = t(1, 4)
+    # a 2-slot prompt ahead of a 3-slot text, and over a previous prompt
+    pre_m, pre_x = t(2, 4), t(3, 3, 4)
+    over_m, over_x = t(2, 4), t(3, 5, 4)
     # one padded row; each direction gets its own inputs because .grad accumulates
     scan_lengths = np.array([4, 2])
     fw_scan = [t(2, 4, 3), t(3, 8), t(2, 8), t(8)]
     bw_scan = [t(2, 4, 3), t(3, 8), t(2, 8), t(8)]
     lin_x, lin_w, lin_b = t(2, 3, 4), t(4, 5), t(5)
     lin2_x, lin2_w = t(3, 4), t(4, 2)
+    lin_nb_x, lin_nb_w = t(2, 3, 4), t(4, 3)
     # two heads of width 2; the second row's last key is padding
     qkv = t(2, 3, 12)
     att_bias = np.where(np.arange(3) < np.array([[3], [2]]), 0.0, MASK_BIAS)[:, None, None, :]
 
     return [
-        ("matmul", [a34, b42], lambda: matmul(a34, b42)),
-        ("matmul_batched", [batched_a, shared_b], lambda: matmul(batched_a, shared_b)),
         ("add", [add_a, add_b], lambda: add(add_a, add_b)),
         ("mul", [mul_a, mul_b], lambda: mul(mul_a, mul_b)),
         ("relu", [relu_in], lambda: relu(relu_in)),
@@ -140,12 +138,14 @@ def _op_catalog(rng: np.random.Generator):
         ("slice", [sl_in], lambda: slice_(sl_in, (slice(None), 2, slice(1, 4)))),
         ("sum", [sum_in], lambda: sum_(sum_in, axis=1)),
         ("reshape", [rs_in], lambda: reshape(rs_in, (6, 4))),
-        ("broadcast_to", [bc_in], lambda: broadcast_to(bc_in, (3, 4))),
+        ("prefix", [pre_m, pre_x], lambda: prefix(pre_m, pre_x, skip=0)),
+        ("prefix_overwrite", [over_m, over_x], lambda: prefix(over_m, over_x, skip=2)),
         ("lstm_scan", fw_scan, lambda: lstm_scan(fw_scan[0], scan_lengths, *fw_scan[1:])),
         ("lstm_scan_reverse", bw_scan,
          lambda: lstm_scan(bw_scan[0], scan_lengths, *bw_scan[1:], reverse=True)),
         ("linear", [lin_x, lin_w, lin_b], lambda: linear(lin_x, lin_w, lin_b)),
         ("linear_2d", [lin2_x, lin2_w], lambda: linear(lin2_x, lin2_w)),
+        ("linear_no_bias", [lin_nb_x, lin_nb_w], lambda: linear(lin_nb_x, lin_nb_w)),
         ("attention", [qkv], lambda: attention(qkv, att_bias, num_heads=2)),
     ]
 
@@ -181,8 +181,7 @@ def build_probe_setup():
     vocab = build_vocab(examples, min_freq=1)
     model = DpmnModel(cfg.encoder_config(vocab.size), cfg.prompt,
                       head_kind=cfg.head_kind, rng_seed=cfg.rng_seed)
-    batch = make_batches(examples, vocab, len(examples),
-                         cfg.max_seq_len - cfg.prompt.length)[0]
+    batch = make_batches(examples, vocab, len(examples), model.text_budget)[0]
 
     def compute_loss():
         logits = model.forward(batch)

@@ -56,6 +56,11 @@ class DpmnModel:
             for task in TASKS
         }
 
+    @property
+    def text_budget(self) -> int:
+        """Token positions a text may fill: max_seq_len less the prompt slots."""
+        return self.encoder.config.max_seq_len - self.bank.prompt_len
+
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._store.tensors)
 
@@ -71,9 +76,9 @@ class DpmnModel:
                 dropout_rng: np.random.Generator | None = None) -> dict[str, Tensor]:
         """Logits per task. Pass a dropout generator only while training."""
         p = self.bank.prompt_len
-        emb = self.encoder.embed(batch.token_ids, prompt_len=p)
-        shared = encode(self.encoder, emb, self.bank, batch.mask, dropout_rng)
         lengths = batch.lengths + p
+        emb = self.encoder.embed(batch.token_ids, prompt_len=p)
+        shared = encode(self.encoder, emb, self.bank, lengths, dropout_rng)
         return {task: head_forward(self.heads[task], shared, lengths, task)
                 for task in TASKS}
 

@@ -60,7 +60,7 @@ class TrainConfig:
 
 
 # The text form is flat: the fields of a nested config dataclass appear in
-# its place, their keys prefixed, and one key renamed.
+# its place, each key led by the nested field's tag, and one key renamed.
 _NESTED = {"loss_weights": "loss_weight_", "prompt": "prompt_"}
 _RENAMED = {"prompt_tuning": "tuning_strategy"}
 
@@ -193,4 +193,4 @@ def parse_checkpoint_header(text: str) -> tuple[TrainConfig, Vocab]:
     if any(t is None for t in tokens):
         raise ConfigError("vocab ids in checkpoint header are not contiguous")
     cfg = _build_config({k: v for k, v in pairs.items() if not k.startswith("vocab.")})
-    return cfg, Vocab.from_tokens(tokens)
+    return cfg, Vocab(tuple(tokens))

@@ -67,11 +67,6 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
 
 class ParameterStore:
     """Named parameters in creation order; the one place parameters are made.
@@ -219,11 +214,6 @@ def linear(x, w, b=None) -> Tensor:
 
     _record(out, (x, w) if b is None else (x, w, b), bw)
     return out
-
-
-def matmul(a, b) -> Tensor:
-    """a [..., k] @ b [k, n]: `linear` without a bias."""
-    return linear(a, b)
 
 
 def attention(qkv: Tensor, bias: np.ndarray, num_heads: int) -> Tensor:
@@ -433,14 +423,28 @@ def reshape(a: Tensor, shape) -> Tensor:
     return out
 
 
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
-    shape = tuple(shape)
-    try:
-        out = Tensor(np.broadcast_to(a.data, shape).copy())
-    except ValueError:
-        raise ShapeError(f"cannot broadcast {a.shape} to {shape}") from None
-    _record(out, (a,), lambda g: (_unbroadcast(g, a.shape),))
+def prefix(m: Tensor, x: Tensor, skip: int) -> Tensor:
+    """m [p, d] in every row's first p slots, then x [batch, seq, d] from slot
+    `skip` on: skip 0 puts the prompt ahead of the text, skip p overwrites a
+    previous prompt. One tape entry; m's gradient sums the prompt slots over
+    the batch, and x's first `skip` slots get a zero gradient.
+    """
+    m, x = _as_tensor(m), _as_tensor(x)
+    if m.ndim != 2 or x.ndim != 3 or m.shape[1] != x.shape[2]:
+        raise ShapeError(f"prefix needs m [p, d] and x [batch, seq, d], "
+                         f"got {m.shape} and {x.shape}")
+    if not 0 <= skip <= x.shape[1]:
+        raise ShapeError(f"prefix skip {skip} is outside the {x.shape[1]} slots of x")
+    p = m.shape[0]
+    tiled = np.broadcast_to(m.data, (x.shape[0],) + m.shape)
+    out = Tensor(np.concatenate([tiled, x.data[:, skip:]], axis=1))
+
+    def bw(g):
+        dx = np.zeros(x.shape)
+        dx[:, skip:] = g[:, p:]
+        return g[:, :p].sum(axis=0), dx
+
+    _record(out, (m, x), bw)
     return out
 
 

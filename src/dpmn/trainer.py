@@ -121,6 +121,14 @@ def _build_model(cfg: TrainConfig, vocab: Vocab) -> DpmnModel:
     )
 
 
+def _require_finite(arrays: dict[str, np.ndarray | None], what: str, step: int) -> None:
+    """Raise NumericError naming the first parameter whose array holds a
+    NaN or an infinity; a parameter without a gradient has nothing to check."""
+    for name, values in arrays.items():
+        if values is not None and not np.isfinite(values).all():
+            raise NumericError(f"non-finite {what} of {name} at training step {step}")
+
+
 def evaluate_model(model: DpmnModel, batches: list[Batch]) -> EvalReport:
     """Macro F1 and confusion matrix per task, over examples whose label is
     present for that task. Forward passes run without a tape (no dropout)."""
@@ -156,7 +164,7 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *, log=None) -> TrainR
     optimizer = make_optimizer(cfg.optimizer, trainable, cfg.learning_rate)
     dropout_rng = np.random.Generator(np.random.PCG64(cfg.rng_seed + 2))
     weights = cfg.loss_weights
-    cap = cfg.max_seq_len - model.bank.prompt_len
+    cap = model.text_budget
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)  # fail before training, not after it
 
@@ -187,7 +195,9 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *, log=None) -> TrainR
             epoch_losses += parts
             optimizer.zero_grad()
             backward(tape, loss)
+            _require_finite({name: p.grad for name, p in trainable.items()}, "gradient", step)
             optimizer.step()
+            _require_finite({name: p.data for name, p in trainable.items()}, "value", step)
 
         report = evaluate_model(model, dev_batches)
         monitored = report.f1["a"]
@@ -237,8 +247,8 @@ def load_model(checkpoint_path) -> tuple[DpmnModel, TrainConfig, Vocab]:
 
 def evaluate_checkpoint(checkpoint_path, examples) -> EvalReport:
     model, cfg, vocab = load_model(checkpoint_path)
-    cap = cfg.max_seq_len - model.bank.prompt_len
-    return evaluate_model(model, make_batches(examples, vocab, cfg.batch_size, cap))
+    return evaluate_model(model, make_batches(examples, vocab, cfg.batch_size,
+                                              model.text_budget))
 
 
 # The six architecture variants the ablation runner compares:

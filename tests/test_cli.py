@@ -1,11 +1,13 @@
 """Command-line surface: subcommands, artifacts, and exit codes."""
 
+import numpy as np
 import pytest
 
 from dpmn.checkpoint import checkpoint_bytes, load_checkpoint
 from dpmn.cli import main
 from dpmn.data import generate_synthetic_corpus, write_tsv
 from dpmn.gradcheck import GradcheckReport
+from dpmn.optim import Adam
 
 from conftest import one_record_checkpoint
 
@@ -220,6 +222,33 @@ def test_config_the_model_cannot_take_exits_two(workdir, capsys, lines):
     assert capsys.readouterr().err.startswith("config error")
 
 
+def test_checkpoint_with_a_repeated_vocab_token_exits_three(workdir, checkpoint, capsys):
+    """The last vocab.N line of a resealed header repeats vocab.3's token."""
+    header, arrays = load_checkpoint(checkpoint)
+    lines = header.splitlines()
+    last = max(i for i, line in enumerate(lines) if line.startswith("vocab."))
+    repeated = next(line for line in lines if line.startswith("vocab.3 = ")).split(" = ")[1]
+    lines[last] = lines[last].split(" = ")[0] + " = " + repeated
+    damaged = workdir / "repeated.ckpt"
+    damaged.write_bytes(checkpoint_bytes("\n".join(lines) + "\n", arrays))
+    _unreadable_input_exits_three(
+        ["eval", "--checkpoint", str(damaged), "--data", str(workdir / "dev.tsv")], damaged, capsys)
+
+
+def test_non_finite_parameter_exits_four(workdir, capsys, monkeypatch):
+    step = Adam.step
+
+    def overflowing(self):
+        step(self)
+        self.params["head_a.ffn.b2"].data[0] = np.inf
+
+    monkeypatch.setattr(Adam, "step", overflowing)
+    assert main(["train", "--config", str(workdir / "run.cfg"), "--train",
+                 str(workdir / "train.tsv"), "--dev", str(workdir / "dev.tsv")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure") and "head_a.ffn.b2 at training step 1" in err
+
+
 def test_non_utf8_corpus_exits_three(workdir, capsys):
     mangled = workdir / "latin1.tsv"
     mangled.write_bytes(b"id\ttweet\tsubtask_a\tsubtask_b\tsubtask_c\n1\tcaf\xe9\tNOT\tNULL\tNULL\n")
@@ -232,7 +261,7 @@ def test_gradcheck_command_passes(capsys):
     assert main(["gradcheck", "--probes", "40", "--seed", "1"]) == 0
     printed = capsys.readouterr().out
     assert "result PASS" in printed
-    assert "op matmul" in printed
+    assert "op linear" in printed
 
 
 def test_gradcheck_reprobes_a_kink_and_passes(capsys):
@@ -256,7 +285,7 @@ def test_gradcheck_without_network_probes_exits_two(capsys, probes):
 
 
 def test_gradcheck_failure_exits_four(monkeypatch, capsys):
-    failing = GradcheckReport(op_errors={"matmul": 1.0}, network_errors={}, probes=1)
+    failing = GradcheckReport(op_errors={"linear": 1.0}, network_errors={}, probes=1)
     monkeypatch.setattr("dpmn.cli.run_gradcheck", lambda **kw: failing)
     assert main(["gradcheck"]) == 4
     assert "numeric failure" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from dpmn.data import (
     TASKS,
     UNK_ID,
     Example,
+    Vocab,
     build_vocab,
     example_to_row,
     generate_synthetic_corpus,
@@ -247,6 +248,14 @@ def test_vocab_deterministic():
     assert build_vocab(examples).tokens == build_vocab(examples).tokens
 
 
+def test_vocab_rejects_a_repeated_token_or_a_missing_reserved_prefix():
+    with pytest.raises(ContractError, match="'you' repeats at ids 3 and 5"):
+        Vocab(RESERVED + ("you", "fool", "you"))
+    with pytest.raises(ContractError, match="reserved"):
+        Vocab(("you",) + RESERVED)
+    assert Vocab(RESERVED + ("you",)).id_of("you") == 3
+
+
 def test_batch_sizes_for_65_examples():
     examples = generate_synthetic_corpus(65, seed=0)
     vocab = build_vocab(examples)
@@ -269,8 +278,8 @@ def test_mask_marks_exactly_non_pad_positions():
     examples = generate_synthetic_corpus(17, seed=2)
     vocab = build_vocab(examples)
     for batch in make_batches(examples, vocab, 5, 30):
-        assert np.array_equal(batch.mask, (batch.token_ids != PAD_ID).astype(float))
-        assert np.array_equal(batch.lengths, batch.mask.sum(axis=1))
+        real = np.arange(batch.token_ids.shape[1]) < batch.lengths[:, None]
+        assert np.array_equal(real, batch.token_ids != PAD_ID)
 
 
 def test_truncation_keeps_cls():

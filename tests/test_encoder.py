@@ -59,10 +59,11 @@ def test_embed_rejects_out_of_range_id():
         stack.embed(np.array([[99]]))
 
 
-def _run(stack, bank, ids, mask=None):
-    mask = np.ones(ids.shape) if mask is None else mask
+def _run(stack, bank, ids, lengths=None):
+    """encode over ids; `lengths` counts text tokens, all of them by default."""
+    lengths = np.full(len(ids), ids.shape[1]) if lengths is None else np.array(lengths)
     emb = stack.embed(ids, prompt_len=bank.prompt_len)
-    return encode(stack, emb, bank, mask)
+    return encode(stack, emb, bank, lengths + bank.prompt_len)
 
 
 def test_zero_length_prompt_gives_vanilla_transformer_shape():
@@ -76,8 +77,7 @@ def test_zero_length_prompt_gives_vanilla_transformer_shape():
 def test_output_shape_includes_prompt_positions():
     stack = _stack()
     bank = _bank(stack, length=2)
-    out = _run(stack, bank, np.array([[2, 3, 4], [5, 6, 0]]),
-               mask=np.array([[1, 1, 1], [1, 1, 0]], dtype=float))
+    out = _run(stack, bank, np.array([[2, 3, 4], [5, 6, 0]]), lengths=[3, 2])
     assert out.shape == (2, 5, CFG.hidden_size)
 
 
@@ -148,9 +148,8 @@ def test_masked_attention_weight_is_negligible():
     # wiring: padded positions do not influence real positions' outputs
     stack = _stack()
     bank = _bank(stack, length=1)
-    short = _run(stack, bank, np.array([[2, 3]]), mask=np.ones((1, 2)))
-    padded = _run(stack, bank, np.array([[2, 3, 0, 0]]),
-                  mask=np.array([[1.0, 1.0, 0.0, 0.0]]))
+    short = _run(stack, bank, np.array([[2, 3]]))
+    padded = _run(stack, bank, np.array([[2, 3, 0, 0]]), lengths=[2])
     assert np.allclose(short.data, padded.data[:, :3, :], atol=1e-12, rtol=0)
 
 
@@ -163,6 +162,21 @@ def test_transformer_layer_records_twelve_tape_entries(rng):
     with Tape() as tape:
         layer.forward(x, bias, 0.0, None)
     assert len(tape) == 12
+
+
+@pytest.mark.parametrize("length,form,matrices", [(2, "deep", CFG.num_layers), (2, "light", 1),
+                                                  (0, "light", 0)])
+def test_encode_records_one_tape_entry_per_prefix_matrix(length, form, matrices):
+    """Beyond the layers' twelve entries each, encode records one `prefix`
+    per matrix in the bank and nothing else."""
+    stack = _stack()
+    bank = _bank(stack, length=length, form=form)
+    ids = np.array([[2, 3, 4], [5, 6, 0]])
+    emb = stack.embed(ids, prompt_len=bank.prompt_len)
+    with Tape() as tape:
+        encode(stack, emb, bank, np.array([3, 2]) + bank.prompt_len)
+    assert len(bank.matrices) == matrices
+    assert len(tape) == 12 * CFG.num_layers + matrices
 
 
 def test_encode_is_permutation_equivariant_over_batch():

@@ -14,7 +14,7 @@ from dpmn.losses import cross_entropy, total_loss
 from dpmn.model import DpmnModel, head_forward
 from dpmn.prompt import PromptConfig
 from dpmn.runconfig import TrainConfig
-from dpmn.tensor import (Tape, Tensor, backward, lstm_scan, matmul, mul, sigmoid,
+from dpmn.tensor import (Tape, Tensor, backward, linear, lstm_scan, mul, sigmoid,
                          sum_, tanh)
 
 from conftest import make_store, max_rel_error, numeric_gradient
@@ -33,7 +33,7 @@ def _reference_scan(x, lengths, w_x, w_h, b, hidden, reverse):
     c = Tensor(np.zeros((batch, hidden)))
     steps = range(seq - 1, -1, -1) if reverse else range(seq)
     for t in steps:
-        gates = matmul(x[:, t, :], w_x) + matmul(h, w_h) + b
+        gates = linear(x[:, t, :], w_x) + linear(h, w_h) + b
         i_gate = sigmoid(gates[:, :hidden])
         f_gate = sigmoid(gates[:, hidden:2 * hidden])
         o_gate = sigmoid(gates[:, 2 * hidden:3 * hidden])

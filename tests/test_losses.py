@@ -7,7 +7,7 @@ import pytest
 
 from dpmn.errors import ConfigError, ContractError
 from dpmn.losses import LossWeights, cross_entropy, total_loss
-from dpmn.tensor import Tape, Tensor, backward, matmul
+from dpmn.tensor import Tape, Tensor, backward, linear
 
 from conftest import max_rel_error, numeric_gradient
 
@@ -27,7 +27,7 @@ def test_all_absent_labels_give_exact_zero_and_zero_grads(rng):
     w = Tensor(rng.normal(size=(4, 2)))
     x = Tensor(rng.normal(size=(3, 4)))
     with Tape() as tape:
-        logits = matmul(x, w)
+        logits = linear(x, w)
         loss = cross_entropy(logits, np.array([-1, -1, -1]))
     assert loss.item() == 0.0
     backward(tape, loss)
@@ -104,13 +104,13 @@ def test_total_gradient_is_weighted_sum_of_task_gradients(rng):
     for head, lab in zip(heads, labels):
         shared.grad = None
         with Tape() as tape:
-            loss = cross_entropy(matmul(shared, head), lab)
+            loss = cross_entropy(linear(shared, head), lab)
         backward(tape, loss)
         per_task.append(shared.grad.copy())
 
     shared.grad = None
     with Tape() as tape:
-        losses = [cross_entropy(matmul(shared, h), l) for h, l in zip(heads, labels)]
+        losses = [cross_entropy(linear(shared, h), l) for h, l in zip(heads, labels)]
         total = total_loss(*losses, w)
     backward(tape, total)
 

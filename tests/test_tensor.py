@@ -13,15 +13,14 @@ from dpmn.tensor import (
     add,
     attention,
     backward,
-    broadcast_to,
     concat,
     dropout,
     embedding_lookup,
     layer_norm,
     linear,
     log_softmax,
-    matmul,
     mul,
+    prefix,
     relu,
     reshape,
     sigmoid,
@@ -37,17 +36,17 @@ from conftest import max_rel_error, numeric_gradient
 def test_matmul_identity():
     eye = Tensor(np.eye(2))
     m = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(eye, m).data, m.data)
+    assert np.array_equal(linear(eye, m).data, m.data)
 
 
 def test_matmul_zero():
-    out = matmul(Tensor([[1.0, 2.0]]), Tensor([[0.0], [0.0]]))
+    out = linear(Tensor([[1.0, 2.0]]), Tensor([[0.0], [0.0]]))
     assert np.array_equal(out.data, [[0.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
+        linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
 
 
 def test_softmax_symmetry():
@@ -147,7 +146,7 @@ def test_backward_is_deterministic(rng):
     for _ in range(2):
         x, w = Tensor(x_values.copy()), Tensor(w_values.copy())
         with Tape() as tape:
-            loss = sum_(tanh(matmul(x, w)))
+            loss = sum_(tanh(linear(x, w)))
         backward(tape, loss)
         grads.append((x.grad.copy(), w.grad.copy()))
     assert np.array_equal(grads[0][0], grads[1][0])
@@ -184,13 +183,13 @@ def _fd_check(forward, inputs, rng, tol=1e-6):
 def test_matmul_gradients_match_finite_differences(rng):
     a = Tensor(rng.normal(size=(3, 4)))
     b = Tensor(rng.normal(size=(4, 2)))
-    _fd_check(lambda: matmul(a, b), [a, b], rng)
+    _fd_check(lambda: linear(a, b), [a, b], rng)
 
 
 def test_batched_matmul_gradients(rng):
     a = Tensor(rng.normal(size=(2, 3, 4)))
     b = Tensor(rng.normal(size=(4, 3)))
-    _fd_check(lambda: matmul(a, b), [a, b], rng)
+    _fd_check(lambda: linear(a, b), [a, b], rng)
 
 
 def test_softmax_gradients_match_finite_differences(rng):
@@ -243,9 +242,9 @@ def test_concat_slice_sum_gradients(rng):
 
 def test_reshape_broadcast_gradients(rng):
     x = Tensor(rng.normal(size=(2, 3, 4)))
-    _fd_check(lambda: x.reshape(6, 4), [x], rng)
+    _fd_check(lambda: reshape(x, (6, 4)), [x], rng)
     y = Tensor(rng.normal(size=(1, 4)))
-    _fd_check(lambda: broadcast_to(y, (3, 4)), [y], rng)
+    _fd_check(lambda: add(y, Tensor(np.zeros((3, 4)))), [y], rng)
 
 
 def test_dropout_zero_rate_is_identity(rng):
@@ -362,6 +361,29 @@ def test_attention_matches_composed_reference(batch, seq, heads, size, seed, dat
         [rng.normal(size=(batch, seq, 3 * d))], rng.normal(size=(batch, seq, d)))
 
 
+def _reference_prefix(m, x, skip):
+    """The prompt tiled over the batch by a broadcast multiply, then
+    concatenated ahead of the slots of x kept from `skip` on."""
+    tiled = mul(m, Tensor(np.ones((x.shape[0],) + m.shape)))
+    return concat([tiled, x[:, skip:]], axis=1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 4), st.integers(1, 3),
+       st.booleans(), st.integers(0, 2 ** 31))
+def test_prefix_matches_composed_reference(batch, p, text, d, overwrite, seed):
+    """skip 0 puts the prompt ahead of the text; skip p overwrites an earlier one."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    skip = p if overwrite else 0
+    arrays = [rng.normal(size=(p, d)), rng.normal(size=(batch, skip + text, d))]
+    proj = rng.normal(size=(batch, p + text, d))
+    got, got_grads = _value_and_grads(lambda m, x: prefix(m, x, skip), arrays, proj)
+    want, want_grads = _value_and_grads(lambda m, x: _reference_prefix(m, x, skip), arrays, proj)
+    assert np.array_equal(got, want)
+    for g, w in zip(got_grads, want_grads, strict=True):
+        assert _relative(g, w) <= FUSED_REL_TOL
+
+
 def test_fused_primitives_record_one_tape_entry(rng):
     x, w, b = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(4, 6))), Tensor(np.zeros(6))
     with Tape() as tape:
@@ -379,3 +401,11 @@ def test_fused_primitives_reject_bad_shapes(rng):
         attention(Tensor(np.zeros((2, 3, 12))), np.zeros((2, 1, 1, 3)), num_heads=3)
     with pytest.raises(ShapeError, match="bias"):
         attention(Tensor(np.zeros((2, 3, 12))), np.zeros((2, 1, 1, 4)), num_heads=2)
+    m, x = Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 5, 4)))
+    with pytest.raises(ShapeError, match=r"\(2, 3\) and \(3, 5, 4\)"):
+        prefix(Tensor(np.zeros((2, 3))), x, 0)
+    with pytest.raises(ShapeError, match=r"\(2, 4\) and \(5, 4\)"):
+        prefix(m, Tensor(np.zeros((5, 4))), 0)
+    for skip in (-1, 6):
+        with pytest.raises(ShapeError, match=f"skip {skip}"):
+            prefix(m, x, skip)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dpmn import trainer
 from dpmn.checkpoint import load_checkpoint
 from dpmn.data import build_vocab, generate_synthetic_corpus, make_batches
 from dpmn.errors import NumericError
@@ -240,6 +241,28 @@ def test_non_finite_loss_aborts_with_step_number(corpus):
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(NumericError, match="step"):
             train(cfg, corpus, corpus)
+
+
+def test_non_finite_gradient_aborts_before_the_update(corpus, monkeypatch):
+    """An inf in one gradient at step 2 is caught before optimizer.step()."""
+    params, steps = {}, []
+    make_optimizer, backward = trainer.make_optimizer, trainer.backward
+
+    def capture(kind, trainable, lr):
+        params.update(trainable)
+        return make_optimizer(kind, trainable, lr)
+
+    def poisoned(tape, loss):
+        backward(tape, loss)
+        steps.append(len(steps) + 1)
+        if steps[-1] == 2:
+            params["head_b.ffn.b1"].grad[3] = np.inf
+
+    monkeypatch.setattr(trainer, "make_optimizer", capture)
+    monkeypatch.setattr(trainer, "backward", poisoned)
+    with pytest.raises(NumericError, match=r"gradient of head_b\.ffn\.b1 at training step 2$"):
+        train(_cfg(learning_rate=1e-3, max_epochs=2), corpus, corpus)
+    assert all(np.isfinite(p.data).all() for p in params.values())
 
 
 @pytest.mark.parametrize("metrics,epoch", [([float("nan")], 1), ([0.5, float("nan")], 2)])
