@@ -113,10 +113,11 @@ def _op_catalog(rng: np.random.Generator):
     # a 2-slot prompt ahead of a 3-slot text, and over a previous prompt
     pre_m, pre_x = t(2, 4), t(3, 3, 4)
     over_m, over_x = t(2, 4), t(3, 5, 4)
-    # one padded row; each direction gets its own inputs because .grad accumulates
-    scan_lengths = np.array([4, 2])
-    fw_scan = [t(2, 4, 3), t(3, 8), t(2, 8), t(8)]
-    bw_scan = [t(2, 4, 3), t(3, 8), t(2, 8), t(8)]
+    # unsorted lengths from 1 to the full length, so the packing permutation is
+    # checked; each direction gets its own inputs because .grad accumulates
+    scan_lengths = np.array([2, 4, 1])
+    fw_scan = [t(3, 4, 3), t(3, 8), t(2, 8), t(8)]
+    bw_scan = [t(3, 4, 3), t(3, 8), t(2, 8), t(8)]
     lin_x, lin_w, lin_b = t(2, 3, 4), t(4, 5), t(5)
     lin2_x, lin2_w = t(3, 4), t(4, 2)
     lin_nb_x, lin_nb_w = t(2, 3, 4), t(4, 3)

@@ -270,15 +270,10 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # two-sided form only exponentiates negative values, so it never overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
 def sigmoid(a: Tensor) -> Tensor:
+    """sigmoid(x) = (1 + tanh(x/2)) / 2, the form lstm_scan uses; it never overflows."""
     a = _as_tensor(a)
-    y = _sigmoid(a.data)
+    y = 0.5 * (1.0 + np.tanh(0.5 * a.data))
     out = Tensor(y)
     _record(out, (a,), lambda g: (g * y * (1.0 - y),))
     return out
@@ -463,15 +458,22 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tenso
     """One masked LSTM direction over x [batch, seq, d]; returns h [batch, hidden].
 
     w_x [d, 4h], w_h [h, 4h] and b [4h] pack the gates in the order i, f, o, g.
-    Position t updates only the rows with t < lengths, so padded positions
-    leave both states bitwise untouched: the result is each row's state at
-    its last real position (forward), or at position 0 after scanning right
-    to left from there (reverse).
+    Position t updates only the rows with t < lengths (integers), so padded
+    positions never touch a state: the result is each row's state at its
+    last real position (forward), or at position 0 after scanning right to
+    left from there (reverse). A row of length 0 keeps a zero state.
 
-    The input projection of every position is one GEMM ahead of the
-    recurrence, and the whole scan is one tape entry whose backward is
-    hand-written backpropagation through time. Without an active tape no
-    per-step state is kept.
+    The rows are packed by length: sorted once by descending length (stably),
+    the rows live at step t are a prefix, which alone is updated, and the
+    caller's row order is restored on the output and on dx. The buffers are
+    time-major, so every step reads and writes contiguous slices: the input
+    projection of every position is one GEMM ahead of the recurrence, each
+    step's gate activations overwrite it in place, and the h, c and tanh(c)
+    histories are kept, on the taped and untaped paths alike. One np.tanh
+    covers all four gates, as sigmoid(z) = (1 + tanh(z/2)) / 2 with the
+    i/f/o columns of the weights halved once per call (an exact scaling).
+    The whole scan is one tape entry whose backward is hand-written
+    backpropagation through time; dw_h is one GEMM after the loop.
     """
     x, w_x, w_h, b = _as_tensor(x), _as_tensor(w_x), _as_tensor(w_h), _as_tensor(b)
     lengths = np.asarray(lengths)
@@ -485,50 +487,78 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tenso
                          f"b {b.shape} for x {x.shape}")
     if lengths.shape != (batch,):
         raise ShapeError(f"lstm_scan needs one length per row, got {lengths.shape} for x {x.shape}")
+    if not np.issubdtype(lengths.dtype, np.integer):
+        raise ShapeError(f"lstm_scan needs integer lengths, got dtype {lengths.dtype}")
     if ((lengths < 0) | (lengths > seq)).any():
         raise ContractError("length exceeds the sequence axis")
 
-    projected = (x.data.reshape(batch * seq, d) @ w_x.data + b.data).reshape(batch, seq, gates)
+    lengths = lengths.astype(np.intp)
+    order = np.argsort(-lengths, kind="stable")
     top = int(lengths.max(initial=0))  # no row is live past its longest length
-    steps = range(top - 1, -1, -1) if reverse else range(top)
-    taped = _active_tape is not None
-    cache = []
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    for t in steps:
-        act = projected[:, t] + h @ w_h.data
-        act[:, :3 * hidden] = _sigmoid(act[:, :3 * hidden])
-        np.tanh(act[:, 3 * hidden:], out=act[:, 3 * hidden:])
-        i, f, o, g = (act[:, k * hidden:(k + 1) * hidden] for k in range(4))
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        live = (t < lengths)[:, None]
-        if taped:
-            cache.append((t, live, h, c, act, tanh_c))
-        h = np.where(live, o * tanh_c, h)
-        c = np.where(live, c_new, c)
-    out = Tensor(h)
-    if not taped:
+    live = (lengths > np.arange(top)[:, None]).sum(axis=1).tolist()  # rows live at step t
+    h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
+    # sigmoid(z) = tanh(z/2)/2 + 1/2: i/f/o columns scaled by half, then shifted
+    half = np.where(np.arange(gates) < h3, 0.5, 1.0)
+    shift = np.where(np.arange(gates) < h3, 0.5, 0.0)
+    xs = np.take(x.data[:, :top].swapaxes(0, 1), order, axis=1).reshape(top * batch, d)
+    act = (xs @ (w_x.data * half) + b.data * half).reshape(top, batch, gates)
+    w_h_half = w_h.data * half
+    # slot t + 1 holds the state after step t; a step reads slot t going
+    # forward and t + 2 in reverse, so a row that is not yet live reads zeros
+    back = 2 if reverse else 0
+    hs = np.zeros((top + 2, batch, hidden))
+    cs = np.zeros((top + 2, batch, hidden))
+    tanh_c = np.zeros((top, batch, hidden))
+    for t in (range(top - 1, -1, -1) if reverse else range(top)):
+        n = live[t]
+        a = act[t, :n]
+        a += hs[t + back, :n] @ w_h_half
+        np.tanh(a, out=a)
+        a *= half  # whole rows are contiguous; g is scaled by 1 and shifted by 0
+        a += shift
+        c = cs[t + 1, :n]
+        np.multiply(a[:, h1:h2], cs[t + back, :n], out=c)
+        c += a[:, :h1] * a[:, h3:]
+        np.tanh(c, out=tanh_c[t, :n])
+        np.multiply(a[:, h2:h3], tanh_c[t, :n], out=hs[t + 1, :n])
+    last = hs[1] if reverse else hs[lengths[order], np.arange(batch)]
+    out = Tensor(last[np.argsort(order)])
+    if _active_tape is None:
         return out
 
     def bw(g_out):
-        d_gates = np.zeros((batch, seq, gates))
-        d_w_h = np.zeros_like(w_h.data)
-        dh, dc = g_out, np.zeros((batch, hidden))
-        for t, live, h_prev, c_prev, act, tanh_c in reversed(cache):
-            i, f, o, g = (act[:, k * hidden:(k + 1) * hidden] for k in range(4))
-            dc_new = dc + dh * o * (1.0 - tanh_c * tanh_c)
-            d_act = np.concatenate([dc_new * g, dc_new * c_prev, dh * tanh_c, dc_new * i], axis=1)
-            d_act[:, :3 * hidden] *= act[:, :3 * hidden] * (1.0 - act[:, :3 * hidden])
-            d_act[:, 3 * hidden:] *= 1.0 - g * g
-            d_step = d_gates[:, t] = np.where(live, d_act, 0.0)
-            d_w_h += h_prev.T @ d_step
-            dh = np.where(live, d_step @ w_h.data.T, dh)
-            dc = np.where(live, dc_new * f, dc)
-        flat = d_gates.reshape(batch * seq, gates)
-        dx = (flat @ w_x.data.T).reshape(x.shape)
-        d_w_x = x.data.reshape(batch * seq, d).T @ flat
-        return dx, d_w_x, d_w_h, flat.sum(axis=0)
+        # every step's gate derivatives times their partners, in one pass each:
+        # g.i(1-i), c_prev.f(1-f), tanh(c).o(1-o) and i(1-g^2) in gate order,
+        # then o(1 - tanh(c)^2), which carries dh into dc, and f, which carries
+        # dc back a step; contiguous, so each step reads plain prefixes
+        i, g = act[..., :h1], act[..., h3:]
+        factors = np.empty((top, batch, gates))
+        sig = act[..., :h3]
+        np.multiply(sig, 1.0 - sig, out=factors[..., :h3])
+        factors[..., :h1] *= g
+        factors[..., h1:h2] *= cs[back:top + back]
+        factors[..., h2:h3] *= tanh_c
+        np.multiply(i, 1.0 - g * g, out=factors[..., h3:])
+        to_c = act[..., h2:h3] * (1.0 - tanh_c * tanh_c)
+        forget = np.ascontiguousarray(act[..., h1:h2])
+        d_gates = np.zeros((top, batch, gates))
+        blocks, d_blocks = (a.reshape(top, batch, 4, hidden) for a in (factors, d_gates))
+        dh = g_out[order]
+        dc = np.zeros((batch, hidden))
+        w_h_t = np.ascontiguousarray(w_h.data.T)
+        for t in (range(top) if reverse else range(top - 1, -1, -1)):
+            n = live[t]
+            dh_n, dc_n, dz = dh[:n], dc[:n], d_blocks[t, :n]
+            dc_n += dh_n * to_c[t, :n]
+            np.multiply(blocks[t, :n], dc_n[:, None], out=dz)
+            np.multiply(dh_n, blocks[t, :n, 2], out=dz[:, 2])
+            dc_n *= forget[t, :n]
+            np.matmul(d_gates[t, :n], w_h_t, out=dh_n)
+        flat = d_gates.reshape(top * batch, gates)
+        dx = np.zeros(x.shape)
+        dx[order, :top] = (flat @ w_x.data.T).reshape(top, batch, d).swapaxes(0, 1)
+        d_w_h = hs[back:top + back].reshape(top * batch, hidden).T @ flat
+        return dx, xs.T @ flat, d_w_h, flat.sum(axis=0)
 
     _record(out, (x, w_x, w_h, b), bw)
     return out

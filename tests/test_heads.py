@@ -51,6 +51,15 @@ def _relative(a, b):
     return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
 
 
+def _scan_arrays(rng, batch, seq, d, hidden):
+    return [rng.normal(size=(batch, seq, d)), rng.normal(0.0, 0.5, size=(d, 4 * hidden)),
+            rng.normal(0.0, 0.5, size=(hidden, 4 * hidden)), rng.normal(0.0, 0.5, size=(4 * hidden,))]
+
+
+def _fused(lengths, reverse):
+    return lambda x, w_x, w_h, b: lstm_scan(x, lengths, w_x, w_h, b, reverse=reverse)
+
+
 def _scan_with_grads(scan, arrays, proj):
     """Final state and the gradients of (state * proj).sum() for x, w_x, w_h, b."""
     inputs = [Tensor(a.copy()) for a in arrays]
@@ -62,28 +71,57 @@ def _scan_with_grads(scan, arrays, proj):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 4), st.integers(1, 3),
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 4), st.integers(1, 3),
        st.booleans(), st.integers(0, 2 ** 31), st.data())
 def test_lstm_scan_matches_per_timestep_reference(batch, seq, d, hidden, reverse, seed, data):
     lengths = np.array(data.draw(st.lists(st.integers(1, seq), min_size=batch, max_size=batch)))
     rng = np.random.Generator(np.random.PCG64(seed))
-    arrays = [rng.normal(size=(batch, seq, d)), rng.normal(0.0, 0.5, size=(d, 4 * hidden)),
-              rng.normal(0.0, 0.5, size=(hidden, 4 * hidden)),
-              rng.normal(0.0, 0.5, size=(4 * hidden,))]
+    arrays = _scan_arrays(rng, batch, seq, d, hidden)
     proj = rng.normal(size=(batch, hidden))
 
-    fused, fused_grads = _scan_with_grads(
-        lambda x, w_x, w_h, b: lstm_scan(x, lengths, w_x, w_h, b, reverse=reverse), arrays, proj)
+    fused, fused_grads = _scan_with_grads(_fused(lengths, reverse), arrays, proj)
     ref, ref_grads = _scan_with_grads(
         lambda x, w_x, w_h, b: _reference_scan(x, lengths, w_x, w_h, b, hidden, reverse),
         arrays, proj)
     assert _relative(fused, ref) <= SCAN_REL_TOL
     for name, got, want in zip(("x", "w_x", "w_h", "b"), fused_grads, ref_grads):
         assert _relative(got, want) <= SCAN_REL_TOL, name
-    # the untaped path keeps no cache but computes the same state bitwise
+    # the untaped path computes the same state bitwise
     x, w_x, w_h, b = (Tensor(a) for a in arrays)
     untaped = lstm_scan(x, lengths, w_x, w_h, b, reverse=reverse)
     assert np.array_equal(untaped.data, fused)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_scan_commutes_with_row_permutation(rng, reverse):
+    """Packing sorts rows by length; permuting the rows with their lengths
+    (ties included) permutes the states and dx, and leaves the weight grads."""
+    lengths = np.array([3, 5, 1, 3, 5, 2])
+    arrays = _scan_arrays(rng, 6, 5, 3, 2)
+    proj = rng.normal(size=(6, 2))
+    perm = np.array([4, 0, 3, 5, 1, 2])
+    base, base_grads = _scan_with_grads(_fused(lengths, reverse), arrays, proj)
+    moved, moved_grads = _scan_with_grads(_fused(lengths[perm], reverse),
+                                          [arrays[0][perm]] + arrays[1:], proj[perm])
+    assert _relative(moved, base[perm]) <= SCAN_REL_TOL
+    assert _relative(moved_grads[0], base_grads[0][perm]) <= SCAN_REL_TOL
+    for name, got, want in zip(("w_x", "w_h", "b"), moved_grads[1:], base_grads[1:]):
+        assert _relative(got, want) <= SCAN_REL_TOL, name
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_scan_rows_of_length_zero_stay_zero(rng, reverse):
+    arrays = _scan_arrays(rng, 3, 4, 3, 2)
+    proj = rng.normal(size=(3, 2))
+    state, grads = _scan_with_grads(_fused(np.array([3, 0, 4]), reverse), arrays, proj)
+    assert np.abs(state[[0, 2]]).min() > 0
+    assert np.array_equal(state[1], np.zeros(2))
+    assert np.array_equal(grads[0][1], np.zeros((4, 3)))
+    # a batch with no live row: zero states and zero gradients everywhere
+    state, grads = _scan_with_grads(_fused(np.array([0, 0, 0]), reverse), arrays, proj)
+    assert np.array_equal(state, np.zeros((3, 2)))
+    for got, a in zip(grads, arrays):
+        assert np.array_equal(got, np.zeros_like(a))
 
 
 def test_lstm_scan_records_one_tape_entry(rng):
@@ -103,6 +141,8 @@ def test_lstm_scan_rejects_bad_shapes_and_lengths(rng):
         lstm_scan(x, np.array([3]), w_x, w_h, b)
     with pytest.raises(ContractError, match="exceeds"):
         lstm_scan(x, np.array([3, 4]), w_x, w_h, b)
+    with pytest.raises(ShapeError, match="integer lengths"):
+        lstm_scan(x, np.array([3.0, 2.0]), w_x, w_h, b)
 
 
 def test_bilstm_training_step_tape_is_short():
