@@ -58,6 +58,10 @@ class EncoderConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
+    def text_budget(self, prompt_len: int) -> int:
+        """Token positions a text may fill: max_seq_len less the prompt slots."""
+        return self.max_seq_len - prompt_len
+
 
 class TransformerLayer:
     def __init__(self, index: int, config: EncoderConfig, store: ParameterStore):
@@ -88,14 +92,10 @@ class TransformerLayer:
         w_qkv = concat([self.wq, self.wk, self.wv], axis=1)
         b_qkv = concat([self.bq, self.bk, self.bv], axis=0)
         context = attention(linear(x, w_qkv, b_qkv), attn_bias, self.num_heads)
-        attn_out = linear(context, self.wo, self.bo)
-        if rng is not None:
-            attn_out = dropout(attn_out, dropout_rate, rng)
+        attn_out = dropout(linear(context, self.wo, self.bo), dropout_rate, rng)
         x = layer_norm(x + attn_out, self.attn_gain, self.attn_bias)
         ffn_out = linear(relu(linear(x, self.ffn_w1, self.ffn_b1)), self.ffn_w2, self.ffn_b2)
-        if rng is not None:
-            ffn_out = dropout(ffn_out, dropout_rate, rng)
-        return layer_norm(x + ffn_out, self.ffn_gain, self.ffn_bias)
+        return layer_norm(x + dropout(ffn_out, dropout_rate, rng), self.ffn_gain, self.ffn_bias)
 
 
 class EncoderStack:
@@ -114,7 +114,7 @@ class EncoderStack:
         prompt length so prompt slots own positions 0..p_n-1."""
         token_ids = np.asarray(token_ids)
         seq = token_ids.shape[1]
-        limit = self.config.max_seq_len - prompt_len
+        limit = self.config.text_budget(prompt_len)
         if seq > limit:
             raise ContractError(
                 f"sequence length {seq} exceeds max_seq_len - p_n = {limit}"

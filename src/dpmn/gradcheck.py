@@ -11,6 +11,7 @@ kink is re-probed at smaller steps, and every re-probe is reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -93,67 +94,67 @@ def check_op(forward, inputs: list[Tensor], rng: np.random.Generator) -> float:
     return _fd_max_rel(loss_value, inputs, grads)
 
 
-def _op_catalog(rng: np.random.Generator):
-    """(name, inputs, forward) triples with inputs kept away from kinks."""
-    def t(*shape, low=-1.0, high=1.0):
-        return Tensor(rng.uniform(low, high, size=shape))
+def _uniform(*shape, low=-1.0, high=1.0):
+    return lambda rng: rng.uniform(low, high, size=shape)
 
-    add_a, add_b = t(2, 5), t(5)
-    mul_a, mul_b = t(2, 5), t(2, 1)
-    relu_in = Tensor(rng.uniform(0.1, 1.0, size=(3, 4)) * rng.choice([-1.0, 1.0], size=(3, 4)))
-    sig_in, tanh_in = t(3, 4, low=-2.0, high=2.0), t(3, 4, low=-2.0, high=2.0)
-    soft_in, lsm_in = t(4, 5, low=-2.0, high=2.0), t(4, 5, low=-2.0, high=2.0)
-    ln_x, ln_g, ln_b = t(3, 6), t(6, low=0.5, high=1.5), t(6)
-    table = t(7, 4)
-    ids = np.array([[0, 3, 6], [2, 2, 5]])
-    cat_a, cat_b = t(2, 3), t(2, 5)
-    sl_in = t(4, 5, 6)
-    sum_in = t(3, 4, 5)
-    rs_in = t(2, 3, 4)
+
+def _kinkless(*shape):
+    """Values of either sign at least 0.1 away from zero."""
+    return lambda rng: rng.uniform(0.1, 1.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+
+
+# unsorted lengths from 1 to the full length, so the packing permutation is checked
+_SCAN_LENGTHS = np.array([2, 4, 1])
+_SCAN_INPUTS = (_uniform(3, 4, 3), _uniform(3, 8), _uniform(2, 8), _uniform(8))
+# two heads of width 2; the second row's last key is padding
+_ATTENTION_BIAS = np.where(np.arange(3) < np.array([[3], [2]]), 0.0, MASK_BIAS)[:, None, None, :]
+
+# (name, input draws, op): each draw maps a generator to one input array,
+# kept away from kinks, and op maps the input tensors to the output
+OP_CATALOG = (
+    ("add", (_uniform(2, 5), _uniform(5)), add),
+    ("mul", (_uniform(2, 5), _uniform(2, 1)), mul),
+    ("relu", (_kinkless(3, 4),), relu),
+    ("sigmoid", (_uniform(3, 4, low=-2.0, high=2.0),), sigmoid),
+    ("tanh", (_uniform(3, 4, low=-2.0, high=2.0),), tanh),
+    ("softmax", (_uniform(4, 5, low=-2.0, high=2.0),), partial(softmax, axis=1)),
+    ("log_softmax", (_uniform(4, 5, low=-2.0, high=2.0),), partial(log_softmax, axis=1)),
+    ("layer_norm", (_uniform(3, 6), _uniform(6, low=0.5, high=1.5), _uniform(6)), layer_norm),
+    ("embedding_lookup", (_uniform(7, 4),),
+     lambda table: embedding_lookup(table, np.array([[0, 3, 6], [2, 2, 5]]))),
+    ("concat", (_uniform(2, 3), _uniform(2, 5)), lambda a, b: concat([a, b], axis=1)),
+    ("slice", (_uniform(4, 5, 6),), lambda a: slice_(a, (slice(None), 2, slice(1, 4)))),
+    ("sum", (_uniform(3, 4, 5),), partial(sum_, axis=1)),
+    ("reshape", (_uniform(2, 3, 4),), lambda a: reshape(a, (6, 4))),
     # a 2-slot prompt ahead of a 3-slot text, and over a previous prompt
-    pre_m, pre_x = t(2, 4), t(3, 3, 4)
-    over_m, over_x = t(2, 4), t(3, 5, 4)
-    # unsorted lengths from 1 to the full length, so the packing permutation is
-    # checked; each direction gets its own inputs because .grad accumulates
-    scan_lengths = np.array([2, 4, 1])
-    fw_scan = [t(3, 4, 3), t(3, 8), t(2, 8), t(8)]
-    bw_scan = [t(3, 4, 3), t(3, 8), t(2, 8), t(8)]
-    lin_x, lin_w, lin_b = t(2, 3, 4), t(4, 5), t(5)
-    lin2_x, lin2_w = t(3, 4), t(4, 2)
-    lin_nb_x, lin_nb_w = t(2, 3, 4), t(4, 3)
-    # two heads of width 2; the second row's last key is padding
-    qkv = t(2, 3, 12)
-    att_bias = np.where(np.arange(3) < np.array([[3], [2]]), 0.0, MASK_BIAS)[:, None, None, :]
+    ("prefix", (_uniform(2, 4), _uniform(3, 3, 4)), partial(prefix, skip=0)),
+    ("prefix_overwrite", (_uniform(2, 4), _uniform(3, 5, 4)), partial(prefix, skip=2)),
+    ("lstm_scan", _SCAN_INPUTS, lambda x, *w: lstm_scan(x, _SCAN_LENGTHS, *w)),
+    ("lstm_scan_reverse", _SCAN_INPUTS,
+     lambda x, *w: lstm_scan(x, _SCAN_LENGTHS, *w, reverse=True)),
+    ("linear", (_uniform(2, 3, 4), _uniform(4, 5), _uniform(5)), linear),
+    ("linear_2d", (_uniform(3, 4), _uniform(4, 2)), linear),
+    ("linear_no_bias", (_uniform(2, 3, 4), _uniform(4, 3)), linear),
+    ("attention", (_uniform(2, 3, 12),), lambda qkv: attention(qkv, _ATTENTION_BIAS, 2)),
+)
 
-    return [
-        ("add", [add_a, add_b], lambda: add(add_a, add_b)),
-        ("mul", [mul_a, mul_b], lambda: mul(mul_a, mul_b)),
-        ("relu", [relu_in], lambda: relu(relu_in)),
-        ("sigmoid", [sig_in], lambda: sigmoid(sig_in)),
-        ("tanh", [tanh_in], lambda: tanh(tanh_in)),
-        ("softmax", [soft_in], lambda: softmax(soft_in, axis=1)),
-        ("log_softmax", [lsm_in], lambda: log_softmax(lsm_in, axis=1)),
-        ("layer_norm", [ln_x, ln_g, ln_b], lambda: layer_norm(ln_x, ln_g, ln_b)),
-        ("embedding_lookup", [table], lambda: embedding_lookup(table, ids)),
-        ("concat", [cat_a, cat_b], lambda: concat([cat_a, cat_b], axis=1)),
-        ("slice", [sl_in], lambda: slice_(sl_in, (slice(None), 2, slice(1, 4)))),
-        ("sum", [sum_in], lambda: sum_(sum_in, axis=1)),
-        ("reshape", [rs_in], lambda: reshape(rs_in, (6, 4))),
-        ("prefix", [pre_m, pre_x], lambda: prefix(pre_m, pre_x, skip=0)),
-        ("prefix_overwrite", [over_m, over_x], lambda: prefix(over_m, over_x, skip=2)),
-        ("lstm_scan", fw_scan, lambda: lstm_scan(fw_scan[0], scan_lengths, *fw_scan[1:])),
-        ("lstm_scan_reverse", bw_scan,
-         lambda: lstm_scan(bw_scan[0], scan_lengths, *bw_scan[1:], reverse=True)),
-        ("linear", [lin_x, lin_w, lin_b], lambda: linear(lin_x, lin_w, lin_b)),
-        ("linear_2d", [lin2_x, lin2_w], lambda: linear(lin2_x, lin2_w)),
-        ("linear_no_bias", [lin_nb_x, lin_nb_w], lambda: linear(lin_nb_x, lin_nb_w)),
-        ("attention", [qkv], lambda: attention(qkv, att_bias, num_heads=2)),
-    ]
+
+def _op_catalog(seed: int):
+    """(name, inputs, forward, rng) for every OP_CATALOG entry. Each entry
+    draws its inputs, and then its check's projection weights, from its own
+    generator seeded with the check seed and its name, so an entry's numbers
+    depend on nothing else in the catalog."""
+    catalog = []
+    for name, draws, op in OP_CATALOG:
+        rng = np.random.Generator(np.random.PCG64([seed, *name.encode()]))
+        inputs = [Tensor(draw(rng)) for draw in draws]
+        catalog.append((name, inputs, partial(op, *inputs), rng))
+    return catalog
 
 
 def check_all_ops(seed: int = 0) -> dict[str, float]:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return {name: check_op(fwd, inputs, rng) for name, inputs, fwd in _op_catalog(rng)}
+    return {name: check_op(forward, inputs, rng)
+            for name, inputs, forward, rng in _op_catalog(seed)}
 
 
 TINY_CONFIG = TrainConfig(
@@ -279,6 +280,5 @@ def run_gradcheck(n_probes: int = 200, seed: int = 0) -> GradcheckReport:
     op_errors = check_all_ops(seed)
     reprobes: list[str] = []
     network_errors = check_network(n_probes, seed, reprobes)
-    op_coords = sum(t.size for _, inputs, _ in _op_catalog(
-        np.random.Generator(np.random.PCG64(seed))) for t in inputs)
+    op_coords = sum(t.size for _, inputs, _, _ in _op_catalog(seed) for t in inputs)
     return GradcheckReport(op_errors, network_errors, n_probes + op_coords, reprobes)

@@ -37,8 +37,9 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
     `labels` holds a class index per row, with -1 marking an absent label.
     Absent rows contribute neither loss nor gradient. When every label is
-    absent the result is an exact zero that still connects to the graph, so
-    downstream parameters receive explicit zero gradients rather than none.
+    absent the weights are all zero, so the result is an exact zero that
+    still connects to the graph, and downstream parameters receive explicit
+    zero gradients rather than none.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.shape
@@ -47,11 +48,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.max(initial=-1) >= c:
         raise ContractError(f"label {labels.max()} out of range for {c} classes")
     present = labels >= 0
-    n_present = int(present.sum())
-    if n_present == 0:
-        return sum_(mul(logits, Tensor(np.zeros_like(logits.data))))
     weights = np.zeros((n, c))
-    weights[present, labels[present]] = -1.0 / n_present
+    weights[present, labels[present]] = -1.0 / max(int(present.sum()), 1)
     log_probs = log_softmax(logits, axis=1)
     return sum_(mul(log_probs, Tensor(weights)))
 

@@ -58,8 +58,8 @@ class DpmnModel:
 
     @property
     def text_budget(self) -> int:
-        """Token positions a text may fill: max_seq_len less the prompt slots."""
-        return self.encoder.config.max_seq_len - self.bank.prompt_len
+        """The encoder's text budget under this model's prompt."""
+        return self.encoder.config.text_budget(self.bank.prompt_len)
 
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._store.tensors)

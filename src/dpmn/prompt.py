@@ -78,7 +78,7 @@ def init_prompt(config: PromptConfig, encoder_config, embedding_table: np.ndarra
     generator seeded with rng_seed; token init copies embedding-table rows,
     replicated into every layer matrix for the deep form.
     """
-    if config.length > encoder_config.max_seq_len - 1:
+    if encoder_config.text_budget(config.length) < 1:
         raise ConfigError(
             f"prompt length {config.length} leaves no room for text "
             f"(max_seq_len {encoder_config.max_seq_len})"

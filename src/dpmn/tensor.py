@@ -204,8 +204,6 @@ def linear(x, w, b=None) -> Tensor:
             raise ShapeError(f"linear bias {b.shape} does not match {n} outputs")
         y += b.data
     out = Tensor(y.reshape(x.shape[:-1] + (n,)))
-    if _active_tape is None:
-        return out
 
     def bw(g):
         g2 = g.reshape(-1, n)
@@ -244,8 +242,6 @@ def attention(qkv: Tensor, bias: np.ndarray, num_heads: int) -> Tensor:
     weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights /= weights.sum(axis=-1, keepdims=True)
     out = Tensor((weights @ v).transpose(0, 2, 1, 3).reshape(batch, seq, d))
-    if _active_tape is None:
-        return out
 
     def bw(g):
         g_context = g.reshape(batch, seq, num_heads, head_size).transpose(0, 2, 1, 3)
@@ -443,12 +439,13 @@ def prefix(m: Tensor, x: Tensor, skip: int) -> Tensor:
     return out
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; the zero/scale mask is drawn from `rng`."""
-    if rate == 0.0:
-        return a
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout; the zero/scale mask is drawn from `rng`. Without a
+    generator (evaluation) or at rate 0 it is the identity and draws nothing."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
+    if rng is None or rate == 0.0:
+        return a
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
     return mul(a, Tensor(mask))
 
@@ -458,22 +455,24 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tenso
     """One masked LSTM direction over x [batch, seq, d]; returns h [batch, hidden].
 
     w_x [d, 4h], w_h [h, 4h] and b [4h] pack the gates in the order i, f, o, g.
-    Position t updates only the rows with t < lengths (integers), so padded
-    positions never touch a state: the result is each row's state at its
-    last real position (forward), or at position 0 after scanning right to
-    left from there (reverse). A row of length 0 keeps a zero state.
+    A row of length n is live for steps 0..n-1, and step t reads position t,
+    or n-1-t in reverse: padded positions never touch a state, and the result
+    is the state after the row's last live step, at its last real position
+    (forward) or at position 0 (reverse). A row of length 0 keeps a zero state.
 
     The rows are packed by length: sorted once by descending length (stably),
     the rows live at step t are a prefix, which alone is updated, and the
-    caller's row order is restored on the output and on dx. The buffers are
-    time-major, so every step reads and writes contiguous slices: the input
-    projection of every position is one GEMM ahead of the recurrence, each
-    step's gate activations overwrite it in place, and the h, c and tanh(c)
-    histories are kept, on the taped and untaped paths alike. One np.tanh
-    covers all four gates, as sigmoid(z) = (1 + tanh(z/2)) / 2 with the
-    i/f/o columns of the weights halved once per call (an exact scaling).
-    The whole scan is one tape entry whose backward is hand-written
-    backpropagation through time; dw_h is one GEMM after the loop.
+    caller's row order is restored on the output and on dx. The inputs are
+    gathered once in step order, padded ones zeroed; a padded position keeps
+    index t, so each row's order is a permutation and dx scatters back
+    without collisions. The buffers are time-major, so every step reads and
+    writes contiguous slices: the input projection of every step is one GEMM
+    ahead of the recurrence, each step's gate activations overwrite it in
+    place, and the h, c and tanh(c) histories are kept. One np.tanh covers
+    all four gates, as sigmoid(z) = (1 + tanh(z/2)) / 2 with the i/f/o
+    columns of the weights halved once per call (an exact scaling). The whole
+    scan is one tape entry whose backward is hand-written backpropagation
+    through time; dw_h is one GEMM after the loop.
     """
     x, w_x, w_h, b = _as_tensor(x), _as_tensor(w_x), _as_tensor(w_h), _as_tensor(b)
     lengths = np.asarray(lengths)
@@ -494,37 +493,38 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tenso
 
     lengths = lengths.astype(np.intp)
     order = np.argsort(-lengths, kind="stable")
-    top = int(lengths.max(initial=0))  # no row is live past its longest length
-    live = (lengths > np.arange(top)[:, None]).sum(axis=1).tolist()  # rows live at step t
+    packed = lengths[order]
+    top = int(packed.max(initial=0))  # no row is live past its longest length
+    steps = np.arange(top)[:, None]
+    is_live = steps < packed  # [top, batch]
+    live = is_live.sum(axis=1).tolist()  # rows live at step t, a prefix
+    positions = np.where(is_live & reverse, packed - 1 - steps, steps)
     h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
     # sigmoid(z) = tanh(z/2)/2 + 1/2: i/f/o columns scaled by half, then shifted
     half = np.where(np.arange(gates) < h3, 0.5, 1.0)
     shift = np.where(np.arange(gates) < h3, 0.5, 0.0)
-    xs = np.take(x.data[:, :top].swapaxes(0, 1), order, axis=1).reshape(top * batch, d)
+    xs = x.data[order, positions]  # [top, batch, d]
+    xs[~is_live] = 0.0  # a non-finite padded input cannot reach dw_x
+    xs = xs.reshape(top * batch, d)
     act = (xs @ (w_x.data * half) + b.data * half).reshape(top, batch, gates)
     w_h_half = w_h.data * half
-    # slot t + 1 holds the state after step t; a step reads slot t going
-    # forward and t + 2 in reverse, so a row that is not yet live reads zeros
-    back = 2 if reverse else 0
-    hs = np.zeros((top + 2, batch, hidden))
-    cs = np.zeros((top + 2, batch, hidden))
+    # slot t + 1 holds the state after step t, and step t reads slot t
+    hs = np.zeros((top + 1, batch, hidden))
+    cs = np.zeros((top + 1, batch, hidden))
     tanh_c = np.zeros((top, batch, hidden))
-    for t in (range(top - 1, -1, -1) if reverse else range(top)):
+    for t in range(top):
         n = live[t]
         a = act[t, :n]
-        a += hs[t + back, :n] @ w_h_half
+        a += hs[t, :n] @ w_h_half
         np.tanh(a, out=a)
         a *= half  # whole rows are contiguous; g is scaled by 1 and shifted by 0
         a += shift
         c = cs[t + 1, :n]
-        np.multiply(a[:, h1:h2], cs[t + back, :n], out=c)
+        np.multiply(a[:, h1:h2], cs[t, :n], out=c)
         c += a[:, :h1] * a[:, h3:]
         np.tanh(c, out=tanh_c[t, :n])
         np.multiply(a[:, h2:h3], tanh_c[t, :n], out=hs[t + 1, :n])
-    last = hs[1] if reverse else hs[lengths[order], np.arange(batch)]
-    out = Tensor(last[np.argsort(order)])
-    if _active_tape is None:
-        return out
+    out = Tensor(hs[packed, np.arange(batch)][np.argsort(order)])
 
     def bw(g_out):
         # every step's gate derivatives times their partners, in one pass each:
@@ -536,7 +536,7 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tenso
         sig = act[..., :h3]
         np.multiply(sig, 1.0 - sig, out=factors[..., :h3])
         factors[..., :h1] *= g
-        factors[..., h1:h2] *= cs[back:top + back]
+        factors[..., h1:h2] *= cs[:top]
         factors[..., h2:h3] *= tanh_c
         np.multiply(i, 1.0 - g * g, out=factors[..., h3:])
         to_c = act[..., h2:h3] * (1.0 - tanh_c * tanh_c)
@@ -546,7 +546,7 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tenso
         dh = g_out[order]
         dc = np.zeros((batch, hidden))
         w_h_t = np.ascontiguousarray(w_h.data.T)
-        for t in (range(top) if reverse else range(top - 1, -1, -1)):
+        for t in range(top - 1, -1, -1):
             n = live[t]
             dh_n, dc_n, dz = dh[:n], dc[:n], d_blocks[t, :n]
             dc_n += dh_n * to_c[t, :n]
@@ -556,8 +556,8 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tenso
             np.matmul(d_gates[t, :n], w_h_t, out=dh_n)
         flat = d_gates.reshape(top * batch, gates)
         dx = np.zeros(x.shape)
-        dx[order, :top] = (flat @ w_x.data.T).reshape(top, batch, d).swapaxes(0, 1)
-        d_w_h = hs[back:top + back].reshape(top * batch, hidden).T @ flat
+        dx[order, positions] = (flat @ w_x.data.T).reshape(top, batch, d)
+        d_w_h = hs[:top].reshape(top * batch, hidden).T @ flat
         return dx, xs.T @ flat, d_w_h, flat.sum(axis=0)
 
     _record(out, (x, w_x, w_h, b), bw)

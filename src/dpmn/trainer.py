@@ -139,8 +139,6 @@ def evaluate_model(model: DpmnModel, batches: list[Batch]) -> EvalReport:
         for task in TASKS:
             labels = batch.labels[task]
             present = labels >= 0
-            if not present.any():
-                continue
             choices = np.argmax(logits[task].data, axis=1)
             gold[task].extend(labels[present].tolist())
             pred[task].extend(choices[present].tolist())
@@ -183,9 +181,7 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *, log=None) -> TrainR
         for batch in batches:
             step += 1
             with Tape() as tape:
-                logits = model.forward(
-                    batch, dropout_rng if cfg.dropout > 0 else None
-                )
+                logits = model.forward(batch, dropout_rng)
                 task_losses = [cross_entropy(logits[t], batch.labels[t]) for t in TASKS]
                 loss = total_loss(*task_losses, weights)
             parts = (loss.item(), *(part.item() for part in task_losses))

@@ -92,6 +92,48 @@ def test_lstm_scan_matches_per_timestep_reference(batch, seq, d, hidden, reverse
     assert np.array_equal(untaped.data, fused)
 
 
+def _flip_within_lengths(a, lengths):
+    """Each row of a [batch, seq, ...] reversed over its first lengths[r] positions."""
+    out = a.copy()
+    for r, n in enumerate(lengths):
+        out[r, :n] = a[r, :n][::-1]
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 3), st.integers(0, 2 ** 31),
+       st.data())
+def test_reverse_scan_is_the_forward_scan_of_reversed_rows(batch, seq, hidden, seed, data):
+    """Reverse reads each row's positions in the order the forward scan reads
+    the row reversed within its length: states and all four gradients agree
+    bitwise, dx once flipped back."""
+    lengths = np.array(data.draw(st.lists(st.integers(0, seq), min_size=batch, max_size=batch)))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    arrays = _scan_arrays(rng, batch, seq, 3, hidden)
+    proj = rng.normal(size=(batch, hidden))
+    rev, rev_grads = _scan_with_grads(_fused(lengths, True), arrays, proj)
+    fwd, fwd_grads = _scan_with_grads(
+        _fused(lengths, False), [_flip_within_lengths(arrays[0], lengths)] + arrays[1:], proj)
+    assert np.array_equal(rev, fwd)
+    assert np.array_equal(_flip_within_lengths(rev_grads[0], lengths), fwd_grads[0])
+    for name, got, want in zip(("w_x", "w_h", "b"), rev_grads[1:], fwd_grads[1:]):
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_non_finite_padded_input_does_not_reach_any_gradient(rng, reverse):
+    """A NaN where a row is padded gives the gradients of a 0 there, all finite."""
+    lengths = np.array([4, 2])
+    arrays = _scan_arrays(rng, 2, 4, 3, 2)
+    proj = rng.normal(size=(2, 2))
+    arrays[0][1, 3] = 0.0
+    _, clean = _scan_with_grads(_fused(lengths, reverse), arrays, proj)
+    arrays[0][1, 3] = np.nan
+    _, poisoned = _scan_with_grads(_fused(lengths, reverse), arrays, proj)
+    for name, got, want in zip(("x", "w_x", "w_h", "b"), poisoned, clean):
+        assert np.isfinite(got).all() and np.array_equal(got, want), name
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_scan_commutes_with_row_permutation(rng, reverse):
     """Packing sorts rows by length; permuting the rows with their lengths

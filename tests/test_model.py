@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dpmn import gradcheck
 from dpmn.encoder import EncoderConfig
 from dpmn.errors import ConfigError
 from dpmn.gradcheck import (
@@ -85,6 +86,22 @@ def test_wrong_backward_still_fails_where_a_kink_is_reprobed(monkeypatch):
 def test_op_level_gradcheck_passes_packaged_harness():
     errors = check_all_ops(seed=1)
     assert max(errors.values()) < 1e-6
+
+
+def test_op_errors_do_not_depend_on_the_rest_of_the_catalog(monkeypatch):
+    """Each catalog entry draws from its own generator: dropping one entry and
+    reshaping another leaves every other entry's error bitwise unchanged."""
+    full = check_all_ops(seed=3)
+    wider = (lambda rng: rng.uniform(-1.0, 1.0, size=(3, 5)),
+             lambda rng: rng.uniform(-1.0, 1.0, size=(3, 1)))
+    catalog = [entry if entry[0] != "mul" else ("mul", wider, entry[2])
+               for entry in gradcheck.OP_CATALOG if entry[0] != "add"]
+    monkeypatch.setattr(gradcheck, "OP_CATALOG", tuple(catalog))
+    changed = check_all_ops(seed=3)
+    assert "add" not in changed and changed["mul"] != full["mul"]
+    for name, err in changed.items():
+        if name != "mul":
+            assert err == full[name], name
 
 
 def test_gradients_isolated_per_task_head():

@@ -250,6 +250,7 @@ def test_reshape_broadcast_gradients(rng):
 def test_dropout_zero_rate_is_identity(rng):
     x = Tensor(rng.normal(size=(3, 3)))
     assert dropout(x, 0.0, rng) is x
+    assert dropout(x, 0.3, None) is x  # no generator: evaluation, nothing dropped
 
 
 def test_dropout_deterministic_given_seed():
