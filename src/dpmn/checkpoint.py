@@ -22,7 +22,7 @@ import numpy as np
 from .errors import IntegrityError
 
 MAGIC = b"DPMN"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2 packs each layer's Q|K|V; a version-1 file is rejected
 
 
 def checkpoint_bytes(header_text: str, arrays: dict[str, np.ndarray]) -> bytes:

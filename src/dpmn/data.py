@@ -42,6 +42,7 @@ _REQUIRED_COLUMNS = ("id", "tweet", *(f"subtask_{task}" for task in TASKS))
 # The field separator plus every line boundary str.splitlines breaks on:
 # an id or text holding one would not parse back from its row.
 _ROW_BREAK_RE = re.compile("[\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")  # the code points UTF-8 cannot encode
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,8 @@ class Example:
             value = getattr(self, name)
             if _ROW_BREAK_RE.search(value):
                 raise ContractError(f"example {self.id!r}: {name} holds a tab or line break")
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ContractError(
-                    f"example {self.id!r}: {name} cannot be written as UTF-8") from None
+            if _SURROGATE_RE.search(value):
+                raise ContractError(f"example {self.id!r}: {name} cannot be written as UTF-8")
 
 
 def _label_problem(text: str, label_a, label_b, label_c) -> tuple[type, str] | None:
@@ -147,7 +145,7 @@ def tokenize_words(text: str) -> list[str]:
 @dataclass(frozen=True)
 class Vocab:
     """token -> id map with PAD/UNK/CLS reserved at ids 0/1/2; each token
-    has exactly one id."""
+    has exactly one id and is a value a checkpoint header line can hold."""
 
     tokens: tuple[str, ...]
     token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -159,6 +157,9 @@ class Vocab:
         for i, t in enumerate(self.tokens):
             if token_to_id.setdefault(t, i) != i:
                 raise ContractError(f"vocab token {t!r} repeats at ids {token_to_id[t]} and {i}")
+            if not t or t != t.strip() or _ROW_BREAK_RE.search(t) or _SURROGATE_RE.search(t):
+                raise ContractError(f"vocab token {t!r} at id {i} is empty, padded with "
+                                    "whitespace, or cannot be one line of UTF-8")
         object.__setattr__(self, "token_to_id", token_to_id)
 
     @property

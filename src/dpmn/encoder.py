@@ -18,10 +18,10 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .prompt import PrefixBank
 from .tensor import (
+    INIT_STD,
     ParameterStore,
     Tensor,
     attention,
-    concat,
     dropout,
     embedding_lookup,
     layer_norm,
@@ -68,12 +68,11 @@ class TransformerLayer:
         d, f = config.hidden_size, config.ffn_size
         pre = f"layer{index}"
         self.num_heads = config.num_heads
-        self.wq = store.new(f"{pre}.attention.wq", (d, d))
-        self.bq = store.new(f"{pre}.attention.bq", (d,), 0.0)
-        self.wk = store.new(f"{pre}.attention.wk", (d, d))
-        self.bk = store.new(f"{pre}.attention.bk", (d,), 0.0)
-        self.wv = store.new(f"{pre}.attention.wv", (d, d))
-        self.bv = store.new(f"{pre}.attention.bv", (d,), 0.0)
+        # Q|K|V side by side, as `attention` reads them: three d x d draws in order
+        qkv = np.hstack(store.rng.normal(0.0, INIT_STD, size=(3, d, d)))
+        # still `wq`: perfbench names each layer's span by `layer.wq.name`
+        self.wq = store.new(f"{pre}.attention.wqkv", (d, 3 * d), qkv)
+        self.bqkv = store.new(f"{pre}.attention.bqkv", (3 * d,), 0.0)
         self.wo = store.new(f"{pre}.attention.wo", (d, d))
         self.bo = store.new(f"{pre}.attention.bo", (d,), 0.0)
         self.attn_gain = store.new(f"{pre}.attention_norm.gain", (d,), 1.0)
@@ -87,11 +86,7 @@ class TransformerLayer:
 
     def forward(self, x: Tensor, attn_bias: np.ndarray, dropout_rate: float,
                 rng: np.random.Generator | None) -> Tensor:
-        # Q, K and V come from one GEMM over the weights packed at call time,
-        # so the parameters (and checkpoints) keep their separate names
-        w_qkv = concat([self.wq, self.wk, self.wv], axis=1)
-        b_qkv = concat([self.bq, self.bk, self.bv], axis=0)
-        context = attention(linear(x, w_qkv, b_qkv), attn_bias, self.num_heads)
+        context = attention(linear(x, self.wq, self.bqkv), attn_bias, self.num_heads)
         attn_out = dropout(linear(context, self.wo, self.bo), dropout_rate, rng)
         x = layer_norm(x + attn_out, self.attn_gain, self.attn_bias)
         ffn_out = linear(relu(linear(x, self.ffn_w1, self.ffn_b1)), self.ffn_w2, self.ffn_b2)

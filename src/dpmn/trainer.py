@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checkpoint import checkpoint_bytes, load_checkpoint
+from .checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from .data import (
     TASK_CLASSES,
     TASKS,
@@ -222,8 +222,7 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *, log=None) -> TrainR
                          best_metric=best_metric, header_text=header)
     if cfg.out_dir is not None:
         path = os.path.join(cfg.out_dir, CHECKPOINT_NAME)
-        with open(path, "wb") as f:
-            f.write(result.checkpoint_blob())
+        save_checkpoint(path, header, model.state_arrays())
         with open(os.path.join(cfg.out_dir, RUNLOG_NAME), "w", encoding="utf-8") as f:
             f.write(runlog.to_csv())
         result.checkpoint_path = path

@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, artifacts, and exit codes."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from dpmn.data import generate_synthetic_corpus, write_tsv
 from dpmn.gradcheck import GradcheckReport
 from dpmn.optim import Adam
 
-from conftest import one_record_checkpoint
+from conftest import one_record_checkpoint, reseal
 
 FAST_CONFIG = """\
 learning_rate = 0.001
@@ -179,7 +181,8 @@ def test_directory_as_eval_input_exits_three(workdir, checkpoint, capsys):
 @pytest.mark.parametrize("damage", [
     lambda blob: blob[:40] + bytes([blob[40] ^ 1]) + blob[41:],
     lambda blob: blob[:10],
-], ids=["flipped-byte", "truncated"])
+    lambda blob: reseal(blob[:4] + struct.pack("<I", 1) + blob[8:-4]),
+], ids=["flipped-byte", "truncated", "format-version-1"])
 def test_corrupted_checkpoint_exits_three(workdir, checkpoint, capsys, damage):
     damaged = workdir / "damaged.ckpt"
     damaged.write_bytes(damage(checkpoint.read_bytes()))
@@ -265,9 +268,9 @@ def test_gradcheck_command_passes(capsys):
 
 
 def test_gradcheck_reprobes_a_kink_and_passes(capsys):
-    """Seed 2 probes head_b.ffn.b1[5], whose ReLU pre-activation on one
+    """Seed 8 probes head_b.ffn.b1[5], whose ReLU pre-activation on one
     probe example lies within the 1e-5 step of the kink."""
-    assert main(["gradcheck", "--probes", "200", "--seed", "2"]) == 0
+    assert main(["gradcheck", "--probes", "200", "--seed", "8"]) == 0
     printed = capsys.readouterr().out.splitlines()
     reprobes = [line.split() for line in printed if line.startswith("reprobe")]
     assert [words[:4] for words in reprobes] == [["reprobe", "head_b.ffn.b1[5]", "step", "1e-06"]]

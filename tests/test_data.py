@@ -253,6 +253,9 @@ def test_vocab_rejects_a_repeated_token_or_a_missing_reserved_prefix():
         Vocab(RESERVED + ("you", "fool", "you"))
     with pytest.raises(ContractError, match="reserved"):
         Vocab(("you",) + RESERVED)
+    for token in ("", " x", "x ", "a\nb", "a\u2028b", "a\ud800"):  # unfit for a header line
+        with pytest.raises(ContractError, match="at id 4"):
+            Vocab(RESERVED + ("you", token))
     assert Vocab(RESERVED + ("you",)).id_of("you") == 3
 
 

@@ -153,21 +153,21 @@ def test_masked_attention_weight_is_negligible():
     assert np.allclose(short.data, padded.data[:, :3, :], atol=1e-12, rtol=0)
 
 
-def test_transformer_layer_records_twelve_tape_entries(rng):
-    """Two weight concats, the packed QKV linear, attention, three more
-    linears, relu, two residual adds and two layer norms."""
+def test_transformer_layer_records_ten_tape_entries(rng):
+    """The packed QKV linear, attention, three more linears, relu, two
+    residual adds and two layer norms."""
     layer = _stack().layers[0]
     x = Tensor(rng.normal(size=(2, 5, CFG.hidden_size)))
     bias = np.zeros((2, 1, 1, 5))
     with Tape() as tape:
         layer.forward(x, bias, 0.0, None)
-    assert len(tape) == 12
+    assert len(tape) == 10
 
 
 @pytest.mark.parametrize("length,form,matrices", [(2, "deep", CFG.num_layers), (2, "light", 1),
                                                   (0, "light", 0)])
 def test_encode_records_one_tape_entry_per_prefix_matrix(length, form, matrices):
-    """Beyond the layers' twelve entries each, encode records one `prefix`
+    """Beyond the layers' ten entries each, encode records one `prefix`
     per matrix in the bank and nothing else."""
     stack = _stack()
     bank = _bank(stack, length=length, form=form)
@@ -176,7 +176,7 @@ def test_encode_records_one_tape_entry_per_prefix_matrix(length, form, matrices)
     with Tape() as tape:
         encode(stack, emb, bank, np.array([3, 2]) + bank.prompt_len)
     assert len(bank.matrices) == matrices
-    assert len(tape) == 12 * CFG.num_layers + matrices
+    assert len(tape) == 10 * CFG.num_layers + matrices
 
 
 def test_encode_is_permutation_equivariant_over_batch():

@@ -76,10 +76,10 @@ def _relu_passing_every_gradient(a):
 
 
 def test_wrong_backward_still_fails_where_a_kink_is_reprobed(monkeypatch):
-    """Seed 2 is the seed whose probe straddles a ReLU kink in head_b: the
+    """Seed 8 is a seed whose probe straddles a ReLU kink in head_b: the
     re-probe must not let a wrong head backward pass."""
     monkeypatch.setattr("dpmn.heads.relu", _relu_passing_every_gradient)
-    worst = check_network(n_probes=200, seed=2, reprobes=[])
+    worst = check_network(n_probes=200, seed=8, reprobes=[])
     assert worst["head_b"] >= NETWORK_TOLERANCE
 
 

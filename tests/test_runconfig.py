@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpmn.data import build_vocab, generate_synthetic_corpus
-from dpmn.errors import ConfigError
+from dpmn.data import RESERVED, Vocab, build_vocab, generate_synthetic_corpus
+from dpmn.errors import ConfigError, ContractError
 from dpmn.heads import HEAD_KINDS
 from dpmn.losses import LossWeights
 from dpmn.prompt import FORMS, INITS, TUNINGS, PromptConfig
@@ -249,6 +249,22 @@ def test_checkpoint_header_round_trips_vocab():
     assert parsed_vocab.tokens == vocab.tokens
     assert parsed_cfg.hidden_size == 16
     assert parsed_cfg.out_dir is None  # the output directory never enters checkpoints
+
+
+# any code point, lone surrogates included, with whitespace and line breaks made common
+_TOKEN_CHARS = st.one_of(st.characters(exclude_categories=()), st.sampled_from(" \t\n\x85\u2028"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(_TOKEN_CHARS, max_size=4), max_size=5))
+def test_every_accepted_vocab_round_trips_through_a_checkpoint_header(tokens):
+    try:
+        vocab = Vocab(RESERVED + tuple(tokens))
+    except ContractError:
+        return
+    header = format_checkpoint_header(TrainConfig(), vocab)
+    header.encode("utf-8")
+    assert parse_checkpoint_header(header)[1].tokens == vocab.tokens
 
 
 def test_readme_config_block_lists_every_key():
