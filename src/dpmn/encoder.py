@@ -21,13 +21,12 @@ from .tensor import (
     INIT_STD,
     ParameterStore,
     Tensor,
+    add_norm,
     attention,
-    dropout,
     embedding_lookup,
-    layer_norm,
+    ffn,
     linear,
     prefix,
-    relu,
 )
 
 MASK_BIAS = -1e9  # large enough that masked attention weights underflow to 0.0
@@ -87,10 +86,10 @@ class TransformerLayer:
     def forward(self, x: Tensor, attn_bias: np.ndarray, dropout_rate: float,
                 rng: np.random.Generator | None) -> Tensor:
         context = attention(linear(x, self.wq, self.bqkv), attn_bias, self.num_heads)
-        attn_out = dropout(linear(context, self.wo, self.bo), dropout_rate, rng)
-        x = layer_norm(x + attn_out, self.attn_gain, self.attn_bias)
-        ffn_out = linear(relu(linear(x, self.ffn_w1, self.ffn_b1)), self.ffn_w2, self.ffn_b2)
-        return layer_norm(x + dropout(ffn_out, dropout_rate, rng), self.ffn_gain, self.ffn_bias)
+        x = add_norm(x, linear(context, self.wo, self.bo), self.attn_gain, self.attn_bias,
+                     dropout_rate, rng)
+        return add_norm(x, ffn(x, self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2),
+                        self.ffn_gain, self.ffn_bias, dropout_rate, rng)
 
 
 class EncoderStack:

@@ -26,23 +26,20 @@ from .tensor import (
     Tape,
     Tensor,
     add,
+    add_norm,
     attention,
     backward,
     concat,
     embedding_lookup,
-    layer_norm,
+    ffn,
     linear,
     log_softmax,
     lstm_scan,
     mul,
     prefix,
-    relu,
     reshape,
-    sigmoid,
     slice_,
-    softmax,
     sum_,
-    tanh,
 )
 
 FD_STEP = 1e-5
@@ -99,8 +96,8 @@ def _uniform(*shape, low=-1.0, high=1.0):
 
 
 def _kinkless(*shape):
-    """Values of either sign at least 0.1 away from zero."""
-    return lambda rng: rng.uniform(0.1, 1.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+    """Values of either sign at least 0.5 away from zero."""
+    return lambda rng: rng.uniform(0.5, 1.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
 
 
 # unsorted lengths from 1 to the full length, so the packing permutation is checked
@@ -108,18 +105,22 @@ _SCAN_LENGTHS = np.array([2, 4, 1])
 _SCAN_INPUTS = (_uniform(3, 4, 3), _uniform(3, 8), _uniform(2, 8), _uniform(8))
 # two heads of width 2; the second row's last key is padding
 _ATTENTION_BIAS = np.where(np.arange(3) < np.array([[3], [2]]), 0.0, MASK_BIAS)[:, None, None, :]
+_ADD_NORM_INPUTS = (_uniform(2, 3, 4), _uniform(2, 3, 4), _uniform(4, low=0.5, high=1.5),
+                    _uniform(4))
+# |x @ w1| <= 0.4 and |b1| >= 0.5 keep every hidden pre-activation off the ReLU kink
+_FFN_INPUTS = (_uniform(2, 2, 4), _uniform(4, 5, low=-0.1, high=0.1), _kinkless(5),
+               _uniform(5, 3), _uniform(3))
 
 # (name, input draws, op): each draw maps a generator to one input array,
 # kept away from kinks, and op maps the input tensors to the output
 OP_CATALOG = (
     ("add", (_uniform(2, 5), _uniform(5)), add),
     ("mul", (_uniform(2, 5), _uniform(2, 1)), mul),
-    ("relu", (_kinkless(3, 4),), relu),
-    ("sigmoid", (_uniform(3, 4, low=-2.0, high=2.0),), sigmoid),
-    ("tanh", (_uniform(3, 4, low=-2.0, high=2.0),), tanh),
-    ("softmax", (_uniform(4, 5, low=-2.0, high=2.0),), partial(softmax, axis=1)),
     ("log_softmax", (_uniform(4, 5, low=-2.0, high=2.0),), partial(log_softmax, axis=1)),
-    ("layer_norm", (_uniform(3, 6), _uniform(6, low=0.5, high=1.5), _uniform(6)), layer_norm),
+    ("add_norm", _ADD_NORM_INPUTS, partial(add_norm, rate=0.0, rng=None)),
+    # a generator built afresh per call draws the same mask every time
+    ("add_norm_dropout", _ADD_NORM_INPUTS,
+     lambda *a: add_norm(*a, 0.3, np.random.Generator(np.random.PCG64(0)))),
     ("embedding_lookup", (_uniform(7, 4),),
      lambda table: embedding_lookup(table, np.array([[0, 3, 6], [2, 2, 5]]))),
     ("concat", (_uniform(2, 3), _uniform(2, 5)), lambda a, b: concat([a, b], axis=1)),
@@ -135,6 +136,7 @@ OP_CATALOG = (
     ("linear", (_uniform(2, 3, 4), _uniform(4, 5), _uniform(5)), linear),
     ("linear_2d", (_uniform(3, 4), _uniform(4, 2)), linear),
     ("linear_no_bias", (_uniform(2, 3, 4), _uniform(4, 3)), linear),
+    ("ffn", _FFN_INPUTS, ffn),
     ("attention", (_uniform(2, 3, 12),), lambda qkv: attention(qkv, _ATTENTION_BIAS, 2)),
 )
 
@@ -277,6 +279,8 @@ class GradcheckReport:
 def run_gradcheck(n_probes: int = 200, seed: int = 0) -> GradcheckReport:
     if n_probes < 1:
         raise ConfigError(f"gradcheck needs at least one network probe, got {n_probes}")
+    if seed < 0:
+        raise ConfigError(f"gradcheck seed must be non-negative, got {seed}")
     op_errors = check_all_ops(seed)
     reprobes: list[str] = []
     network_errors = check_network(n_probes, seed, reprobes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .tensor import ParameterStore, Tensor, concat, linear, lstm_scan, relu
+from .tensor import ParameterStore, Tensor, concat, ffn, linear, lstm_scan
 
 
 class BiLstmFfnHead:
@@ -42,7 +42,7 @@ class BiLstmFfnHead:
         return concat([forward, backward], axis=1)
 
     def ffn(self, states: Tensor) -> Tensor:
-        return linear(relu(linear(states, self.w_f1, self.b_f1)), self.w_f2, self.b_f2)
+        return ffn(states, self.w_f1, self.b_f1, self.w_f2, self.b_f2)
 
     def forward(self, shared: Tensor, lengths: np.ndarray) -> Tensor:
         return self.ffn(self.bilstm(shared, lengths))

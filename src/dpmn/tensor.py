@@ -214,6 +214,37 @@ def linear(x, w, b=None) -> Tensor:
     return out
 
 
+def ffn(x, w1, b1, w2, b2) -> Tensor:
+    """linear(relu(linear(x, w1, b1)), w2, b2) for x [..., k], w1 [k, f] and
+    w2 [f, n]: two flat GEMMs and one tape entry. The backward keeps the
+    hidden activations and zeroes their gradient where the ReLU was off."""
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    if (x.ndim < 1 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0]
+            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1]
+            or b2.shape != w2.shape[1:]):
+        raise ShapeError(f"ffn needs x [..., k], w1 [k, f], b1 [f], w2 [f, n] and b2 [n], got "
+                         f"{x.shape}, {w1.shape}, {b1.shape}, {w2.shape} and {b2.shape}")
+    k, n = w1.shape[0], w2.shape[1]
+    flat = x.data.reshape(-1, k)
+    hid = flat @ w1.data
+    hid += b1.data
+    live = hid > 0
+    np.maximum(hid, 0.0, out=hid)
+    y = hid @ w2.data
+    y += b2.data
+    out = Tensor(y.reshape(x.shape[:-1] + (n,)))
+
+    def bw(g):
+        g2 = g.reshape(-1, n)
+        d_hid = g2 @ w2.data.T
+        d_hid *= live
+        return ((d_hid @ w1.data.T).reshape(x.shape), flat.T @ d_hid, d_hid.sum(axis=0),
+                hid.T @ g2, g2.sum(axis=0))
+
+    _record(out, (x, w1, b1, w2, b2), bw)
+    return out
+
+
 def attention(qkv: Tensor, bias: np.ndarray, num_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over a packed projection.
 
@@ -258,43 +289,43 @@ def attention(qkv: Tensor, bias: np.ndarray, num_heads: int) -> Tensor:
     return out
 
 
-def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0))
-    mask = a.data > 0
-    _record(out, (a,), lambda g: (g * mask,))
-    return out
+def add_norm(x, y, gain, bias, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """layer_norm(x + dropout(y)): the residual sum normalized over the last
+    axis to zero mean and unit variance, then scaled by gain and shifted by
+    bias. One tape entry with a hand-written backward.
 
-
-def sigmoid(a: Tensor) -> Tensor:
-    """sigmoid(x) = (1 + tanh(x/2)) / 2, the form lstm_scan uses; it never overflows."""
-    a = _as_tensor(a)
-    y = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-    out = Tensor(y)
-    _record(out, (a,), lambda g: (g * y * (1.0 - y),))
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    y = np.tanh(a.data)
-    out = Tensor(y)
-    _record(out, (a,), lambda g: (g * (1.0 - y * y),))
-    return out
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along `axis`, computed with max subtraction for stability."""
-    a = _as_tensor(a)
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
+    Inverted dropout draws y's zero/scale mask from `rng`; without a
+    generator (evaluation) or at rate 0 nothing is dropped and nothing is
+    drawn. Mean and variance are sums divided by the width, as np.mean and
+    np.var compute them.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
+    x, y, gain, bias = (_as_tensor(t) for t in (x, y, gain, bias))
+    if x.shape != y.shape or x.ndim < 1 or not gain.shape == bias.shape == x.shape[-1:]:
+        raise ShapeError(f"add_norm needs x and y [..., d], gain [d] and bias [d], got "
+                         f"{x.shape}, {y.shape}, {gain.shape} and {bias.shape}")
+    mask = None
+    if rng is not None and rate != 0.0:
+        mask = (rng.random(y.shape) >= rate) / (1.0 - rate)
+    # the residual sum, centred and then scaled into xhat in place
+    xhat = x.data + (y.data if mask is None else y.data * mask)
+    n = xhat.shape[-1]
+    xhat -= xhat.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
+    xhat *= inv
+    out = Tensor(xhat * gain.data)
+    out.data += bias.data
 
     def bw(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+        gx = g * gain.data
+        dx = gx - gx.sum(axis=-1, keepdims=True) / n
+        dx -= xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / n)
+        dx *= inv
+        return (dx, dx if mask is None else dx * mask,
+                _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape))
 
-    _record(out, (a,), bw)
+    _record(out, (x, y, gain, bias), bw)
     return out
 
 
@@ -309,30 +340,6 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
 
     _record(out, (a,), bw)
-    return out
-
-
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then scale and shift."""
-    a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
-    mean = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (a.data - mean) * inv
-    out = Tensor(xhat * gain.data + bias.data)
-
-    def bw(g):
-        gx = g * gain.data
-        dx = inv * (
-            gx
-            - gx.mean(axis=-1, keepdims=True)
-            - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        )
-        dgain = _unbroadcast(g * xhat, gain.shape)
-        dbias = _unbroadcast(g, bias.shape)
-        return dx, dgain, dbias
-
-    _record(out, (a, gain, bias), bw)
     return out
 
 
@@ -437,17 +444,6 @@ def prefix(m: Tensor, x: Tensor, skip: int) -> Tensor:
 
     _record(out, (m, x), bw)
     return out
-
-
-def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; the zero/scale mask is drawn from `rng`. Without a
-    generator (evaluation) or at rate 0 it is the identity and draws nothing."""
-    if not 0.0 <= rate < 1.0:
-        raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None or rate == 0.0:
-        return a
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    return mul(a, Tensor(mask))
 
 
 def lstm_scan(x: Tensor, lengths: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor,

@@ -287,6 +287,13 @@ def test_gradcheck_without_network_probes_exits_two(capsys, probes):
     assert "config error" in captured.err and "PASS" not in captured.out
 
 
+def test_gradcheck_with_a_negative_seed_exits_two(capsys):
+    assert main(["gradcheck", "--probes", "1", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "seed" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_gradcheck_failure_exits_four(monkeypatch, capsys):
     failing = GradcheckReport(op_errors={"linear": 1.0}, network_errors={}, probes=1)
     monkeypatch.setattr("dpmn.cli.run_gradcheck", lambda **kw: failing)

@@ -12,9 +12,10 @@ from dpmn.encoder import (
 )
 from dpmn.errors import ConfigError, ContractError, EmbeddingIndexError
 from dpmn.prompt import PromptConfig, init_prompt
-from dpmn.tensor import Tape, Tensor, backward, softmax
+from dpmn.tensor import Tape, Tensor, backward
 
 from conftest import make_store
+from reference_ops import softmax
 
 CFG = EncoderConfig(vocab_size=11, num_layers=2, hidden_size=8, num_heads=2,
                     ffn_size=16, max_seq_len=10, dropout=0.0)
@@ -153,21 +154,21 @@ def test_masked_attention_weight_is_negligible():
     assert np.allclose(short.data, padded.data[:, :3, :], atol=1e-12, rtol=0)
 
 
-def test_transformer_layer_records_ten_tape_entries(rng):
-    """The packed QKV linear, attention, three more linears, relu, two
-    residual adds and two layer norms."""
+def test_transformer_layer_records_six_tape_entries(rng):
+    """The packed QKV linear, attention, the output linear, add_norm, ffn
+    and add_norm."""
     layer = _stack().layers[0]
     x = Tensor(rng.normal(size=(2, 5, CFG.hidden_size)))
     bias = np.zeros((2, 1, 1, 5))
     with Tape() as tape:
         layer.forward(x, bias, 0.0, None)
-    assert len(tape) == 10
+    assert len(tape) == 6
 
 
 @pytest.mark.parametrize("length,form,matrices", [(2, "deep", CFG.num_layers), (2, "light", 1),
                                                   (0, "light", 0)])
 def test_encode_records_one_tape_entry_per_prefix_matrix(length, form, matrices):
-    """Beyond the layers' ten entries each, encode records one `prefix`
+    """Beyond the layers' six entries each, encode records one `prefix`
     per matrix in the bank and nothing else."""
     stack = _stack()
     bank = _bank(stack, length=length, form=form)
@@ -176,7 +177,7 @@ def test_encode_records_one_tape_entry_per_prefix_matrix(length, form, matrices)
     with Tape() as tape:
         encode(stack, emb, bank, np.array([3, 2]) + bank.prompt_len)
     assert len(bank.matrices) == matrices
-    assert len(tape) == 10 * CFG.num_layers + matrices
+    assert len(tape) == 6 * CFG.num_layers + matrices
 
 
 def test_encode_is_permutation_equivariant_over_batch():

@@ -68,17 +68,23 @@ def test_kink_reprobe_leaves_clean_probes_alone():
     assert reprobes == []
 
 
-def _relu_passing_every_gradient(a):
-    """ReLU forward with a wrong backward: it ignores the mask."""
-    out = Tensor(np.maximum(a.data, 0.0))
-    _record(out, (a,), lambda g: (g,))
+def _ffn_passing_every_gradient(x, w1, b1, w2, b2):
+    """The head FFN's forward with a wrong backward: it ignores the ReLU mask."""
+    hid = np.maximum(x.data @ w1.data + b1.data, 0.0)
+    out = Tensor(hid @ w2.data + b2.data)
+
+    def bw(g):
+        d_hid = g @ w2.data.T
+        return d_hid @ w1.data.T, x.data.T @ d_hid, d_hid.sum(axis=0), hid.T @ g, g.sum(axis=0)
+
+    _record(out, (x, w1, b1, w2, b2), bw)
     return out
 
 
 def test_wrong_backward_still_fails_where_a_kink_is_reprobed(monkeypatch):
     """Seed 8 is a seed whose probe straddles a ReLU kink in head_b: the
     re-probe must not let a wrong head backward pass."""
-    monkeypatch.setattr("dpmn.heads.relu", _relu_passing_every_gradient)
+    monkeypatch.setattr("dpmn.heads.ffn", _ffn_passing_every_gradient)
     worst = check_network(n_probes=200, seed=8, reprobes=[])
     assert worst["head_b"] >= NETWORK_TOLERANCE
 

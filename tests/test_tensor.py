@@ -11,26 +11,24 @@ from dpmn.tensor import (
     Tape,
     Tensor,
     add,
+    add_norm,
     attention,
     backward,
     concat,
-    dropout,
     embedding_lookup,
-    layer_norm,
+    ffn,
     linear,
     log_softmax,
     mul,
     prefix,
-    relu,
     reshape,
-    sigmoid,
     slice_,
-    softmax,
     sum_,
-    tanh,
 )
 
 from conftest import max_rel_error, numeric_gradient
+from reference_ops import (dropout, layer_norm, relu, sigmoid, softmax, tanh, unfused_add_norm,
+                           unfused_ffn)
 
 
 def test_matmul_identity():
@@ -410,3 +408,74 @@ def test_fused_primitives_reject_bad_shapes(rng):
     for skip in (-1, 6):
         with pytest.raises(ShapeError, match=f"skip {skip}"):
             prefix(m, x, skip)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=2), st.integers(1, 7),
+       st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.4, 0.5]), st.booleans(), st.integers(0, 2 ** 31))
+def test_add_norm_matches_the_unfused_chain_bitwise(lead, d, rate, with_rng, seed):
+    """Same value, same four gradients and the same generator state after:
+    the mask is drawn as dropout drew it, and only when it is applied."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    arrays = [rng.normal(size=(*lead, d)), rng.normal(size=(*lead, d)),
+              rng.uniform(0.5, 1.5, size=d), rng.normal(size=d)]
+    proj = rng.normal(size=(*lead, d))
+    results = []
+    for op in (add_norm, unfused_add_norm):
+        gen = np.random.Generator(np.random.PCG64(seed + 1)) if with_rng else None
+        out, grads = _value_and_grads(lambda *t: op(*t, rate, gen), arrays, proj)
+        results.append((out, grads, None if gen is None else gen.random()))
+    (got, got_grads, got_next), (want, want_grads, want_next) = results
+    assert np.array_equal(got, want)
+    for g, w in zip(got_grads, want_grads, strict=True):
+        assert np.array_equal(g, w)
+    assert got_next == want_next
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=2), st.integers(1, 5),
+       st.integers(1, 6), st.integers(1, 4), st.integers(0, 2 ** 31))
+def test_ffn_matches_linear_relu_linear_bitwise(lead, k, f, n, seed):
+    """On 2-D and 3-D inputs, with pre-activations of both signs."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    arrays = [rng.normal(size=(*lead, k)), rng.normal(size=(k, f)), rng.normal(size=f),
+              rng.normal(size=(f, n)), rng.normal(size=n)]
+    proj = rng.normal(size=(*lead, n))
+    got, got_grads = _value_and_grads(ffn, arrays, proj)
+    want, want_grads = _value_and_grads(unfused_ffn, arrays, proj)
+    assert np.array_equal(got, want)
+    for g, w in zip(got_grads, want_grads, strict=True):
+        assert np.array_equal(g, w)
+
+
+def test_add_norm_and_ffn_record_one_tape_entry_each(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
+    w1, b1 = Tensor(rng.normal(size=(4, 5))), Tensor(np.zeros(5))
+    w2, b2 = Tensor(rng.normal(size=(5, 4))), Tensor(np.zeros(4))
+    with Tape() as tape:
+        add_norm(x, ffn(x, w1, b1, w2, b2), gain, bias, 0.5, rng)
+    assert len(tape) == 2
+
+
+def test_add_norm_and_ffn_reject_bad_shapes_and_rates(rng):
+    x, gain = Tensor(np.zeros((2, 3, 4))), Tensor(np.ones(4))
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\), \(2, 3, 5\)"):
+        add_norm(x, Tensor(np.zeros((2, 3, 5))), gain, gain, 0.0, None)
+    with pytest.raises(ShapeError, match="gain"):
+        add_norm(x, x, Tensor(np.ones(3)), gain, 0.0, None)
+    with pytest.raises(ShapeError, match="bias"):
+        add_norm(x, x, gain, Tensor(np.ones(5)), 0.0, None)
+    for rate in (-0.1, 1.0):
+        with pytest.raises(ContractError, match="dropout rate"):
+            add_norm(x, x, gain, gain, rate, None)
+    w1, b1 = Tensor(np.zeros((4, 5))), Tensor(np.zeros(5))
+    w2, b2 = Tensor(np.zeros((5, 2))), Tensor(np.zeros(2))
+    with pytest.raises(ShapeError, match="ffn"):
+        ffn(Tensor(np.zeros((2, 3))), w1, b1, w2, b2)
+    with pytest.raises(ShapeError, match="ffn"):
+        ffn(x, w1, Tensor(np.zeros(4)), w2, b2)
+    with pytest.raises(ShapeError, match="ffn"):
+        ffn(x, w1, b1, Tensor(np.zeros((4, 2))), b2)
+    with pytest.raises(ShapeError, match="ffn"):
+        ffn(x, w1, b1, w2, Tensor(np.zeros(3)))

@@ -9,10 +9,13 @@ import pytest
 from dpmn import trainer
 from dpmn.checkpoint import load_checkpoint
 from dpmn.data import build_vocab, generate_synthetic_corpus, make_batches
+from dpmn.encoder import TransformerLayer
 from dpmn.errors import NumericError
+from dpmn.heads import BiLstmFfnHead
 from dpmn.losses import LossWeights
 from dpmn.prompt import PromptConfig
 from dpmn.runconfig import TrainConfig
+from dpmn.tensor import attention, linear
 from dpmn.trainer import (
     ABLATION_VARIANTS,
     RUNLOG_HEADER,
@@ -24,6 +27,7 @@ from dpmn.trainer import (
 )
 
 from conftest import encoder_parameters, head_parameters, scripted_dev_metric
+from reference_ops import unfused_add_norm, unfused_ffn
 
 TINY = dict(num_layers=2, hidden_size=16, num_heads=2, ffn_size=32, max_seq_len=24,
             dropout=0.0, batch_size=16)
@@ -106,6 +110,43 @@ def test_two_runs_are_bitwise_identical(corpus):
     b = train(cfg, corpus, corpus)
     assert a.runlog.to_csv() == b.runlog.to_csv()
     assert a.checkpoint_blob() == b.checkpoint_blob()
+
+
+def _reference_layer_forward(self, x, attn_bias, rate, rng):
+    """TransformerLayer.forward with the unfused residual, dropout, layer
+    norm and ReLU."""
+    context = attention(linear(x, self.wq, self.bqkv), attn_bias, self.num_heads)
+    x = unfused_add_norm(x, linear(context, self.wo, self.bo), self.attn_gain, self.attn_bias,
+                         rate, rng)
+    ffn_out = unfused_ffn(x, self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2)
+    return unfused_add_norm(x, ffn_out, self.ffn_gain, self.ffn_bias, rate, rng)
+
+
+def _reference_head_ffn(self, states):
+    return unfused_ffn(states, self.w_f1, self.b_f1, self.w_f2, self.b_f2)
+
+
+@pytest.mark.parametrize("head_kind", ["linear", "bilstm-ffn"])
+def test_fused_sublayers_write_the_unfused_runs_bytes(corpus, tmp_path, monkeypatch, head_kind):
+    """With dropout on, the fused add_norm and ffn train to the same
+    runlog.csv and model.ckpt bytes as the unfused composition."""
+    def run(name):
+        cfg = _cfg(learning_rate=1e-3, max_epochs=2, dropout=0.1, rng_seed=5,
+                   head_kind=head_kind, out_dir=str(tmp_path / name))
+        train(cfg, corpus, corpus)
+        return [(tmp_path / name / f).read_bytes()
+                for f in (trainer.RUNLOG_NAME, trainer.CHECKPOINT_NAME)]
+
+    fused = run("fused")
+    calls = []
+    for cls, attr, reference in ((TransformerLayer, "forward", _reference_layer_forward),
+                                 (BiLstmFfnHead, "ffn", _reference_head_ffn)):
+        def spy(*args, reference=reference, attr=attr):
+            calls.append(attr)
+            return reference(*args)
+        monkeypatch.setattr(cls, attr, spy)
+    assert run("unfused") == fused
+    assert "forward" in calls and ("ffn" in calls) == (head_kind == "bilstm-ffn")
 
 
 def test_different_seed_changes_the_run(corpus):
