@@ -117,11 +117,11 @@ def _cmd_sweep(args) -> int:
     configs = sweep_configs(lengths, forms, inits, tuning=cfg.prompt.tuning)
     if not configs:
         raise ConfigError("no valid prompt setting in the sweep grid")
+    results = run_grid([(p, replace(cfg, prompt=p)) for p in configs], train_set, dev_set)
     _make_out_dir(cfg)
     lines = ["length,form,init,tuning,dev_macro_f1_a,best_epoch"]
     print(lines[0])
-    runs = [(p, replace(cfg, prompt=p)) for p in configs]
-    for p, result in run_grid(runs, train_set, dev_set):
+    for p, result in results:
         lines.append(f"{p.length},{p.form},{p.init},{p.tuning},"
                      f"{result.best_metric!r},{result.best_epoch}")
         print(lines[-1])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .prompt import PrefixBank
+from .prompt import PrefixBank, text_budget
 from .tensor import (
     INIT_STD,
     ParameterStore,
@@ -57,10 +57,6 @@ class EncoderConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
-    def text_budget(self, prompt_len: int) -> int:
-        """Token positions a text may fill: max_seq_len less the prompt slots."""
-        return self.max_seq_len - prompt_len
-
 
 class TransformerLayer:
     def __init__(self, index: int, config: EncoderConfig, store: ParameterStore):
@@ -84,8 +80,13 @@ class TransformerLayer:
         self.ffn_bias = store.new(f"{pre}.ffn_norm.bias", (d,), 0.0)
 
     def forward(self, x: Tensor, attn_bias: np.ndarray, dropout_rate: float,
-                rng: np.random.Generator | None) -> Tensor:
-        context = attention(linear(x, self.wq, self.bqkv), attn_bias, self.num_heads)
+                rng: np.random.Generator | None, queries: int | None = None) -> Tensor:
+        """The layer's output at the first `queries` positions (all when
+        None), shape [batch, queries, d]. Keys and values cover every
+        position, so the QKV projection still runs over the whole sequence."""
+        context = attention(linear(x, self.wq, self.bqkv), attn_bias, self.num_heads, queries)
+        if queries is not None:
+            x = x[:, :queries]
         x = add_norm(x, linear(context, self.wo, self.bo), self.attn_gain, self.attn_bias,
                      dropout_rate, rng)
         return add_norm(x, ffn(x, self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2),
@@ -108,7 +109,7 @@ class EncoderStack:
         prompt length so prompt slots own positions 0..p_n-1."""
         token_ids = np.asarray(token_ids)
         seq = token_ids.shape[1]
-        limit = self.config.text_budget(prompt_len)
+        limit = text_budget(self.config.max_seq_len, prompt_len)
         if seq > limit:
             raise ContractError(
                 f"sequence length {seq} exceeds max_seq_len - p_n = {limit}"
@@ -119,21 +120,26 @@ class EncoderStack:
 
 
 def encode(stack: EncoderStack, input_emb: Tensor, bank: PrefixBank,
-           lengths: np.ndarray, dropout_rng: np.random.Generator | None = None) -> Tensor:
+           lengths: np.ndarray, dropout_rng: np.random.Generator | None = None,
+           queries: int | None = None) -> Tensor:
     """Run the full stack over prompt prefix + text.
 
     `lengths` counts each row's real positions, prompt slots included;
     attention to the positions after them is masked. Layer 0 consumes prefix
     matrix 0 ahead of the text embeddings; every later layer i that has a
     matrix i in the bank first overwrites the prompt slots with it. Returns
-    the last layer's full hidden sequence, shape [batch, p_n + T, hidden].
+    the last layer's hidden sequence at its first `queries` positions, shape
+    [batch, queries, hidden]; when None, all p_n + T of them. Only the last
+    layer is cut short: every earlier position feeds its keys and values.
     """
     p = bank.prompt_len
     slots = np.arange(p + input_emb.shape[1])
     attn_bias = np.where(slots < lengths[:, None], 0.0, MASK_BIAS)[:, None, None, :]
     x = input_emb
+    last = len(stack.layers) - 1
     for i, layer in enumerate(stack.layers):
         if i < len(bank.matrices):
             x = prefix(bank.matrices[i], x, skip=p if i else 0)
-        x = layer.forward(x, attn_bias, stack.config.dropout, dropout_rng)
+        x = layer.forward(x, attn_bias, stack.config.dropout, dropout_rng,
+                          queries if i == last else None)
     return x

@@ -138,6 +138,10 @@ OP_CATALOG = (
     ("linear_no_bias", (_uniform(2, 3, 4), _uniform(4, 3)), linear),
     ("ffn", _FFN_INPUTS, ffn),
     ("attention", (_uniform(2, 3, 12),), lambda qkv: attention(qkv, _ATTENTION_BIAS, 2)),
+    # only the first query row attends, as in a linear-head model's last layer;
+    # K's gradient scales with that one row of Q, so no entry is drawn near 0
+    ("attention_first_query", (_kinkless(2, 3, 12),),
+     lambda qkv: attention(qkv, _ATTENTION_BIAS, 2, queries=1)),
 )
 
 

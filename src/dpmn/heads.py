@@ -17,6 +17,8 @@ from .tensor import ParameterStore, Tensor, concat, ffn, linear, lstm_scan
 class BiLstmFfnHead:
     """Bi-LSTM over the shared sequence, then two linear layers with ReLU."""
 
+    reads = None  # leading sequence positions the head reads: all of them
+
     def __init__(self, input_size: int, lstm_hidden: int, ffn_hidden: int,
                  n_classes: int, store: ParameterStore, name: str):
         self.n_classes = n_classes
@@ -50,6 +52,8 @@ class BiLstmFfnHead:
 
 class LinearHead:
     """Single linear layer over the first sequence position's hidden vector."""
+
+    reads = 1
 
     def __init__(self, input_size: int, n_classes: int, store: ParameterStore, name: str):
         self.n_classes = n_classes

@@ -8,7 +8,7 @@ from .data import TASK_CLASSES, TASKS, Batch
 from .encoder import EncoderConfig, EncoderStack, encode
 from .errors import ConfigError
 from .heads import make_head
-from .prompt import TUNINGS, PrefixBank, PromptConfig, init_prompt
+from .prompt import TUNINGS, PrefixBank, PromptConfig, init_prompt, text_budget
 from .tensor import ParameterStore, Tensor
 
 
@@ -59,7 +59,7 @@ class DpmnModel:
     @property
     def text_budget(self) -> int:
         """The encoder's text budget under this model's prompt."""
-        return self.encoder.config.text_budget(self.bank.prompt_len)
+        return text_budget(self.encoder.config.max_seq_len, self.bank.prompt_len)
 
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._store.tensors)
@@ -74,11 +74,16 @@ class DpmnModel:
 
     def forward(self, batch: Batch,
                 dropout_rng: np.random.Generator | None = None) -> dict[str, Tensor]:
-        """Logits per task. Pass a dropout generator only while training."""
+        """Logits per task. Pass a dropout generator only while training.
+
+        The encoder's last layer computes only the leading positions the
+        heads read (`reads`), or all of them if any head reads them all."""
         p = self.bank.prompt_len
         lengths = batch.lengths + p
         emb = self.encoder.embed(batch.token_ids, prompt_len=p)
-        shared = encode(self.encoder, emb, self.bank, lengths, dropout_rng)
+        reads = [head.reads for head in self.heads.values()]
+        queries = None if None in reads else max(reads)
+        shared = encode(self.encoder, emb, self.bank, lengths, dropout_rng, queries)
         return {task: head_forward(self.heads[task], shared, lengths, task)
                 for task in TASKS}
 

@@ -70,6 +70,16 @@ class PrefixBank:
         return sum(m.size for m in self.matrices)
 
 
+def text_budget(max_seq_len: int, prompt_len: int) -> int:
+    """Token positions a text may fill: max_seq_len less the prompt slots.
+    A prompt that leaves no slot for text is a ConfigError."""
+    budget = max_seq_len - prompt_len
+    if budget < 1:
+        raise ConfigError(f"prompt length {prompt_len} leaves no room for text "
+                          f"(max_seq_len {max_seq_len})")
+    return budget
+
+
 def init_prompt(config: PromptConfig, encoder_config, embedding_table: np.ndarray,
                 store: ParameterStore, rng_seed: int) -> PrefixBank:
     """Build the prefix bank for an encoder, its matrices created in `store`.
@@ -78,11 +88,7 @@ def init_prompt(config: PromptConfig, encoder_config, embedding_table: np.ndarra
     generator seeded with rng_seed; token init copies embedding-table rows,
     replicated into every layer matrix for the deep form.
     """
-    if encoder_config.text_budget(config.length) < 1:
-        raise ConfigError(
-            f"prompt length {config.length} leaves no room for text "
-            f"(max_seq_len {encoder_config.max_seq_len})"
-        )
+    text_budget(encoder_config.max_seq_len, config.length)
     shape = (config.length, encoder_config.hidden_size)
     n_matrices = 0 if config.length == 0 else (
         encoder_config.num_layers if config.form == "deep" else 1

@@ -245,24 +245,32 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
     return out
 
 
-def attention(qkv: Tensor, bias: np.ndarray, num_heads: int) -> Tensor:
+def attention(qkv: Tensor, bias: np.ndarray, num_heads: int,
+              queries: int | None = None) -> Tensor:
     """Multi-head scaled dot-product attention over a packed projection.
 
     qkv [batch, seq, 3d] holds Q, K and V side by side, each split into
     num_heads heads of d / num_heads columns. `bias` is a constant added to
-    the scores [batch, heads, seq, seq] before the softmax (a mask). Returns
-    the heads' context merged back to [batch, seq, d]. One tape entry; the
-    backward is derived by hand as in FlashAttention, without tiling.
+    the scores [batch, heads, queries, seq] before the softmax (a mask).
+    Only the first `queries` positions (all of them when None) attend;
+    returns their context, heads merged, as [batch, queries, d]. Every key
+    and value is read, so K and V get a gradient at every position and Q an
+    exact zero past `queries`. One tape entry; the backward is derived by
+    hand as in FlashAttention, without tiling.
     """
     qkv = _as_tensor(qkv)
     if qkv.ndim != 3 or qkv.shape[2] % (3 * num_heads):
         raise ShapeError(f"attention needs qkv [batch, seq, 3d] for {num_heads} heads, "
                          f"got {qkv.shape}")
     batch, seq, width = qkv.shape
+    rows = seq if queries is None else queries
+    if queries is not None and not 1 <= queries <= seq:
+        raise ShapeError(f"attention queries {queries} is outside 1..{seq}")
     d = width // 3
     head_size = d // num_heads
     scale = head_size ** -0.5
     q, k, v = qkv.data.reshape(batch, seq, 3, num_heads, head_size).transpose(2, 0, 3, 1, 4)
+    q = q[:, :, :rows]
     scores = q @ k.swapaxes(-1, -2)
     scores *= scale
     try:
@@ -272,16 +280,17 @@ def attention(qkv: Tensor, bias: np.ndarray, num_heads: int) -> Tensor:
                          f"scores {scores.shape}") from None
     weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights /= weights.sum(axis=-1, keepdims=True)
-    out = Tensor((weights @ v).transpose(0, 2, 1, 3).reshape(batch, seq, d))
+    out = Tensor((weights @ v).transpose(0, 2, 1, 3).reshape(batch, rows, d))
 
     def bw(g):
-        g_context = g.reshape(batch, seq, num_heads, head_size).transpose(0, 2, 1, 3)
+        g_context = g.reshape(batch, rows, num_heads, head_size).transpose(0, 2, 1, 3)
         d_qkv = np.empty((3, batch, num_heads, seq, head_size))
         np.matmul(weights.swapaxes(-1, -2), g_context, out=d_qkv[2])
         d_weights = g_context @ v.swapaxes(-1, -2)
         d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
         d_scores *= scale
-        np.matmul(d_scores, k, out=d_qkv[0])
+        np.matmul(d_scores, k, out=d_qkv[0, :, :, :rows])
+        d_qkv[0, :, :, rows:] = 0.0
         np.matmul(d_scores.swapaxes(-1, -2), q, out=d_qkv[1])
         return (d_qkv.transpose(1, 3, 0, 2, 4).reshape(qkv.shape),)
 

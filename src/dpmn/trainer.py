@@ -29,7 +29,7 @@ from .losses import LossWeights, cross_entropy, total_loss
 from .metrics import confusion_matrix, macro_f1
 from .model import DpmnModel
 from .optim import make_optimizer
-from .prompt import PromptConfig
+from .prompt import PromptConfig, text_budget
 from .runconfig import TrainConfig, format_checkpoint_header, parse_checkpoint_header
 from .tensor import Tape, backward
 
@@ -306,12 +306,21 @@ def _describe(head: str, mtl: bool, prompt: bool) -> str:
 
 def run_grid(runs, train_examples, dev_examples, *, log=None):
     """Train each (label, config) run in turn on the same data, writing no
-    artifacts, and yield (label, result) as each run finishes. log, when
-    given, receives each label before its run starts."""
-    for label, cfg in runs:
-        if log is not None:
-            log(label)
-        yield label, train(replace(cfg, out_dir=None), train_examples, dev_examples)
+    artifacts; returns an iterator of (label, result) as each run finishes.
+    log, when given, receives each label before its run starts. Every run's
+    prompt is checked against its text budget at the call, so a grid point
+    that cannot run fails before the first run starts."""
+    runs = list(runs)
+    for _, cfg in runs:
+        text_budget(cfg.max_seq_len, cfg.prompt.length)
+
+    def results():
+        for label, cfg in runs:
+            if log is not None:
+                log(label)
+            yield label, train(replace(cfg, out_dir=None), train_examples, dev_examples)
+
+    return results()
 
 
 def ablate(base: TrainConfig, train_examples, dev_examples, *,

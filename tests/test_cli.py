@@ -336,6 +336,31 @@ def test_sweep_without_a_valid_setting_exits_two(workdir, capsys):
     assert not out.exists()
 
 
+def test_sweep_length_without_room_for_text_exits_two_before_training(workdir, capsys):
+    """max_seq_len is 24: length 1 could run, length 24 leaves no text slot."""
+    out = workdir / "sweepdir"
+    assert main(["sweep", "--lengths", "1,24", "--forms", "deep", "--inits", "random",
+                 "--config", str(workdir / "run.cfg"), "--train", str(workdir / "train.tsv"),
+                 "--dev", str(workdir / "dev.tsv"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "prompt length 24 leaves no room for text" in captured.err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_ablate_prompt_without_room_for_text_exits_two_before_training(workdir, capsys):
+    """The prompt-off variants could run; the prompt variants cannot."""
+    cfg = workdir / "long.cfg"
+    cfg.write_text(FAST_CONFIG.replace("prompt_length = 1", "prompt_length = 24"))
+    out = workdir / "ablation"
+    assert main(["ablate", "--config", str(cfg), "--train", str(workdir / "train.tsv"),
+                 "--dev", str(workdir / "dev.tsv"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "prompt length 24 leaves no room for text" in captured.err
+    assert not (out / "ablation.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
 def test_out_naming_a_file_exits_three_before_training(workdir, capsys, command):
     taken = workdir / "taken"

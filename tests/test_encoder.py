@@ -112,9 +112,9 @@ def test_deep_layers_replace_prompt_slots(monkeypatch):
     seen = []
     original = TransformerLayer.forward
 
-    def spy(self, x, attn_bias, rate, rng):
+    def spy(self, x, attn_bias, rate, rng, queries=None):
         seen.append(x.data[:, : bank.prompt_len, :].copy())
-        return original(self, x, attn_bias, rate, rng)
+        return original(self, x, attn_bias, rate, rng, queries)
 
     monkeypatch.setattr(TransformerLayer, "forward", spy)
     _run(stack, bank, np.array([[2, 3, 4], [5, 6, 7]]))
@@ -130,9 +130,9 @@ def test_light_prefix_flows_through_after_layer_zero(monkeypatch):
     seen = []
     original = TransformerLayer.forward
 
-    def spy(self, x, attn_bias, rate, rng):
+    def spy(self, x, attn_bias, rate, rng, queries=None):
         seen.append(x.data[:, :2, :].copy())
-        return original(self, x, attn_bias, rate, rng)
+        return original(self, x, attn_bias, rate, rng, queries)
 
     monkeypatch.setattr(TransformerLayer, "forward", spy)
     _run(stack, bank, np.array([[2, 3, 4]]))

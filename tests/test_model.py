@@ -1,9 +1,12 @@
 """Composition of encoder, prompt bank, and heads into the full network."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dpmn import gradcheck
+from dpmn import gradcheck, model as model_module, tensor
+from dpmn.data import TASKS, Batch
 from dpmn.encoder import EncoderConfig
 from dpmn.errors import ConfigError
 from dpmn.gradcheck import (
@@ -12,7 +15,8 @@ from dpmn.gradcheck import (
     check_all_ops,
     check_network,
 )
-from dpmn.losses import cross_entropy
+from dpmn.heads import LinearHead
+from dpmn.losses import LossWeights, cross_entropy, total_loss
 from dpmn.model import DpmnModel
 from dpmn.prompt import PromptConfig
 from dpmn.tensor import Tape, Tensor, _record, backward
@@ -194,3 +198,77 @@ def test_prompt_positions_feed_the_heads():
     base = model.forward(batch)["a"].data.copy()
     model.bank.matrices[-1].data += 0.5
     assert not np.allclose(model.forward(batch)["a"].data, base)
+
+
+def _encode_spy(monkeypatch, calls, force_all=False):
+    """Record (queries, tape entries) of each encode call; with force_all,
+    run the unpruned encoder whatever the model asks for."""
+    original = model_module.encode
+
+    def spy(stack, emb, bank, lengths, rng=None, queries=None):
+        before = len(tensor._active_tape)
+        out = original(stack, emb, bank, lengths, rng, None if force_all else queries)
+        calls.append((queries, len(tensor._active_tape) - before))
+        return out
+
+    monkeypatch.setattr(model_module, "encode", spy)
+
+
+def _one_step(model):
+    """Logits and parameter gradients of one loss over a padded batch that
+    has every task's labels."""
+    batch = Batch(token_ids=np.array([[2, 5, 7, 3], [2, 9, 0, 0], [2, 4, 6, 0]]),
+                  lengths=np.array([4, 2, 3]),
+                  labels={"a": np.array([1, 0, 1]), "b": np.array([0, -1, 1]),
+                          "c": np.array([2, -1, -1])})
+    with Tape() as tape:
+        logits = model.forward(batch)
+        loss = total_loss(*(cross_entropy(logits[t], batch.labels[t]) for t in TASKS),
+                          LossWeights(0.4, 0.3, 0.3))
+    backward(tape, loss)
+    grads = {name: p.grad for name, p in model.parameters().items()}
+    return {task: v.data for task, v in logits.items()}, grads
+
+
+@pytest.mark.parametrize("p_n,form", [(0, "light"), (1, "light"), (2, "light"), (1, "deep"),
+                                      (2, "deep")])
+def test_linear_heads_run_the_last_layer_for_the_first_position_only(monkeypatch, p_n, form):
+    """At dropout 0 the pruned encoder gives the unpruned logits and
+    parameter gradients within 1e-12 relative, for one more tape entry:
+    the last layer's residual slice."""
+    runs, calls = [], []
+    for force_all in (False, True):
+        with monkeypatch.context() as patch:
+            _encode_spy(patch, calls, force_all)
+            runs.append(_one_step(_tiny_model("linear", p_n, form)))
+    (logits, grads), (full_logits, full_grads) = runs
+    matrices = {"light": 1, "deep": 2}[form] if p_n else 0
+    assert calls == [(1, 6 * 2 + matrices + 1), (1, 6 * 2 + matrices)]
+    for task in TASKS:
+        assert max_rel_error(logits[task], full_logits[task], floor=1e-300) <= 1e-12
+    assert grads.keys() == full_grads.keys()
+    for name, g in grads.items():
+        assert (g is None) == (full_grads[name] is None), name
+        if g is not None:
+            scale = max(np.abs(full_grads[name]).max(), 1e-300)
+            assert np.abs(g - full_grads[name]).max() / scale <= 1e-12, name
+
+
+def test_bilstm_heads_run_every_position_of_the_last_layer(monkeypatch):
+    """A head that reads every position leaves the encoder unpruned: six
+    tape entries per layer and one per prefix matrix, no slice."""
+    calls = []
+    _encode_spy(monkeypatch, calls)
+    _one_step(_tiny_model("bilstm-ffn", p_n=2, form="deep"))
+    assert calls == [(None, 6 * 2 + 2)]
+
+
+def test_network_gradients_of_linear_heads_pass(monkeypatch):
+    """The composed network with linear heads, whose last encoder layer
+    computes only the first position, passes the network gradient check."""
+    monkeypatch.setattr(gradcheck, "TINY_CONFIG",
+                        replace(gradcheck.TINY_CONFIG, head_kind="linear"))
+    assert isinstance(build_probe_setup()[0].heads["a"], LinearHead)
+    errors = check_network(60)
+    assert {"embedding", "layer0", "layer1", "prompt", "head_a"} <= errors.keys()
+    assert all(err < NETWORK_TOLERANCE for err in errors.values()), errors

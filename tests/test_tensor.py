@@ -360,6 +360,33 @@ def test_attention_matches_composed_reference(batch, seq, heads, size, seed, dat
         [rng.normal(size=(batch, seq, 3 * d))], rng.normal(size=(batch, seq, d)))
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 2), st.integers(1, 3),
+       st.integers(0, 2 ** 31), st.data())
+def test_attention_over_leading_queries_matches_the_full_op(batch, seq, heads, size, seed, data):
+    """For every `queries` in 1..seq the value is the full op's first rows,
+    and the gradient is the full op's under a projection that is zero past
+    them: K and V at every row, Q exactly zero at the rows not computed."""
+    lengths = np.array(data.draw(st.lists(st.integers(1, seq), min_size=batch, max_size=batch)))
+    bias = np.where(np.arange(seq) < lengths[:, None], 0.0, MASK_BIAS)[:, None, None, :]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    d = heads * size
+    qkv, proj = rng.normal(size=(batch, seq, 3 * d)), rng.normal(size=(batch, seq, d))
+    for queries in range(1, seq + 1):
+        cut = proj.copy()
+        cut[:, queries:] = 0.0
+        got, (got_grad,) = _value_and_grads(lambda t: attention(t, bias, heads, queries),
+                                            [qkv], proj[:, :queries])
+        want, (want_grad,) = _value_and_grads(lambda t: attention(t, bias, heads), [qkv], cut)
+        assert got.shape == (batch, queries, d)
+        assert _relative(got, want[:, :queries]) <= 1e-13
+        assert _relative(got_grad, want_grad) <= 1e-13
+        assert (got_grad[:, queries:, :d] == 0.0).all()
+    for queries in (0, seq + 1):
+        with pytest.raises(ShapeError, match=f"queries {queries}"):
+            attention(Tensor(qkv), bias, heads, queries)
+
+
 def _reference_prefix(m, x, skip):
     """The prompt tiled over the batch by a broadcast multiply, then
     concatenated ahead of the slots of x kept from `skip` on."""

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dpmn import trainer
-from dpmn.checkpoint import load_checkpoint
+from dpmn import model as model_module, trainer
+from dpmn.checkpoint import load_checkpoint, parse_checkpoint
 from dpmn.data import build_vocab, generate_synthetic_corpus, make_batches
 from dpmn.encoder import TransformerLayer
 from dpmn.errors import NumericError
@@ -112,10 +112,12 @@ def test_two_runs_are_bitwise_identical(corpus):
     assert a.checkpoint_blob() == b.checkpoint_blob()
 
 
-def _reference_layer_forward(self, x, attn_bias, rate, rng):
+def _reference_layer_forward(self, x, attn_bias, rate, rng, queries=None):
     """TransformerLayer.forward with the unfused residual, dropout, layer
     norm and ReLU."""
-    context = attention(linear(x, self.wq, self.bqkv), attn_bias, self.num_heads)
+    context = attention(linear(x, self.wq, self.bqkv), attn_bias, self.num_heads, queries)
+    if queries is not None:
+        x = x[:, :queries]
     x = unfused_add_norm(x, linear(context, self.wo, self.bo), self.attn_gain, self.attn_bias,
                          rate, rng)
     ffn_out = unfused_ffn(x, self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2)
@@ -147,6 +149,26 @@ def test_fused_sublayers_write_the_unfused_runs_bytes(corpus, tmp_path, monkeypa
         monkeypatch.setattr(cls, attr, spy)
     assert run("unfused") == fused
     assert "forward" in calls and ("ffn" in calls) == (head_kind == "bilstm-ffn")
+
+
+def test_linear_head_run_matches_the_unpruned_encoders(corpus, monkeypatch):
+    """At dropout 0, four epochs with the last layer cut to the first
+    position track the same run through the unpruned encoder to rounding."""
+    cfg = _cfg(learning_rate=1e-3, max_epochs=4, head_kind="linear", rng_seed=3)
+    pruned = train(cfg, corpus, corpus)
+    original = model_module.encode
+    monkeypatch.setattr(model_module, "encode",
+                        lambda stack, emb, bank, lengths, rng=None, queries=None:
+                        original(stack, emb, bank, lengths, rng, None))
+    full = train(cfg, corpus, corpus)
+    assert len(pruned.runlog.step_losses) == len(full.runlog.step_losses) > 4
+    for got, want in zip(pruned.runlog.step_losses, full.runlog.step_losses):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert [r.f1 for r in pruned.runlog.rows] == [r.f1 for r in full.runlog.rows]
+    (_, arrays), (_, full_arrays) = (parse_checkpoint(r.checkpoint_blob()) for r in (pruned, full))
+    assert arrays.keys() == full_arrays.keys()
+    for name, values in arrays.items():
+        np.testing.assert_allclose(values, full_arrays[name], rtol=0, atol=1e-9, err_msg=name)
 
 
 def test_different_seed_changes_the_run(corpus):
