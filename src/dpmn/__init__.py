@@ -34,7 +34,7 @@ from .heads import BiLstmFfnHead, LinearHead
 from .losses import LossWeights, cross_entropy, total_loss
 from .metrics import confusion_matrix, macro_f1
 from .model import DpmnModel
-from .optim import Adam, Sgd
+from .optim import Adam
 from .prompt import PrefixBank, PromptConfig, init_prompt, sweep_configs
 from .runconfig import TrainConfig, format_config, parse_config
 from .tensor import ParameterStore, Tape, Tensor, backward
@@ -61,7 +61,6 @@ __all__ = [
     "PrefixBank",
     "PromptConfig",
     "RunLog",
-    "Sgd",
     "ShapeError",
     "Tape",
     "Tensor",

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import IntegrityError
 
 MAGIC = b"DPMN"
-FORMAT_VERSION = 2  # 2 packs each layer's Q|K|V; a version-1 file is rejected
+FORMAT_VERSION = 3  # 3 drops the header's optimizer key; versions 1 and 2 are rejected
 
 
 def checkpoint_bytes(header_text: str, arrays: dict[str, np.ndarray]) -> bytes:

@@ -17,7 +17,7 @@ from .errors import ConfigError, DataError, IntegrityError, NumericError
 from .gradcheck import run_gradcheck
 from .prompt import sweep_configs
 from .runconfig import TrainConfig, load_config_file
-from .trainer import ablate, evaluate_checkpoint, run_grid, train
+from .trainer import ablate, check_runs, evaluate_checkpoint, run_grid, train
 
 
 def _load_config(args) -> TrainConfig:
@@ -56,6 +56,7 @@ def _make_out_dir(cfg: TrainConfig) -> None:
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     train_set, dev_set = _read_corpus(args.train), _read_corpus(args.dev)
+    check_runs([cfg], train_set)
     _make_out_dir(cfg)
     result = train(cfg, train_set, dev_set, log=print)
     print(f"best epoch {result.best_epoch}: dev macro F1 (task A) {result.best_metric:.4f}")
@@ -80,6 +81,7 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = _load_config(args)
     train_set, dev_set = _read_corpus(args.train), _read_corpus(args.dev)
+    check_runs([cfg], train_set)
     _make_out_dir(cfg)
     result = ablate(cfg, train_set, dev_set, log=print)
     print(result.to_markdown(), end="")

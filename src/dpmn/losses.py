@@ -28,9 +28,6 @@ class LossWeights:
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ConfigError(f"loss weights must sum to 1, got {total!r}")
 
-    def as_tuple(self):
-        return (self.main, self.auxi1, self.auxi2)
-
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood over examples whose label is present.

@@ -1,4 +1,4 @@
-"""Optimizers over named parameter sets.
+"""Adam over a named parameter set.
 
 Parameters are trainable Tensors keyed by name. A missing gradient at
 step() time means the parameter never appeared on the tape, which is how
@@ -11,11 +11,6 @@ import numpy as np
 
 from .errors import ContractError
 from .tensor import Tensor
-
-
-def zero_grad(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.grad = None
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -50,31 +45,5 @@ class Adam:
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def zero_grad(self) -> None:
-        zero_grad(self.params)
-
-
-class Sgd:
-    """Plain gradient descent; kept behind a config switch for simple debugging."""
-
-    def __init__(self, params: dict[str, Tensor], lr: float):
-        self.params = dict(params)
-        self.lr = lr
-
-    def step(self) -> None:
-        for name, p in self.params.items():
-            if p.grad is None:
-                raise ContractError(
-                    f"parameter {name!r} has no gradient; it is detached from the loss"
-                )
-            p.data -= self.lr * p.grad
-
-    def zero_grad(self) -> None:
-        zero_grad(self.params)
-
-
-def make_optimizer(kind: str, params: dict[str, Tensor], lr: float):
-    if kind == "adam":
-        return Adam(params, lr)
-    if kind == "sgd":
-        return Sgd(params, lr)
-    raise ContractError(f"unknown optimizer {kind!r}")
+        for p in self.params.values():
+            p.grad = None

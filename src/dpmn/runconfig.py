@@ -37,7 +37,6 @@ class TrainConfig:
     head_kind: str = "bilstm-ffn"
     lstm_hidden: int | None = None
     head_ffn_size: int | None = None
-    optimizer: str = "adam"
     min_freq: int = 1
     rng_seed: int = 0
     out_dir: str | None = None
@@ -50,8 +49,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.head_kind not in HEAD_KINDS:
             raise ConfigError(f"head_kind must be one of {HEAD_KINDS}, got {self.head_kind!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
         shared = {f.name: getattr(self, f.name) for f in fields(EncoderConfig)

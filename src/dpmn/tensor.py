@@ -3,7 +3,7 @@
 Ops executed while a Tape is active are recorded in execution order, which
 is already a topological order of the graph. backward() replays the tape in
 reverse, visiting each recorded op once. Gradients accumulate additively
-into Tensor.grad and are only cleared explicitly (see optim.zero_grad).
+into Tensor.grad and are only cleared explicitly (see Adam.zero_grad).
 
 Everything is float64: at desk scale memory is irrelevant and the gradient
 checks need the precision.

@@ -28,8 +28,8 @@ from .errors import ConfigError, ContractError, IntegrityError, NumericError
 from .losses import LossWeights, cross_entropy, total_loss
 from .metrics import confusion_matrix, macro_f1
 from .model import DpmnModel
-from .optim import make_optimizer
-from .prompt import PromptConfig, text_budget
+from .optim import Adam
+from .prompt import PromptConfig
 from .runconfig import TrainConfig, format_checkpoint_header, parse_checkpoint_header
 from .tensor import Tape, backward
 
@@ -121,6 +121,13 @@ def _build_model(cfg: TrainConfig, vocab: Vocab) -> DpmnModel:
     )
 
 
+def check_runs(configs, train_examples) -> None:
+    """Build each config's model on the training vocabulary, so a config the
+    model cannot take raises its ConfigError before any run starts."""
+    for cfg in configs:
+        _build_model(cfg, build_vocab(train_examples, cfg.min_freq))
+
+
 def _require_finite(arrays: dict[str, np.ndarray | None], what: str, step: int) -> None:
     """Raise NumericError naming the first parameter whose array holds a
     NaN or an infinity; a parameter without a gradient has nothing to check."""
@@ -159,7 +166,7 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *, log=None) -> TrainR
     vocab = build_vocab(train_examples, cfg.min_freq)
     model = _build_model(cfg, vocab)
     trainable = model.trainable_parameters(cfg.prompt.tuning)
-    optimizer = make_optimizer(cfg.optimizer, trainable, cfg.learning_rate)
+    optimizer = Adam(trainable, cfg.learning_rate)
     dropout_rng = np.random.Generator(np.random.PCG64(cfg.rng_seed + 2))
     weights = cfg.loss_weights
     cap = model.text_budget
@@ -308,11 +315,10 @@ def run_grid(runs, train_examples, dev_examples, *, log=None):
     """Train each (label, config) run in turn on the same data, writing no
     artifacts; returns an iterator of (label, result) as each run finishes.
     log, when given, receives each label before its run starts. Every run's
-    prompt is checked against its text budget at the call, so a grid point
-    that cannot run fails before the first run starts."""
+    model is built at the call (check_runs), so a grid point that cannot run
+    fails before the first run starts."""
     runs = list(runs)
-    for _, cfg in runs:
-        text_budget(cfg.max_seq_len, cfg.prompt.length)
+    check_runs([cfg for _, cfg in runs], train_examples)
 
     def results():
         for label, cfg in runs:

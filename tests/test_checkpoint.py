@@ -87,9 +87,10 @@ def test_truncated_blob_rejected(rng):
 
 
 def test_unsupported_version_rejected():
-    """Version 1, with Q, K and V stored apart, has no loader: retrain."""
+    """Version 1 (Q, K and V stored apart) and version 2 (an optimizer key in
+    the header) have no loader: retrain."""
     body = checkpoint_bytes("k = v\n", {})[:-4]
-    for version in (1, 99):
+    for version in (1, 2, 99):
         with pytest.raises(IntegrityError, match=f"version {version}"):
             parse_checkpoint(reseal(body[:4] + struct.pack("<I", version) + body[8:]))
 

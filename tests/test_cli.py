@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from dpmn.checkpoint import checkpoint_bytes, load_checkpoint
+from dpmn.checkpoint import checkpoint_bytes, load_checkpoint, parse_checkpoint
 from dpmn.cli import main
 from dpmn.data import generate_synthetic_corpus, write_tsv
 from dpmn.gradcheck import GradcheckReport
@@ -96,6 +96,15 @@ def test_config_cannot_name_corpora(workdir, capsys, key):
     assert f"unknown config key '{key}'" in capsys.readouterr().err
 
 
+def test_optimizer_key_exits_two(workdir, capsys):
+    """Adam is the only update rule, so no key selects one."""
+    bad = workdir / "adam.cfg"
+    bad.write_text(FAST_CONFIG + "optimizer = adam\n")
+    assert main(["train", "--config", str(bad), "--train", str(workdir / "train.tsv"),
+                 "--dev", str(workdir / "dev.tsv")]) == 2
+    assert "unknown config key 'optimizer'" in capsys.readouterr().err
+
+
 def test_missing_corpus_exits_three(workdir, capsys):
     code = main(["train", "--config", str(workdir / "run.cfg"),
                  "--train", str(workdir / "absent.tsv"),
@@ -178,11 +187,20 @@ def test_directory_as_eval_input_exits_three(workdir, checkpoint, capsys):
         ["eval", "--checkpoint", str(workdir), "--data", str(workdir / "dev.tsv")], workdir, capsys)
 
 
+def _as_format_2(blob):
+    """The same model as a version-2 file, whose header names the optimizer."""
+    header, arrays = parse_checkpoint(blob)
+    header = header.replace("\nmin_freq = ", "\noptimizer = adam\nmin_freq = ", 1)
+    body = checkpoint_bytes(header, arrays)[:-4]
+    return reseal(body[:4] + struct.pack("<I", 2) + body[8:])
+
+
 @pytest.mark.parametrize("damage", [
     lambda blob: blob[:40] + bytes([blob[40] ^ 1]) + blob[41:],
     lambda blob: blob[:10],
     lambda blob: reseal(blob[:4] + struct.pack("<I", 1) + blob[8:-4]),
-], ids=["flipped-byte", "truncated", "format-version-1"])
+    _as_format_2,
+], ids=["flipped-byte", "truncated", "format-version-1", "format-version-2"])
 def test_corrupted_checkpoint_exits_three(workdir, checkpoint, capsys, damage):
     damaged = workdir / "damaged.ckpt"
     damaged.write_bytes(damage(checkpoint.read_bytes()))
@@ -223,6 +241,35 @@ def test_config_the_model_cannot_take_exits_two(workdir, capsys, lines):
     assert main(["train", "--config", str(workdir / "run.cfg"), "--train",
                  str(workdir / "train.tsv"), "--dev", str(workdir / "dev.tsv")]) == 2
     assert capsys.readouterr().err.startswith("config error")
+
+
+# Config lines that parse but that no model can be built from. The sweep grid
+# sets its own prompt, so only the last two reach it.
+_UNBUILDABLE = {"no-text-slot": "prompt_length = 24",
+                "token-ids": "prompt_init = token\nprompt_token_ids = 999",
+                "heads": "hidden_size = 10\nnum_heads = 4",
+                "seed": "rng_seed = -1"}
+
+
+@pytest.mark.parametrize("command,name", [
+    *[(command, name) for command in ("train", "ablate") for name in _UNBUILDABLE],
+    ("sweep", "heads"), ("sweep", "seed"),
+])
+def test_config_the_model_cannot_take_exits_two_before_any_output(workdir, capsys,
+                                                                   command, name):
+    lines = _UNBUILDABLE[name].splitlines()
+    keys = {line.split(" = ")[0] for line in lines}
+    kept = [line for line in FAST_CONFIG.splitlines() if line.split(" = ")[0] not in keys]
+    (workdir / "run.cfg").write_text("\n".join(kept + lines) + "\n", encoding="utf-8")
+    out = workdir / "out"
+    grid = ["--lengths", "1", "--forms", "deep", "--inits", "random"] if command == "sweep" else []
+    assert main([command, *grid, "--config", str(workdir / "run.cfg"),
+                 "--train", str(workdir / "train.tsv"), "--dev", str(workdir / "dev.tsv"),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error")
+    assert not out.exists()
 
 
 def test_checkpoint_with_a_repeated_vocab_token_exits_three(workdir, checkpoint, capsys):

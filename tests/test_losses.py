@@ -90,7 +90,7 @@ def test_total_loss_is_linear_in_each_subloss(rng):
             bumped[i] = base[i] + scale
             t0 = total_loss(*(Tensor(v) for v in base), w).item()
             t1 = total_loss(*(Tensor(v) for v in bumped), w).item()
-            assert t1 - t0 == pytest.approx(w.as_tuple()[i] * scale, abs=1e-12)
+            assert t1 - t0 == pytest.approx((w.main, w.auxi1, w.auxi2)[i] * scale, abs=1e-12)
 
 
 def test_total_gradient_is_weighted_sum_of_task_gradients(rng):
@@ -114,7 +114,7 @@ def test_total_gradient_is_weighted_sum_of_task_gradients(rng):
         total = total_loss(*losses, w)
     backward(tape, total)
 
-    combined = sum(c * g for c, g in zip(w.as_tuple(), per_task))
+    combined = sum(c * g for c, g in zip((w.main, w.auxi1, w.auxi2), per_task))
     assert np.abs(shared.grad - combined).max() <= 1e-10
 
 

@@ -1,10 +1,10 @@
-"""Adam and SGD behavior against closed-form oracles."""
+"""Adam behavior against closed-form oracles."""
 
 import numpy as np
 import pytest
 
 from dpmn.errors import ContractError
-from dpmn.optim import Adam, Sgd
+from dpmn.optim import Adam
 from dpmn.tensor import Tensor
 
 
@@ -44,8 +44,6 @@ def test_missing_gradient_raises_contract_error():
     opt = Adam({"w": w}, lr=0.1)
     with pytest.raises(ContractError, match="'w'"):
         opt.step()
-    with pytest.raises(ContractError, match="'w'"):
-        Sgd({"w": w}, lr=0.1).step()
 
 
 def test_timestep_increments_once_per_call():
@@ -55,14 +53,6 @@ def test_timestep_increments_once_per_call():
         w.grad = np.ones(1)
         opt.step()
         assert opt.t == expected
-
-
-def test_sgd_step_is_plain_descent():
-    w = Tensor([2.0, -1.0])
-    opt = Sgd({"w": w}, lr=0.5)
-    w.grad = np.array([1.0, -2.0])
-    opt.step()
-    assert np.array_equal(w.data, [1.5, 0.0])
 
 
 def test_zero_grad_clears_to_none():
