@@ -26,21 +26,25 @@ FORMAT_VERSION = 3  # 3 drops the header's optimizer key; versions 1 and 2 are r
 
 
 def checkpoint_bytes(header_text: str, arrays: dict[str, np.ndarray]) -> bytes:
-    chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
+    """The checkpoint file as bytes, assembled by one join. Each array is
+    passed as its own buffer (converted only if it is not C-contiguous
+    little-endian float64) and the CRC32 runs over the chunks as they are
+    added, so the values are copied once, into the result."""
     header = header_text.encode("utf-8")
-    chunks.append(struct.pack("<I", len(header)))
-    chunks.append(header)
-    chunks.append(struct.pack("<I", len(arrays)))
+    chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(header)), header,
+              struct.pack("<I", len(arrays))]
     for name, values in arrays.items():
         encoded = name.encode("utf-8")
-        values = np.ascontiguousarray(values, dtype="<f8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", values.ndim))
-        chunks.append(struct.pack(f"<{values.ndim}I", *values.shape))
-        chunks.append(values.tobytes())
-    body = b"".join(chunks)
-    return body + struct.pack("<I", zlib.crc32(body))
+        # not ascontiguousarray: it would give a rank-0 array rank 1
+        values = np.asarray(values, dtype="<f8", order="C")
+        chunks.append(struct.pack(f"<I{len(encoded)}sI{values.ndim}I", len(encoded), encoded,
+                                  values.ndim, *values.shape))
+        chunks.append(values)
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    chunks.append(struct.pack("<I", crc))
+    return b"".join(chunks)
 
 
 def save_checkpoint(path, header_text: str, arrays: dict[str, np.ndarray]) -> None:
@@ -49,25 +53,35 @@ def save_checkpoint(path, header_text: str, arrays: dict[str, np.ndarray]) -> No
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    """Sequential reads from a memoryview; every piece is a view, not a copy."""
+
+    def __init__(self, view: memoryview):
+        self.view = view
         self.offset = 0
 
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.blob):
+    def take(self, n: int) -> memoryview:
+        if self.offset + n > len(self.view):
             raise IntegrityError("checkpoint is truncated")
-        piece = self.blob[self.offset:self.offset + n]
+        piece = self.view[self.offset:self.offset + n]
         self.offset += n
         return piece
 
+    def u32s(self, n: int) -> tuple[int, ...]:
+        return struct.unpack(f"<{n}I", self.take(4 * n))
+
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return self.u32s(1)[0]
 
 
 def parse_checkpoint(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
-    if len(blob) < 4:
+    """Header text and records of a checkpoint's bytes (or bytearray),
+    read through a memoryview. Each record's values are copied once, out of
+    the blob, into an owned, writable, native float64 array; no view of the
+    blob escapes."""
+    view = memoryview(blob)
+    if len(view) < 4:
         raise IntegrityError("checkpoint is truncated")
-    body, stored = blob[:-4], struct.unpack("<I", blob[-4:])[0]
+    body, stored = view[:-4], struct.unpack("<I", view[-4:])[0]
     actual = zlib.crc32(body)
     if stored != actual:
         raise IntegrityError(f"checksum mismatch: stored {stored:#010x}, computed {actual:#010x}")
@@ -77,18 +91,17 @@ def parse_checkpoint(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
     version = r.u32()
     if version != FORMAT_VERSION:
         raise IntegrityError(f"unsupported format version {version}")
-    header_text = r.take(r.u32()).decode("utf-8")
+    header_text = str(r.take(r.u32()), "utf-8")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
-        name = r.take(r.u32()).decode("utf-8")
-        rank = r.u32()
-        shape = tuple(r.u32() for _ in range(rank))
+        name = str(r.take(r.u32()), "utf-8")
+        shape = r.u32s(r.u32())
         values = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8")
         try:
             values = values.reshape(shape)
         except ValueError:
-            raise IntegrityError(f"record {name!r} has unsupported rank {rank}") from None
-        arrays[name] = values.astype(np.float64).copy()
+            raise IntegrityError(f"record {name!r} has unsupported rank {len(shape)}") from None
+        arrays[name] = values.astype(np.float64)
     if r.offset != len(body):
         raise IntegrityError(f"{len(body) - r.offset} trailing bytes after records")
     return header_text, arrays

@@ -63,10 +63,10 @@ class TransformerLayer:
         d, f = config.hidden_size, config.ffn_size
         pre = f"layer{index}"
         self.num_heads = config.num_heads
-        # Q|K|V side by side, as `attention` reads them: three d x d draws in order
-        qkv = np.hstack(store.rng.normal(0.0, INIT_STD, size=(3, d, d)))
-        # still `wq`: perfbench names each layer's span by `layer.wq.name`
-        self.wq = store.new(f"{pre}.attention.wqkv", (d, 3 * d), qkv)
+        # Q|K|V side by side, as `attention` reads them: three d x d draws in order.
+        # Still `wq`: perfbench names each layer's span by `layer.wq.name`.
+        self.wq = store.new(f"{pre}.attention.wqkv", (d, 3 * d),
+                            lambda rng: np.hstack(rng.normal(0.0, INIT_STD, size=(3, d, d))))
         self.bqkv = store.new(f"{pre}.attention.bqkv", (3 * d,), 0.0)
         self.wo = store.new(f"{pre}.attention.wo", (d, d))
         self.bo = store.new(f"{pre}.attention.bo", (d,), 0.0)

@@ -9,7 +9,7 @@ from .encoder import EncoderConfig, EncoderStack, encode
 from .errors import ConfigError
 from .heads import make_head
 from .prompt import TUNINGS, PrefixBank, PromptConfig, init_prompt, text_budget
-from .tensor import ParameterStore, Tensor
+from .tensor import ParameterStore, Tensor, saved_array
 
 
 def head_forward(head, shared: Tensor, lengths: np.ndarray, task: str) -> Tensor:
@@ -28,6 +28,10 @@ class DpmnModel:
     generator seeded with rng_seed in that order; the prefix bank draws
     from its own, seeded with rng_seed + 1.
 
+    Given `arrays` (a checkpoint's records), every parameter adopts the
+    array of its name instead, without a copy, and nothing is drawn. An
+    array missing, of another shape or left over is a ConfigError.
+
     All three heads always exist; single-task training simply weights the
     auxiliary losses to zero. LSTM hidden size defaults to half the encoder
     hidden size so the concatenated state width matches it.
@@ -35,14 +39,15 @@ class DpmnModel:
 
     def __init__(self, encoder_config: EncoderConfig, prompt_config: PromptConfig,
                  head_kind: str = "bilstm-ffn", rng_seed: int = 0,
-                 lstm_hidden: int | None = None, head_ffn_size: int | None = None):
+                 lstm_hidden: int | None = None, head_ffn_size: int | None = None,
+                 arrays: dict[str, np.ndarray] | None = None):
         if rng_seed < 0:
             raise ConfigError(f"rng_seed must be >= 0, got {rng_seed}")
         for name, size in (("lstm_hidden", lstm_hidden), ("head_ffn_size", head_ffn_size)):
             if size is not None and size < 1:
                 raise ConfigError(f"{name} must be >= 1, got {size}")
         d = encoder_config.hidden_size
-        self._store = ParameterStore(np.random.Generator(np.random.PCG64(rng_seed)))
+        self._store = ParameterStore(np.random.Generator(np.random.PCG64(rng_seed)), arrays)
         self.encoder = EncoderStack(encoder_config, self._store)
         self._encoder_names = set(self._store.tensors)
         self.bank: PrefixBank = init_prompt(
@@ -55,6 +60,8 @@ class DpmnModel:
                             TASK_CLASSES[task], self._store, f"head_{task}")
             for task in TASKS
         }
+        if arrays is not None:
+            self._store.reject_unknown(arrays)
 
     @property
     def text_budget(self) -> int:
@@ -88,21 +95,13 @@ class DpmnModel:
                 for task in TASKS}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        params = self.parameters()
-        missing = set(params) - set(arrays)
-        unknown = set(arrays) - set(params)
-        if missing or unknown:
-            raise ConfigError(
-                f"parameter names do not match: missing {sorted(missing)[:3]}, "
-                f"unknown {sorted(unknown)[:3]}"
-            )
-        for name, values in arrays.items():
-            values = np.array(values, dtype=np.float64)
-            if params[name].shape != values.shape:
-                raise ConfigError(
-                    f"shape mismatch for {name!r}: have {params[name].shape}, got {values.shape}"
-                )
-            params[name].data = values
+        """Give every parameter a copy of its array in `arrays`; nothing
+        changes unless every name and shape matches."""
+        params = self._store.tensors
+        values = {name: saved_array(arrays, name, p.shape) for name, p in params.items()}
+        self._store.reject_unknown(arrays)
+        for name, v in values.items():
+            params[name].data = np.array(v, dtype=np.float64)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.parameters().items()}

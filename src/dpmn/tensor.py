@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, EmbeddingIndexError, ShapeError
+from .errors import ConfigError, ContractError, EmbeddingIndexError, ShapeError
 
 _active_tape = None
 
@@ -73,22 +73,52 @@ class ParameterStore:
 
     A parameter without a fill is a weight matrix and draws
     Normal(0, INIT_STD^2) from `rng`, or from the store's own generator when
-    none is given. A fill (a constant, or an array broadcast to the shape)
-    draws nothing.
+    none is given. A fill that is a function of that generator returns the
+    values it draws; a constant, or an array broadcast to the shape, draws
+    nothing.
+
+    A store given `loaded` arrays (a checkpoint's records) draws nothing at
+    all: each parameter adopts, without a copy, the loaded array of its
+    name, which must have its shape (`saved_array`). Call `reject_unknown`
+    once every parameter exists.
     """
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator,
+                 loaded: dict[str, np.ndarray] | None = None):
         self.rng = rng
+        self.loaded = loaded
         self.tensors: dict[str, Tensor] = {}
 
     def new(self, name: str, shape, fill=None,
             rng: np.random.Generator | None = None) -> Tensor:
-        if fill is None:
-            values = (self.rng if rng is None else rng).normal(0.0, INIT_STD, size=shape)
+        rng = self.rng if rng is None else rng
+        if self.loaded is not None:
+            values = saved_array(self.loaded, name, shape)
+        elif fill is None:
+            values = rng.normal(0.0, INIT_STD, size=shape)
+        elif callable(fill):
+            values = fill(rng)
         else:
             values = np.full(shape, fill, dtype=np.float64)
         t = self.tensors[name] = Tensor(values, name=name)
         return t
+
+    def reject_unknown(self, arrays: dict[str, np.ndarray]) -> None:
+        unknown = arrays.keys() - self.tensors.keys()
+        if unknown:
+            raise ConfigError(f"parameter names do not match: unknown {sorted(unknown)[:3]}")
+
+
+def saved_array(arrays: dict[str, np.ndarray], name: str, shape) -> np.ndarray:
+    """arrays[name], checked to be there and to have `shape`: the name and
+    shape check between a model's parameters and a set of saved arrays."""
+    values = arrays.get(name)
+    if values is None:
+        raise ConfigError(f"parameter names do not match: missing {name!r}")
+    if np.shape(values) != tuple(shape):
+        raise ConfigError(f"shape mismatch for {name!r}: "
+                          f"have {tuple(shape)}, got {np.shape(values)}")
+    return values
 
 
 class Tape:

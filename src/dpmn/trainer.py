@@ -109,7 +109,8 @@ def _resolve_prompt(cfg: TrainConfig, vocab: Vocab) -> PromptConfig:
     return replace(p, token_ids=tuple(range(first, first + p.length)))
 
 
-def _build_model(cfg: TrainConfig, vocab: Vocab) -> DpmnModel:
+def _build_model(cfg: TrainConfig, vocab: Vocab,
+                 arrays: dict[str, np.ndarray] | None = None) -> DpmnModel:
     prompt = _resolve_prompt(cfg, vocab)
     return DpmnModel(
         cfg.encoder_config(vocab.size),
@@ -118,6 +119,7 @@ def _build_model(cfg: TrainConfig, vocab: Vocab) -> DpmnModel:
         rng_seed=cfg.rng_seed,
         lstm_hidden=cfg.lstm_hidden,
         head_ffn_size=cfg.head_ffn_size,
+        arrays=arrays,
     )
 
 
@@ -237,11 +239,12 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *, log=None) -> TrainR
 
 
 def load_model(checkpoint_path) -> tuple[DpmnModel, TrainConfig, Vocab]:
+    """The model a checkpoint describes, built on its records: no weight is
+    drawn and no record copied again."""
     header_text, arrays = load_checkpoint(checkpoint_path)
     try:
         cfg, vocab = parse_checkpoint_header(header_text)
-        model = _build_model(cfg, vocab)
-        model.load_state(arrays)
+        model = _build_model(cfg, vocab, arrays)
     except (ConfigError, ContractError) as e:
         raise IntegrityError(f"checkpoint does not describe a valid model: {e}") from None
     return model, cfg, vocab

@@ -1,6 +1,6 @@
 """Shared test helpers: an independent finite-difference gradient oracle,
 a parameter store for building model parts on their own, a scripted dev
-metric and hand-made checkpoint blobs."""
+metric, hand-made checkpoint blobs and records that do not fit their model."""
 
 import struct
 import zlib
@@ -85,6 +85,18 @@ def one_record_checkpoint(*extents: int) -> bytes:
     """A resealed checkpoint whose one record claims `extents` and holds no values."""
     body = checkpoint_bytes("k = v\n", {"w": np.zeros(0)})[:-4]
     return reseal(body[:-8] + struct.pack(f"<{len(extents) + 1}I", len(extents), *extents))
+
+
+# Ways a checkpoint's records can disagree with the model its header
+# describes: each maps the records to altered ones and the parameter the
+# error must name.
+MISMATCHED_RECORDS = {
+    "missing": lambda arrays: ({k: v for k, v in arrays.items() if k != "layer0.ffn.w1"},
+                               "layer0.ffn.w1"),
+    "extra": lambda arrays: ({**arrays, "layer9.ffn.w1": np.zeros((2, 2))}, "layer9.ffn.w1"),
+    "shape": lambda arrays: ({**arrays, "layer0.ffn.w1": arrays["layer0.ffn.w1"][:, :-1]},
+                             "layer0.ffn.w1"),
+}
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dpmn.checkpoint import (
     checkpoint_bytes,
@@ -99,6 +100,39 @@ def test_empty_parameter_set_round_trips():
     blob = checkpoint_bytes("only = header\n", {})
     header, arrays = parse_checkpoint(blob)
     assert header == "only = header\n" and arrays == {}
+
+
+def test_rank_0_record_keeps_rank_0():
+    _, arrays = parse_checkpoint(checkpoint_bytes("k = v\n", {"s": np.array(2.5)}))
+    assert arrays["s"].shape == () and arrays["s"] == 2.5
+
+
+_records = st.dictionaries(
+    st.text(max_size=6),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+               elements=st.floats(width=64)),
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_records, st.sampled_from(["<f8", ">f8"]), st.sampled_from("CF"))
+def test_records_of_rank_0_to_4_round_trip_into_owned_arrays(records, dtype, order):
+    """Any float64 layout goes in; out come C-contiguous, native, writable
+    arrays that own their values, holding the same bytes, and the file they
+    re-save to is the same file."""
+    arrays = {name: np.array(a, dtype=dtype, order=order) for name, a in records.items()}
+    blob = bytearray(checkpoint_bytes("k = v\n", arrays))
+    header, parsed = parse_checkpoint(blob)
+    assert header == "k = v\n" and list(parsed) == list(arrays)
+    for name, want in arrays.items():
+        got = parsed[name]
+        assert got.shape == want.shape
+        assert got.tobytes() == want.astype(np.float64).tobytes()
+        assert got.dtype == np.float64 and got.dtype.isnative
+        assert got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
+        assert not np.shares_memory(got, np.frombuffer(blob, np.uint8))
+    assert checkpoint_bytes(header, parsed) == blob
 
 
 def test_extents_whose_product_overflows_int64_are_truncation():

@@ -11,7 +11,7 @@ from dpmn.data import generate_synthetic_corpus, write_tsv
 from dpmn.gradcheck import GradcheckReport
 from dpmn.optim import Adam
 
-from conftest import one_record_checkpoint, reseal
+from conftest import MISMATCHED_RECORDS, one_record_checkpoint, reseal
 
 FAST_CONFIG = """\
 learning_rate = 0.001
@@ -213,6 +213,18 @@ def test_checkpoint_with_overflowing_extents_exits_three(workdir, capsys):
     damaged.write_bytes(one_record_checkpoint(2**21, 2**21, 2**22))
     _unreadable_input_exits_three(
         ["eval", "--checkpoint", str(damaged), "--data", str(workdir / "dev.tsv")], damaged, capsys)
+
+
+@pytest.mark.parametrize("kind", sorted(MISMATCHED_RECORDS))
+def test_checkpoint_whose_records_do_not_fit_its_model_exits_three(workdir, checkpoint,
+                                                                    capsys, kind):
+    header, arrays = load_checkpoint(checkpoint)
+    arrays, name = MISMATCHED_RECORDS[kind](arrays)
+    damaged = workdir / "mismatched.ckpt"
+    damaged.write_bytes(checkpoint_bytes(header, arrays))
+    assert main(["eval", "--checkpoint", str(damaged), "--data", str(workdir / "dev.tsv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and str(damaged) in err and repr(name) in err
 
 
 # Config lines a trained FAST_CONFIG checkpoint cannot describe a model with;

@@ -1,5 +1,6 @@
 """Composition of encoder, prompt bank, and heads into the full network."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -24,11 +25,11 @@ from dpmn.tensor import Tape, Tensor, _record, backward
 from conftest import encoder_parameters, head_parameters, max_rel_error, numeric_gradient
 
 
-def _tiny_model(head_kind="bilstm-ffn", p_n=1, form="deep", seed=0):
+def _tiny_model(head_kind="bilstm-ffn", p_n=1, form="deep", seed=0, arrays=None):
     enc = EncoderConfig(vocab_size=12, num_layers=2, hidden_size=8, num_heads=2,
                         ffn_size=16, max_seq_len=12, dropout=0.0)
     return DpmnModel(enc, PromptConfig(length=p_n, form=form),
-                     head_kind=head_kind, rng_seed=seed)
+                     head_kind=head_kind, rng_seed=seed, arrays=arrays)
 
 
 def test_forward_emits_task_shaped_logits():
@@ -171,6 +172,31 @@ def test_load_state_checks_names_and_shapes():
         model.load_state(missing)
     with pytest.raises(ConfigError, match="shape"):
         model.load_state({**other.state_arrays(), "embedding.token": np.zeros((2, 2))})
+
+
+def test_initial_weights_are_the_pinned_draws():
+    """Every weight is drawn in the same order from the same generators as
+    when this digest was taken."""
+    digest = hashlib.sha256()
+    for head_kind in ("bilstm-ffn", "linear"):
+        for name, p in _tiny_model(head_kind).parameters().items():
+            digest.update(name.encode())
+            digest.update(p.data.astype("<f8").tobytes())
+    assert digest.hexdigest()[:16] == "cf4684f8eedb6f74"
+
+
+def test_model_built_on_arrays_adopts_them_and_checks_names_and_shapes():
+    saved = _tiny_model(seed=9).state_arrays()
+    model = _tiny_model(seed=0, arrays=saved)
+    assert list(model.parameters()) == list(saved)
+    assert all(p.data is saved[name] for name, p in model.parameters().items())
+    missing = dict(saved)
+    del missing["prompt.layer1"]
+    for arrays, error in ((missing, "missing 'prompt.layer1'"),
+                          ({**saved, "nope": np.zeros(3)}, r"unknown \['nope'\]"),
+                          ({**saved, "head_c.ffn.b2": np.zeros(2)}, "shape mismatch for 'head_c")):
+        with pytest.raises(ConfigError, match=error):
+            _tiny_model(seed=0, arrays=arrays)
 
 
 def test_state_round_trip():

@@ -1,16 +1,17 @@
 """Training loop: early stopping, freezing, determinism, evaluation, ablation."""
 
 import hashlib
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from dpmn import model as model_module, trainer
-from dpmn.checkpoint import load_checkpoint, parse_checkpoint
+from dpmn.checkpoint import load_checkpoint, parse_checkpoint, save_checkpoint
 from dpmn.data import build_vocab, generate_synthetic_corpus, make_batches
 from dpmn.encoder import TransformerLayer
-from dpmn.errors import NumericError
+from dpmn.errors import IntegrityError, NumericError
 from dpmn.heads import BiLstmFfnHead
 from dpmn.losses import LossWeights
 from dpmn.prompt import PromptConfig
@@ -26,7 +27,12 @@ from dpmn.trainer import (
     train,
 )
 
-from conftest import encoder_parameters, head_parameters, scripted_dev_metric
+from conftest import (
+    MISMATCHED_RECORDS,
+    encoder_parameters,
+    head_parameters,
+    scripted_dev_metric,
+)
 from reference_ops import unfused_add_norm, unfused_ffn
 
 TINY = dict(num_layers=2, hidden_size=16, num_heads=2, ffn_size=32, max_seq_len=24,
@@ -264,6 +270,40 @@ def test_loaded_model_reproduces_predictions(tmp_path, corpus):
     for task in ("a", "b", "c"):
         assert direct.f1[task] == loaded.f1[task]
         assert np.array_equal(direct.confusion[task], loaded.confusion[task])
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory, corpus):
+    out = tmp_path_factory.mktemp("saved")
+    return train(_cfg(max_epochs=1, out_dir=str(out)), corpus, corpus).checkpoint_path
+
+
+def test_loading_a_checkpoint_draws_from_no_generator(saved_checkpoint, monkeypatch):
+    _, arrays = load_checkpoint(saved_checkpoint)
+
+    class NoDraws:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def __getattr__(self, name):
+            raise AssertionError(f"the load path used a generator's {name}")
+
+    monkeypatch.setattr(np.random, "Generator", NoDraws)
+    model, _, _ = load_model(saved_checkpoint)
+    assert list(model.parameters()) == list(arrays)
+    for name, p in model.parameters().items():
+        assert np.array_equal(p.data, arrays[name])
+
+
+@pytest.mark.parametrize("kind", sorted(MISMATCHED_RECORDS))
+def test_records_that_do_not_fit_the_header_model_are_integrity_errors(saved_checkpoint,
+                                                                       tmp_path, kind):
+    header, arrays = load_checkpoint(saved_checkpoint)
+    arrays, name = MISMATCHED_RECORDS[kind](arrays)
+    path = tmp_path / "mismatched.ckpt"
+    save_checkpoint(path, header, arrays)
+    with pytest.raises(IntegrityError, match=re.escape(repr(name))):
+        load_model(path)
 
 
 def test_constant_predictor_scores_one_third_on_balanced_data():
