@@ -17,7 +17,7 @@ from .errors import ConfigError, DataError, IntegrityError, NumericError
 from .gradcheck import run_gradcheck
 from .prompt import sweep_configs
 from .runconfig import TrainConfig, load_config_file
-from .trainer import ablate, check_runs, evaluate_checkpoint, run_grid, train
+from .trainer import ablate, evaluate_checkpoint, run_grid, train
 
 
 def _load_config(args) -> TrainConfig:
@@ -27,12 +27,13 @@ def _load_config(args) -> TrainConfig:
 
 @contextmanager
 def _file_errors(action: str, path):
-    """Report a file that cannot be opened or created, is not UTF-8 text or
-    fails its checksum as a DataError naming it."""
+    """Report a file that cannot be opened, created or written, is not
+    UTF-8 text or fails its checksum as a DataError naming it: the file the
+    OSError names, if any, else `path`."""
     try:
         yield
     except OSError as e:
-        raise DataError(f"cannot {action} {path}: {e.strerror}") from None
+        raise DataError(f"cannot {action} {e.filename or path}: {e.strerror}") from None
     except (UnicodeDecodeError, IntegrityError) as e:
         raise DataError(f"cannot {action} {path}: {e}") from None
 
@@ -45,20 +46,11 @@ def _read_corpus(path):
     return examples
 
 
-def _make_out_dir(cfg: TrainConfig) -> None:
-    """Create --out before any training, so a path that cannot be a
-    directory fails at once rather than after the last epoch."""
-    if cfg.out_dir:
-        with _file_errors("create output directory", cfg.out_dir):
-            os.makedirs(cfg.out_dir, exist_ok=True)
-
-
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     train_set, dev_set = _read_corpus(args.train), _read_corpus(args.dev)
-    check_runs([cfg], train_set)
-    _make_out_dir(cfg)
-    result = train(cfg, train_set, dev_set, log=print)
+    with _file_errors("write", cfg.out_dir):
+        result = train(cfg, train_set, dev_set, log=print)
     print(f"best epoch {result.best_epoch}: dev macro F1 (task A) {result.best_metric:.4f}")
     if result.checkpoint_path:
         print(f"checkpoint written to {result.checkpoint_path}")
@@ -81,16 +73,15 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = _load_config(args)
     train_set, dev_set = _read_corpus(args.train), _read_corpus(args.dev)
-    check_runs([cfg], train_set)
-    _make_out_dir(cfg)
-    result = ablate(cfg, train_set, dev_set, log=print)
-    print(result.to_markdown(), end="")
-    if cfg.out_dir:
-        for name, text in (("ablation.md", result.to_markdown()),
-                           ("ablation.csv", result.to_csv())):
-            with open(os.path.join(cfg.out_dir, name), "w", encoding="utf-8") as f:
-                f.write(text)
-        print(f"tables written to {cfg.out_dir}")
+    with _file_errors("write", cfg.out_dir):
+        result = ablate(cfg, train_set, dev_set, log=print)
+        print(result.to_markdown(), end="")
+        if cfg.out_dir:
+            for name, text in (("ablation.md", result.to_markdown()),
+                               ("ablation.csv", result.to_csv())):
+                with open(os.path.join(cfg.out_dir, name), "w", encoding="utf-8") as f:
+                    f.write(text)
+            print(f"tables written to {cfg.out_dir}")
     return 0
 
 
@@ -117,19 +108,17 @@ def _cmd_sweep(args) -> int:
     forms = _parse_csv_list(args.forms, str, "--forms")
     inits = _parse_csv_list(args.inits, str, "--inits")
     configs = sweep_configs(lengths, forms, inits, tuning=cfg.prompt.tuning)
-    if not configs:
-        raise ConfigError("no valid prompt setting in the sweep grid")
-    results = run_grid([(p, replace(cfg, prompt=p)) for p in configs], train_set, dev_set)
-    _make_out_dir(cfg)
-    lines = ["length,form,init,tuning,dev_macro_f1_a,best_epoch"]
-    print(lines[0])
-    for p, result in results:
-        lines.append(f"{p.length},{p.form},{p.init},{p.tuning},"
-                     f"{result.best_metric!r},{result.best_epoch}")
-        print(lines[-1])
-    if cfg.out_dir:
-        with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
+    with _file_errors("write", cfg.out_dir):
+        results = run_grid([(p, replace(cfg, prompt=p)) for p in configs], train_set, dev_set)
+        lines = ["length,form,init,tuning,dev_macro_f1_a,best_epoch"]
+        print(lines[0])
+        for p, result in results:
+            lines.append(f"{p.length},{p.form},{p.init},{p.tuning},"
+                         f"{result.best_metric!r},{result.best_epoch}")
+            print(lines[-1])
+        if cfg.out_dir:
+            with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", encoding="utf-8") as f:
+                f.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -19,7 +19,6 @@ from .data import TASKS, Example, build_vocab, make_batches
 from .encoder import MASK_BIAS
 from .errors import ConfigError
 from .losses import LossWeights, cross_entropy, total_loss
-from .model import DpmnModel
 from .prompt import PromptConfig
 from .runconfig import TrainConfig
 from .tensor import (
@@ -41,6 +40,7 @@ from .tensor import (
     slice_,
     sum_,
 )
+from .trainer import build_model
 
 FD_STEP = 1e-5
 REPROBE_STEPS = (1e-6, 1e-7)
@@ -187,8 +187,7 @@ def build_probe_setup():
     cfg = TINY_CONFIG
     examples = list(_PROBE_EXAMPLES)
     vocab = build_vocab(examples, min_freq=1)
-    model = DpmnModel(cfg.encoder_config(vocab.size), cfg.prompt,
-                      head_kind=cfg.head_kind, rng_seed=cfg.rng_seed)
+    model = build_model(cfg, vocab)
     batch = make_batches(examples, vocab, len(examples), model.text_budget)[0]
 
     def compute_loss():

@@ -7,7 +7,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConfigError, EmbeddingIndexError
+from .data import RESERVED
+from .errors import ConfigError
 from .tensor import ParameterStore, Tensor
 
 FORMS = ("deep", "light")
@@ -20,8 +21,8 @@ class PromptConfig:
     """How the continuous prompt is built.
 
     length is the number of prefix positions (p_n); token init may leave
-    token_ids unset until a vocabulary exists, in which case the trainer
-    fills in the most frequent non-reserved ids.
+    token_ids unset, in which case init_prompt copies the rows of the
+    first `length` ids after the reserved ones: the most frequent tokens.
     """
 
     length: int = 1
@@ -85,8 +86,10 @@ def init_prompt(config: PromptConfig, encoder_config, embedding_table: np.ndarra
     """Build the prefix bank for an encoder, its matrices created in `store`.
 
     Random init draws every entry i.i.d. Normal(0, INIT_STD^2) from its own
-    generator seeded with rng_seed; token init copies embedding-table rows,
-    replicated into every layer matrix for the deep form.
+    generator seeded with rng_seed; token init copies the embedding-table
+    rows of config.token_ids, or of the first `length` ids after the
+    reserved ones when they are unset, replicated into every layer matrix
+    for the deep form. An id outside the table is a ConfigError.
     """
     text_budget(encoder_config.max_seq_len, config.length)
     shape = (config.length, encoder_config.hidden_size)
@@ -96,19 +99,21 @@ def init_prompt(config: PromptConfig, encoder_config, embedding_table: np.ndarra
 
     rows = None
     if config.init == "token" and n_matrices > 0:
-        if config.token_ids is None:
-            raise ConfigError("token init requires concrete token ids")
-        for tid in config.token_ids:
-            if not 0 <= tid < embedding_table.shape[0]:
-                raise EmbeddingIndexError(tid, embedding_table.shape[0])
-        rows = np.asarray(embedding_table)[list(config.token_ids)]
+        first = len(RESERVED)
+        ids = config.token_ids or tuple(range(first, first + config.length))
+        size = embedding_table.shape[0]
+        if not all(0 <= t < size for t in ids):
+            raise ConfigError(f"prompt_token_ids {','.join(map(str, ids))} reach "
+                              f"outside the vocabulary of {size} tokens")
+        rows = np.asarray(embedding_table)[list(ids)]
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     matrices = [store.new(f"prompt.layer{i}", shape, rows, rng) for i in range(n_matrices)]
     return PrefixBank(matrices)
 
 
 def sweep_configs(lengths, forms, inits, tuning: str = "lm-plus-prompt") -> list[PromptConfig]:
-    """Cartesian product of prompt settings, dropping invalid combinations."""
+    """Cartesian product of prompt settings, dropping invalid combinations;
+    a grid with no valid setting left is a ConfigError."""
     if not lengths or not forms or not inits:
         raise ConfigError("sweep needs at least one length, form, and init")
     configs = []
@@ -117,4 +122,6 @@ def sweep_configs(lengths, forms, inits, tuning: str = "lm-plus-prompt") -> list
             configs.append(PromptConfig(length=length, form=form, init=init, tuning=tuning))
         except ConfigError:
             continue
+    if not configs:
+        raise ConfigError("no valid prompt setting in the sweep grid")
     return configs

@@ -178,16 +178,15 @@ def format_checkpoint_header(cfg: TrainConfig, vocab: Vocab) -> str:
 
 
 def parse_checkpoint_header(text: str) -> tuple[TrainConfig, Vocab]:
+    """Inverse of format_checkpoint_header. The vocab keys must be exactly
+    the ones it writes: 'vocab.0' up to one less than their count."""
     pairs = _parse_pairs(text, allow_prefix="vocab.")
     vocab_pairs = {k: v for k, v in pairs.items() if k.startswith("vocab.")}
-    tokens = [None] * len(vocab_pairs)
+    slots = {f"vocab.{i}": i for i in range(len(vocab_pairs))}
+    tokens = [""] * len(slots)
     for key, tok in vocab_pairs.items():
-        try:
-            index = int(key.split(".", 1)[1])
-            tokens[index] = tok
-        except (ValueError, IndexError):
-            raise ConfigError(f"bad vocab entry {key!r}") from None
-    if any(t is None for t in tokens):
-        raise ConfigError("vocab ids in checkpoint header are not contiguous")
-    cfg = _build_config({k: v for k, v in pairs.items() if not k.startswith("vocab.")})
+        if key not in slots:
+            raise ConfigError(f"bad vocab entry {key!r}")
+        tokens[slots[key]] = tok
+    cfg = _build_config({k: v for k, v in pairs.items() if k not in vocab_pairs})
     return cfg, Vocab(tuple(tokens))

@@ -19,7 +19,6 @@ from .data import (
     TASK_CLASSES,
     TASKS,
     Batch,
-    RESERVED,
     Vocab,
     build_vocab,
     make_batches,
@@ -90,44 +89,19 @@ class TrainResult:
         return checkpoint_bytes(self.header_text, self.model.state_arrays())
 
 
-def _resolve_prompt(cfg: TrainConfig, vocab: Vocab) -> PromptConfig:
-    """Check token-init ids against the vocabulary, or pick them when the config
-    deferred them: the first ids after the reserved ones, the most frequent."""
-    p = cfg.prompt
-    if p.init != "token" or p.length == 0:
-        return p
-    if p.token_ids is not None:
-        if not all(0 <= t < vocab.size for t in p.token_ids):
-            raise ConfigError(f"prompt_token_ids {','.join(map(str, p.token_ids))} reach "
-                              f"outside the vocabulary of {vocab.size} tokens")
-        return p
-    first = len(RESERVED)
-    if vocab.size < first + p.length:
-        raise ConfigError(
-            f"vocabulary too small to pick {p.length} prompt token ids"
-        )
-    return replace(p, token_ids=tuple(range(first, first + p.length)))
-
-
-def _build_model(cfg: TrainConfig, vocab: Vocab,
-                 arrays: dict[str, np.ndarray] | None = None) -> DpmnModel:
-    prompt = _resolve_prompt(cfg, vocab)
+def build_model(cfg: TrainConfig, vocab: Vocab,
+                arrays: dict[str, np.ndarray] | None = None) -> DpmnModel:
+    """The model `cfg` describes over `vocab`: drawn afresh, or built on a
+    checkpoint's `arrays`. A config the model cannot take is a ConfigError."""
     return DpmnModel(
         cfg.encoder_config(vocab.size),
-        prompt,
+        cfg.prompt,
         head_kind=cfg.head_kind,
         rng_seed=cfg.rng_seed,
         lstm_hidden=cfg.lstm_hidden,
         head_ffn_size=cfg.head_ffn_size,
         arrays=arrays,
     )
-
-
-def check_runs(configs, train_examples) -> None:
-    """Build each config's model on the training vocabulary, so a config the
-    model cannot take raises its ConfigError before any run starts."""
-    for cfg in configs:
-        _build_model(cfg, build_vocab(train_examples, cfg.min_freq))
 
 
 def _require_finite(arrays: dict[str, np.ndarray | None], what: str, step: int) -> None:
@@ -166,7 +140,7 @@ def evaluate_model(model: DpmnModel, batches: list[Batch]) -> EvalReport:
 def train(cfg: TrainConfig, train_examples, dev_examples, *, log=None) -> TrainResult:
     """Run the full training loop and keep the best-dev-epoch weights."""
     vocab = build_vocab(train_examples, cfg.min_freq)
-    model = _build_model(cfg, vocab)
+    model = build_model(cfg, vocab)
     trainable = model.trainable_parameters(cfg.prompt.tuning)
     optimizer = Adam(trainable, cfg.learning_rate)
     dropout_rng = np.random.Generator(np.random.PCG64(cfg.rng_seed + 2))
@@ -244,7 +218,7 @@ def load_model(checkpoint_path) -> tuple[DpmnModel, TrainConfig, Vocab]:
     header_text, arrays = load_checkpoint(checkpoint_path)
     try:
         cfg, vocab = parse_checkpoint_header(header_text)
-        model = _build_model(cfg, vocab, arrays)
+        model = build_model(cfg, vocab, arrays)
     except (ConfigError, ContractError) as e:
         raise IntegrityError(f"checkpoint does not describe a valid model: {e}") from None
     return model, cfg, vocab
@@ -315,13 +289,18 @@ def _describe(head: str, mtl: bool, prompt: bool) -> str:
 
 
 def run_grid(runs, train_examples, dev_examples, *, log=None):
-    """Train each (label, config) run in turn on the same data, writing no
-    artifacts; returns an iterator of (label, result) as each run finishes.
-    log, when given, receives each label before its run starts. Every run's
-    model is built at the call (check_runs), so a grid point that cannot run
-    fails before the first run starts."""
+    """Train each (label, config) run in turn on the same data; returns an
+    iterator of (label, result) as each run finishes. log, when given,
+    receives each label before its run starts.
+
+    At the call, every run's model is built on the training vocabulary, so
+    a grid point that cannot run fails before any output; then the out_dir
+    the runs' configs name is created. The runs themselves write nothing."""
     runs = list(runs)
-    check_runs([cfg for _, cfg in runs], train_examples)
+    for _, cfg in runs:
+        build_model(cfg, build_vocab(train_examples, cfg.min_freq))
+    for out_dir in dict.fromkeys(cfg.out_dir for _, cfg in runs if cfg.out_dir is not None):
+        os.makedirs(out_dir, exist_ok=True)
 
     def results():
         for label, cfg in runs:

@@ -24,7 +24,7 @@ from dpmn.metrics import macro_f1
 from dpmn.prompt import PromptConfig, init_prompt
 from dpmn.runconfig import TrainConfig, parse_config
 from dpmn.tensor import Tape, backward
-from dpmn.trainer import ablate, evaluate_checkpoint, train
+from dpmn.trainer import ablate, build_model, evaluate_checkpoint, train
 
 from conftest import encoder_parameters, head_parameters, make_store, scripted_dev_metric
 from test_metrics import brute_force_macro_f1
@@ -83,9 +83,7 @@ def test_criterion_3_tuning_strategy_freezing():
     for strategy in ("fixed-lm", "lm-plus-prompt"):
         cfg = TrainConfig(**SMALL, max_epochs=5, early_stop_patience=10,
                           prompt=PromptConfig(length=1, form="deep", tuning=strategy))
-        from dpmn.trainer import _build_model
-
-        pristine = _build_model(cfg, build_vocab(corpus, cfg.min_freq))
+        pristine = build_model(cfg, build_vocab(corpus, cfg.min_freq))
         before = _encoder_bytes(pristine)
         result = train(cfg, corpus, corpus)
         assert len(result.runlog.step_losses) == 10

@@ -297,6 +297,20 @@ def test_checkpoint_with_a_repeated_vocab_token_exits_three(workdir, checkpoint,
         ["eval", "--checkpoint", str(damaged), "--data", str(workdir / "dev.tsv")], damaged, capsys)
 
 
+@pytest.mark.parametrize("spell", ["-1", "0{}", "+{}", " {}"])
+def test_checkpoint_with_a_misspelt_vocab_id_exits_three(workdir, checkpoint, capsys, spell):
+    """The last vocab line's id spelt as the writer never writes it."""
+    header, arrays = load_checkpoint(checkpoint)
+    lines = header.splitlines()
+    last = max(i for i, line in enumerate(lines) if line.startswith("vocab."))
+    key, token = lines[last].split(" = ")
+    lines[last] = "vocab." + spell.format(key.removeprefix("vocab.")) + " = " + token
+    damaged = workdir / "misspelt.ckpt"
+    damaged.write_bytes(checkpoint_bytes("\n".join(lines) + "\n", arrays))
+    _unreadable_input_exits_three(
+        ["eval", "--checkpoint", str(damaged), "--data", str(workdir / "dev.tsv")], damaged, capsys)
+
+
 def test_non_finite_parameter_exits_four(workdir, capsys, monkeypatch):
     step = Adam.step
 
@@ -417,7 +431,7 @@ def test_ablate_prompt_without_room_for_text_exits_two_before_training(workdir, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "prompt length 24 leaves no room for text" in captured.err
-    assert not (out / "ablation.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
@@ -433,6 +447,21 @@ def test_out_naming_a_file_exits_three_before_training(workdir, capsys, command)
     assert captured.out == ""  # no run started: no ablation variant, no sweep header
     assert "data error" in captured.err and str(taken) in captured.err
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command,artifact", [
+    ("train", "model.ckpt"), ("ablate", "ablation.md"), ("sweep", "sweep.csv"),
+])
+def test_artifact_that_cannot_be_written_exits_three_naming_it(workdir, capsys,
+                                                               command, artifact):
+    out = workdir / "out"
+    (out / artifact).mkdir(parents=True)
+    grid = ["--lengths", "1", "--forms", "deep", "--inits", "random"] if command == "sweep" else []
+    assert main([command, *grid, "--config", str(workdir / "run.cfg"),
+                 "--train", str(workdir / "train.tsv"), "--dev", str(workdir / "dev.tsv"),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and str(out / artifact) in err
 
 
 def test_sweep_bad_lengths_exit_two(workdir):

@@ -298,3 +298,17 @@ def test_network_gradients_of_linear_heads_pass(monkeypatch):
     errors = check_network(60)
     assert {"embedding", "layer0", "layer1", "prompt", "head_a"} <= errors.keys()
     assert all(err < NETWORK_TOLERANCE for err in errors.values()), errors
+
+
+def test_probe_network_is_built_from_the_whole_tiny_config(monkeypatch):
+    """The probe network takes TINY_CONFIG's head sizes and token init."""
+    monkeypatch.setattr(gradcheck, "TINY_CONFIG", replace(
+        gradcheck.TINY_CONFIG, lstm_hidden=3, head_ffn_size=5,
+        prompt=PromptConfig(length=2, form="deep", init="token")))
+    model = build_probe_setup()[0]
+    params = model.parameters()
+    assert params["head_a.lstm_forward.w_h"].shape == (3, 12)
+    assert params["head_a.ffn.w1"].shape == (6, 5)
+    rows = model.encoder.token_emb.data[3:5]
+    assert len(model.bank.matrices) == 2
+    assert all(np.array_equal(m.data, rows) for m in model.bank.matrices)

@@ -1,11 +1,16 @@
 """Prompt construction: initialization, validation, and the sweep grid."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpmn.encoder import EncoderConfig
-from dpmn.errors import ConfigError, EmbeddingIndexError
-from dpmn.prompt import PromptConfig, init_prompt, sweep_configs
+from dpmn.errors import ConfigError
+from dpmn.model import DpmnModel
+from dpmn.prompt import FORMS, PromptConfig, init_prompt, sweep_configs
 
 from conftest import make_store
 
@@ -70,10 +75,10 @@ def test_zero_length_prompt_has_no_parameters(rng):
 
 
 def test_token_id_out_of_range_rejected(rng):
-    cfg = PromptConfig(length=1, init="token", token_ids=(99,))
-    with pytest.raises(EmbeddingIndexError) as exc:
+    cfg = PromptConfig(length=2, init="token", token_ids=(4, 99))
+    with pytest.raises(ConfigError, match="prompt_token_ids 4,99 reach outside the "
+                                          "vocabulary of 20 tokens"):
         init_prompt(cfg, ENC, _table(rng), make_store(), 0)
-    assert exc.value.index == 99
 
 
 def test_prompt_length_exceeding_sequence_budget_rejected(rng):
@@ -82,10 +87,44 @@ def test_prompt_length_exceeding_sequence_budget_rejected(rng):
         init_prompt(cfg, ENC, _table(rng), make_store(), 0)
 
 
-def test_deferred_token_ids_rejected_at_init(rng):
-    cfg = PromptConfig(length=1, init="token")  # ids resolved later by the trainer
-    with pytest.raises(ConfigError, match="token"):
-        init_prompt(cfg, ENC, _table(rng), make_store(), 0)
+def test_unset_token_ids_pick_the_rows_after_the_reserved_ids(rng):
+    table = _table(rng)
+    bank = init_prompt(PromptConfig(length=2, init="token"), ENC, table, make_store(), 0)
+    assert all(np.array_equal(m.data, table[3:5]) for m in bank.matrices)
+    small = replace(ENC, vocab_size=4)
+    with pytest.raises(ConfigError, match="prompt_token_ids 3,4 reach outside"):
+        init_prompt(PromptConfig(length=2, init="token"), small, table[:4], make_store(), 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(vocab_size=st.integers(1, 10), length=st.integers(1, 4), form=st.sampled_from(FORMS),
+       ids=st.none() | st.lists(st.integers(-2, 12), min_size=4, max_size=4))
+def test_token_init_copies_the_chosen_rows_or_names_the_ids(vocab_size, length, form, ids):
+    """Token init copies rows 3..3+p (ids unset) or exactly the given rows
+    into every matrix, or raises one ConfigError naming the ids, whether
+    the model draws its weights or is built on saved arrays."""
+    token_ids = None if ids is None else tuple(ids[:length])
+    chosen = token_ids or tuple(range(3, 3 + length))
+    enc = replace(ENC, vocab_size=vocab_size)
+    cfg = PromptConfig(length=length, form=form, init="token", token_ids=token_ids)
+    # the same seed draws the same embedding table whatever the prompt init
+    saved = DpmnModel(enc, replace(cfg, init="random", token_ids=None),
+                      head_kind="linear").state_arrays()
+    table = saved["embedding.token"]
+    if all(0 <= t < vocab_size for t in chosen):
+        direct = init_prompt(cfg, enc, table, make_store(), 0)
+        model = DpmnModel(enc, cfg, head_kind="linear")
+        loaded = DpmnModel(enc, cfg, head_kind="linear", arrays=model.state_arrays())
+        for bank in (direct, model.bank, loaded.bank):
+            assert len(bank.matrices) == (enc.num_layers if form == "deep" else 1)
+            assert all(np.array_equal(m.data, table[list(chosen)]) for m in bank.matrices)
+    else:
+        named = re.escape(f"prompt_token_ids {','.join(map(str, chosen))} reach outside")
+        for build in (lambda: init_prompt(cfg, enc, table, make_store(), 0),
+                      lambda: DpmnModel(enc, cfg, head_kind="linear"),
+                      lambda: DpmnModel(enc, cfg, head_kind="linear", arrays=saved)):
+            with pytest.raises(ConfigError, match=named):
+                build()
 
 
 def test_config_invariants():
@@ -110,7 +149,8 @@ def test_sweep_is_cartesian_product():
 
 
 def test_sweep_filters_invalid_combinations():
-    assert sweep_configs([0], ["deep"], ["random"]) == []
+    with pytest.raises(ConfigError, match="no valid prompt setting"):
+        sweep_configs([0], ["deep"], ["random"])
     # zero length survives only in light form
     configs = sweep_configs([0], ["deep", "light"], ["random"])
     assert [(c.length, c.form) for c in configs] == [(0, "light")]

@@ -249,6 +249,17 @@ def test_checkpoint_header_round_trips_vocab():
     assert parsed_cfg.out_dir is None  # the output directory never enters checkpoints
 
 
+@pytest.mark.parametrize("key", ["vocab.-1", "vocab.04", "vocab.+4", "vocab. 4", "vocab.\u0664",
+                                 "vocab.4.0", "vocab.5"])
+def test_checkpoint_header_takes_only_the_vocab_keys_it_writes(key):
+    """vocab.4 spelt any other way, even one int() reads as 4 (or as -1,
+    the last slot), is a ConfigError naming the key."""
+    header = format_checkpoint_header(TrainConfig(), Vocab(RESERVED + ("a", "b")))
+    assert parse_checkpoint_header(header)[1].tokens[4] == "b"
+    with pytest.raises(ConfigError, match=re.escape(f"bad vocab entry {key!r}")):
+        parse_checkpoint_header(header.replace("vocab.4 = b", f"{key} = b"))
+
+
 # any code point, lone surrogates included, with whitespace and line breaks made common
 _TOKEN_CHARS = st.one_of(st.characters(exclude_categories=()), st.sampled_from(" \t\n\x85\u2028"))
 

@@ -21,6 +21,7 @@ from dpmn.trainer import (
     ABLATION_VARIANTS,
     RUNLOG_HEADER,
     ablate,
+    build_model,
     evaluate_checkpoint,
     evaluate_model,
     load_model,
@@ -81,9 +82,7 @@ def test_fixed_lm_keeps_encoder_weights_bitwise_frozen(corpus):
     cfg = _cfg(learning_rate=1e-3, max_epochs=5, min_freq=1,
                prompt=PromptConfig(length=1, form="deep", tuning="fixed-lm"))
     vocab = build_vocab(corpus, 1)
-    from dpmn.trainer import _build_model
-
-    reference = _build_model(cfg, vocab)
+    reference = build_model(cfg, vocab)
     before = _checksum({k: v.data for k, v in encoder_parameters(reference).items()})
     result = train(cfg, corpus, corpus)
     assert len(result.runlog.step_losses) >= 10
@@ -100,10 +99,8 @@ def test_lm_plus_prompt_updates_encoder_weights(corpus):
     cfg = _cfg(learning_rate=1e-3, max_epochs=5,
                prompt=PromptConfig(length=1, form="deep", tuning="lm-plus-prompt"))
     vocab = build_vocab(corpus, 1)
-    from dpmn.trainer import _build_model
-
     before = _checksum({k: v.data
-                        for k, v in encoder_parameters(_build_model(cfg, vocab)).items()})
+                        for k, v in encoder_parameters(build_model(cfg, vocab)).items()})
     result = train(cfg, corpus, corpus)
     after = _checksum({k: v.data
                        for k, v in encoder_parameters(result.model).items()})
@@ -312,9 +309,7 @@ def test_constant_predictor_scores_one_third_on_balanced_data():
                 + [e for e in corpus if e.label_a == "OFF"][:10])
     cfg = _cfg(max_epochs=1)
     vocab = build_vocab(balanced, 1)
-    from dpmn.trainer import _build_model
-
-    model = _build_model(cfg, vocab)
+    model = build_model(cfg, vocab)
     head = model.heads["a"]
     for p in head_parameters(model, "a").values():
         p.data[:] = 0.0
