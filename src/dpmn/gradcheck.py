@@ -158,9 +158,19 @@ def _op_catalog(seed: int):
     return catalog
 
 
-def check_all_ops(seed: int = 0) -> dict[str, float]:
-    return {name: check_op(forward, inputs, rng)
-            for name, inputs, forward, rng in _op_catalog(seed)}
+class OpErrors(dict):
+    """The max relative error of each catalog op, by name; `coordinates`
+    counts the input coordinates their checks perturbed."""
+
+    def __init__(self, errors: dict[str, float], coordinates: int):
+        super().__init__(errors)
+        self.coordinates = coordinates
+
+
+def check_all_ops(seed: int = 0) -> OpErrors:
+    catalog = _op_catalog(seed)
+    errors = {name: check_op(forward, inputs, rng) for name, inputs, forward, rng in catalog}
+    return OpErrors(errors, sum(t.size for _, inputs, _, _ in catalog for t in inputs))
 
 
 TINY_CONFIG = TrainConfig(
@@ -287,5 +297,4 @@ def run_gradcheck(n_probes: int = 200, seed: int = 0) -> GradcheckReport:
     op_errors = check_all_ops(seed)
     reprobes: list[str] = []
     network_errors = check_network(n_probes, seed, reprobes)
-    op_coords = sum(t.size for _, inputs, _, _ in _op_catalog(seed) for t in inputs)
-    return GradcheckReport(op_errors, network_errors, n_probes + op_coords, reprobes)
+    return GradcheckReport(op_errors, network_errors, n_probes + op_errors.coordinates, reprobes)

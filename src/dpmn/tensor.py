@@ -1,12 +1,18 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Ops executed while a Tape is active are recorded in execution order, which
-is already a topological order of the graph. backward() replays the tape in
-reverse, visiting each recorded op once. Gradients accumulate additively
-into Tensor.grad and are only cleared explicitly (see Adam.zero_grad).
+is already a topological order of the graph. backward() consumes the tape:
+it replays the entries in reverse, visiting each recorded op once, and
+releases each entry, with the arrays its op saved and its output's
+gradient, as soon as the entry's backward has run. Afterwards only leaves
+(tensors no entry produced: parameters and caller-made inputs) hold a
+.grad, so a step's memory falls back to its weights and their gradients
+once backward returns. Leaf gradients accumulate additively across tapes
+and are only cleared explicitly (see Adam.zero_grad); a consumed tape
+cannot be replayed.
 
-Everything is float64: at desk scale memory is irrelevant and the gradient
-checks need the precision.
+Everything is float64, which the gradient checks need; ops save what their
+backward reads and no more.
 """
 
 from __future__ import annotations
@@ -122,18 +128,21 @@ def saved_array(arrays: dict[str, np.ndarray], name: str, shape) -> np.ndarray:
 
 
 class Tape:
-    """Ordered record of executed ops.
+    """Ordered record of executed ops, consumed by one backward().
 
     Each entry is (output tensor, parent tensors, backward fn); the backward
     fn closes over whatever activations it needs. Node identity is the
     tensor object itself. Use as a context manager around the forward pass.
+    len() counts the recorded entries, also after backward() has released
+    them.
     """
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        self._entries: list[tuple[Tensor, tuple[Tensor, ...], object]] | None = []
+        self._consumed = 0  # entries a backward() released; 0 until then
 
     def __len__(self):
-        return len(self._entries)
+        return self._consumed if self._entries is None else len(self._entries)
 
     def __enter__(self):
         global _active_tape
@@ -163,19 +172,31 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate dLoss/dx into .grad for every tensor reachable from loss."""
+    """Accumulate dLoss/dx into .grad of every leaf reachable from loss,
+    consuming the tape.
+
+    Each entry is released as soon as its backward has run, and its
+    output's .grad is reset to None, so only leaves keep a gradient.
+    Replaying a consumed tape, or one still recording, raises ContractError.
+    """
+    entries = tape._entries
+    if entries is None:
+        raise ContractError("this tape was consumed by an earlier backward")
+    if tape is _active_tape:
+        raise ContractError("backward needs a closed tape: leave its with block first")
     if loss.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-    if not any(out is loss for out, _, _ in tape._entries):
+    if not any(out is loss for out, _, _ in entries):
         raise ContractError("loss was not produced by an op recorded on this tape")
+    tape._entries, tape._consumed = None, len(entries)
     _accumulate(loss, np.ones_like(loss.data))
-    for out, parents, backward_fn in reversed(tape._entries):
-        g = out.grad
-        if g is None:
-            continue  # not on the path from loss
-        for parent, pg in zip(parents, backward_fn(g)):
-            if pg is not None:
-                _accumulate(parent, pg)
+    while entries:
+        out, parents, backward_fn = entries.pop()
+        g, out.grad = out.grad, None
+        if g is not None:  # else not on the path from loss
+            for parent, pg in zip(parents, backward_fn(g)):
+                if pg is not None:
+                    _accumulate(parent, pg)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -246,8 +267,9 @@ def linear(x, w, b=None) -> Tensor:
 
 def ffn(x, w1, b1, w2, b2) -> Tensor:
     """linear(relu(linear(x, w1, b1)), w2, b2) for x [..., k], w1 [k, f] and
-    w2 [f, n]: two flat GEMMs and one tape entry. The backward keeps the
-    hidden activations and zeroes their gradient where the ReLU was off."""
+    w2 [f, n]: two flat GEMMs and one tape entry. The backward keeps only the
+    hidden activations and zeroes their gradient where they are not
+    positive, which is where the ReLU was off."""
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     if (x.ndim < 1 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0]
             or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1]
@@ -258,7 +280,6 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
     flat = x.data.reshape(-1, k)
     hid = flat @ w1.data
     hid += b1.data
-    live = hid > 0
     np.maximum(hid, 0.0, out=hid)
     y = hid @ w2.data
     y += b2.data
@@ -267,7 +288,7 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
     def bw(g):
         g2 = g.reshape(-1, n)
         d_hid = g2 @ w2.data.T
-        d_hid *= live
+        d_hid *= hid > 0  # where the ReLU was on: pre > 0 iff relu(pre) > 0, NaN included
         return ((d_hid @ w1.data.T).reshape(x.shape), flat.T @ d_hid, d_hid.sum(axis=0),
                 hid.T @ g2, g2.sum(axis=0))
 
@@ -308,7 +329,9 @@ def attention(qkv: Tensor, bias: np.ndarray, num_heads: int,
     except ValueError:
         raise ShapeError(f"attention bias {np.shape(bias)} does not broadcast to "
                          f"scores {scores.shape}") from None
-    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    # the softmax, in place: scores becomes the weights
+    scores -= scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores, out=scores)
     weights /= weights.sum(axis=-1, keepdims=True)
     out = Tensor((weights @ v).transpose(0, 2, 1, 3).reshape(batch, rows, d))
 
@@ -316,8 +339,10 @@ def attention(qkv: Tensor, bias: np.ndarray, num_heads: int,
         g_context = g.reshape(batch, rows, num_heads, head_size).transpose(0, 2, 1, 3)
         d_qkv = np.empty((3, batch, num_heads, seq, head_size))
         np.matmul(weights.swapaxes(-1, -2), g_context, out=d_qkv[2])
-        d_weights = g_context @ v.swapaxes(-1, -2)
-        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
+        # d_weights, turned into d_scores in place
+        d_scores = g_context @ v.swapaxes(-1, -2)
+        d_scores -= (d_scores * weights).sum(axis=-1, keepdims=True)
+        d_scores *= weights
         d_scores *= scale
         np.matmul(d_scores, k, out=d_qkv[0, :, :, :rows])
         d_qkv[0, :, :, rows:] = 0.0
@@ -344,11 +369,12 @@ def add_norm(x, y, gain, bias, rate: float, rng: np.random.Generator | None) -> 
     if x.shape != y.shape or x.ndim < 1 or not gain.shape == bias.shape == x.shape[-1:]:
         raise ShapeError(f"add_norm needs x and y [..., d], gain [d] and bias [d], got "
                          f"{x.shape}, {y.shape}, {gain.shape} and {bias.shape}")
-    mask = None
+    keep = None  # the boolean dropout mask; kept values are scaled by `scale`
     if rng is not None and rate != 0.0:
-        mask = (rng.random(y.shape) >= rate) / (1.0 - rate)
+        keep = rng.random(y.shape) >= rate
+        scale = 1.0 / (1.0 - rate)
     # the residual sum, centred and then scaled into xhat in place
-    xhat = x.data + (y.data if mask is None else y.data * mask)
+    xhat = x.data + (y.data if keep is None else y.data * keep * scale)
     n = xhat.shape[-1]
     xhat -= xhat.sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
@@ -361,7 +387,7 @@ def add_norm(x, y, gain, bias, rate: float, rng: np.random.Generator | None) -> 
         dx = gx - gx.sum(axis=-1, keepdims=True) / n
         dx -= xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / n)
         dx *= inv
-        return (dx, dx if mask is None else dx * mask,
+        return (dx, dx if keep is None else dx * keep * scale,
                 _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape))
 
     _record(out, (x, y, gain, bias), bw)

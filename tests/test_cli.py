@@ -409,6 +409,26 @@ def test_sweep_without_a_valid_setting_exits_two(workdir, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines", [
+    "prompt_init = token\nprompt_token_ids = 5",  # ids the vocabulary holds
+    "prompt_length = 2\nprompt_init = token\nprompt_token_ids = 3,999",
+], ids=["in-vocab", "out-of-vocab"])
+def test_sweep_rejects_prompt_token_ids_before_any_output(workdir, capsys, lines):
+    """The grid sets each run's prompt length and init, so it cannot honour
+    fixed token ids; a config that sets them is refused, not ignored."""
+    keys = {line.split(" = ")[0] for line in lines.splitlines()}
+    kept = [line for line in FAST_CONFIG.splitlines() if line.split(" = ")[0] not in keys]
+    (workdir / "run.cfg").write_text("\n".join(kept) + "\n" + lines + "\n", encoding="utf-8")
+    out = workdir / "sweepdir"
+    assert main(["sweep", "--lengths", "1,2", "--forms", "deep", "--inits", "random,token",
+                 "--config", str(workdir / "run.cfg"), "--train", str(workdir / "train.tsv"),
+                 "--dev", str(workdir / "dev.tsv"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error") and "prompt_token_ids" in captured.err
+    assert not out.exists()
+
+
 def test_sweep_length_without_room_for_text_exits_two_before_training(workdir, capsys):
     """max_seq_len is 24: length 1 could run, length 24 leaves no text slot."""
     out = workdir / "sweepdir"

@@ -1,5 +1,7 @@
 """Op semantics and gradient correctness of the autodiff core."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,72 @@ def test_gradient_accumulates_across_tapes(rng):
             loss = sum_(x)
         backward(tape, loss)
         assert np.array_equal(x.grad, expected * np.ones(3))
+
+
+def test_backward_consumes_the_tape(rng):
+    """A second backward over one tape raises and leaves the leaf gradients
+    as the first pass left them; len() still counts the recorded entries."""
+    x, w = Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(4, 1)))
+    with Tape() as tape:
+        loss = linear(x, w)
+    assert len(tape) == 1
+    backward(tape, loss)
+    assert len(tape) == 1
+    assert np.array_equal(w.grad, x.data.T)
+    with pytest.raises(ContractError, match="consumed"):
+        backward(tape, loss)
+    assert np.array_equal(w.grad, x.data.T)
+
+
+def test_backward_rejects_a_tape_still_recording(rng):
+    x = Tensor(rng.normal(size=(3,)))
+    with Tape() as tape:
+        loss = sum_(x)
+        with pytest.raises(ContractError, match="closed tape"):
+            backward(tape, loss)
+    backward(tape, loss)
+    assert np.array_equal(x.grad, np.ones(3))
+
+
+def test_backward_releases_what_the_ops_saved(rng):
+    """With the tape and the loss still referenced, the softmax weights that
+    attention saved for its backward are freed once backward returns."""
+    x, w = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(4, 12)))
+    with Tape() as tape:
+        loss = sum_(attention(linear(x, w), np.zeros((2, 1, 1, 3)), num_heads=2))
+    attention_bw = tape._entries[1][2]
+    saved = dict(zip(attention_bw.__code__.co_freevars,
+                     (cell.cell_contents for cell in attention_bw.__closure__)))
+    weights = weakref.ref(saved["weights"])
+    del saved, attention_bw
+    backward(tape, loss)
+    assert weights() is None
+    assert x.grad is not None and w.grad is not None
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.sampled_from([add, mul]), st.integers(0, 2 ** 16),
+                          st.integers(0, 2 ** 16)), min_size=1, max_size=8),
+       st.integers(0, 2 ** 31))
+def test_backward_on_any_graph_keeps_leaf_gradients_only(steps, seed):
+    """Each step combines two earlier nodes, leaves or op outputs, so nodes
+    are reused and some lie off the path to the loss. After backward only
+    the leaves hold a gradient, len(tape) is unchanged, and the tape cannot
+    be replayed."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    leaves = [Tensor(rng.normal(size=(2, 3))) for _ in range(3)]
+    nodes = list(leaves)
+    with Tape() as tape:
+        for op, i, j in steps:
+            nodes.append(op(nodes[i % len(nodes)], nodes[j % len(nodes)]))
+        loss = sum_(nodes[-1])
+    recorded = len(tape)
+    backward(tape, loss)
+    assert len(tape) == recorded == len(steps) + 1
+    assert all(t.grad is None for t in nodes[len(leaves):] + [loss])
+    assert any(t.grad is not None for t in leaves)
+    with pytest.raises(ContractError, match="consumed"):
+        backward(tape, loss)
 
 
 def _fd_check(forward, inputs, rng, tol=1e-6):
@@ -473,6 +541,57 @@ def test_ffn_matches_linear_relu_linear_bitwise(lead, k, f, n, seed):
     assert np.array_equal(got, want)
     for g, w in zip(got_grads, want_grads, strict=True):
         assert np.array_equal(g, w)
+
+
+def _same_bits(a, b):
+    """NaN at the same places and the same bits elsewhere, so 0.0 != -0.0."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+def test_relu_of_a_pre_activation_is_positive_where_it_was():
+    """ffn's backward reads the ReLU mask off its output: relu(pre) > 0
+    exactly where pre > 0, for signed zeros, NaN, infinities and subnormals."""
+    pre = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0])
+    assert np.array_equal(np.maximum(pre, 0.0) > 0, pre > 0)
+
+
+def test_ffn_matches_linear_relu_linear_at_the_kink_and_on_nan(rng):
+    """Hidden columns whose pre-activations are exactly 0.0, 0.0 + -0.0 or
+    NaN (zero weight columns plus such biases) give the same value and
+    gradients as the unfused chain, bit for bit."""
+    w1 = rng.normal(size=(4, 6))
+    w1[:, :3] = 0.0
+    arrays = [rng.normal(size=(2, 3, 4)), w1, np.array([0.0, -0.0, np.nan, 0.5, -0.5, 1.0]),
+              rng.normal(size=(6, 3)), rng.normal(size=3)]
+    proj = rng.normal(size=(2, 3, 3))
+    got, got_grads = _value_and_grads(ffn, arrays, proj)
+    want, want_grads = _value_and_grads(unfused_ffn, arrays, proj)
+    assert np.isnan(got).all()  # the NaN column reaches every output
+    assert _same_bits(got, want)
+    for g, w in zip(got_grads, want_grads, strict=True):
+        assert _same_bits(g, w)
+
+
+def test_add_norm_dropout_matches_the_unfused_chain_on_zeros_and_nan(rng):
+    """y holding 0.0, -0.0, NaN and infinities, kept or dropped: the same
+    value and gradients as dropout then add then layer_norm, bit for bit."""
+    y = rng.normal(size=(3, 4, 5))
+    y[0, :, :4] = [0.0, -0.0, np.inf, -np.inf]
+    y[1, 1, 2] = np.nan
+    arrays = [rng.normal(size=(3, 4, 5)), y, rng.uniform(0.5, 1.5, size=5), rng.normal(size=5)]
+    proj = rng.normal(size=(3, 4, 5))
+    results = []
+    for op in (add_norm, unfused_add_norm):
+        gen = np.random.Generator(np.random.PCG64(4))
+        with np.errstate(invalid="ignore"):  # inf * 0 where an infinity is dropped
+            results.append(_value_and_grads(lambda *t: op(*t, 0.5, gen), arrays, proj))
+    (got, got_grads), (want, want_grads) = results
+    assert np.isnan(got).any() and not np.isnan(got).all()
+    assert _same_bits(got, want)
+    for g, w in zip(got_grads, want_grads, strict=True):
+        assert _same_bits(g, w)
 
 
 def test_add_norm_and_ffn_record_one_tape_entry_each(rng):

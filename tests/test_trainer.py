@@ -1,7 +1,11 @@
 """Training loop: early stopping, freezing, determinism, evaluation, ablation."""
 
 import hashlib
+import importlib
+import os
 import re
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,14 +13,14 @@ import pytest
 
 from dpmn import model as model_module, trainer
 from dpmn.checkpoint import load_checkpoint, parse_checkpoint, save_checkpoint
-from dpmn.data import build_vocab, generate_synthetic_corpus, make_batches
+from dpmn.data import TASKS, build_vocab, generate_synthetic_corpus, make_batches
 from dpmn.encoder import TransformerLayer
 from dpmn.errors import IntegrityError, NumericError
 from dpmn.heads import BiLstmFfnHead
-from dpmn.losses import LossWeights
+from dpmn.losses import LossWeights, cross_entropy, total_loss
 from dpmn.prompt import PromptConfig
 from dpmn.runconfig import TrainConfig
-from dpmn.tensor import attention, linear
+from dpmn.tensor import Tape, attention, backward, linear
 from dpmn.trainer import (
     ABLATION_VARIANTS,
     RUNLOG_HEADER,
@@ -400,3 +404,35 @@ def test_full_variant_not_worse_than_linear_baseline():
     result = ablate(base, corpus, corpus)
     by_name = {r.name: r for r in result.rows}
     assert by_name["full"].dev_f1_a >= by_name["linear-head"].dev_f1_a
+
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
+def test_a_training_step_holds_little_once_backward_returns(monkeypatch):
+    """One step of the benchmark's README-default encoder (L=4, d=64, dropout
+    on, linear heads) on a batch of 32 tweet-length texts: once backward
+    returns, with the tape, the loss and the logits still referenced, what
+    the step still holds (the leaf gradients) is under a tenth of what its
+    forward pass held."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    workload = importlib.import_module("workloads").WORKLOADS["linear-l4d64-t30"]
+    cfg = workload.config(1, None)
+    examples = workload.corpora(1)["train"][:cfg.batch_size]
+    vocab = build_vocab(examples, cfg.min_freq)
+    model = build_model(cfg, vocab)
+    (batch,) = make_batches(examples, vocab, cfg.batch_size, model.text_budget)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            logits = model.forward(batch, np.random.Generator(np.random.PCG64(0)))
+            loss = total_loss(*(cross_entropy(logits[t], batch.labels[t]) for t in TASKS),
+                              cfg.loss_weights)
+        forward = tracemalloc.get_traced_memory()[0] - base
+        backward(tape, loss)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < forward / 10, (held, forward)
