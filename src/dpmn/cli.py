@@ -103,9 +103,6 @@ def _parse_csv_list(raw: str, converter, flag: str):
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    if cfg.prompt.token_ids is not None:
-        raise ConfigError("prompt_token_ids cannot be swept: each grid point sets its own "
-                          "prompt length and init; leave prompt_token_ids unset")
     train_set, dev_set = _read_corpus(args.train), _read_corpus(args.dev)
     lengths = _parse_csv_list(args.lengths, int, "--lengths")
     forms = _parse_csv_list(args.forms, str, "--forms")

@@ -20,15 +20,14 @@ TUNINGS = ("fixed-lm", "lm-plus-prompt")
 class PromptConfig:
     """How the continuous prompt is built.
 
-    length is the number of prefix positions (p_n); token init may leave
-    token_ids unset, in which case init_prompt copies the rows of the
-    first `length` ids after the reserved ones: the most frequent tokens.
+    length is the number of prefix positions (p_n); token init copies the
+    rows of the first `length` ids after the reserved ones, the most
+    frequent tokens (init_prompt).
     """
 
     length: int = 1
     form: str = "deep"
     init: str = "random"
-    token_ids: tuple[int, ...] | None = None
     tuning: str = "lm-plus-prompt"
 
     def __post_init__(self):
@@ -42,15 +41,6 @@ class PromptConfig:
             raise ConfigError(f"prompt length must be >= 0, got {self.length}")
         if self.length == 0 and self.form != "light":
             raise ConfigError("prompt length 0 (no prompt) is only valid with the light form")
-        if self.token_ids is not None:
-            if not self.token_ids:
-                raise ConfigError("token_ids must not be empty; leave it unset for no ids")
-            if self.init != "token":
-                raise ConfigError("token_ids given but init is not 'token'")
-            if len(self.token_ids) != self.length:
-                raise ConfigError(
-                    f"token init needs exactly {self.length} ids, got {len(self.token_ids)}"
-                )
 
 
 class PrefixBank:
@@ -87,9 +77,9 @@ def init_prompt(config: PromptConfig, encoder_config, embedding_table: np.ndarra
 
     Random init draws every entry i.i.d. Normal(0, INIT_STD^2) from its own
     generator seeded with rng_seed; token init copies the embedding-table
-    rows of config.token_ids, or of the first `length` ids after the
-    reserved ones when they are unset, replicated into every layer matrix
-    for the deep form. An id outside the table is a ConfigError.
+    rows of the first `length` ids after the reserved ones, replicated into
+    every layer matrix for the deep form. A table without those rows is a
+    ConfigError.
     """
     text_budget(encoder_config.max_seq_len, config.length)
     shape = (config.length, encoder_config.hidden_size)
@@ -99,29 +89,27 @@ def init_prompt(config: PromptConfig, encoder_config, embedding_table: np.ndarra
 
     rows = None
     if config.init == "token" and n_matrices > 0:
-        first = len(RESERVED)
-        ids = config.token_ids or tuple(range(first, first + config.length))
-        size = embedding_table.shape[0]
-        if not all(0 <= t < size for t in ids):
-            raise ConfigError(f"prompt_token_ids {','.join(map(str, ids))} reach "
-                              f"outside the vocabulary of {size} tokens")
-        rows = np.asarray(embedding_table)[list(ids)]
+        first, size = len(RESERVED), embedding_table.shape[0]
+        if size < first + config.length:
+            raise ConfigError(f"token init of prompt length {config.length} copies rows "
+                              f"{first}..{first + config.length - 1}, but the vocabulary "
+                              f"has {size} tokens")
+        rows = embedding_table[first:first + config.length]
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     matrices = [store.new(f"prompt.layer{i}", shape, rows, rng) for i in range(n_matrices)]
     return PrefixBank(matrices)
 
 
 def sweep_configs(lengths, forms, inits, tuning: str = "lm-plus-prompt") -> list[PromptConfig]:
-    """Cartesian product of prompt settings, dropping invalid combinations;
-    a grid with no valid setting left is a ConfigError."""
+    """Cartesian product of prompt settings, in order, without the points of
+    length 0 in the deep form (no prompt has no layers to go deep in). Any
+    other invalid value is a ConfigError naming it, as is a grid with no
+    setting left."""
     if not lengths or not forms or not inits:
         raise ConfigError("sweep needs at least one length, form, and init")
-    configs = []
-    for length, form, init in product(lengths, forms, inits):
-        try:
-            configs.append(PromptConfig(length=length, form=form, init=init, tuning=tuning))
-        except ConfigError:
-            continue
+    configs = [PromptConfig(length=length, form=form, init=init, tuning=tuning)
+               for length, form, init in product(lengths, forms, inits)
+               if (length, form) != (0, "deep")]
     if not configs:
         raise ConfigError("no valid prompt setting in the sweep grid")
     return configs

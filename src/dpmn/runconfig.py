@@ -42,8 +42,9 @@ class TrainConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and positive, "
+                              f"got {self.learning_rate}")
         for name in ("batch_size", "max_epochs", "early_stop_patience", "min_freq"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -62,13 +63,8 @@ _NESTED = {"loss_weights": "loss_weight_", "prompt": "prompt_"}
 _RENAMED = {"prompt_tuning": "tuning_strategy"}
 
 
-def _int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in raw.split(","))
-
-
 # value type -> (parser, what a value that fails to parse should be)
-_PARSERS = {int: (int, "an integer"), float: (float, "a number"), str: (str, "a string"),
-            tuple[int, ...]: (_int_tuple, "comma-separated ints")}
+_PARSERS = {int: (int, "an integer"), float: (float, "a number"), str: (str, "a string")}
 
 
 def _field_types(cls):
@@ -101,8 +97,6 @@ KNOWN_KEYS = frozenset(_KEYS)
 
 def _fmt(value) -> str | None:
     """Text of a value, or None to omit an unset key."""
-    if isinstance(value, tuple):
-        return ",".join(str(i) for i in value)
     if value is None:
         return None
     return repr(value) if isinstance(value, float) else str(value)

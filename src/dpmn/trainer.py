@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+# checkpoint_bytes is unused here: perfbench/tracing.py wraps trainer.checkpoint_bytes
 from .checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from .data import (
     TASK_CLASSES,
@@ -84,9 +85,6 @@ class TrainResult:
     @property
     def best_epoch(self) -> int:
         return self.runlog.best_epoch
-
-    def checkpoint_blob(self) -> bytes:
-        return checkpoint_bytes(self.header_text, self.model.state_arrays())
 
 
 def build_model(cfg: TrainConfig, vocab: Vocab,

@@ -151,7 +151,8 @@ def _small_real_checkpoint() -> bytes:
     cfg = TrainConfig(num_layers=1, hidden_size=2, num_heads=1, ffn_size=2, max_seq_len=12,
                       max_epochs=1, batch_size=8, dropout=0.0)
     corpus = generate_synthetic_corpus(8, seed=0)
-    return train(cfg, corpus, corpus).checkpoint_blob()
+    r = train(cfg, corpus, corpus)
+    return checkpoint_bytes(r.header_text, r.model.state_arrays())
 
 
 @st.composite

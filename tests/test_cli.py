@@ -227,12 +227,16 @@ def test_checkpoint_whose_records_do_not_fit_its_model_exits_three(workdir, chec
     assert err.startswith("data error") and str(damaged) in err and repr(name) in err
 
 
-# Config lines a trained FAST_CONFIG checkpoint cannot describe a model with;
-# the model rejects the last three, not the config.
+# Config lines a trained FAST_CONFIG checkpoint cannot describe a model with:
+# the model rejects "seed" and "lstm-hidden", not the config, and "token-ids"
+# names prompt_token_ids, which is no longer a key.
 _INVALID_CONFIG = {"batch-size": "batch_size = 0", "heads": "num_heads = 0",
                    "seed": "rng_seed = -1", "lstm-hidden": "lstm_hidden = 0",
                    "token-ids": "prompt_init = token\nprompt_token_ids = 999"}
-_MODEL_REJECTS = ["seed", "lstm-hidden", "token-ids"]
+# Config lines the config accepts and the model rejects; with min_freq 1000
+# the vocabulary is the reserved ids alone, so token init finds no row to copy.
+_MODEL_REJECTS = {"seed": "rng_seed = -1", "lstm-hidden": "lstm_hidden = 0",
+                  "token-ids": "prompt_init = token\nmin_freq = 1000"}
 
 
 @pytest.mark.parametrize("lines", [*_INVALID_CONFIG.values(), "vocab.0 = x"],
@@ -247,7 +251,7 @@ def test_checkpoint_with_invalid_config_exits_three(workdir, checkpoint, capsys,
         ["eval", "--checkpoint", str(damaged), "--data", str(workdir / "dev.tsv")], damaged, capsys)
 
 
-@pytest.mark.parametrize("lines", [_INVALID_CONFIG[k] for k in _MODEL_REJECTS], ids=_MODEL_REJECTS)
+@pytest.mark.parametrize("lines", _MODEL_REJECTS.values(), ids=_MODEL_REJECTS)
 def test_config_the_model_cannot_take_exits_two(workdir, capsys, lines):
     (workdir / "run.cfg").write_text(FAST_CONFIG + lines + "\n", encoding="utf-8")
     assert main(["train", "--config", str(workdir / "run.cfg"), "--train",
@@ -255,10 +259,20 @@ def test_config_the_model_cannot_take_exits_two(workdir, capsys, lines):
     assert capsys.readouterr().err.startswith("config error")
 
 
+def _refused_before_any_output(workdir, capsys, argv, named):
+    out = workdir / "out"
+    assert main([*argv, "--train", str(workdir / "train.tsv"), "--dev", str(workdir / "dev.tsv"),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error") and named in captured.err
+    assert not out.exists()
+
+
 # Config lines that parse but that no model can be built from. The sweep grid
 # sets its own prompt, so only the last two reach it.
 _UNBUILDABLE = {"no-text-slot": "prompt_length = 24",
-                "token-ids": "prompt_init = token\nprompt_token_ids = 999",
+                "token-ids": _MODEL_REJECTS["token-ids"],
                 "heads": "hidden_size = 10\nnum_heads = 4",
                 "seed": "rng_seed = -1"}
 
@@ -273,15 +287,9 @@ def test_config_the_model_cannot_take_exits_two_before_any_output(workdir, capsy
     keys = {line.split(" = ")[0] for line in lines}
     kept = [line for line in FAST_CONFIG.splitlines() if line.split(" = ")[0] not in keys]
     (workdir / "run.cfg").write_text("\n".join(kept + lines) + "\n", encoding="utf-8")
-    out = workdir / "out"
     grid = ["--lengths", "1", "--forms", "deep", "--inits", "random"] if command == "sweep" else []
-    assert main([command, *grid, "--config", str(workdir / "run.cfg"),
-                 "--train", str(workdir / "train.tsv"), "--dev", str(workdir / "dev.tsv"),
-                 "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error")
-    assert not out.exists()
+    _refused_before_any_output(workdir, capsys, [command, *grid, "--config",
+                                                 str(workdir / "run.cfg")], "")
 
 
 def test_checkpoint_with_a_repeated_vocab_token_exits_three(workdir, checkpoint, capsys):
@@ -401,12 +409,21 @@ def test_sweep_runs_filtered_grid(workdir, capsys):
 
 
 def test_sweep_without_a_valid_setting_exits_two(workdir, capsys):
-    out = workdir / "sweepdir"
-    assert main(["sweep", "--lengths", "0", "--forms", "deep", "--inits", "random",
-                 "--config", str(workdir / "run.cfg"), "--train", str(workdir / "train.tsv"),
-                 "--dev", str(workdir / "dev.tsv"), "--out", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
+    _refused_before_any_output(workdir, capsys, [
+        "sweep", "--lengths", "0", "--forms", "deep", "--inits", "random",
+        "--config", str(workdir / "run.cfg")], "no valid prompt setting")
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+def test_prompt_token_ids_key_exits_two_before_any_output(workdir, capsys, command):
+    """Token init always copies the rows after the reserved ids, so no key
+    picks them: a config that still names prompt_token_ids is refused."""
+    (workdir / "run.cfg").write_text(FAST_CONFIG + "prompt_init = token\nprompt_token_ids = 3\n",
+                                     encoding="utf-8")
+    grid = ["--lengths", "1", "--forms", "deep", "--inits", "random"] if command == "sweep" else []
+    _refused_before_any_output(workdir, capsys, [command, *grid, "--config",
+                                                 str(workdir / "run.cfg")],
+                               "unknown config key 'prompt_token_ids'")
 
 
 @pytest.mark.parametrize("lines", [
@@ -414,19 +431,38 @@ def test_sweep_without_a_valid_setting_exits_two(workdir, capsys):
     "prompt_length = 2\nprompt_init = token\nprompt_token_ids = 3,999",
 ], ids=["in-vocab", "out-of-vocab"])
 def test_sweep_rejects_prompt_token_ids_before_any_output(workdir, capsys, lines):
-    """The grid sets each run's prompt length and init, so it cannot honour
-    fixed token ids; a config that sets them is refused, not ignored."""
+    """No key picks token-init ids any more, so a sweep config that names
+    prompt_token_ids is refused whether or not its ids fit the vocabulary."""
     keys = {line.split(" = ")[0] for line in lines.splitlines()}
     kept = [line for line in FAST_CONFIG.splitlines() if line.split(" = ")[0] not in keys]
     (workdir / "run.cfg").write_text("\n".join(kept) + "\n" + lines + "\n", encoding="utf-8")
-    out = workdir / "sweepdir"
-    assert main(["sweep", "--lengths", "1,2", "--forms", "deep", "--inits", "random,token",
-                 "--config", str(workdir / "run.cfg"), "--train", str(workdir / "train.tsv"),
-                 "--dev", str(workdir / "dev.tsv"), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error") and "prompt_token_ids" in captured.err
-    assert not out.exists()
+    _refused_before_any_output(workdir, capsys, [
+        "sweep", "--lengths", "1,2", "--forms", "deep", "--inits", "random,token",
+        "--config", str(workdir / "run.cfg")], "unknown config key 'prompt_token_ids'")
+
+
+@pytest.mark.parametrize("lengths,forms,inits,named", [
+    ("2,-1", "deep", "random", "prompt length must be >= 0, got -1"),
+    ("2", "deep,lite", "random", "got 'lite'"),
+    ("2", "deep", "random,tokn", "got 'tokn'"),
+    ("2,-1", "deep,lite", "random,tokn", "got 'tokn'"),
+], ids=["negative-length", "misspelt-form", "misspelt-init", "all-three"])
+def test_sweep_with_a_misspelt_or_negative_value_exits_two(workdir, capsys, lengths, forms,
+                                                          inits, named):
+    """Only the (0, deep) points are skipped; any other invalid grid value
+    is named before anything is printed or written."""
+    _refused_before_any_output(workdir, capsys, [
+        "sweep", "--lengths", lengths, "--forms", forms, "--inits", inits,
+        "--config", str(workdir / "run.cfg")], named)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+def test_non_finite_learning_rate_exits_two_before_any_output(workdir, capsys, value):
+    (workdir / "run.cfg").write_text(FAST_CONFIG.replace("learning_rate = 0.001",
+                                                         f"learning_rate = {value}"),
+                                     encoding="utf-8")
+    _refused_before_any_output(workdir, capsys, ["train", "--config", str(workdir / "run.cfg")],
+                               "learning_rate")
 
 
 def test_sweep_length_without_room_for_text_exits_two_before_training(workdir, capsys):

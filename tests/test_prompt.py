@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dpmn.encoder import EncoderConfig
 from dpmn.errors import ConfigError
 from dpmn.model import DpmnModel
-from dpmn.prompt import FORMS, PromptConfig, init_prompt, sweep_configs
+from dpmn.prompt import FORMS, INITS, PromptConfig, init_prompt, sweep_configs
 
 from conftest import make_store
 
@@ -24,18 +25,18 @@ def _table(rng):
 
 def test_token_init_copies_embedding_rows_into_every_layer(rng):
     table = _table(rng)
-    cfg = PromptConfig(length=1, form="deep", init="token", token_ids=(7,))
+    cfg = PromptConfig(length=1, form="deep", init="token")
     store = make_store()
     bank = init_prompt(cfg, ENC, table, store, rng_seed=0)
     assert len(bank.matrices) == ENC.num_layers
     for m in bank.matrices:
-        assert np.array_equal(m.data[0], table[7])
+        assert np.array_equal(m.data[0], table[3])
         assert store.tensors[m.name] is m
 
 
 def test_token_init_matrices_are_independent_copies(rng):
     table = _table(rng)
-    cfg = PromptConfig(length=2, form="deep", init="token", token_ids=(3, 4))
+    cfg = PromptConfig(length=2, form="deep", init="token")
     bank = init_prompt(cfg, ENC, table, make_store(), rng_seed=0)
     bank.matrices[0].data[0, 0] += 1.0
     assert bank.matrices[1].data[0, 0] == table[3, 0]
@@ -75,10 +76,15 @@ def test_zero_length_prompt_has_no_parameters(rng):
 
 
 def test_token_id_out_of_range_rejected(rng):
-    cfg = PromptConfig(length=2, init="token", token_ids=(4, 99))
-    with pytest.raises(ConfigError, match="prompt_token_ids 4,99 reach outside the "
-                                          "vocabulary of 20 tokens"):
-        init_prompt(cfg, ENC, _table(rng), make_store(), 0)
+    """A 20-token vocabulary holds rows 3..19, so a prompt of 18 tokens
+    would copy rows 3..20."""
+    cfg = PromptConfig(length=18, form="light", init="token")
+    enc = replace(ENC, max_seq_len=24)
+    with pytest.raises(ConfigError, match=re.escape("token init of prompt length 18 copies "
+                                                    "rows 3..20, but the vocabulary has 20 "
+                                                    "tokens")):
+        init_prompt(cfg, enc, _table(rng), make_store(), 0)
+    assert init_prompt(replace(cfg, length=17), enc, _table(rng), make_store(), 0).prompt_len == 17
 
 
 def test_prompt_length_exceeding_sequence_budget_rejected(rng):
@@ -92,34 +98,30 @@ def test_unset_token_ids_pick_the_rows_after_the_reserved_ids(rng):
     bank = init_prompt(PromptConfig(length=2, init="token"), ENC, table, make_store(), 0)
     assert all(np.array_equal(m.data, table[3:5]) for m in bank.matrices)
     small = replace(ENC, vocab_size=4)
-    with pytest.raises(ConfigError, match="prompt_token_ids 3,4 reach outside"):
+    with pytest.raises(ConfigError, match=re.escape("copies rows 3..4, but the vocabulary has 4")):
         init_prompt(PromptConfig(length=2, init="token"), small, table[:4], make_store(), 0)
 
 
 @settings(max_examples=40, deadline=None)
-@given(vocab_size=st.integers(1, 10), length=st.integers(1, 4), form=st.sampled_from(FORMS),
-       ids=st.none() | st.lists(st.integers(-2, 12), min_size=4, max_size=4))
-def test_token_init_copies_the_chosen_rows_or_names_the_ids(vocab_size, length, form, ids):
-    """Token init copies rows 3..3+p (ids unset) or exactly the given rows
-    into every matrix, or raises one ConfigError naming the ids, whether
+@given(vocab_size=st.integers(1, 10), length=st.integers(1, 4), form=st.sampled_from(FORMS))
+def test_token_init_copies_the_chosen_rows_or_names_the_ids(vocab_size, length, form):
+    """Token init copies rows 3..3+p into every matrix, or raises one
+    ConfigError naming those rows when the vocabulary lacks one, whether
     the model draws its weights or is built on saved arrays."""
-    token_ids = None if ids is None else tuple(ids[:length])
-    chosen = token_ids or tuple(range(3, 3 + length))
     enc = replace(ENC, vocab_size=vocab_size)
-    cfg = PromptConfig(length=length, form=form, init="token", token_ids=token_ids)
+    cfg = PromptConfig(length=length, form=form, init="token")
     # the same seed draws the same embedding table whatever the prompt init
-    saved = DpmnModel(enc, replace(cfg, init="random", token_ids=None),
-                      head_kind="linear").state_arrays()
+    saved = DpmnModel(enc, replace(cfg, init="random"), head_kind="linear").state_arrays()
     table = saved["embedding.token"]
-    if all(0 <= t < vocab_size for t in chosen):
+    if vocab_size >= 3 + length:
         direct = init_prompt(cfg, enc, table, make_store(), 0)
         model = DpmnModel(enc, cfg, head_kind="linear")
         loaded = DpmnModel(enc, cfg, head_kind="linear", arrays=model.state_arrays())
         for bank in (direct, model.bank, loaded.bank):
             assert len(bank.matrices) == (enc.num_layers if form == "deep" else 1)
-            assert all(np.array_equal(m.data, table[list(chosen)]) for m in bank.matrices)
+            assert all(np.array_equal(m.data, table[3:3 + length]) for m in bank.matrices)
     else:
-        named = re.escape(f"prompt_token_ids {','.join(map(str, chosen))} reach outside")
+        named = re.escape(f"copies rows 3..{2 + length}, but the vocabulary has {vocab_size} ")
         for build in (lambda: init_prompt(cfg, enc, table, make_store(), 0),
                       lambda: DpmnModel(enc, cfg, head_kind="linear"),
                       lambda: DpmnModel(enc, cfg, head_kind="linear", arrays=saved)):
@@ -130,10 +132,6 @@ def test_token_init_copies_the_chosen_rows_or_names_the_ids(vocab_size, length, 
 def test_config_invariants():
     with pytest.raises(ConfigError):
         PromptConfig(length=0, form="deep")
-    with pytest.raises(ConfigError):
-        PromptConfig(length=2, init="token", token_ids=(1,))
-    with pytest.raises(ConfigError):
-        PromptConfig(length=1, init="random", token_ids=(1,))
     with pytest.raises(ConfigError):
         PromptConfig(length=-1)
     with pytest.raises(ConfigError):
@@ -159,3 +157,23 @@ def test_sweep_filters_invalid_combinations():
 def test_sweep_rejects_empty_axes():
     with pytest.raises(ConfigError):
         sweep_configs([], ["deep"], ["random"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(st.integers(-2, 4), max_size=3),
+       forms=st.lists(st.sampled_from(FORMS + ("lite",)), max_size=3),
+       inits=st.lists(st.sampled_from(INITS + ("tokn",)), max_size=3))
+def test_sweep_is_the_ordered_product_or_a_config_error(lengths, forms, inits):
+    """With every value valid, the grid is the product in order less its
+    (0, deep) points; it is a ConfigError exactly when a value is invalid
+    or no point is left."""
+    valid = (all(n >= 0 for n in lengths) and set(forms) <= set(FORMS)
+             and set(inits) <= set(INITS))
+    expected = [(n, f, i) for n, f, i in product(lengths, forms, inits) if (n, f) != (0, "deep")]
+    if valid and expected:
+        configs = sweep_configs(lengths, forms, inits, tuning="fixed-lm")
+        assert [(c.length, c.form, c.init) for c in configs] == expected
+        assert {c.tuning for c in configs} == {"fixed-lm"}
+    else:
+        with pytest.raises(ConfigError):
+            sweep_configs(lengths, forms, inits, tuning="fixed-lm")

@@ -39,8 +39,7 @@ def test_format_parse_round_trip():
         batch_size=8,
         max_epochs=5,
         loss_weights=LossWeights(0.5, 0.25, 0.25),
-        prompt=PromptConfig(length=2, form="light", init="token", token_ids=(3, 4),
-                            tuning="fixed-lm"),
+        prompt=PromptConfig(length=2, form="light", init="token", tuning="fixed-lm"),
         hidden_size=16,
         num_heads=2,
         lstm_hidden=8,
@@ -59,26 +58,24 @@ _POSITIVE = st.integers(1, 10**12)
 
 @st.composite
 def _configs(draw):
-    """(PromptConfig keyword arguments, the other TrainConfig fields); the
-    prompt's token_ids may be (), which PromptConfig rejects."""
+    """A TrainConfig with every field drawn from the values it accepts."""
     length = draw(st.integers(0, 6))
-    init = draw(st.sampled_from(INITS))
-    ids = st.lists(st.integers(0, 10**6), min_size=length, max_size=length).map(tuple)
-    prompt = dict(
+    prompt = PromptConfig(
         length=length,
         form="light" if length == 0 else draw(st.sampled_from(FORMS)),
-        init=init,
-        token_ids=draw(st.none() | ids) if init == "token" else None,
+        init=draw(st.sampled_from(INITS)),
         tuning=draw(st.sampled_from(TUNINGS)),
     )
     main = draw(st.floats(0.0, 1.0))
     auxi1 = draw(st.floats(0.0, 1.0 - main))
-    return prompt, dict(
-        learning_rate=draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False)),
+    return TrainConfig(
+        learning_rate=draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
+                                     allow_infinity=False)),
         batch_size=draw(_POSITIVE),
         max_epochs=draw(_POSITIVE),
         early_stop_patience=draw(_POSITIVE),
         loss_weights=LossWeights(main, auxi1, (1.0 - main) - auxi1),
+        prompt=prompt,
         num_layers=draw(_ANY_INT),
         hidden_size=draw(_ANY_INT),
         num_heads=draw(_ANY_INT),
@@ -96,14 +93,7 @@ def _configs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_configs())
-def test_every_field_round_trips_through_text(drawn):
-    prompt_fields, fields = drawn
-    try:
-        prompt = PromptConfig(**prompt_fields)
-    except ConfigError:
-        assert prompt_fields["token_ids"] == ()  # None already spells "no ids"
-        return
-    cfg = TrainConfig(prompt=prompt, **fields)
+def test_every_field_round_trips_through_text(cfg):
     assert parse_config(format_config(cfg)) == cfg
 
 
@@ -127,14 +117,14 @@ def test_out_dir_one_line_cannot_hold_is_rejected(out_dir):
 def test_key_order_is_fixed():
     """The key order is part of the checkpoint header format."""
     cfg = TrainConfig(
-        prompt=PromptConfig(length=1, init="token", token_ids=(3,)),
+        prompt=PromptConfig(length=1, init="token"),
         lstm_hidden=8, head_ffn_size=16, out_dir="o",
     )
     keys = [line.split(" = ")[0] for line in format_config(cfg).splitlines()]
     assert keys == [
         "learning_rate", "batch_size", "max_epochs", "early_stop_patience",
         "loss_weight_main", "loss_weight_auxi1", "loss_weight_auxi2",
-        "prompt_length", "prompt_form", "prompt_init", "prompt_token_ids", "tuning_strategy",
+        "prompt_length", "prompt_form", "prompt_init", "tuning_strategy",
         "num_layers", "hidden_size", "num_heads", "ffn_size", "max_seq_len", "dropout",
         "head_kind", "lstm_hidden", "head_ffn_size", "min_freq", "rng_seed",
         "out_dir",
@@ -178,9 +168,9 @@ def test_invalid_enum_values_rejected():
 
 
 def test_value_whitespace_is_stripped():
-    cfg = parse_config("out_dir =  run1\nbatch_size = \t8\nprompt_token_ids =  3, 4\n"
-                       "prompt_init = token\nprompt_length = 2\n")
-    assert cfg.out_dir == "run1" and cfg.batch_size == 8 and cfg.prompt.token_ids == (3, 4)
+    cfg = parse_config("out_dir =  run1\nbatch_size = \t8\nprompt_init =  token \n"
+                       "prompt_length = 2\n")
+    assert cfg.out_dir == "run1" and cfg.batch_size == 8 and cfg.prompt.init == "token"
     assert parse_config(format_config(cfg)) == cfg
 
 
@@ -190,8 +180,15 @@ def test_nan_value_rejected(key):
         parse_config(f"{key} = nan\n")
 
 
-# Config text: distinct known keys, each with a value that is any text or
-# has the shape of some key's value, after one to three spaces or tabs.
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e999", "Infinity"])
+def test_infinite_learning_rate_rejected(value):
+    with pytest.raises(ConfigError, match="learning_rate must be finite and positive"):
+        parse_config(f"learning_rate = {value}\n")
+
+
+# Config text: distinct known keys, each with a value that is any text, an
+# int, a float, a list of ints or an enum name, after one to three spaces or
+# tabs.
 _VALUES = st.one_of(
     st.text(),
     st.integers(-1, 4).map(str),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dpmn import model as model_module, trainer
-from dpmn.checkpoint import load_checkpoint, parse_checkpoint, save_checkpoint
+from dpmn.checkpoint import checkpoint_bytes, load_checkpoint, parse_checkpoint, save_checkpoint
 from dpmn.data import TASKS, build_vocab, generate_synthetic_corpus, make_batches
 from dpmn.encoder import TransformerLayer
 from dpmn.errors import IntegrityError, NumericError
@@ -116,7 +116,8 @@ def test_two_runs_are_bitwise_identical(corpus):
     a = train(cfg, corpus, corpus)
     b = train(cfg, corpus, corpus)
     assert a.runlog.to_csv() == b.runlog.to_csv()
-    assert a.checkpoint_blob() == b.checkpoint_blob()
+    assert (checkpoint_bytes(a.header_text, a.model.state_arrays())
+            == checkpoint_bytes(b.header_text, b.model.state_arrays()))
 
 
 def _reference_layer_forward(self, x, attn_bias, rate, rng, queries=None):
@@ -172,7 +173,9 @@ def test_linear_head_run_matches_the_unpruned_encoders(corpus, monkeypatch):
     for got, want in zip(pruned.runlog.step_losses, full.runlog.step_losses):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     assert [r.f1 for r in pruned.runlog.rows] == [r.f1 for r in full.runlog.rows]
-    (_, arrays), (_, full_arrays) = (parse_checkpoint(r.checkpoint_blob()) for r in (pruned, full))
+    (_, arrays), (_, full_arrays) = (
+        parse_checkpoint(checkpoint_bytes(r.header_text, r.model.state_arrays()))
+        for r in (pruned, full))
     assert arrays.keys() == full_arrays.keys()
     for name, values in arrays.items():
         np.testing.assert_allclose(values, full_arrays[name], rtol=0, atol=1e-9, err_msg=name)
@@ -181,7 +184,8 @@ def test_linear_head_run_matches_the_unpruned_encoders(corpus, monkeypatch):
 def test_different_seed_changes_the_run(corpus):
     a = train(_cfg(learning_rate=1e-3, max_epochs=2, rng_seed=1), corpus, corpus)
     b = train(_cfg(learning_rate=1e-3, max_epochs=2, rng_seed=2), corpus, corpus)
-    assert a.checkpoint_blob() != b.checkpoint_blob()
+    assert (checkpoint_bytes(a.header_text, a.model.state_arrays())
+            != checkpoint_bytes(b.header_text, b.model.state_arrays()))
 
 
 def test_logged_total_loss_decomposes_exactly(corpus):
@@ -255,8 +259,6 @@ def test_checkpoint_file_save_load_save_identical(tmp_path, corpus):
     result = train(cfg, corpus, corpus)
     blob = (tmp_path / "run" / "model.ckpt").read_bytes()
     header, arrays = load_checkpoint(result.checkpoint_path)
-    from dpmn.checkpoint import checkpoint_bytes
-
     assert checkpoint_bytes(header, arrays) == blob
 
 
