@@ -36,7 +36,6 @@ from .tensor import (
     lstm_scan,
     mul,
     prefix,
-    reshape,
     slice_,
     sum_,
 )
@@ -126,7 +125,6 @@ OP_CATALOG = (
     ("concat", (_uniform(2, 3), _uniform(2, 5)), lambda a, b: concat([a, b], axis=1)),
     ("slice", (_uniform(4, 5, 6),), lambda a: slice_(a, (slice(None), 2, slice(1, 4)))),
     ("sum", (_uniform(3, 4, 5),), partial(sum_, axis=1)),
-    ("reshape", (_uniform(2, 3, 4),), lambda a: reshape(a, (6, 4))),
     # a 2-slot prompt ahead of a 3-slot text, and over a previous prompt
     ("prefix", (_uniform(2, 4), _uniform(3, 3, 4)), partial(prefix, skip=0)),
     ("prefix_overwrite", (_uniform(2, 4), _uniform(3, 5, 4)), partial(prefix, skip=2)),

@@ -107,6 +107,8 @@ def sweep_configs(lengths, forms, inits, tuning: str = "lm-plus-prompt") -> list
     setting left."""
     if not lengths or not forms or not inits:
         raise ConfigError("sweep needs at least one length, form, and init")
+    for init in inits:  # named even where each of its points is a skipped (0, deep) one
+        PromptConfig(length=0, form="light", init=init, tuning=tuning)
     configs = [PromptConfig(length=length, form=form, init=init, tuning=tuning)
                for length, form, init in product(lengths, forms, inits)
                if (length, form) != (0, "deep")]

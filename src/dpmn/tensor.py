@@ -60,18 +60,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
     def __getitem__(self, idx):
         return slice_(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
 
 
 class ParameterStore:
@@ -210,6 +200,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+# every op takes Tensors; add and mul also take constants, as total_loss's float weights
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     try:
@@ -241,16 +232,14 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def linear(x, w, b=None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x [..., k] @ w [k, n] (+ b [n]) as one flat GEMM and one tape entry."""
-    x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear needs x [..., k] @ w [k, n], got {x.shape} @ {w.shape}")
     k, n = w.shape
     flat = x.data.reshape(-1, k)
     y = flat @ w.data
     if b is not None:
-        b = _as_tensor(b)
         if b.shape != (n,):
             raise ShapeError(f"linear bias {b.shape} does not match {n} outputs")
         y += b.data
@@ -265,12 +254,11 @@ def linear(x, w, b=None) -> Tensor:
     return out
 
 
-def ffn(x, w1, b1, w2, b2) -> Tensor:
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """linear(relu(linear(x, w1, b1)), w2, b2) for x [..., k], w1 [k, f] and
     w2 [f, n]: two flat GEMMs and one tape entry. The backward keeps only the
     hidden activations and zeroes their gradient where they are not
     positive, which is where the ReLU was off."""
-    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     if (x.ndim < 1 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0]
             or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1]
             or b2.shape != w2.shape[1:]):
@@ -309,7 +297,6 @@ def attention(qkv: Tensor, bias: np.ndarray, num_heads: int,
     exact zero past `queries`. One tape entry; the backward is derived by
     hand as in FlashAttention, without tiling.
     """
-    qkv = _as_tensor(qkv)
     if qkv.ndim != 3 or qkv.shape[2] % (3 * num_heads):
         raise ShapeError(f"attention needs qkv [batch, seq, 3d] for {num_heads} heads, "
                          f"got {qkv.shape}")
@@ -353,7 +340,8 @@ def attention(qkv: Tensor, bias: np.ndarray, num_heads: int,
     return out
 
 
-def add_norm(x, y, gain, bias, rate: float, rng: np.random.Generator | None) -> Tensor:
+def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, rate: float,
+             rng: np.random.Generator | None) -> Tensor:
     """layer_norm(x + dropout(y)): the residual sum normalized over the last
     axis to zero mean and unit variance, then scaled by gain and shifted by
     bias. One tape entry with a hand-written backward.
@@ -365,7 +353,6 @@ def add_norm(x, y, gain, bias, rate: float, rng: np.random.Generator | None) -> 
     """
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-    x, y, gain, bias = (_as_tensor(t) for t in (x, y, gain, bias))
     if x.shape != y.shape or x.ndim < 1 or not gain.shape == bias.shape == x.shape[-1:]:
         raise ShapeError(f"add_norm needs x and y [..., d], gain [d] and bias [d], got "
                          f"{x.shape}, {y.shape}, {gain.shape} and {bias.shape}")
@@ -395,7 +382,6 @@ def add_norm(x, y, gain, bias, rate: float, rng: np.random.Generator | None) -> 
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
     shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     y = shifted - lse
@@ -426,8 +412,7 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return out
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
+def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ContractError("concat of an empty list")
     try:
@@ -452,7 +437,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def slice_(a: Tensor, idx) -> Tensor:
     """Basic indexing (ints and slices); backward scatters into a zero buffer."""
-    a = _as_tensor(a)
     out = Tensor(a.data[idx])
 
     def bw(g):
@@ -465,7 +449,6 @@ def slice_(a: Tensor, idx) -> Tensor:
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def bw(g):
@@ -479,20 +462,12 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.data.reshape(shape))
-    _record(out, (a,), lambda g: (g.reshape(a.shape),))
-    return out
-
-
 def prefix(m: Tensor, x: Tensor, skip: int) -> Tensor:
     """m [p, d] in every row's first p slots, then x [batch, seq, d] from slot
     `skip` on: skip 0 puts the prompt ahead of the text, skip p overwrites a
     previous prompt. One tape entry; m's gradient sums the prompt slots over
     the batch, and x's first `skip` slots get a zero gradient.
     """
-    m, x = _as_tensor(m), _as_tensor(x)
     if m.ndim != 2 or x.ndim != 3 or m.shape[1] != x.shape[2]:
         raise ShapeError(f"prefix needs m [p, d] and x [batch, seq, d], "
                          f"got {m.shape} and {x.shape}")
@@ -535,7 +510,6 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tenso
     scan is one tape entry whose backward is hand-written backpropagation
     through time; dw_h is one GEMM after the loop.
     """
-    x, w_x, w_h, b = _as_tensor(x), _as_tensor(w_x), _as_tensor(w_h), _as_tensor(b)
     lengths = np.asarray(lengths)
     if x.ndim != 3:
         raise ShapeError(f"lstm_scan needs x of rank 3, got {x.shape}")

@@ -1,7 +1,7 @@
 """Unfused reference ops for the tests, one tape entry each.
 
-The package computes these only inside its fused primitives (`add_norm`,
-`ffn`, `attention`, `lstm_scan`); the tests compose them into the
+The package computes these only inside its fused primitives (`linear`,
+`add_norm`, `ffn`, `attention`, `lstm_scan`); the tests compose them into the
 references those primitives must reproduce, and check each one against
 finite differences in test_tensor.py. `unfused_add_norm` and `unfused_ffn`
 are the compositions the fused `add_norm` and `ffn` replace.
@@ -75,6 +75,13 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         return dx, dgain, dbias
 
     _record(out, (a, gain, bias), bw)
+    return out
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    a = _as_tensor(a)
+    out = Tensor(a.data.reshape(shape))
+    _record(out, (a,), lambda g: (g.reshape(a.shape),))
     return out
 
 

@@ -446,7 +446,9 @@ def test_sweep_rejects_prompt_token_ids_before_any_output(workdir, capsys, lines
     ("2", "deep,lite", "random", "got 'lite'"),
     ("2", "deep", "random,tokn", "got 'tokn'"),
     ("2,-1", "deep,lite", "random,tokn", "got 'tokn'"),
-], ids=["negative-length", "misspelt-form", "misspelt-init", "all-three"])
+    ("0", "deep", "random,tokn", "got 'tokn'"),  # every point is a skipped (0, deep) one
+], ids=["negative-length", "misspelt-form", "misspelt-init", "all-three",
+        "init-of-skipped-points"])
 def test_sweep_with_a_misspelt_or_negative_value_exits_two(workdir, capsys, lengths, forms,
                                                           inits, named):
     """Only the (0, deep) points are skipped; any other invalid grid value

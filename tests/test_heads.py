@@ -38,8 +38,8 @@ def _reference_scan(x, lengths, w_x, w_h, b, hidden, reverse):
         f_gate = sigmoid(gates[:, hidden:2 * hidden])
         o_gate = sigmoid(gates[:, 2 * hidden:3 * hidden])
         g_gate = tanh(gates[:, 3 * hidden:])
-        c_new = f_gate * c + i_gate * g_gate
-        h_new = o_gate * tanh(c_new)
+        c_new = mul(f_gate, c) + mul(i_gate, g_gate)
+        h_new = mul(o_gate, tanh(c_new))
         step_mask = Tensor((t < lengths).astype(np.float64)[:, None])
         keep = Tensor(1.0 - step_mask.data)
         h = mul(step_mask, h_new) + mul(keep, h)
@@ -292,7 +292,7 @@ def test_ffn_gradients_match_finite_differences(rng):
     with Tape() as tape:
         out = head.ffn(x)
         proj = Tensor(rng.normal(size=out.shape))
-        loss = (out * proj).sum()
+        loss = sum_(mul(out, proj))
     backward(tape, loss)
 
     def value():
@@ -310,7 +310,7 @@ def test_bilstm_head_gradients_match_finite_differences(rng):
     with Tape() as tape:
         out = head.forward(shared, lengths)
         proj = Tensor(rng.normal(size=out.shape))
-        loss = (out * proj).sum()
+        loss = sum_(mul(out, proj))
     backward(tape, loss)
 
     def value():

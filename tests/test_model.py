@@ -1,6 +1,7 @@
 """Composition of encoder, prompt bank, and heads into the full network."""
 
 import hashlib
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +98,18 @@ def test_wrong_backward_still_fails_where_a_kink_is_reprobed(monkeypatch):
 def test_op_level_gradcheck_passes_packaged_harness():
     errors = check_all_ops(seed=1)
     assert max(errors.values()) < 1e-6
+
+
+def test_op_catalog_covers_exactly_the_ops_of_the_tensor_module():
+    """Every differentiable primitive has a catalog entry of its own name,
+    and every entry is named after one, exactly or as `<op>_<variant>`."""
+    ops = {name.rstrip("_") for name, fn in inspect.getmembers(tensor, inspect.isfunction)
+           if fn.__module__ == tensor.__name__ and not name.startswith("_")
+           and name not in ("backward", "saved_array")}
+    names = [entry[0] for entry in gradcheck.OP_CATALOG]
+    assert ops <= set(names), ops - set(names)
+    for name in names:
+        assert any(name == op or name.startswith(op + "_") for op in ops), name
 
 
 def test_op_errors_do_not_depend_on_the_rest_of_the_catalog(monkeypatch):

@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpmn.encoder import EncoderConfig
 from dpmn.errors import ConfigError
@@ -163,17 +163,20 @@ def test_sweep_rejects_empty_axes():
 @given(lengths=st.lists(st.integers(-2, 4), max_size=3),
        forms=st.lists(st.sampled_from(FORMS + ("lite",)), max_size=3),
        inits=st.lists(st.sampled_from(INITS + ("tokn",)), max_size=3))
+@example(lengths=[0], forms=["deep"], inits=["random", "tokn"])  # every point skipped
 def test_sweep_is_the_ordered_product_or_a_config_error(lengths, forms, inits):
     """With every value valid, the grid is the product in order less its
     (0, deep) points; it is a ConfigError exactly when a value is invalid
-    or no point is left."""
-    valid = (all(n >= 0 for n in lengths) and set(forms) <= set(FORMS)
-             and set(inits) <= set(INITS))
+    or no point is left, and one naming an invalid value if there is one."""
+    invalid = ([str(n) for n in lengths if n < 0] + [repr(f) for f in forms if f not in FORMS]
+               + [repr(i) for i in inits if i not in INITS])
     expected = [(n, f, i) for n, f, i in product(lengths, forms, inits) if (n, f) != (0, "deep")]
-    if valid and expected:
+    if not invalid and expected:
         configs = sweep_configs(lengths, forms, inits, tuning="fixed-lm")
         assert [(c.length, c.form, c.init) for c in configs] == expected
         assert {c.tuning for c in configs} == {"fixed-lm"}
     else:
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as refused:
             sweep_configs(lengths, forms, inits, tuning="fixed-lm")
+        if invalid and lengths and forms and inits:  # else an empty axis is named
+            assert any(f"got {value}" in str(refused.value) for value in invalid)

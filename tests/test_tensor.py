@@ -23,14 +23,13 @@ from dpmn.tensor import (
     log_softmax,
     mul,
     prefix,
-    reshape,
     slice_,
     sum_,
 )
 
 from conftest import max_rel_error, numeric_gradient
-from reference_ops import (dropout, layer_norm, relu, sigmoid, softmax, tanh, unfused_add_norm,
-                           unfused_ffn)
+from reference_ops import (dropout, layer_norm, relu, reshape, sigmoid, softmax, tanh,
+                           unfused_add_norm, unfused_ffn)
 
 
 def test_matmul_identity():
