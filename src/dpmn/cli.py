@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from .data import TASKS, parse_tsv
-from .errors import ConfigError, DataError, IntegrityError, NumericError
+from .errors import ConfigError, DataError, HierarchyError, IntegrityError, NumericError, ParseError
 from .gradcheck import run_gradcheck
 from .prompt import sweep_configs
 from .runconfig import TrainConfig, load_config_file
@@ -28,13 +28,13 @@ def _load_config(args) -> TrainConfig:
 @contextmanager
 def _file_errors(action: str, path):
     """Report a file that cannot be opened, created or written, is not
-    UTF-8 text or fails its checksum as a DataError naming it: the file the
-    OSError names, if any, else `path`."""
+    UTF-8 text, is not a well-formed corpus or fails its checksum as a
+    DataError naming it: the file the OSError names, if any, else `path`."""
     try:
         yield
     except OSError as e:
         raise DataError(f"cannot {action} {e.filename or path}: {e.strerror}") from None
-    except (UnicodeDecodeError, IntegrityError) as e:
+    except (UnicodeDecodeError, IntegrityError, ParseError, HierarchyError) as e:
         raise DataError(f"cannot {action} {path}: {e}") from None
 
 

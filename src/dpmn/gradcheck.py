@@ -128,9 +128,9 @@ OP_CATALOG = (
     # a 2-slot prompt ahead of a 3-slot text, and over a previous prompt
     ("prefix", (_uniform(2, 4), _uniform(3, 3, 4)), partial(prefix, skip=0)),
     ("prefix_overwrite", (_uniform(2, 4), _uniform(3, 5, 4)), partial(prefix, skip=2)),
-    ("lstm_scan", _SCAN_INPUTS, lambda x, *w: lstm_scan(x, _SCAN_LENGTHS, *w)),
+    ("lstm_scan", _SCAN_INPUTS, lambda x, *w: lstm_scan(x, _SCAN_LENGTHS, [(*w, False)])),
     ("lstm_scan_reverse", _SCAN_INPUTS,
-     lambda x, *w: lstm_scan(x, _SCAN_LENGTHS, *w, reverse=True)),
+     lambda x, *w: lstm_scan(x, _SCAN_LENGTHS, [(*w, True)])),
     ("linear", (_uniform(2, 3, 4), _uniform(4, 5), _uniform(5)), linear),
     ("linear_2d", (_uniform(3, 4), _uniform(4, 2)), linear),
     ("linear_no_bias", (_uniform(2, 3, 4), _uniform(4, 3)), linear),

@@ -4,6 +4,12 @@ The main head runs a Bi-LSTM across the sequence, concatenates the forward
 state at the last real position with the backward state after a right-to-
 left scan from that position, and classifies through a two-layer ReLU FFN.
 A linear head over the first sequence position is kept for ablations.
+
+A model's heads, all of one kind, read the encoder output together
+(`read`), and each classifies its own block of what they read
+(`classify`): Bi-LSTM heads run all their directions as one `lstm_scan`,
+head j's [forward | backward] states being block j; linear heads read the
+encoder output itself.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .tensor import ParameterStore, Tensor, concat, ffn, linear, lstm_scan
+from .tensor import ParameterStore, Tensor, ffn, linear, lstm_scan
 
 
 class BiLstmFfnHead:
@@ -29,25 +35,31 @@ class BiLstmFfnHead:
         self.bw_x = store.new(f"{name}.lstm_backward.w_x", (input_size, gates))
         self.bw_h = store.new(f"{name}.lstm_backward.w_h", (lstm_hidden, gates))
         self.bw_b = store.new(f"{name}.lstm_backward.b", (gates,), 0.0)
+        self.directions = ((self.fw_x, self.fw_h, self.fw_b, False),
+                           (self.bw_x, self.bw_h, self.bw_b, True))
         self.w_f1 = store.new(f"{name}.ffn.w1", (2 * lstm_hidden, ffn_hidden))
         self.b_f1 = store.new(f"{name}.ffn.b1", (ffn_hidden,), 0.0)
         self.w_f2 = store.new(f"{name}.ffn.w2", (ffn_hidden, n_classes))
         self.b_f2 = store.new(f"{name}.ffn.b2", (n_classes,), 0.0)
 
-    def bilstm(self, shared: Tensor, lengths: np.ndarray) -> Tensor:
-        """Concatenated final states of both directions, shape [batch, 2h]."""
+    @staticmethod
+    def read(heads, shared: Tensor, lengths: np.ndarray) -> Tensor:
+        return BiLstmFfnHead.bilstm(heads, shared, lengths)
+
+    @staticmethod
+    def bilstm(heads, shared: Tensor, lengths: np.ndarray) -> Tensor:
+        """Final states of both directions of every head, [batch, 2h * len(heads)]."""
         lengths = np.asarray(lengths)
         if (lengths < 1).any():
             raise ContractError("every sequence must have at least one real position")
-        forward = lstm_scan(shared, lengths, self.fw_x, self.fw_h, self.fw_b, reverse=False)
-        backward = lstm_scan(shared, lengths, self.bw_x, self.bw_h, self.bw_b, reverse=True)
-        return concat([forward, backward], axis=1)
+        return lstm_scan(shared, lengths, [d for head in heads for d in head.directions])
 
     def ffn(self, states: Tensor) -> Tensor:
         return ffn(states, self.w_f1, self.b_f1, self.w_f2, self.b_f2)
 
-    def forward(self, shared: Tensor, lengths: np.ndarray) -> Tensor:
-        return self.ffn(self.bilstm(shared, lengths))
+    def classify(self, states: Tensor, block: int) -> Tensor:
+        width = 2 * self.fw_h.shape[0]
+        return self.ffn(states[:, block * width:(block + 1) * width])
 
 
 class LinearHead:
@@ -60,7 +72,11 @@ class LinearHead:
         self.w = store.new(f"{name}.w", (input_size, n_classes))
         self.b = store.new(f"{name}.b", (n_classes,), 0.0)
 
-    def forward(self, shared: Tensor, lengths: np.ndarray) -> Tensor:
+    @staticmethod
+    def read(heads, shared: Tensor, lengths: np.ndarray) -> Tensor:
+        return shared
+
+    def classify(self, shared: Tensor, block: int) -> Tensor:
         return linear(shared[:, 0, :], self.w, self.b)
 
 

@@ -12,12 +12,13 @@ from .prompt import TUNINGS, PrefixBank, PromptConfig, init_prompt, text_budget
 from .tensor import ParameterStore, Tensor, saved_array
 
 
-def head_forward(head, shared: Tensor, lengths: np.ndarray, task: str) -> Tensor:
+def head_forward(head, states: Tensor, block: int, task: str) -> Tensor:
+    """One task's logits from its block of `states`, what the heads read together."""
     if head.n_classes != TASK_CLASSES[task]:
         raise ConfigError(
             f"task {task!r} needs {TASK_CLASSES[task]} classes, head emits {head.n_classes}"
         )
-    return head.forward(shared, lengths)
+    return head.classify(states, block)
 
 
 class DpmnModel:
@@ -91,8 +92,10 @@ class DpmnModel:
         reads = [head.reads for head in self.heads.values()]
         queries = None if None in reads else max(reads)
         shared = encode(self.encoder, emb, self.bank, lengths, dropout_rng, queries)
-        return {task: head_forward(self.heads[task], shared, lengths, task)
-                for task in TASKS}
+        heads = [self.heads[task] for task in TASKS]
+        states = heads[0].read(heads, shared, lengths)
+        return {task: head_forward(head, states, block, task)
+                for block, (task, head) in enumerate(zip(TASKS, heads))}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Give every parameter a copy of its array in `arrays`; nothing

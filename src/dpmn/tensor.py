@@ -486,39 +486,49 @@ def prefix(m: Tensor, x: Tensor, skip: int) -> Tensor:
     return out
 
 
-def lstm_scan(x: Tensor, lengths: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor,
-              reverse: bool = False) -> Tensor:
-    """One masked LSTM direction over x [batch, seq, d]; returns h [batch, hidden].
+def lstm_scan(x: Tensor, lengths: np.ndarray, directions) -> Tensor:
+    """k masked LSTM directions over one x [batch, seq, d], in lockstep; returns
+    their final states side by side, [batch, k*h], direction j in columns
+    j*h to (j+1)*h.
 
-    w_x [d, 4h], w_h [h, 4h] and b [4h] pack the gates in the order i, f, o, g.
-    A row of length n is live for steps 0..n-1, and step t reads position t,
-    or n-1-t in reverse: padded positions never touch a state, and the result
-    is the state after the row's last live step, at its last real position
-    (forward) or at position 0 (reverse). A row of length 0 keeps a zero state.
+    Each direction is (w_x, w_h, b, reverse), all of one hidden size h:
+    w_x [d, 4h], w_h [h, 4h] and b [4h] pack the gates in the order i, f, o,
+    g. A row of length n is live for steps 0..n-1, and step t reads position
+    t, or n-1-t in reverse: padded positions never touch a state, and the
+    result is the state after the row's last live step. A row of length 0
+    keeps a zero state.
 
     The rows are packed by length: sorted once by descending length (stably),
     the rows live at step t are a prefix, which alone is updated, and the
     caller's row order is restored on the output and on dx. The inputs are
-    gathered once in step order, padded ones zeroed; a padded position keeps
-    index t, so each row's order is a permutation and dx scatters back
-    without collisions. The buffers are time-major, so every step reads and
-    writes contiguous slices: the input projection of every step is one GEMM
-    ahead of the recurrence, each step's gate activations overwrite it in
-    place, and the h, c and tanh(c) histories are kept. One np.tanh covers
-    all four gates, as sigmoid(z) = (1 + tanh(z/2)) / 2 with the i/f/o
-    columns of the weights halved once per call (an exact scaling). The whole
-    scan is one tape entry whose backward is hand-written backpropagation
-    through time; dw_h is one GEMM after the loop.
+    gathered once per orientation in step order, padded ones zeroed; a padded
+    position keeps index t, so each row's order is a permutation and dx
+    scatters back without collisions. The buffers are time-major, a row's k
+    directions side by side: each direction's input projection is one GEMM
+    ahead of the recurrence, and each step runs every ufunc once over the
+    live rows of all directions, one contiguous block, the recurrent matmul
+    batched over k. The gate activations overwrite the projection, and the
+    h, c and tanh(c) histories are kept. One np.tanh covers all four gates,
+    as sigmoid(z) = (1 + tanh(z/2)) / 2 with the i/f/o columns of the
+    weights halved (an exact scaling). The whole scan is one tape entry: its
+    backward forms each step's gate gradients on the same slices, over the
+    activations, then takes dx, dw_x, dw_h and db per direction. Each
+    direction's result and gradients are bit for bit those of a scan of it
+    alone, and dx sums the directions as k scans on one tape would, the last
+    first.
     """
     lengths = np.asarray(lengths)
     if x.ndim != 3:
         raise ShapeError(f"lstm_scan needs x of rank 3, got {x.shape}")
+    if not directions:
+        raise ShapeError("lstm_scan needs at least one direction")
     batch, seq, d = x.shape
-    hidden = w_h.shape[0]
+    k, hidden = len(directions), directions[0][1].shape[0]
     gates = 4 * hidden
-    if w_x.shape != (d, gates) or w_h.shape != (hidden, gates) or b.shape != (gates,):
-        raise ShapeError(f"lstm_scan weights disagree: w_x {w_x.shape}, w_h {w_h.shape}, "
-                         f"b {b.shape} for x {x.shape}")
+    for w_x, w_h, b, _ in directions:
+        if w_x.shape != (d, gates) or w_h.shape != (hidden, gates) or b.shape != (gates,):
+            raise ShapeError(f"lstm_scan weights disagree: w_x {w_x.shape}, w_h {w_h.shape}, "
+                             f"b {b.shape} for x {x.shape} and hidden size {hidden}")
     if lengths.shape != (batch,):
         raise ShapeError(f"lstm_scan needs one length per row, got {lengths.shape} for x {x.shape}")
     if not np.issubdtype(lengths.dtype, np.integer):
@@ -533,67 +543,77 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tenso
     steps = np.arange(top)[:, None]
     is_live = steps < packed  # [top, batch]
     live = is_live.sum(axis=1).tolist()  # rows live at step t, a prefix
-    positions = np.where(is_live & reverse, packed - 1 - steps, steps)
     h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
     # sigmoid(z) = tanh(z/2)/2 + 1/2: i/f/o columns scaled by half, then shifted
     half = np.where(np.arange(gates) < h3, 0.5, 1.0)
     shift = np.where(np.arange(gates) < h3, 0.5, 0.0)
-    xs = x.data[order, positions]  # [top, batch, d]
-    xs[~is_live] = 0.0  # a non-finite padded input cannot reach dw_x
-    xs = xs.reshape(top * batch, d)
-    act = (xs @ (w_x.data * half) + b.data * half).reshape(top, batch, gates)
-    w_h_half = w_h.data * half
+    gathered = {}  # orientation -> (inputs [top * batch, d], positions [top, batch])
+    for reverse in sorted({reverse for *_, reverse in directions}):
+        positions = np.where(is_live & reverse, packed - 1 - steps, steps)
+        xs = x.data[order, positions]  # [top, batch, d]
+        xs[~is_live] = 0.0  # a non-finite padded input cannot reach dw_x
+        gathered[reverse] = xs.reshape(top * batch, d), positions
+    act = np.empty((top, batch, k, gates))
+    for j, (w_x, _, b, reverse) in enumerate(directions):
+        projected = (gathered[reverse][0] @ (w_x.data * half)).reshape(top, batch, gates)
+        np.add(projected, b.data * half, out=act[:, :, j])
+    w_h_half = np.stack([w_h.data for _, w_h, _, _ in directions]) * half
     # slot t + 1 holds the state after step t, and step t reads slot t
-    hs = np.zeros((top + 1, batch, hidden))
-    cs = np.zeros((top + 1, batch, hidden))
-    tanh_c = np.zeros((top, batch, hidden))
+    hs = np.zeros((top + 1, batch, k, hidden))
+    cs = np.zeros((top + 1, batch, k, hidden))
+    tanh_c = np.zeros((top, batch, k, hidden))
     for t in range(top):
         n = live[t]
         a = act[t, :n]
-        a += hs[t, :n] @ w_h_half
+        a += (hs[t, :n].transpose(1, 0, 2) @ w_h_half).transpose(1, 0, 2)
         np.tanh(a, out=a)
         a *= half  # whole rows are contiguous; g is scaled by 1 and shifted by 0
         a += shift
         c = cs[t + 1, :n]
-        np.multiply(a[:, h1:h2], cs[t, :n], out=c)
-        c += a[:, :h1] * a[:, h3:]
+        np.multiply(a[..., h1:h2], cs[t, :n], out=c)
+        c += a[..., :h1] * a[..., h3:]
         np.tanh(c, out=tanh_c[t, :n])
-        np.multiply(a[:, h2:h3], tanh_c[t, :n], out=hs[t + 1, :n])
-    out = Tensor(hs[packed, np.arange(batch)][np.argsort(order)])
+        np.multiply(a[..., h2:h3], tanh_c[t, :n], out=hs[t + 1, :n])
+    out = Tensor(hs[packed, np.arange(batch)][np.argsort(order)].reshape(batch, k * hidden))
 
     def bw(g_out):
-        # every step's gate derivatives times their partners, in one pass each:
-        # g.i(1-i), c_prev.f(1-f), tanh(c).o(1-o) and i(1-g^2) in gate order,
-        # then o(1 - tanh(c)^2), which carries dh into dc, and f, which carries
-        # dc back a step; contiguous, so each step reads plain prefixes
-        i, g = act[..., :h1], act[..., h3:]
-        factors = np.empty((top, batch, gates))
-        sig = act[..., :h3]
-        np.multiply(sig, 1.0 - sig, out=factors[..., :h3])
-        factors[..., :h1] *= g
-        factors[..., h1:h2] *= cs[:top]
-        factors[..., h2:h3] *= tanh_c
-        np.multiply(i, 1.0 - g * g, out=factors[..., h3:])
-        to_c = act[..., h2:h3] * (1.0 - tanh_c * tanh_c)
-        forget = np.ascontiguousarray(act[..., h1:h2])
-        d_gates = np.zeros((top, batch, gates))
-        blocks, d_blocks = (a.reshape(top, batch, 4, hidden) for a in (factors, d_gates))
-        dh = g_out[order]
-        dc = np.zeros((batch, hidden))
-        w_h_t = np.ascontiguousarray(w_h.data.T)
+        dh = g_out.reshape(batch, k, hidden)[order]
+        dc = np.zeros((batch, k, hidden))
+        w_h_t = np.ascontiguousarray(  # C-contiguous, as one direction's w_h.T would be
+            np.stack([w_h.data for _, w_h, _, _ in directions]).transpose(0, 2, 1))
+        blocks = act.reshape(top, batch, k, 4, hidden)
+        factors = np.empty((batch, k, 4, hidden))
+        forget = np.empty((batch, k, hidden))
         for t in range(top - 1, -1, -1):
             n = live[t]
-            dh_n, dc_n, dz = dh[:n], dc[:n], d_blocks[t, :n]
-            dc_n += dh_n * to_c[t, :n]
-            np.multiply(blocks[t, :n], dc_n[:, None], out=dz)
-            np.multiply(dh_n, blocks[t, :n, 2], out=dz[:, 2])
-            dc_n *= forget[t, :n]
-            np.matmul(d_gates[t, :n], w_h_t, out=dh_n)
-        flat = d_gates.reshape(top * batch, gates)
+            a, fac, f = blocks[t, :n], factors[:n], forget[:n]
+            dh_n, dc_n, tc = dh[:n], dc[:n], tanh_c[t, :n]
+            dc_n += dh_n * (a[..., 2, :] * (1.0 - tc * tc))  # o(1 - tanh(c)^2) carries dh to dc
+            # gate derivatives times their partners: g.i(1-i), c_prev.f(1-f),
+            # tanh(c).o(1-o) and i(1-g^2)
+            np.multiply(a[..., :3, :], 1.0 - a[..., :3, :], out=fac[..., :3, :])
+            fac[..., 0, :] *= a[..., 3, :]
+            fac[..., 1, :] *= cs[t, :n]
+            fac[..., 2, :] *= tc
+            np.multiply(a[..., 0, :], 1.0 - a[..., 3, :] * a[..., 3, :], out=fac[..., 3, :])
+            # the gate gradients overwrite the activations; f carries dc back a step
+            np.copyto(f, a[..., 1, :])
+            np.multiply(fac, dc_n[..., None, :], out=a)
+            np.multiply(dh_n, fac[..., 2, :], out=a[..., 2, :])
+            dc_n *= f
+            act[t, n:] = 0.0  # rows not live at step t get no gradient
+            np.matmul(act[t, :n].transpose(1, 0, 2), w_h_t, out=dh_n.transpose(1, 0, 2))
         dx = np.zeros(x.shape)
-        dx[order, positions] = (flat @ w_x.data.T).reshape(top, batch, d)
-        d_w_h = hs[:top].reshape(top * batch, hidden).T @ flat
-        return dx, xs.T @ flat, d_w_h, flat.sum(axis=0)
+        grads = []
+        for j in range(k - 1, -1, -1):
+            w_x, _, _, reverse = directions[j]
+            xs, positions = gathered[reverse]
+            flat = act[:, :, j].reshape(top * batch, gates)
+            dx_j = (flat @ w_x.data.T).reshape(top, batch, d)
+            dx[order, positions] = dx_j if j == k - 1 else dx[order, positions] + dx_j
+            d_w_h = hs[:top, :, j].reshape(top * batch, hidden).T @ flat
+            grads[:0] = xs.T @ flat, d_w_h, flat.sum(axis=0)
+        return (dx, *grads)
 
-    _record(out, (x, w_x, w_h, b), bw)
+    _record(out, (x, *(w for direction in directions for w in direction[:3])), bw)
     return out

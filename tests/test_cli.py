@@ -120,6 +120,37 @@ def test_malformed_corpus_exits_three(workdir):
                  "--train", str(mangled), "--dev", str(workdir / "dev.tsv")]) == 3
 
 
+HEADER = "id\ttweet\tsubtask_a\tsubtask_b\tsubtask_c\n"
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--train"), ("train", "--dev"), ("ablate", "--dev"), ("sweep", "--dev"),
+    ("eval", "--data"),
+])
+@pytest.mark.parametrize("row,fault", [
+    ("1\tx\tOFF\n", "line 2: expected 5 fields, got 3"),  # a parse error
+    ("1\tx\tNOT\tTIN\tNULL\n", "line 2: label_b=TIN with label_a=NOT"),  # a hierarchy error
+])
+def test_a_malformed_corpus_is_named_with_its_fault(workdir, capsys, checkpoint,
+                                                    command, flag, row, fault):
+    """Which corpus is bad is on stderr, with the line and the fault; exit 3
+    and no --out."""
+    bad = workdir / "bad.tsv"
+    bad.write_text(HEADER + row, encoding="utf-8")
+    out = workdir / "out"
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(bad)]
+    else:
+        grid = ["--lengths", "1", "--forms", "deep", "--inits", "random"] * (command == "sweep")
+        corpora = {"--train": str(workdir / "train.tsv"), "--dev": str(workdir / "dev.tsv"),
+                   flag: str(bad)}
+        argv = [command, *grid, "--config", str(workdir / "run.cfg"), "--out", str(out),
+                "--train", corpora["--train"], "--dev", corpora["--dev"]]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"data error: cannot read corpus {bad}: {fault}\n"
+    assert not out.exists()
+
+
 def _header_only(workdir):
     empty = workdir / "empty.tsv"
     write_tsv(empty, [])

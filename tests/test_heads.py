@@ -1,5 +1,6 @@
 """Bi-LSTM + FFN head and the linear ablation head."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from dpmn.losses import cross_entropy, total_loss
 from dpmn.model import DpmnModel, head_forward
 from dpmn.prompt import PromptConfig
 from dpmn.runconfig import TrainConfig
-from dpmn.tensor import Tape, Tensor, backward, linear, lstm_scan, mul, sum_
+from dpmn.tensor import Tape, Tensor, backward, concat, linear, lstm_scan, mul, sum_
 
 from conftest import make_store, max_rel_error, numeric_gradient
 from reference_ops import sigmoid, tanh
@@ -57,7 +58,7 @@ def _scan_arrays(rng, batch, seq, d, hidden):
 
 
 def _fused(lengths, reverse):
-    return lambda x, w_x, w_h, b: lstm_scan(x, lengths, w_x, w_h, b, reverse=reverse)
+    return lambda x, w_x, w_h, b: lstm_scan(x, lengths, [(w_x, w_h, b, reverse)])
 
 
 def _scan_with_grads(scan, arrays, proj):
@@ -88,8 +89,42 @@ def test_lstm_scan_matches_per_timestep_reference(batch, seq, d, hidden, reverse
         assert _relative(got, want) <= SCAN_REL_TOL, name
     # the untaped path computes the same state bitwise
     x, w_x, w_h, b = (Tensor(a) for a in arrays)
-    untaped = lstm_scan(x, lengths, w_x, w_h, b, reverse=reverse)
+    untaped = lstm_scan(x, lengths, [(w_x, w_h, b, reverse)])
     assert np.array_equal(untaped.data, fused)
+
+
+def _bits(a):
+    return a.shape, a.tobytes()
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 6), st.integers(0, 6), st.integers(1, 6), st.integers(1, 8),
+       st.integers(0, 12), st.integers(0, 2 ** 31), st.data())
+def test_lockstep_scan_is_bitwise_the_separate_scans(k, batch, seq, d, hidden, seed, data):
+    """k directions in one lstm_scan give, bit for bit, the states of k
+    one-direction scans side by side and their gradients, x's summed over
+    the k scans as one tape sums it."""
+    lengths = np.array(data.draw(st.lists(st.integers(0, seq), min_size=batch, max_size=batch)),
+                       dtype=np.intp)
+    reverses = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.normal(size=(batch, seq, d))
+    weights = [_scan_arrays(rng, batch, seq, d, hidden)[1:] for _ in range(k)]
+    proj = Tensor(rng.normal(size=(batch, k * hidden)))
+
+    def run(scan):
+        inputs = [Tensor(x.copy())] + [Tensor(w.copy()) for ws in weights for w in ws]
+        directions = [(*inputs[1 + 3 * j:4 + 3 * j], r) for j, r in enumerate(reverses)]
+        with Tape() as tape:
+            out = scan(inputs[0], directions)
+            loss = sum_(mul(out, proj))
+        backward(tape, loss)
+        return [out.data] + [np.zeros_like(t.data) if t.grad is None else t.grad for t in inputs]
+
+    joint = run(lambda x, directions: lstm_scan(x, lengths, directions))
+    separate = run(lambda x, directions: concat(
+        [lstm_scan(x, lengths, [direction]) for direction in directions], axis=1))
+    assert [_bits(a) for a in joint] == [_bits(a) for a in separate]
 
 
 def _flip_within_lengths(a, lengths):
@@ -169,27 +204,34 @@ def test_lstm_scan_rows_of_length_zero_stay_zero(rng, reverse):
 def test_lstm_scan_records_one_tape_entry(rng):
     x = Tensor(rng.normal(size=(2, 5, 3)))
     w_x, w_h, b = Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(2, 8))), Tensor(np.zeros(8))
-    with Tape() as tape:
-        lstm_scan(x, np.array([5, 2]), w_x, w_h, b, reverse=True)
-    assert len(tape) == 1
+    for reverses in ([True], [False, True, True]):
+        with Tape() as tape:
+            out = lstm_scan(x, np.array([5, 2]), [(w_x, w_h, b, r) for r in reverses])
+        assert len(tape) == 1 and out.shape == (2, 2 * len(reverses))
 
 
 def test_lstm_scan_rejects_bad_shapes_and_lengths(rng):
     x = Tensor(rng.normal(size=(2, 3, 4)))
     w_x, w_h, b = Tensor(np.zeros((4, 8))), Tensor(np.zeros((2, 8))), Tensor(np.zeros(8))
     with pytest.raises(ShapeError):
-        lstm_scan(x, np.array([3, 3]), Tensor(np.zeros((3, 8))), w_h, b)
+        lstm_scan(x, np.array([3, 3]), [(Tensor(np.zeros((3, 8))), w_h, b, False)])
+    with pytest.raises(ShapeError, match="hidden size 2"):  # every direction has one width
+        lstm_scan(x, np.array([3, 3]), [(w_x, w_h, b, False),
+                                        (Tensor(np.zeros((4, 4))), Tensor(np.zeros((1, 4))),
+                                         Tensor(np.zeros(4)), True)])
+    with pytest.raises(ShapeError, match="at least one direction"):
+        lstm_scan(x, np.array([3, 3]), [])
     with pytest.raises(ShapeError):
-        lstm_scan(x, np.array([3]), w_x, w_h, b)
+        lstm_scan(x, np.array([3]), [(w_x, w_h, b, False)])
     with pytest.raises(ContractError, match="exceeds"):
-        lstm_scan(x, np.array([3, 4]), w_x, w_h, b)
+        lstm_scan(x, np.array([3, 4]), [(w_x, w_h, b, False)])
     with pytest.raises(ShapeError, match="integer lengths"):
-        lstm_scan(x, np.array([3.0, 2.0]), w_x, w_h, b)
+        lstm_scan(x, np.array([3.0, 2.0]), [(w_x, w_h, b, False)])
 
 
-def test_bilstm_training_step_tape_is_short():
-    """One taped step of the T=30 learnability model (L=2, d=32, deep prompt
-    p=2, Bi-LSTM heads, B=32): the heads must not record per-timestep ops."""
+def _learnability_step():
+    """The T=30 learnability model (L=2, d=32, deep prompt p=2, Bi-LSTM heads)
+    and a function that records its forward and loss on one B=32 batch."""
     cfg = TrainConfig(batch_size=32, num_layers=2, hidden_size=32, num_heads=2, ffn_size=64,
                       max_seq_len=32, dropout=0.0, head_kind="bilstm-ffn",
                       prompt=PromptConfig(length=2, form="deep", init="random",
@@ -201,13 +243,55 @@ def test_bilstm_training_step_tape_is_short():
     padded = [replace(ex, text=" ".join([ex.text] + ["filler"] * cap)) for ex in corpus]
     batch = make_batches(padded, vocab, cfg.batch_size, cap)[0]
     assert batch.token_ids.shape == (32, 30)
-    with Tape() as tape:
-        logits = model.forward(batch)
-        loss = total_loss(cross_entropy(logits["a"], batch.labels["a"]),
-                          cross_entropy(logits["b"], batch.labels["b"]),
-                          cross_entropy(logits["c"], batch.labels["c"]), cfg.loss_weights)
-    backward(tape, loss)
+
+    def record(tape):
+        with tape:
+            logits = model.forward(batch)
+            return total_loss(cross_entropy(logits["a"], batch.labels["a"]),
+                              cross_entropy(logits["b"], batch.labels["b"]),
+                              cross_entropy(logits["c"], batch.labels["c"]), cfg.loss_weights)
+    return record
+
+
+def test_bilstm_training_step_tape_is_short():
+    """The heads must not record per-timestep ops."""
+    tape = Tape()
+    backward(tape, _learnability_step()(tape))
     assert len(tape) < 200
+
+
+def test_the_three_heads_run_one_scan_and_its_backward_stays_lean(monkeypatch):
+    """One lstm_scan runs all six directions: a step records one scan entry,
+    and 38 in all. Its backward forms the gate derivatives step by step, over
+    the saved activations, so it adds at most a quarter to what the forward
+    holds."""
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return lstm_scan(*args)
+
+    monkeypatch.setattr("dpmn.heads.lstm_scan", counted)
+    record = _learnability_step()
+    tape = Tape()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = record(tape)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        backward(tape, loss)
+        added = tracemalloc.get_traced_memory()[1] - base - held
+    finally:
+        tracemalloc.stop()
+    assert len(scans) == 1 and len(scans[0][2]) == 6
+    assert len(tape) == 38
+    assert added <= 0.25 * held, (added, held)
+
+
+def _alone(head, shared, lengths):
+    """One head's logits, read on its own."""
+    return head.classify(head.read([head], shared, lengths), 0)
 
 
 def _head(n_classes=2, seed=0):
@@ -217,7 +301,7 @@ def _head(n_classes=2, seed=0):
 def test_single_step_concatenates_both_directions(rng):
     head = _head()
     shared = Tensor(rng.normal(size=(2, 1, D)))
-    states = head.bilstm(shared, np.array([1, 1]))
+    states = BiLstmFfnHead.bilstm([head], shared, np.array([1, 1]))
     assert states.shape == (2, 2 * H)
     # with one timestep the two directions see the same input
     fw, bw = states.data[:, :H], states.data[:, H:]
@@ -228,10 +312,10 @@ def test_appending_pad_positions_leaves_states_bitwise_unchanged(rng):
     head = _head()
     lengths = np.array([3, 5])
     shared = Tensor(rng.normal(size=(2, 5, D)))
-    base = head.bilstm(shared, lengths)
+    base = BiLstmFfnHead.bilstm([head], shared, lengths)
     junk = rng.normal(size=(2, 2, D)) * 100.0
     extended = Tensor(np.concatenate([shared.data, junk], axis=1))
-    padded = head.bilstm(extended, lengths)
+    padded = BiLstmFfnHead.bilstm([head], extended, lengths)
     assert np.array_equal(base.data, padded.data)
 
 
@@ -239,9 +323,9 @@ def test_pad_invariance_holds_for_logits_bitwise(rng):
     head = _head()
     lengths = np.array([2, 4])
     shared = Tensor(rng.normal(size=(2, 4, D)))
-    base = head.forward(shared, lengths)
+    base = _alone(head, shared, lengths)
     extended = Tensor(np.concatenate([shared.data, rng.normal(size=(2, 3, D))], axis=1))
-    assert np.array_equal(base.data, head.forward(extended, lengths).data)
+    assert np.array_equal(base.data, _alone(head, extended, lengths).data)
 
 
 def test_all_zero_weights_give_zero_states(rng):
@@ -250,14 +334,14 @@ def test_all_zero_weights_give_zero_states(rng):
     for p in store.tensors.values():
         p.data[:] = 0.0
     shared = Tensor(rng.normal(size=(3, 4, D)))
-    states = head.bilstm(shared, np.array([4, 2, 1]))
+    states = BiLstmFfnHead.bilstm([head], shared, np.array([4, 2, 1]))
     assert np.array_equal(states.data, np.zeros((3, 2 * H)))
 
 
 def test_zero_length_sequence_rejected(rng):
     head = _head()
     with pytest.raises(ContractError):
-        head.bilstm(Tensor(rng.normal(size=(1, 3, D))), np.array([0]))
+        BiLstmFfnHead.bilstm([head], Tensor(rng.normal(size=(1, 3, D))), np.array([0]))
 
 
 def test_ffn_bias_passthrough(rng):
@@ -308,13 +392,13 @@ def test_bilstm_head_gradients_match_finite_differences(rng):
     shared = Tensor(rng.normal(size=(2, 3, D)))
     lengths = np.array([3, 2])
     with Tape() as tape:
-        out = head.forward(shared, lengths)
+        out = _alone(head, shared, lengths)
         proj = Tensor(rng.normal(size=out.shape))
         loss = sum_(mul(out, proj))
     backward(tape, loss)
 
     def value():
-        return float((head.forward(Tensor(shared.data), lengths).data * proj.data).sum())
+        return float((_alone(head, Tensor(shared.data), lengths).data * proj.data).sum())
 
     for t in [shared, *store.tensors.values()]:
         assert max_rel_error(
@@ -329,18 +413,23 @@ def test_head_widths_per_task(rng):
     store = make_store(0)
     head_a = make_head("bilstm-ffn", D, H, F, 2, store, "head_a")
     head_c = make_head("bilstm-ffn", D, H, F, 3, store, "head_c")
-    assert head_forward(head_a, shared, lengths, "a").shape == (2, 2)
-    assert head_forward(head_c, shared, lengths, "c").shape == (2, 3)
+    states = head_a.read([head_a, head_c], shared, lengths)
+    assert states.shape == (2, 2 * 2 * H)
+    assert head_forward(head_a, states, 0, "a").shape == (2, 2)
+    assert head_forward(head_c, states, 1, "c").shape == (2, 3)
+    # block j of the joint read is what head j reads alone
+    assert np.array_equal(head_forward(head_c, states, 1, "c").data,
+                          _alone(head_c, shared, lengths).data)
     with pytest.raises(ConfigError, match="classes"):
-        head_forward(head_a, shared, lengths, "c")
+        head_forward(head_a, states, 0, "c")
 
 
 def test_forward_is_deterministic(rng):
     head = _head()
     shared = Tensor(rng.normal(size=(2, 4, D)))
     lengths = np.array([4, 3])
-    a = head.forward(shared, lengths)
-    b = head.forward(shared, lengths)
+    a = _alone(head, shared, lengths)
+    b = _alone(head, shared, lengths)
     assert np.array_equal(a.data, b.data)
 
 
@@ -350,8 +439,8 @@ def test_linear_and_bilstm_heads_differ(rng):
     bilstm = make_head("bilstm-ffn", D, H, F, 2, store, "head_b")
     shared = Tensor(rng.normal(size=(2, 4, D)))
     lengths = np.array([4, 4])
-    assert not np.allclose(linear.forward(shared, lengths).data,
-                           bilstm.forward(shared, lengths).data)
+    assert not np.allclose(_alone(linear, shared, lengths).data,
+                           _alone(bilstm, shared, lengths).data)
 
 
 def test_linear_head_reads_first_position_only(rng):
@@ -361,8 +450,8 @@ def test_linear_head_reads_first_position_only(rng):
     altered = shared.copy()
     altered[:, 1:, :] = 0.0
     lengths = np.array([4, 4])
-    assert np.array_equal(head.forward(Tensor(shared), lengths).data,
-                          head.forward(Tensor(altered), lengths).data)
+    assert np.array_equal(_alone(head, Tensor(shared), lengths).data,
+                          _alone(head, Tensor(altered), lengths).data)
 
 
 def test_unknown_head_kind_rejected():

@@ -136,9 +136,14 @@ def test_gradients_isolated_per_task_head():
     backward(tape, loss)
     for name, p in head_parameters(model, "a").items():
         assert p.grad is not None, name
+    # heads b and c are off the task-A path: their FFNs get no gradient, and
+    # their Bi-LSTM directions, which run in head a's lstm_scan, an exact zero
     for task in ("b", "c"):
-        for p in head_parameters(model, task).values():
-            assert p.grad is None
+        for name, p in head_parameters(model, task).items():
+            if ".lstm_" in name:
+                assert np.array_equal(p.grad, np.zeros(p.shape)), name
+            else:
+                assert p.grad is None, name
     # shared parameters receive gradient from the task-A loss
     assert model.encoder.token_emb.grad is not None
     for m in model.bank.matrices:
