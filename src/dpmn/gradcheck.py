@@ -28,7 +28,6 @@ from .tensor import (
     add_norm,
     attention,
     backward,
-    concat,
     embedding_lookup,
     ffn,
     linear,
@@ -122,7 +121,6 @@ OP_CATALOG = (
      lambda *a: add_norm(*a, 0.3, np.random.Generator(np.random.PCG64(0)))),
     ("embedding_lookup", (_uniform(7, 4),),
      lambda table: embedding_lookup(table, np.array([[0, 3, 6], [2, 2, 5]]))),
-    ("concat", (_uniform(2, 3), _uniform(2, 5)), lambda a, b: concat([a, b], axis=1)),
     ("slice", (_uniform(4, 5, 6),), lambda a: slice_(a, (slice(None), 2, slice(1, 4)))),
     ("sum", (_uniform(3, 4, 5),), partial(sum_, axis=1)),
     # a 2-slot prompt ahead of a 3-slot text, and over a previous prompt

@@ -412,29 +412,6 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return out
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ContractError("concat of an empty list")
-    try:
-        out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    except ValueError:
-        shapes = [t.shape for t in tensors]
-        raise ShapeError(f"cannot concatenate shapes {shapes} along axis {axis}") from None
-    sizes = [t.shape[axis] for t in tensors]
-
-    def bw(g):
-        offsets = np.cumsum([0] + sizes)
-        pieces = []
-        for lo, hi in zip(offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            pieces.append(g[tuple(sl)])
-        return tuple(pieces)
-
-    _record(out, tuple(tensors), bw)
-    return out
-
-
 def slice_(a: Tensor, idx) -> Tensor:
     """Basic indexing (ints and slices); backward scatters into a zero buffer."""
     out = Tensor(a.data[idx])
@@ -500,22 +477,28 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, directions) -> Tensor:
 
     The rows are packed by length: sorted once by descending length (stably),
     the rows live at step t are a prefix, which alone is updated, and the
-    caller's row order is restored on the output and on dx. The inputs are
+    caller's row order is restored on the output and on dx. The buffers are
+    time-major, a row's k directions side by side in slots, the forward
+    directions first: each orientation's directions fill adjacent slots, and
+    each step runs every ufunc once over the live rows of all slots, one
+    contiguous block, the recurrent matmul batched over k. The inputs are
     gathered once per orientation in step order, padded ones zeroed; a padded
-    position keeps index t, so each row's order is a permutation and dx
-    scatters back without collisions. The buffers are time-major, a row's k
-    directions side by side: each direction's input projection is one GEMM
-    ahead of the recurrence, and each step runs every ufunc once over the
-    live rows of all directions, one contiguous block, the recurrent matmul
-    batched over k. The gate activations overwrite the projection, and the
-    h, c and tanh(c) histories are kept. One np.tanh covers all four gates,
-    as sigmoid(z) = (1 + tanh(z/2)) / 2 with the i/f/o columns of the
-    weights halved (an exact scaling). The whole scan is one tape entry: its
-    backward forms each step's gate gradients on the same slices, over the
-    activations, then takes dx, dw_x, dw_h and db per direction. Each
-    direction's result and gradients are bit for bit those of a scan of it
-    alone, and dx sums the directions as k scans on one tape would, the last
-    first.
+    position keeps index t, so each row's order is a permutation. Each
+    orientation's input projection is one GEMM written straight into its
+    slots' columns, and one add puts in every bias. The gate activations
+    overwrite the projection, and the h, c and tanh(c) histories are kept.
+    One np.tanh covers all four gates, as sigmoid(z) = (1 + tanh(z/2)) / 2
+    with the i/f/o columns of the weights halved (an exact scaling).
+
+    The whole scan is one tape entry. Its backward copies each step's gates
+    gate-major, [4, n, k, h], so each gate is one contiguous block, forms the
+    gate gradients there and writes them over the activations before the
+    recurrent matmul. Then one GEMM per orientation gives its directions'
+    dw_x, a matmul batched over k (on C-contiguous states, as a lone scan
+    has) gives dw_h, and one sum over the buffer gives every db. dx is
+    summed in forward step order, the directions as k scans on one tape
+    would, the last first, and scattered back once. Each direction's result
+    and gradients are bit for bit those of a scan of it alone.
     """
     lengths = np.asarray(lengths)
     if x.ndim != 3:
@@ -547,73 +530,102 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, directions) -> Tensor:
     # sigmoid(z) = tanh(z/2)/2 + 1/2: i/f/o columns scaled by half, then shifted
     half = np.where(np.arange(gates) < h3, 0.5, 1.0)
     shift = np.where(np.arange(gates) < h3, 0.5, 0.0)
-    gathered = {}  # orientation -> (inputs [top * batch, d], positions [top, batch])
-    for reverse in sorted({reverse for *_, reverse in directions}):
-        positions = np.where(is_live & reverse, packed - 1 - steps, steps)
+    # slot s runs direction inner[s]: the forward directions first, in the caller's order
+    inner = np.array(sorted(range(k), key=lambda j: directions[j][3]), dtype=np.intp)
+    slot = np.argsort(inner)
+    forward = k - sum(reverse for *_, reverse in directions)
+    w_x, w_h, b = ([directions[j][i].data for j in inner] for i in range(3))
+    w_x_half = (np.concatenate(w_x, axis=1).reshape(d, k, gates) * half).reshape(d, k * gates)
+    w_h = np.concatenate(w_h).reshape(k, hidden, gates)
+    back = np.where(is_live, packed - 1 - steps, steps)  # the position reverse step t reads
+    act = np.empty((top, batch, k, gates))
+    flat = act.reshape(top * batch, k * gates)  # a view: row (t, r) holds every slot's gates
+    oriented = []  # (inputs [top * batch, d], columns) of each orientation present
+    for positions, lo, hi in ((steps, 0, forward), (back, forward, k)):
+        if lo == hi:
+            continue
         xs = x.data[order, positions]  # [top, batch, d]
         xs[~is_live] = 0.0  # a non-finite padded input cannot reach dw_x
-        gathered[reverse] = xs.reshape(top * batch, d), positions
-    act = np.empty((top, batch, k, gates))
-    for j, (w_x, _, b, reverse) in enumerate(directions):
-        projected = (gathered[reverse][0] @ (w_x.data * half)).reshape(top, batch, gates)
-        np.add(projected, b.data * half, out=act[:, :, j])
-    w_h_half = np.stack([w_h.data for _, w_h, _, _ in directions]) * half
+        xs = xs.reshape(top * batch, d)
+        cols = slice(lo * gates, hi * gates)
+        np.matmul(xs, w_x_half[:, cols], out=flat[:, cols])
+        oriented.append((xs, cols))
+    flat += (np.concatenate(b).reshape(k, gates) * half).reshape(k * gates)
+    w_h_half = w_h * half
     # slot t + 1 holds the state after step t, and step t reads slot t
     hs = np.zeros((top + 1, batch, k, hidden))
     cs = np.zeros((top + 1, batch, k, hidden))
     tanh_c = np.zeros((top, batch, k, hidden))
+    recurrent = np.empty((batch, k, gates))
+    # half and shift laid out as a step's block: a multiply or add without broadcasting
+    step_half, step_shift = np.full((batch, k, gates), half), np.full((batch, k, gates), shift)
     for t in range(top):
         n = live[t]
         a = act[t, :n]
-        a += (hs[t, :n].transpose(1, 0, 2) @ w_h_half).transpose(1, 0, 2)
+        np.matmul(hs[t, :n].transpose(1, 0, 2), w_h_half, out=recurrent[:n].transpose(1, 0, 2))
+        a += recurrent[:n]
         np.tanh(a, out=a)
-        a *= half  # whole rows are contiguous; g is scaled by 1 and shifted by 0
-        a += shift
+        a *= step_half[:n]  # g is scaled by 1 and shifted by 0
+        a += step_shift[:n]
         c = cs[t + 1, :n]
         np.multiply(a[..., h1:h2], cs[t, :n], out=c)
         c += a[..., :h1] * a[..., h3:]
         np.tanh(c, out=tanh_c[t, :n])
         np.multiply(a[..., h2:h3], tanh_c[t, :n], out=hs[t + 1, :n])
-    out = Tensor(hs[packed, np.arange(batch)][np.argsort(order)].reshape(batch, k * hidden))
+    # row i's state is in time slot lengths[i], packed row unorder[i]
+    unorder = np.argsort(order)[:, None]
+    out = Tensor(hs[lengths[:, None], unorder, slot].reshape(batch, k * hidden))
 
     def bw(g_out):
-        dh = g_out.reshape(batch, k, hidden)[order]
+        dh = g_out.reshape(batch, k, hidden)[order[:, None], inner]
         dc = np.zeros((batch, k, hidden))
-        w_h_t = np.ascontiguousarray(  # C-contiguous, as one direction's w_h.T would be
-            np.stack([w_h.data for _, w_h, _, _ in directions]).transpose(0, 2, 1))
+        w_h_t = np.ascontiguousarray(w_h.transpose(0, 2, 1))  # C-contiguous, as w_h.T
+        act[~is_live] = 0.0  # rows not live at a step get no gradient there
         blocks = act.reshape(top, batch, k, 4, hidden)
-        factors = np.empty((batch, k, 4, hidden))
-        forget = np.empty((batch, k, hidden))
+        gate = np.empty((4, batch, k, hidden))  # a step's gates, one contiguous block each
+        grad = np.empty((4, batch, k, hidden))  # their derivatives, then their gradients
         for t in range(top - 1, -1, -1):
             n = live[t]
-            a, fac, f = blocks[t, :n], factors[:n], forget[:n]
+            a, fac = gate[:, :n], grad[:, :n]
+            np.copyto(a, blocks[t, :n].transpose(2, 0, 1, 3))
             dh_n, dc_n, tc = dh[:n], dc[:n], tanh_c[t, :n]
-            dc_n += dh_n * (a[..., 2, :] * (1.0 - tc * tc))  # o(1 - tanh(c)^2) carries dh to dc
+            dc_n += dh_n * (a[2] * (1.0 - tc * tc))  # o(1 - tanh(c)^2) carries dh to dc
             # gate derivatives times their partners: g.i(1-i), c_prev.f(1-f),
-            # tanh(c).o(1-o) and i(1-g^2)
-            np.multiply(a[..., :3, :], 1.0 - a[..., :3, :], out=fac[..., :3, :])
-            fac[..., 0, :] *= a[..., 3, :]
-            fac[..., 1, :] *= cs[t, :n]
-            fac[..., 2, :] *= tc
-            np.multiply(a[..., 0, :], 1.0 - a[..., 3, :] * a[..., 3, :], out=fac[..., 3, :])
-            # the gate gradients overwrite the activations; f carries dc back a step
-            np.copyto(f, a[..., 1, :])
-            np.multiply(fac, dc_n[..., None, :], out=a)
-            np.multiply(dh_n, fac[..., 2, :], out=a[..., 2, :])
-            dc_n *= f
-            act[t, n:] = 0.0  # rows not live at step t get no gradient
+            # tanh(c).o(1-o) and i(1-g^2); then the gate gradients
+            np.multiply(a[:3], 1.0 - a[:3], out=fac[:3])
+            fac[0] *= a[3]
+            fac[1] *= cs[t, :n]
+            fac[2] *= tc
+            np.multiply(a[0], 1.0 - a[3] * a[3], out=fac[3])
+            fac[:2] *= dc_n
+            fac[2] *= dh_n
+            fac[3] *= dc_n
+            dc_n *= a[1]  # f carries dc back a step
+            np.copyto(blocks[t, :n], fac.transpose(1, 2, 0, 3))
             np.matmul(act[t, :n].transpose(1, 0, 2), w_h_t, out=dh_n.transpose(1, 0, 2))
+        d_w_x = np.empty((d, k, gates))
+        for xs, cols in oriented:
+            np.matmul(xs.T, flat[:, cols], out=d_w_x.reshape(d, k * gates)[:, cols])
+        # each direction's states C-contiguous, as a lone scan's are
+        states = np.ascontiguousarray(hs[:top].reshape(top * batch, k, hidden).transpose(1, 0, 2))
+        d_w_h = states.transpose(0, 2, 1) @ flat.reshape(top * batch, k, gates).transpose(1, 0, 2)
+        del states  # before dx's buffers
+        d_b = flat.sum(axis=0).reshape(k, gates)
+        # dx in forward step order, (t, r) for position t of packed row r;
+        # a reverse direction's steps map to it through `back`
+        for j in range(k - 1, -1, -1):  # as k scans on one tape sum dx: the last first
+            w_x_j, _, _, reverse = directions[j]
+            dx_j = (act[:, :, slot[j]].reshape(top * batch, gates) @ w_x_j.data.T)
+            dx_j = dx_j.reshape(top, batch, d)
+            if reverse:
+                dx_j = dx_j[back, np.arange(batch)]
+            if j == k - 1:
+                dx_steps = dx_j
+            else:
+                dx_steps += dx_j
         dx = np.zeros(x.shape)
-        grads = []
-        for j in range(k - 1, -1, -1):
-            w_x, _, _, reverse = directions[j]
-            xs, positions = gathered[reverse]
-            flat = act[:, :, j].reshape(top * batch, gates)
-            dx_j = (flat @ w_x.data.T).reshape(top, batch, d)
-            dx[order, positions] = dx_j if j == k - 1 else dx[order, positions] + dx_j
-            d_w_h = hs[:top, :, j].reshape(top * batch, hidden).T @ flat
-            grads[:0] = xs.T @ flat, d_w_h, flat.sum(axis=0)
-        return (dx, *grads)
+        dx[order, :top] = dx_steps.transpose(1, 0, 2)
+        return (dx, *(g for s in slot for g in (d_w_x[:, s], d_w_h[s], d_b[s])))
 
     _record(out, (x, *(w for direction in directions for w in direction[:3])), bw)
     return out

@@ -1,15 +1,15 @@
 """Unfused reference ops for the tests, one tape entry each.
 
 The package computes these only inside its fused primitives (`linear`,
-`add_norm`, `ffn`, `attention`, `lstm_scan`); the tests compose them into the
-references those primitives must reproduce, and check each one against
-finite differences in test_tensor.py. `unfused_add_norm` and `unfused_ffn`
-are the compositions the fused `add_norm` and `ffn` replace.
+`add_norm`, `ffn`, `attention`, `lstm_scan`, `prefix`); the tests compose
+them into the references those primitives must reproduce, and check each one
+against finite differences in test_tensor.py. `unfused_add_norm` and
+`unfused_ffn` are the compositions the fused `add_norm` and `ffn` replace.
 """
 
 import numpy as np
 
-from dpmn.errors import ContractError
+from dpmn.errors import ContractError, ShapeError
 from dpmn.tensor import (LAYER_NORM_EPS, Tensor, _as_tensor, _record, _unbroadcast, add, linear,
                          mul)
 
@@ -75,6 +75,29 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         return dx, dgain, dbias
 
     _record(out, (a, gain, bias), bw)
+    return out
+
+
+def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+    if not tensors:
+        raise ContractError("concat of an empty list")
+    try:
+        out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    except ValueError:
+        shapes = [t.shape for t in tensors]
+        raise ShapeError(f"cannot concatenate shapes {shapes} along axis {axis}") from None
+    sizes = [t.shape[axis] for t in tensors]
+
+    def bw(g):
+        offsets = np.cumsum([0] + sizes)
+        pieces = []
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(lo, hi)
+            pieces.append(g[tuple(sl)])
+        return tuple(pieces)
+
+    _record(out, tuple(tensors), bw)
     return out
 
 

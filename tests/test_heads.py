@@ -15,10 +15,10 @@ from dpmn.losses import cross_entropy, total_loss
 from dpmn.model import DpmnModel, head_forward
 from dpmn.prompt import PromptConfig
 from dpmn.runconfig import TrainConfig
-from dpmn.tensor import Tape, Tensor, backward, concat, linear, lstm_scan, mul, sum_
+from dpmn.tensor import Tape, Tensor, backward, linear, lstm_scan, mul, sum_
 
 from conftest import make_store, max_rel_error, numeric_gradient
-from reference_ops import sigmoid, tanh
+from reference_ops import concat, sigmoid, tanh
 
 D, H, F = 6, 4, 5
 # Fused and per-timestep scans sum in different orders; in float64 they
@@ -97,16 +97,11 @@ def _bits(a):
     return a.shape, a.tobytes()
 
 
-@settings(deadline=None, max_examples=80)
-@given(st.integers(1, 6), st.integers(0, 6), st.integers(1, 6), st.integers(1, 8),
-       st.integers(0, 12), st.integers(0, 2 ** 31), st.data())
-def test_lockstep_scan_is_bitwise_the_separate_scans(k, batch, seq, d, hidden, seed, data):
+def _assert_lockstep_is_separate(seed, seq, d, hidden, lengths, reverses):
     """k directions in one lstm_scan give, bit for bit, the states of k
     one-direction scans side by side and their gradients, x's summed over
     the k scans as one tape sums it."""
-    lengths = np.array(data.draw(st.lists(st.integers(0, seq), min_size=batch, max_size=batch)),
-                       dtype=np.intp)
-    reverses = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    k, batch = len(reverses), len(lengths)
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.normal(size=(batch, seq, d))
     weights = [_scan_arrays(rng, batch, seq, d, hidden)[1:] for _ in range(k)]
@@ -125,6 +120,32 @@ def test_lockstep_scan_is_bitwise_the_separate_scans(k, batch, seq, d, hidden, s
     separate = run(lambda x, directions: concat(
         [lstm_scan(x, lengths, [direction]) for direction in directions], axis=1))
     assert [_bits(a) for a in joint] == [_bits(a) for a in separate]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 6), st.integers(0, 6), st.integers(1, 6), st.integers(1, 8),
+       st.integers(0, 12), st.integers(0, 2 ** 31), st.data())
+def test_lockstep_scan_is_bitwise_the_separate_scans(k, batch, seq, d, hidden, seed, data):
+    lengths = np.array(data.draw(st.lists(st.integers(0, seq), min_size=batch, max_size=batch)),
+                       dtype=np.intp)
+    reverses = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    _assert_lockstep_is_separate(seed, seq, d, hidden, lengths, reverses)
+
+
+def test_lockstep_scan_of_hidden_size_one_is_bitwise_the_separate_scans():
+    """With h = 1 a direction's state history is a single column; its w_h
+    gradient must come from the GEMM a lone scan runs, on contiguous states."""
+    _assert_lockstep_is_separate(0, 3, 1, 1, np.array([3, 3]), [False, False])
+
+
+def test_lockstep_scan_is_bitwise_the_separate_scans_at_workload_scale():
+    """The bilstm-t30 shapes: B=32, T=32, d=32, h=16, lengths 27-32 with ties,
+    and six directions alternating forward and backward as the three heads
+    pass them. Each orientation's input projection and w_x gradient is one
+    GEMM over three directions here, against one per direction alone."""
+    lengths = np.array([27, 32, 29, 32, 28, 30, 31, 27, 32, 30, 29, 28, 31, 32, 27, 30,
+                        29, 31, 28, 32, 30, 27, 31, 29, 32, 28, 30, 31, 27, 29, 32, 28])
+    _assert_lockstep_is_separate(21, 32, 32, 16, lengths, [False, True] * 3)
 
 
 def _flip_within_lengths(a, lengths):
@@ -262,9 +283,10 @@ def test_bilstm_training_step_tape_is_short():
 
 def test_the_three_heads_run_one_scan_and_its_backward_stays_lean(monkeypatch):
     """One lstm_scan runs all six directions: a step records one scan entry,
-    and 38 in all. Its backward forms the gate derivatives step by step, over
-    the saved activations, so it adds at most a quarter to what the forward
-    holds."""
+    and 38 in all. Its backward forms the gate gradients step by step, on a
+    gate-major copy of one step's gates, writes them over the saved
+    activations and takes the weight gradients from there, so it adds at
+    most a quarter to what the forward holds."""
     scans = []
 
     def counted(*args):

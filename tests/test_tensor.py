@@ -16,7 +16,6 @@ from dpmn.tensor import (
     add_norm,
     attention,
     backward,
-    concat,
     embedding_lookup,
     ffn,
     linear,
@@ -28,7 +27,7 @@ from dpmn.tensor import (
 )
 
 from conftest import max_rel_error, numeric_gradient
-from reference_ops import (dropout, layer_norm, relu, reshape, sigmoid, softmax, tanh,
+from reference_ops import (concat, dropout, layer_norm, relu, reshape, sigmoid, softmax, tanh,
                            unfused_add_norm, unfused_ffn)
 
 
