@@ -34,16 +34,15 @@ MASK_BIAS = -1e9  # large enough that masked attention weights underflow to 0.0
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Desk-scale defaults: small enough for fast gradient checks, deep
-    enough that deep and light prompt forms behave differently."""
+    """The encoder's sizes; TrainConfig.encoder_config builds one."""
 
     vocab_size: int
-    num_layers: int = 4
-    hidden_size: int = 64
-    num_heads: int = 4
-    ffn_size: int = 256
-    max_seq_len: int = 64
-    dropout: float = 0.1
+    num_layers: int
+    hidden_size: int
+    num_heads: int
+    ffn_size: int
+    max_seq_len: int
+    dropout: float
 
     def __post_init__(self):
         for name in ("vocab_size", "num_layers", "hidden_size", "num_heads",

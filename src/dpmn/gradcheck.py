@@ -31,7 +31,6 @@ from .tensor import (
     embedding_lookup,
     ffn,
     linear,
-    log_softmax,
     lstm_scan,
     mul,
     prefix,
@@ -114,7 +113,10 @@ _FFN_INPUTS = (_uniform(2, 2, 4), _uniform(4, 5, low=-0.1, high=0.1), _kinkless(
 OP_CATALOG = (
     ("add", (_uniform(2, 5), _uniform(5)), add),
     ("mul", (_uniform(2, 5), _uniform(2, 1)), mul),
-    ("log_softmax", (_uniform(4, 5, low=-2.0, high=2.0),), partial(log_softmax, axis=1)),
+    ("cross_entropy", (_uniform(4, 5, low=-2.0, high=2.0),),
+     lambda logits: cross_entropy(logits, np.array([1, 4, -1, 0]))),
+    ("total_loss", (_uniform(), _uniform(), _uniform()),
+     lambda *parts: total_loss(*parts, LossWeights(0.5, 0.3, 0.2))),
     ("add_norm", _ADD_NORM_INPUTS, partial(add_norm, rate=0.0, rng=None)),
     # a generator built afresh per call draws the same mask every time
     ("add_norm_dropout", _ADD_NORM_INPUTS,

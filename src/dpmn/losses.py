@@ -1,4 +1,4 @@
-"""Per-task masked cross-entropy and the weighted multi-task total loss."""
+"""Masked per-task cross-entropy and the weighted total loss, one tape entry each."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
-from .tensor import Tensor, log_softmax, mul, sum_
+from .errors import ConfigError, ContractError, ShapeError
+from .tensor import Tensor, _record
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -38,19 +38,35 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     still connects to the graph, and downstream parameters receive explicit
     zero gradients rather than none.
     """
+    if logits.ndim != 2:
+        raise ShapeError(f"cross_entropy needs logits [n, c], got {logits.shape}")
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.shape
     if labels.shape != (n,):
         raise ContractError(f"labels shape {labels.shape} does not match batch of {n}")
-    if labels.max(initial=-1) >= c:
-        raise ContractError(f"label {labels.max()} out of range for {c} classes")
+    bad = labels[(labels < -1) | (labels >= c)]
+    if bad.size:
+        raise ContractError(f"label {bad[0]} is neither one of {c} classes nor -1 (absent)")
     present = labels >= 0
     weights = np.zeros((n, c))
     weights[present, labels[present]] = -1.0 / max(int(present.sum()), 1)
-    log_probs = log_softmax(logits, axis=1)
-    return sum_(mul(log_probs, Tensor(weights)))
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    out = Tensor((log_probs * weights).sum())
+
+    def bw(g):
+        gw = g * weights
+        return (gw - np.exp(log_probs) * gw.sum(axis=1, keepdims=True),)
+
+    _record(out, (logits,), bw)
+    return out
 
 
 def total_loss(loss_a: Tensor, loss_b: Tensor, loss_c: Tensor, w: LossWeights) -> Tensor:
-    """Weighted sum of the three sub-task losses."""
-    return mul(loss_a, w.main) + mul(loss_b, w.auxi1) + mul(loss_c, w.auxi2)
+    """Weighted sum of the three scalar sub-task losses."""
+    parts = (loss_a, loss_b, loss_c)
+    if any(p.shape != () for p in parts):
+        raise ShapeError(f"total_loss needs scalar parts, got {[p.shape for p in parts]}")
+    out = Tensor((loss_a.data * w.main + loss_b.data * w.auxi1) + loss_c.data * w.auxi2)
+    _record(out, parts, lambda g: (g * w.main, g * w.auxi1, g * w.auxi2))
+    return out

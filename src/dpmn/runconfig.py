@@ -28,6 +28,8 @@ class TrainConfig:
     early_stop_patience: int = 4
     loss_weights: LossWeights = field(default_factory=LossWeights)
     prompt: PromptConfig = field(default_factory=PromptConfig)
+    # the encoder, at desk scale: small enough for fast gradient checks, deep
+    # enough that deep and light prompt forms behave differently
     num_layers: int = 4
     hidden_size: int = 64
     num_heads: int = 4

@@ -12,7 +12,8 @@ and are only cleared explicitly (see Adam.zero_grad); a consumed tape
 cannot be replayed.
 
 Everything is float64, which the gradient checks need; ops save what their
-backward reads and no more.
+backward reads and no more. Every op takes Tensors. The loss ops live in
+dpmn.losses; the unfused ops, log_softmax among them, in tests/reference_ops.py.
 """
 
 from __future__ import annotations
@@ -152,10 +153,6 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> None:
         _active_tape._entries.append((out, parents, backward_fn))
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     # never mutate g in place; it may alias another node's grad
     t.grad = g if t.grad is None else t.grad + g
@@ -200,9 +197,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-# every op takes Tensors; add and mul also take constants, as total_loss's float weights
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         out = Tensor(a.data + b.data)
     except ValueError:
@@ -215,8 +210,7 @@ def add(a, b) -> Tensor:
     return out
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         out = Tensor(a.data * b.data)
     except ValueError:
@@ -378,19 +372,6 @@ def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, rate: float,
                 _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape))
 
     _record(out, (x, y, gain, bias), bw)
-    return out
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - lse
-    out = Tensor(y)
-
-    def bw(g):
-        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
-
-    _record(out, (a,), bw)
     return out
 
 

@@ -1,7 +1,8 @@
 """Unfused reference ops for the tests, one tape entry each.
 
 The package computes these only inside its fused primitives (`linear`,
-`add_norm`, `ffn`, `attention`, `lstm_scan`, `prefix`); the tests compose
+`add_norm`, `ffn`, `attention`, `lstm_scan`, `prefix`) and its fused loss
+(`cross_entropy`, which holds `log_softmax`); the tests compose
 them into the references those primitives must reproduce, and check each one
 against finite differences in test_tensor.py. `unfused_add_norm` and
 `unfused_ffn` are the compositions the fused `add_norm` and `ffn` replace.
@@ -10,12 +11,10 @@ against finite differences in test_tensor.py. `unfused_add_norm` and
 import numpy as np
 
 from dpmn.errors import ContractError, ShapeError
-from dpmn.tensor import (LAYER_NORM_EPS, Tensor, _as_tensor, _record, _unbroadcast, add, linear,
-                         mul)
+from dpmn.tensor import LAYER_NORM_EPS, Tensor, _record, _unbroadcast, add, linear, mul
 
 
 def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     out = Tensor(np.maximum(a.data, 0.0))
     mask = a.data > 0
     _record(out, (a,), lambda g: (g * mask,))
@@ -24,7 +23,6 @@ def relu(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     """sigmoid(x) = (1 + tanh(x/2)) / 2, the form lstm_scan uses; it never overflows."""
-    a = _as_tensor(a)
     y = 0.5 * (1.0 + np.tanh(0.5 * a.data))
     out = Tensor(y)
     _record(out, (a,), lambda g: (g * y * (1.0 - y),))
@@ -32,7 +30,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     y = np.tanh(a.data)
     out = Tensor(y)
     _record(out, (a,), lambda g: (g * (1.0 - y * y),))
@@ -41,7 +38,6 @@ def tanh(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Softmax along `axis`, computed with max subtraction for stability."""
-    a = _as_tensor(a)
     shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
@@ -54,9 +50,22 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """The unfused log-probabilities that cross_entropy computes inside."""
+    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    y = shifted - lse
+    out = Tensor(y)
+
+    def bw(g):
+        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
+
+    _record(out, (a,), bw)
+    return out
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale and shift."""
-    a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     mean = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
@@ -102,7 +111,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
     out = Tensor(a.data.reshape(shape))
     _record(out, (a,), lambda g: (g.reshape(a.shape),))
     return out

@@ -1,5 +1,7 @@
 """Encoder: embeddings, prefix injection, masking, tuning strategies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -205,8 +207,8 @@ def test_parameter_count_identities():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        EncoderConfig(vocab_size=10, hidden_size=10, num_heads=3)
+        replace(CFG, hidden_size=10, num_heads=3)
     with pytest.raises(ConfigError):
-        EncoderConfig(vocab_size=0)
+        replace(CFG, vocab_size=0)
     with pytest.raises(ConfigError):
-        EncoderConfig(vocab_size=10, dropout=1.0)
+        replace(CFG, dropout=1.0)

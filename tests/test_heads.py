@@ -250,19 +250,26 @@ def test_lstm_scan_rejects_bad_shapes_and_lengths(rng):
         lstm_scan(x, np.array([3.0, 2.0]), [(w_x, w_h, b, False)])
 
 
-def _learnability_step():
-    """The T=30 learnability model (L=2, d=32, deep prompt p=2, Bi-LSTM heads)
-    and a function that records its forward and loss on one B=32 batch."""
-    cfg = TrainConfig(batch_size=32, num_layers=2, hidden_size=32, num_heads=2, ffn_size=64,
-                      max_seq_len=32, dropout=0.0, head_kind="bilstm-ffn",
-                      prompt=PromptConfig(length=2, form="deep", init="random",
-                                          tuning="lm-plus-prompt"))
+# The T=30 learnability model (L=2, d=32, deep prompt p=2, Bi-LSTM heads)
+LEARNABILITY = TrainConfig(batch_size=32, num_layers=2, hidden_size=32, num_heads=2, ffn_size=64,
+                           max_seq_len=32, dropout=0.0, head_kind="bilstm-ffn",
+                           prompt=PromptConfig(length=2, form="deep", init="random",
+                                               tuning="lm-plus-prompt"))
+# The README default encoder (L=4, d=64, deep prompt p=1) with linear heads
+DEFAULT_LINEAR = TrainConfig(batch_size=32, num_layers=4, hidden_size=64, num_heads=4,
+                             ffn_size=256, max_seq_len=64, dropout=0.1, head_kind="linear",
+                             prompt=PromptConfig(length=1, form="deep", init="random",
+                                                 tuning="lm-plus-prompt"))
+
+
+def _recorded_step(cfg=LEARNABILITY):
+    """A function that records the model of `cfg`'s forward and loss on one
+    B=32 batch of T=30 texts."""
     corpus = generate_synthetic_corpus(32, seed=3)
     vocab = build_vocab(corpus)
     model = DpmnModel(cfg.encoder_config(vocab.size), cfg.prompt, head_kind=cfg.head_kind)
-    cap = cfg.max_seq_len - cfg.prompt.length
-    padded = [replace(ex, text=" ".join([ex.text] + ["filler"] * cap)) for ex in corpus]
-    batch = make_batches(padded, vocab, cfg.batch_size, cap)[0]
+    padded = [replace(ex, text=" ".join([ex.text] + ["filler"] * 30)) for ex in corpus]
+    batch = make_batches(padded, vocab, cfg.batch_size, 30)[0]
     assert batch.token_ids.shape == (32, 30)
 
     def record(tape):
@@ -277,13 +284,14 @@ def _learnability_step():
 def test_bilstm_training_step_tape_is_short():
     """The heads must not record per-timestep ops."""
     tape = Tape()
-    backward(tape, _learnability_step()(tape))
+    backward(tape, _recorded_step()(tape))
     assert len(tape) < 200
 
 
 def test_the_three_heads_run_one_scan_and_its_backward_stays_lean(monkeypatch):
     """One lstm_scan runs all six directions: a step records one scan entry,
-    and 38 in all. Its backward forms the gate gradients step by step, on a
+    and 28 in all, of which the loss is four: one cross_entropy per task and
+    one total_loss. Its backward forms the gate gradients step by step, on a
     gate-major copy of one step's gates, writes them over the saved
     activations and takes the weight gradients from there, so it adds at
     most a quarter to what the forward holds."""
@@ -294,7 +302,7 @@ def test_the_three_heads_run_one_scan_and_its_backward_stays_lean(monkeypatch):
         return lstm_scan(*args)
 
     monkeypatch.setattr("dpmn.heads.lstm_scan", counted)
-    record = _learnability_step()
+    record = _recorded_step()
     tape = Tape()
     tracemalloc.start()
     try:
@@ -307,8 +315,16 @@ def test_the_three_heads_run_one_scan_and_its_backward_stays_lean(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(scans) == 1 and len(scans[0][2]) == 6
-    assert len(tape) == 38
+    assert len(tape) == 28
     assert added <= 0.25 * held, (added, held)
+
+
+def test_a_linear_head_step_records_42_tape_entries():
+    """The README default encoder with linear heads: 38 entries up to the
+    logits, then one cross_entropy per task and one total_loss."""
+    tape = Tape()
+    _recorded_step(DEFAULT_LINEAR)(tape)
+    assert len(tape) == 42
 
 
 def _alone(head, shared, lengths):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpmn import gradcheck, model as model_module, tensor
+from dpmn import gradcheck, losses, model as model_module, tensor
 from dpmn.data import TASKS, Batch
 from dpmn.encoder import EncoderConfig
 from dpmn.errors import ConfigError
@@ -101,10 +101,12 @@ def test_op_level_gradcheck_passes_packaged_harness():
 
 
 def test_op_catalog_covers_exactly_the_ops_of_the_tensor_module():
-    """Every differentiable primitive has a catalog entry of its own name,
-    and every entry is named after one, exactly or as `<op>_<variant>`."""
-    ops = {name.rstrip("_") for name, fn in inspect.getmembers(tensor, inspect.isfunction)
-           if fn.__module__ == tensor.__name__ and not name.startswith("_")
+    """Every differentiable primitive, of the tensor module and of the loss
+    module, has a catalog entry of its own name, and every entry is named
+    after one, exactly or as `<op>_<variant>`."""
+    ops = {name.rstrip("_") for module in (tensor, losses)
+           for name, fn in inspect.getmembers(module, inspect.isfunction)
+           if fn.__module__ == module.__name__ and not name.startswith("_")
            and name not in ("backward", "saved_array")}
     names = [entry[0] for entry in gradcheck.OP_CATALOG]
     assert ops <= set(names), ops - set(names)

@@ -19,7 +19,6 @@ from dpmn.tensor import (
     embedding_lookup,
     ffn,
     linear,
-    log_softmax,
     mul,
     prefix,
     slice_,
@@ -27,8 +26,8 @@ from dpmn.tensor import (
 )
 
 from conftest import max_rel_error, numeric_gradient
-from reference_ops import (concat, dropout, layer_norm, relu, reshape, sigmoid, softmax, tanh,
-                           unfused_add_norm, unfused_ffn)
+from reference_ops import (concat, dropout, layer_norm, log_softmax, relu, reshape, sigmoid,
+                           softmax, tanh, unfused_add_norm, unfused_ffn)
 
 
 def test_matmul_identity():
@@ -370,7 +369,7 @@ def _reference_attention(qkv, bias, heads):
     k = part(1, (batch, 1, seq, heads, size))
     v = part(2, (batch, 1, seq, heads, size))
     key_bias = np.moveaxis(np.broadcast_to(bias, (batch, heads, seq, seq)), 1, -1)
-    scores = add(mul(sum_(mul(q, k), axis=-1), size ** -0.5), Tensor(key_bias))
+    scores = add(mul(sum_(mul(q, k), axis=-1), Tensor(size ** -0.5)), Tensor(key_bias))
     weights = softmax(scores, axis=2)
     context = sum_(mul(reshape(weights, (batch, seq, seq, heads, 1)), v), axis=2)
     return reshape(context, (batch, seq, d))
