@@ -6,6 +6,14 @@ coordinates. Both use step 1e-5 in float64. Relative error uses a small
 floor in the denominator so coordinates whose true gradient is ~0 are
 judged by absolute error instead. A network probe that straddles a ReLU
 kink is re-probed at smaller steps, and every re-probe is reported.
+
+A network probe re-runs only the stages that read its parameter: a full
+forward for an embedding, prompt or encoder parameter; for a head's Bi-LSTM
+parameter the heads' joint read on the kept encoder output, then its task's
+classify and loss; for its other parameters that classify and loss on the
+kept states. The total adds the kept losses of the other tasks as always.
+Every op gets the bytes a full forward gives it and returns the same floats,
+so every loss is the full forward's, bit for bit.
 """
 
 from __future__ import annotations
@@ -229,31 +237,53 @@ def _network_probe(loss_fn, base: float, flat: np.ndarray, j: int,
     return tries
 
 
+def _probe_losses(model, batch, compute_loss):
+    """Run the probe loss on a tape, and backward. Return its value and, per
+    parameter name, the loss as a function of the parameters, staged (above)."""
+    weights = TINY_CONFIG.loss_weights
+    with Tape() as tape:
+        shared, lengths = model.encode_batch(batch)
+        states = model.read(shared, lengths)
+        parts = {task: cross_entropy(model.classify(states, task), batch.labels[task])
+                 for task in TASKS}
+        loss = total_loss(*parts.values(), weights)
+    backward(tape, loss)
+
+    def from_head(task: str, rescan: bool) -> float:
+        read = model.read(shared, lengths) if rescan else states
+        part = cross_entropy(model.classify(read, task), batch.labels[task])
+        return total_loss(*{**parts, task: part}.values(), weights).item()
+
+    def staged(p: Tensor):
+        for task, head in model.heads.items():
+            if any(p is t for t in vars(head).values()):
+                directions = getattr(head, "directions", ())
+                return partial(from_head, task, any(p is t for d in directions for t in d))
+        return lambda: compute_loss().item()
+
+    return loss.item(), {name: staged(p) for name, p in model.parameters().items()}
+
+
 def check_network(n_probes: int, seed: int = 0,
                   reprobes: list[str] | None = None) -> dict[str, float]:
     """Probe random parameter coordinates of the composed network.
 
-    Probes cycle through the parameter list so every module is hit, with
-    the coordinate inside each parameter drawn at random. Returns the max
-    relative error per top-level parameter group; a line per re-probe (see
-    _network_probe) goes to `reprobes`.
+    Probe i perturbs parameter i modulo the parameter count, in creation
+    order, at a random coordinate: n probes reach only the first min(n,
+    count) parameters. Returns the max relative error per top-level group;
+    a line per re-probe (see _network_probe) goes to `reprobes`.
     """
-    model, _, compute_loss = build_probe_setup()
+    model, batch, compute_loss = build_probe_setup()
     params = list(model.parameters().values())
     rng = np.random.Generator(np.random.PCG64(seed))
-
-    with Tape() as tape:
-        loss = compute_loss()
-    backward(tape, loss)
-    base = loss.item()
+    base, loss_fns = _probe_losses(model, batch, compute_loss)
 
     worst: dict[str, float] = {}
     for i in range(n_probes):
         p = params[i % len(params)]
         j = int(rng.integers(p.size))
         analytic = 0.0 if p.grad is None else p.grad.reshape(-1)[j]
-        tries = _network_probe(lambda: compute_loss().item(), base, p.data.reshape(-1), j,
-                               analytic)
+        tries = _network_probe(loss_fns[p.name], base, p.data.reshape(-1), j, analytic)
         if reprobes is not None:
             reprobes += [f"reprobe {p.name}[{j}] step {step:.0e} rel_err {err:.3e}"
                          for step, err in tries[1:]]

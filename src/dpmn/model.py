@@ -80,22 +80,32 @@ class DpmnModel:
         return {name: p for name, p in self._store.tensors.items()
                 if strategy == "lm-plus-prompt" or name not in self._encoder_names}
 
-    def forward(self, batch: Batch,
-                dropout_rng: np.random.Generator | None = None) -> dict[str, Tensor]:
-        """Logits per task. Pass a dropout generator only while training.
-
-        The encoder's last layer computes only the leading positions the
-        heads read (`reads`), or all of them if any head reads them all."""
+    def encode_batch(self, batch: Batch, dropout_rng: np.random.Generator | None = None
+                     ) -> tuple[Tensor, np.ndarray]:
+        """The encoder output the heads read, and each row's length with its
+        prompt slots. The encoder's last layer computes only the leading
+        positions the heads read (`reads`), or all if any head reads all."""
         p = self.bank.prompt_len
         lengths = batch.lengths + p
         emb = self.encoder.embed(batch.token_ids, prompt_len=p)
         reads = [head.reads for head in self.heads.values()]
         queries = None if None in reads else max(reads)
-        shared = encode(self.encoder, emb, self.bank, lengths, dropout_rng, queries)
+        return encode(self.encoder, emb, self.bank, lengths, dropout_rng, queries), lengths
+
+    def read(self, shared: Tensor, lengths: np.ndarray) -> Tensor:
+        """What the heads read together from the encoder output."""
         heads = [self.heads[task] for task in TASKS]
-        states = heads[0].read(heads, shared, lengths)
-        return {task: head_forward(head, states, block, task)
-                for block, (task, head) in enumerate(zip(TASKS, heads))}
+        return heads[0].read(heads, shared, lengths)
+
+    def classify(self, states: Tensor, task: str) -> Tensor:
+        """One task's logits from what the heads read."""
+        return head_forward(self.heads[task], states, TASKS.index(task), task)
+
+    def forward(self, batch: Batch,
+                dropout_rng: np.random.Generator | None = None) -> dict[str, Tensor]:
+        """Logits per task. Pass a dropout generator only while training."""
+        states = self.read(*self.encode_batch(batch, dropout_rng))
+        return {task: self.classify(states, task) for task in TASKS}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Give every parameter a copy of its array in `arrays`; nothing

@@ -1,0 +1,149 @@
+"""The network gradient check evaluates each probe from the first stage that
+reads the probed parameter; these tests hold every staged loss to the full
+forward's bytes and the check's output to the unstaged loop's."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dpmn import gradcheck
+from dpmn.gradcheck import (
+    FD_STEP,
+    _group_of,
+    _network_probe,
+    _probe_losses,
+    build_probe_setup,
+    check_network,
+)
+from dpmn.tensor import Tape, backward
+
+PROBE_PARAMETERS = 58  # of the probe network with Bi-LSTM heads
+
+
+def _unstaged_check_network(n_probes, seed=0, reprobes=None):
+    """check_network as it was before staging: every loss a full forward."""
+    model, _, compute_loss = build_probe_setup()
+    params = list(model.parameters().values())
+    rng = np.random.Generator(np.random.PCG64(seed))
+    with Tape() as tape:
+        loss = compute_loss()
+    backward(tape, loss)
+    base = loss.item()
+    worst = {}
+    for i in range(n_probes):
+        p = params[i % len(params)]
+        j = int(rng.integers(p.size))
+        analytic = 0.0 if p.grad is None else p.grad.reshape(-1)[j]
+        tries = _network_probe(lambda: compute_loss().item(), base, p.data.reshape(-1), j,
+                               analytic)
+        if reprobes is not None:
+            reprobes += [f"reprobe {p.name}[{j}] step {step:.0e} rel_err {err:.3e}"
+                         for step, err in tries[1:]]
+        group = _group_of(p.name)
+        worst[group] = max(worst.get(group, 0.0), tries[-1][1])
+    return worst
+
+
+@pytest.mark.parametrize("n_probes, seed", [(200, 0), (200, 8), (200, 22), (50, 0)])
+def test_staged_check_gives_the_unstaged_errors_and_reprobes(n_probes, seed):
+    """Seeds 8 and 22 re-probe head_b.ffn.b1[5], which goes through the
+    per-task stage; 50 probes at seed 0 is the benchmark's check."""
+    staged_reprobes, reference_reprobes = [], []
+    staged = check_network(n_probes, seed, staged_reprobes)
+    reference = _unstaged_check_network(n_probes, seed, reference_reprobes)
+    assert list(staged.items()) == list(reference.items())
+    assert staged_reprobes == reference_reprobes
+    assert (seed in (8, 22)) == any("head_b.ffn.b1[5]" in line for line in staged_reprobes)
+
+
+@settings(deadline=None, max_examples=6)
+@given(head_kind=st.sampled_from(["bilstm-ffn", "linear"]), seed=st.integers(0, 2**32 - 1))
+def test_every_staged_loss_is_the_full_forward_loss_bit_for_bit(head_kind, seed):
+    """Moving one coordinate of any parameter by +-FD_STEP, the loss from the
+    parameter's stage equals a full forward's: a parameter assigned to too
+    late a stage would reuse an output its perturbation changed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gradcheck, "TINY_CONFIG", replace(gradcheck.TINY_CONFIG, head_kind=head_kind))
+        model, batch, compute_loss = build_probe_setup()
+        base, loss_fns = _probe_losses(model, batch, compute_loss)
+    assert base.hex() == compute_loss().item().hex()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for name, p in model.parameters().items():
+        flat = p.data.reshape(-1)
+        j = int(rng.integers(p.size))
+        kept = flat[j]
+        for step in (FD_STEP, -FD_STEP):
+            flat[j] = kept + step
+            assert loss_fns[name]().hex() == compute_loss().item().hex(), (name, j, step)
+        flat[j] = kept
+
+
+@pytest.mark.parametrize("head_kind, starts", [
+    ("bilstm-ffn", {"forward": 28, "read": 18, "classify": 12}),
+    ("linear", {"forward": 28, "classify": 6}),
+])
+def test_a_probe_reruns_only_the_stages_that_read_its_parameter(monkeypatch, head_kind, starts):
+    """A head's Bi-LSTM parameter re-runs the joint read and its own task's
+    classify, its other parameters only that classify, and every other
+    parameter a full forward."""
+    monkeypatch.setattr(gradcheck, "TINY_CONFIG",
+                        replace(gradcheck.TINY_CONFIG, head_kind=head_kind))
+    model, batch, compute_loss = build_probe_setup()
+    _, loss_fns = _probe_losses(model, batch, compute_loss)
+    calls = []
+
+    def spy(stage):
+        method = getattr(model, stage)
+
+        def wrapped(*args):
+            calls.append((stage, args[-1] if stage == "classify" else None))
+            return method(*args)
+        return wrapped
+
+    for stage in starts:
+        monkeypatch.setattr(model, stage, spy(stage))
+    counts = dict.fromkeys(starts, 0)
+    for name, loss_fn in loss_fns.items():
+        calls.clear()
+        loss_fn()
+        counts[calls[0][0]] += 1
+        task = name[len("head_")] if name.startswith("head_") else None
+        if ".lstm_" in name:
+            assert calls == [("read", None), ("classify", task)], name
+        elif task is not None:
+            assert calls == [("classify", task)], name
+        else:
+            assert calls[0] == ("forward", None), name
+    assert counts == starts
+
+
+@pytest.mark.parametrize("n_probes", [1, 50, PROBE_PARAMETERS, PROBE_PARAMETERS + 5])
+def test_n_probes_reach_exactly_the_first_min_n_58_parameters(monkeypatch, n_probes):
+    """Probes cycle through the parameters in creation order: at the
+    benchmark's 50, the last eight (head_c's forward bias, backward
+    direction and FFN) are never probed, though `net head_c` is printed."""
+    built, probed = [], []
+
+    def setup():
+        built.append(build_probe_setup())
+        return built[-1]
+
+    def probe(loss_fn, base, flat, j, analytic):
+        probed.append(flat)
+        return [(FD_STEP, 0.0)]
+
+    monkeypatch.setattr(gradcheck, "build_probe_setup", setup)
+    monkeypatch.setattr(gradcheck, "_network_probe", probe)
+    check_network(n_probes)
+    params = built[0][0].parameters()
+    names = list(params)
+    assert len(names) == PROBE_PARAMETERS
+    reached = [name for name, p in params.items()
+               if any(np.shares_memory(flat, p.data) for flat in probed)]
+    assert reached == names[:min(n_probes, PROBE_PARAMETERS)]
+    if n_probes == 50:
+        assert names[50:] == ["head_c.lstm_forward.b", "head_c.lstm_backward.w_x",
+                              "head_c.lstm_backward.w_h", "head_c.lstm_backward.b",
+                              "head_c.ffn.w1", "head_c.ffn.b1", "head_c.ffn.w2", "head_c.ffn.b2"]
