@@ -18,6 +18,7 @@ so every loss is the full forward's, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -55,6 +56,9 @@ _REL_FLOOR = 1e-6
 
 
 def relative_error(analytic: float, numeric: float) -> float:
+    """inf when either value is not finite, so no max() over errors drops it."""
+    if not (math.isfinite(analytic) and math.isfinite(numeric)):
+        return math.inf
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), _REL_FLOOR)
 
 

@@ -18,6 +18,8 @@ dpmn.losses; the unfused ops, log_softmax among them, in tests/reference_ops.py.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ConfigError, ContractError, EmbeddingIndexError, ShapeError
@@ -378,6 +380,8 @@ def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, rate: float,
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of `table` by integer ids; backward scatter-adds."""
     ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":  # a boolean array would act as a mask
+        raise ShapeError(f"embedding_lookup needs integer ids, got dtype {ids.dtype}")
     if ids.size:
         bad = (ids < 0) | (ids >= table.shape[0])
         if bad.any():
@@ -394,7 +398,13 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def slice_(a: Tensor, idx) -> Tensor:
-    """Basic indexing (ints and slices); backward scatters into a zero buffer."""
+    """Basic indexing (ints, slices, None, ...); backward scatters into a zero
+    buffer. Any other index, which may select an element twice and would get
+    its gradient once, is a ShapeError."""
+    for i in idx if isinstance(idx, tuple) else (idx,):
+        basic = isinstance(i, (int, np.integer, slice)) or i is None or i is Ellipsis
+        if not basic or isinstance(i, bool):
+            raise ShapeError(f"slice_ takes basic indexing only, got {idx!r}")
     out = Tensor(a.data[idx])
 
     def bw(g):
@@ -444,6 +454,21 @@ def prefix(m: Tensor, x: Tensor, skip: int) -> Tensor:
     return out
 
 
+@lru_cache(maxsize=8)
+def _gate_scales(batch: int, k: int, hidden: int):
+    """sigmoid(z) = tanh(z/2)/2 + 1/2 on the i/f/o gates, read-only: the column
+    scale of k directions side by side [k*4h] (of one: its first 4h), and a
+    step's scale and shift as its block [batch, k, 4h], which a step applies
+    without broadcasting."""
+    half = np.ones(4 * hidden)
+    half[:3 * hidden] = 0.5
+    step_half = np.broadcast_to(half, (batch, k, 4 * hidden)).copy()
+    scales = np.tile(half, k), step_half, 1.0 - step_half
+    for a in scales:
+        a.flags.writeable = False
+    return scales
+
+
 def lstm_scan(x: Tensor, lengths: np.ndarray, directions) -> Tensor:
     """k masked LSTM directions over one x [batch, seq, d], in lockstep; returns
     their final states side by side, [batch, k*h], direction j in columns
@@ -458,18 +483,22 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, directions) -> Tensor:
 
     The rows are packed by length: sorted once by descending length (stably),
     the rows live at step t are a prefix, which alone is updated, and the
-    caller's row order is restored on the output and on dx. The buffers are
-    time-major, a row's k directions side by side in slots, the forward
-    directions first: each orientation's directions fill adjacent slots, and
-    each step runs every ufunc once over the live rows of all slots, one
-    contiguous block, the recurrent matmul batched over k. The inputs are
-    gathered once per orientation in step order, padded ones zeroed; a padded
-    position keeps index t, so each row's order is a permutation. Each
-    orientation's input projection is one GEMM written straight into its
-    slots' columns, and one add puts in every bias. The gate activations
-    overwrite the projection, and the h, c and tanh(c) histories are kept.
-    One np.tanh covers all four gates, as sigmoid(z) = (1 + tanh(z/2)) / 2
-    with the i/f/o columns of the weights halved (an exact scaling).
+    caller's row order is restored on the output and on dx. The lengths are
+    checked, sorted and counted as a Python list: on a few rows, numpy calls
+    cost more than the gradient check's small scans compute. The weights are
+    concatenated and halved afresh on every call; only the gate constants,
+    read-only and keyed by shape, are kept. The buffers are time-major, a
+    row's k directions side by side in slots, the forward directions first:
+    each orientation's directions fill adjacent slots, and each step runs
+    every ufunc once over the live rows of all slots, one contiguous block,
+    the recurrent matmul batched over k. The inputs are gathered once per
+    orientation in step order, padded ones zeroed; a padded position keeps
+    index t, so each row's order is a permutation. Each orientation's input
+    projection is one GEMM written straight into its slots' columns, and one
+    add puts in every bias. The gate activations overwrite the projection,
+    and the h, c and tanh(c) histories are kept. One np.tanh covers all four
+    gates, as sigmoid(z) = (1 + tanh(z/2)) / 2 with the i/f/o columns of the
+    weights halved (an exact scaling).
 
     The whole scan is one tape entry. Its backward copies each step's gates
     gate-major, [4, n, k, h], so each gate is one contiguous block, forms the
@@ -495,30 +524,41 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, directions) -> Tensor:
                              f"b {b.shape} for x {x.shape} and hidden size {hidden}")
     if lengths.shape != (batch,):
         raise ShapeError(f"lstm_scan needs one length per row, got {lengths.shape} for x {x.shape}")
-    if not np.issubdtype(lengths.dtype, np.integer):
+    if lengths.dtype.kind not in "iu":  # np.integer: signed or unsigned
         raise ShapeError(f"lstm_scan needs integer lengths, got dtype {lengths.dtype}")
-    if ((lengths < 0) | (lengths > seq)).any():
+    lens = lengths.tolist()
+    if min(lens, default=0) < 0 or max(lens, default=0) > seq:
         raise ContractError("length exceeds the sequence axis")
 
-    lengths = lengths.astype(np.intp)
-    order = np.argsort(-lengths, kind="stable")
-    packed = lengths[order]
-    top = int(packed.max(initial=0))  # no row is live past its longest length
+    # packed row r is row order[r]: the rows sorted stably by descending length
+    order = sorted(range(batch), key=lens.__getitem__, reverse=True)
+    packed = [lens[i] for i in order]
+    top = packed[0] if batch else 0  # no row is live past its longest length
+    live = []  # rows live at step t, a prefix
+    for n in range(batch, 0, -1):
+        live += [n] * (packed[n - 1] - len(live))
+    unorder = [0] * batch  # row i is packed row unorder[i]
+    for r, i in enumerate(order):
+        unorder[i] = r
+    order, packed, unorder = np.array((order, packed, unorder), dtype=np.intp)
     steps = np.arange(top)[:, None]
-    is_live = steps < packed  # [top, batch]
-    live = is_live.sum(axis=1).tolist()  # rows live at step t, a prefix
+    padded = steps >= packed  # [top, batch]
     h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
-    # sigmoid(z) = tanh(z/2)/2 + 1/2: i/f/o columns scaled by half, then shifted
-    half = np.where(np.arange(gates) < h3, 0.5, 1.0)
-    shift = np.where(np.arange(gates) < h3, 0.5, 0.0)
     # slot s runs direction inner[s]: the forward directions first, in the caller's order
-    inner = np.array(sorted(range(k), key=lambda j: directions[j][3]), dtype=np.intp)
-    slot = np.argsort(inner)
+    inner = sorted(range(k), key=lambda j: directions[j][3])
+    slot = sorted(range(k), key=inner.__getitem__)  # direction j runs in slot slot[j]
     forward = k - sum(reverse for *_, reverse in directions)
+    half_k, step_half, step_shift = _gate_scales(batch, k, hidden)
     w_x, w_h, b = ([directions[j][i].data for j in inner] for i in range(3))
-    w_x_half = (np.concatenate(w_x, axis=1).reshape(d, k, gates) * half).reshape(d, k * gates)
-    w_h = np.concatenate(w_h).reshape(k, hidden, gates)
-    back = np.where(is_live, packed - 1 - steps, steps)  # the position reverse step t reads
+    # the weights in slot order, their i/f/o columns halved in place
+    w_x_half = np.concatenate(w_x, axis=1)
+    w_x_half *= half_k
+    w_h_half = np.concatenate(w_h).reshape(k, hidden, gates)
+    w_h_half *= half_k[:gates]
+    b_half = np.concatenate(b)
+    b_half *= half_k
+    # the position reverse step t reads
+    back = None if forward == k else np.where(padded, steps, packed - 1 - steps)
     act = np.empty((top, batch, k, gates))
     flat = act.reshape(top * batch, k * gates)  # a view: row (t, r) holds every slot's gates
     oriented = []  # (inputs [top * batch, d], columns) of each orientation present
@@ -526,20 +566,17 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, directions) -> Tensor:
         if lo == hi:
             continue
         xs = x.data[order, positions]  # [top, batch, d]
-        xs[~is_live] = 0.0  # a non-finite padded input cannot reach dw_x
+        xs[padded] = 0.0  # a non-finite padded input cannot reach dw_x
         xs = xs.reshape(top * batch, d)
         cols = slice(lo * gates, hi * gates)
         np.matmul(xs, w_x_half[:, cols], out=flat[:, cols])
         oriented.append((xs, cols))
-    flat += (np.concatenate(b).reshape(k, gates) * half).reshape(k * gates)
-    w_h_half = w_h * half
+    flat += b_half
     # slot t + 1 holds the state after step t, and step t reads slot t
     hs = np.zeros((top + 1, batch, k, hidden))
     cs = np.zeros((top + 1, batch, k, hidden))
     tanh_c = np.zeros((top, batch, k, hidden))
     recurrent = np.empty((batch, k, gates))
-    # half and shift laid out as a step's block: a multiply or add without broadcasting
-    step_half, step_shift = np.full((batch, k, gates), half), np.full((batch, k, gates), shift)
     for t in range(top):
         n = live[t]
         a = act[t, :n]
@@ -554,14 +591,13 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, directions) -> Tensor:
         np.tanh(c, out=tanh_c[t, :n])
         np.multiply(a[..., h2:h3], tanh_c[t, :n], out=hs[t + 1, :n])
     # row i's state is in time slot lengths[i], packed row unorder[i]
-    unorder = np.argsort(order)[:, None]
-    out = Tensor(hs[lengths[:, None], unorder, slot].reshape(batch, k * hidden))
+    out = Tensor(hs[lengths[:, None], unorder[:, None], slot].reshape(batch, k * hidden))
 
     def bw(g_out):
         dh = g_out.reshape(batch, k, hidden)[order[:, None], inner]
         dc = np.zeros((batch, k, hidden))
-        w_h_t = np.ascontiguousarray(w_h.transpose(0, 2, 1))  # C-contiguous, as w_h.T
-        act[~is_live] = 0.0  # rows not live at a step get no gradient there
+        w_h_t = np.ascontiguousarray(np.stack(w_h).transpose(0, 2, 1))  # C-contiguous, as w_h.T
+        act[padded] = 0.0  # rows not live at a step get no gradient there
         blocks = act.reshape(top, batch, k, 4, hidden)
         gate = np.empty((4, batch, k, hidden))  # a step's gates, one contiguous block each
         grad = np.empty((4, batch, k, hidden))  # their derivatives, then their gradients

@@ -2,6 +2,7 @@
 reads the probed parameter; these tests hold every staged loss to the full
 forward's bytes and the check's output to the unstaged loop's."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpmn import gradcheck
+from dpmn.cli import main
 from dpmn.gradcheck import (
     FD_STEP,
     _group_of,
@@ -16,8 +18,10 @@ from dpmn.gradcheck import (
     _probe_losses,
     build_probe_setup,
     check_network,
+    check_op,
+    relative_error,
 )
-from dpmn.tensor import Tape, backward
+from dpmn.tensor import Tape, Tensor, _record, backward
 
 PROBE_PARAMETERS = 58  # of the probe network with Bi-LSTM heads
 
@@ -147,3 +151,54 @@ def test_n_probes_reach_exactly_the_first_min_n_58_parameters(monkeypatch, n_pro
         assert names[50:] == ["head_c.lstm_forward.b", "head_c.lstm_backward.w_x",
                               "head_c.lstm_backward.w_h", "head_c.lstm_backward.b",
                               "head_c.ffn.w1", "head_c.ffn.b1", "head_c.ffn.w2", "head_c.ffn.b2"]
+
+
+@pytest.mark.parametrize("analytic, numeric", [(math.nan, 1.0), (1.0, math.nan),
+                                               (math.nan, math.nan), (math.inf, 1.0),
+                                               (-math.inf, -math.inf), (0.0, math.inf)])
+def test_a_value_that_is_not_finite_is_an_infinite_error(analytic, numeric):
+    """max() keeps its first argument against a NaN, so a NaN error would
+    vanish from every maximum the check takes."""
+    assert relative_error(analytic, numeric) == math.inf
+
+
+def _doubled_with_nan_gradient(a):
+    out = Tensor(2.0 * a.data)
+    _record(out, (a,), lambda g: (np.full(a.shape, np.nan),))
+    return out
+
+
+def test_a_nan_backward_fails_check_op():
+    a = Tensor(np.array([0.5, -1.0, 2.0]))
+    error = check_op(lambda: _doubled_with_nan_gradient(a), [a],
+                     np.random.Generator(np.random.PCG64(0)))
+    assert error == math.inf and not error < gradcheck.OP_TOLERANCE
+
+
+def _ffn_with_nan_bias_gradient(x, w1, b1, w2, b2):
+    """The head FFN with a backward whose output-bias gradient is NaN."""
+    hid = np.maximum(x.data @ w1.data + b1.data, 0.0)
+    out = Tensor(hid @ w2.data + b2.data)
+
+    def bw(g):
+        d_hid = (g @ w2.data.T) * (hid > 0)
+        return (d_hid @ w1.data.T, x.data.T @ d_hid, d_hid.sum(axis=0), hid.T @ g,
+                np.full(b2.shape, np.nan))
+
+    _record(out, (x, w1, b1, w2, b2), bw)
+    return out
+
+
+def test_a_nan_parameter_gradient_fails_check_network_and_the_command(monkeypatch, capsys):
+    """Every head's ffn.b2 gets a NaN gradient; 58 probes reach each of them."""
+    monkeypatch.setattr("dpmn.heads.ffn", _ffn_with_nan_bias_gradient)
+    worst = check_network(PROBE_PARAMETERS)
+    assert {group for group, err in worst.items() if err == math.inf} == {
+        "head_a", "head_b", "head_c"}
+    assert max(err for group, err in worst.items()
+               if not group.startswith("head_")) < gradcheck.NETWORK_TOLERANCE
+    assert main(["gradcheck", "--probes", str(PROBE_PARAMETERS)]) == 4
+    captured = capsys.readouterr()
+    assert "net head_a            max_rel_err inf  FAIL" in captured.out.splitlines()
+    assert captured.out.splitlines()[-1].endswith("result FAIL")
+    assert "numeric failure" in captured.err

@@ -250,6 +250,47 @@ def test_lstm_scan_rejects_bad_shapes_and_lengths(rng):
         lstm_scan(x, np.array([3.0, 2.0]), [(w_x, w_h, b, False)])
 
 
+def _scan_inputs(seed, batch, seq, d, hidden, reverses):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.normal(size=(batch, seq, d))
+    weights = [w for _ in reverses for w in _scan_arrays(rng, batch, seq, d, hidden)[1:]]
+    lengths = rng.integers(0, seq + 1, size=batch)
+    return x, lengths, weights, rng.normal(size=(batch, len(reverses) * hidden))
+
+
+def _run_scan(reverses, x, lengths, weights, proj):
+    """States and gradients of one taped scan, its inputs wrapped as given."""
+    inputs = [Tensor(x)] + [Tensor(w) for w in weights]
+    directions = [(*inputs[1 + 3 * j:4 + 3 * j], r) for j, r in enumerate(reverses)]
+    with Tape() as tape:
+        out = lstm_scan(inputs[0], lengths, directions)
+        loss = sum_(mul(out, Tensor(proj)))
+    backward(tape, loss)
+    return [out.data] + [np.zeros_like(t.data) if t.grad is None else t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("reverses", [[False], [True, False, True, True, False, False]])
+def test_lstm_scan_leaves_its_inputs_bitwise_unchanged(reverses):
+    """The scan halves its weights on its own copies: x, lengths and every
+    w_x, w_h and b keep their bytes through the forward and the backward."""
+    x, lengths, weights, proj = _scan_inputs(5, 5, 6, 3, 2, reverses)
+    kept = [_bits(a.copy()) for a in [x, lengths, *weights]]
+    _run_scan(reverses, x, lengths, weights, proj)
+    assert [_bits(a) for a in [x, lengths, *weights]] == kept
+
+
+def test_a_scan_of_other_shapes_in_between_leaves_a_scan_unchanged():
+    """A, then B of another hidden size, batch and direction count, then A
+    again: both A results are bitwise equal, whatever the scan keeps between
+    calls."""
+    a_reverses, b_reverses = [False, True], [True, False, True, False, True, True]
+    a_inputs = _scan_inputs(6, 4, 5, 3, 2, a_reverses)
+    first = _run_scan(a_reverses, *a_inputs)
+    _run_scan(b_reverses, *_scan_inputs(7, 7, 5, 3, 3, b_reverses))
+    again = _run_scan(a_reverses, *a_inputs)
+    assert [_bits(a) for a in again] == [_bits(a) for a in first]
+
+
 # The T=30 learnability model (L=2, d=32, deep prompt p=2, Bi-LSTM heads)
 LEARNABILITY = TrainConfig(batch_size=32, num_layers=2, hidden_size=32, num_heads=2, ffn_size=64,
                            max_seq_len=32, dropout=0.0, head_kind="bilstm-ffn",

@@ -103,6 +103,41 @@ def test_embedding_lookup_range_error_carries_id():
     assert exc.value.index == 9
 
 
+@pytest.mark.parametrize("ids", [np.array([True, False, True]), np.array([0.0, 2.0]),
+                                 np.array([[1.5]]), np.array([], dtype=np.float64)])
+def test_embedding_lookup_rejects_ids_that_are_not_integers(ids):
+    """A boolean array would select rows as a mask and a float one would
+    raise numpy's own IndexError; both are refused as lstm_scan refuses
+    lengths that are not integers."""
+    with pytest.raises(ShapeError, match="integer ids"):
+        embedding_lookup(Tensor(np.ones((4, 2))), ids)
+
+
+@pytest.mark.parametrize("idx", [np.array([0, 0, 1]), [0, 0, 1], True, np.array([True, False]),
+                                 (slice(None), np.array([1, 1])), (0, [1])])
+def test_slice_rejects_an_index_that_is_not_basic(idx):
+    """An array index can select an element twice, whose gradient the
+    scatter would count once (a[[0, 0, 1]] summed would give grad
+    [1, 1, 0, 0], not [2, 1, 0, 0])."""
+    a = Tensor(np.arange(8.0).reshape(4, 2))
+    with pytest.raises(ShapeError, match="basic indexing"):
+        slice_(a, idx)
+    with pytest.raises(ShapeError, match="basic indexing"):
+        a[idx]
+
+
+def test_slice_takes_ints_slices_none_and_ellipsis(rng):
+    a = Tensor(rng.normal(size=(4, 3, 2)))
+    for idx in (1, np.int64(-1), slice(1, 3), (Ellipsis, 0), (None, 2, slice(None, None, 2))):
+        with Tape() as tape:
+            loss = sum_(slice_(a, idx))
+        backward(tape, loss)
+        want = np.zeros(a.shape)
+        want[idx] = 1.0
+        assert np.array_equal(a.grad, want), idx
+        a.grad = None
+
+
 def test_backward_sum_gives_ones(rng):
     x = Tensor(rng.normal(size=(3, 4)))
     with Tape() as tape:
