@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from .data import TASKS, parse_tsv
-from .errors import ConfigError, DataError, HierarchyError, IntegrityError, NumericError, ParseError
+from .errors import ConfigError, DataError, NumericError
 from .gradcheck import run_gradcheck
 from .prompt import sweep_configs
 from .runconfig import TrainConfig, load_config_file
@@ -34,7 +34,7 @@ def _file_errors(action: str, path):
         yield
     except OSError as e:
         raise DataError(f"cannot {action} {e.filename or path}: {e.strerror}") from None
-    except (UnicodeDecodeError, IntegrityError, ParseError, HierarchyError) as e:
+    except (UnicodeDecodeError, DataError) as e:
         raise DataError(f"cannot {action} {path}: {e}") from None
 
 

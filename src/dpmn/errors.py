@@ -25,12 +25,8 @@ class ParseError(DataError):
         self.line_no = line_no
 
 
-class HierarchyError(DataError):
+class HierarchyError(ParseError):
     """A row's labels violate the task-label hierarchy."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class ShapeError(DpmnError):
@@ -49,7 +45,7 @@ class ContractError(DpmnError):
     """A documented precondition was violated by the caller."""
 
 
-class IntegrityError(DpmnError):
+class IntegrityError(DataError):
     """Checkpoint bytes fail structural or checksum validation."""
 
 

@@ -7,13 +7,14 @@ floor in the denominator so coordinates whose true gradient is ~0 are
 judged by absolute error instead. A network probe that straddles a ReLU
 kink is re-probed at smaller steps, and every re-probe is reported.
 
-A network probe re-runs only the stages that read its parameter: a full
-forward for an embedding, prompt or encoder parameter; for a head's Bi-LSTM
-parameter the heads' joint read on the kept encoder output, then its task's
-classify and loss; for its other parameters that classify and loss on the
-kept states. The total adds the kept losses of the other tasks as always.
-Every op gets the bytes a full forward gives it and returns the same floats,
-so every loss is the full forward's, bit for bit.
+A network probe re-runs only the stages that read its parameter, told by
+its name: for `head_<task>.lstm_*` the heads' joint read on the kept encoder
+output, then that task's classify and loss; for any other `head_<task>.*`
+that classify and loss on the kept states; for every other parameter
+(embedding, prompt, encoder) a full forward. The total adds the kept
+losses of the other tasks as always. Every op gets the bytes a full
+forward gives it and returns the same floats, so every loss is the full
+forward's, bit for bit.
 """
 
 from __future__ import annotations
@@ -229,14 +230,16 @@ def _network_probe(loss_fn, base: float, flat: np.ndarray, j: int,
     Across a kink within the step, the central difference is off by half
     the gap between the one-sided differences; on a smooth stretch the gap
     (step * f'') is far below a real gradient error. So a failing probe
-    whose gap is at least its error is tried again at the next step."""
+    whose gap is at least its error is tried again at the next step. An
+    infinite error (a value that is not finite) is final: no step mends it."""
     tries = []
     for step in (FD_STEP,) + REPROBE_STEPS:
         up, down = _shifted(loss_fn, flat, j, step)
         numeric = (up - down) / (2.0 * step)
-        tries.append((step, relative_error(analytic, numeric)))
+        err = relative_error(analytic, numeric)
+        tries.append((step, err))
         gap = abs(up - 2.0 * base + down) / step
-        if tries[-1][1] < NETWORK_TOLERANCE or gap < abs(numeric - analytic):
+        if err < NETWORK_TOLERANCE or err == math.inf or gap < abs(numeric - analytic):
             break
     return tries
 
@@ -258,14 +261,14 @@ def _probe_losses(model, batch, compute_loss):
         part = cross_entropy(model.classify(read, task), batch.labels[task])
         return total_loss(*{**parts, task: part}.values(), weights).item()
 
-    def staged(p: Tensor):
-        for task, head in model.heads.items():
-            if any(p is t for t in vars(head).values()):
-                directions = getattr(head, "directions", ())
-                return partial(from_head, task, any(p is t for d in directions for t in d))
+    def staged(name: str):
+        group = _group_of(name)
+        if group.startswith("head_"):
+            rescan = name.startswith(f"{group}.lstm_")
+            return partial(from_head, group.removeprefix("head_"), rescan)
         return lambda: compute_loss().item()
 
-    return loss.item(), {name: staged(p) for name, p in model.parameters().items()}
+    return loss.item(), {name: staged(name) for name in model.parameters()}
 
 
 def check_network(n_probes: int, seed: int = 0,

@@ -27,16 +27,12 @@ class BiLstmFfnHead:
 
     def __init__(self, input_size: int, lstm_hidden: int, ffn_hidden: int,
                  n_classes: int, store: ParameterStore, name: str):
-        self.n_classes = n_classes
         gates = 4 * lstm_hidden
-        self.fw_x = store.new(f"{name}.lstm_forward.w_x", (input_size, gates))
-        self.fw_h = store.new(f"{name}.lstm_forward.w_h", (lstm_hidden, gates))
-        self.fw_b = store.new(f"{name}.lstm_forward.b", (gates,), 0.0)
-        self.bw_x = store.new(f"{name}.lstm_backward.w_x", (input_size, gates))
-        self.bw_h = store.new(f"{name}.lstm_backward.w_h", (lstm_hidden, gates))
-        self.bw_b = store.new(f"{name}.lstm_backward.b", (gates,), 0.0)
-        self.directions = ((self.fw_x, self.fw_h, self.fw_b, False),
-                           (self.bw_x, self.bw_h, self.bw_b, True))
+        self.directions = tuple(
+            (store.new(f"{name}.lstm_{side}.w_x", (input_size, gates)),
+             store.new(f"{name}.lstm_{side}.w_h", (lstm_hidden, gates)),
+             store.new(f"{name}.lstm_{side}.b", (gates,), 0.0), reverse)
+            for side, reverse in (("forward", False), ("backward", True)))
         self.w_f1 = store.new(f"{name}.ffn.w1", (2 * lstm_hidden, ffn_hidden))
         self.b_f1 = store.new(f"{name}.ffn.b1", (ffn_hidden,), 0.0)
         self.w_f2 = store.new(f"{name}.ffn.w2", (ffn_hidden, n_classes))
@@ -58,7 +54,7 @@ class BiLstmFfnHead:
         return ffn(states, self.w_f1, self.b_f1, self.w_f2, self.b_f2)
 
     def classify(self, states: Tensor, block: int) -> Tensor:
-        width = 2 * self.fw_h.shape[0]
+        width = self.w_f1.shape[0]
         return self.ffn(states[:, block * width:(block + 1) * width])
 
 
@@ -68,7 +64,6 @@ class LinearHead:
     reads = 1
 
     def __init__(self, input_size: int, n_classes: int, store: ParameterStore, name: str):
-        self.n_classes = n_classes
         self.w = store.new(f"{name}.w", (input_size, n_classes))
         self.b = store.new(f"{name}.b", (n_classes,), 0.0)
 

@@ -13,11 +13,8 @@ from .tensor import ParameterStore, Tensor, saved_array
 
 
 def head_forward(head, states: Tensor, block: int, task: str) -> Tensor:
-    """One task's logits from its block of `states`, what the heads read together."""
-    if head.n_classes != TASK_CLASSES[task]:
-        raise ConfigError(
-            f"task {task!r} needs {TASK_CLASSES[task]} classes, head emits {head.n_classes}"
-        )
+    """One task's logits from its block of `states`, what the heads read
+    together; `task` names the call for a wrapper, such as a tracer."""
     return head.classify(states, block)
 
 
@@ -84,12 +81,11 @@ class DpmnModel:
                      ) -> tuple[Tensor, np.ndarray]:
         """The encoder output the heads read, and each row's length with its
         prompt slots. The encoder's last layer computes only the leading
-        positions the heads read (`reads`), or all if any head reads all."""
+        positions the heads read (`reads`; None for all)."""
         p = self.bank.prompt_len
         lengths = batch.lengths + p
         emb = self.encoder.embed(batch.token_ids, prompt_len=p)
-        reads = [head.reads for head in self.heads.values()]
-        queries = None if None in reads else max(reads)
+        queries = self.heads[TASKS[0]].reads
         return encode(self.encoder, emb, self.bank, lengths, dropout_rng, queries), lengths
 
     def read(self, shared: Tensor, lengths: np.ndarray) -> Tensor:

@@ -8,6 +8,7 @@ import pytest
 from dpmn.checkpoint import checkpoint_bytes, load_checkpoint, parse_checkpoint
 from dpmn.cli import main
 from dpmn.data import generate_synthetic_corpus, write_tsv
+from dpmn.errors import DataError, HierarchyError, IntegrityError, ParseError
 from dpmn.gradcheck import GradcheckReport
 from dpmn.optim import Adam
 
@@ -224,6 +225,16 @@ def _as_format_2(blob):
     header = header.replace("\nmin_freq = ", "\noptimizer = adam\nmin_freq = ", 1)
     body = checkpoint_bytes(header, arrays)[:-4]
     return reseal(body[:4] + struct.pack("<I", 2) + body[8:])
+
+
+def test_checkpoint_and_label_errors_are_data_errors():
+    """The CLI reports every input-file error it catches as one DataError:
+    a checkpoint's IntegrityError, and a corpus row's HierarchyError, which
+    is a ParseError carrying its line number."""
+    assert issubclass(IntegrityError, DataError)
+    assert issubclass(HierarchyError, ParseError)
+    error = HierarchyError(3, "label_b=TIN with label_a=NOT")
+    assert (str(error), error.line_no) == ("line 3: label_b=TIN with label_a=NOT", 3)
 
 
 @pytest.mark.parametrize("damage", [

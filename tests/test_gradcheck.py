@@ -13,8 +13,10 @@ from dpmn import gradcheck
 from dpmn.cli import main
 from dpmn.gradcheck import (
     FD_STEP,
+    OP_CATALOG,
     _group_of,
     _network_probe,
+    _op_catalog,
     _probe_losses,
     build_probe_setup,
     check_network,
@@ -175,6 +177,58 @@ def test_a_nan_backward_fails_check_op():
     assert error == math.inf and not error < gradcheck.OP_TOLERANCE
 
 
+def _skewed(a, skew):
+    """`a` itself on the forward; on the backward, the gradient reaching `a`
+    passes through `skew`, which edits its copy in place."""
+    out = Tensor(a.data)
+
+    def bw(g):
+        g = np.array(g, dtype=np.float64)  # a copy, writable even when 0-d
+        skew(g)
+        return (g,)
+
+    _record(out, (a,), bw)
+    return out
+
+
+def _check_skewed(name, skew):
+    """check_op on catalog entry `name` (seed 0), its first input's gradient
+    passed through `skew`."""
+    _, inputs, _, rng = next(entry for entry in _op_catalog(0) if entry[0] == name)
+    op = next(op for entry, _, op in OP_CATALOG if entry == name)
+    return check_op(lambda: op(_skewed(inputs[0], skew), *inputs[1:]), inputs, rng)
+
+
+def _unchanged(g):
+    pass
+
+
+def _largest_off_by_relative_1e_5(g):
+    g.flat[np.argmax(np.abs(g))] *= 1.0 + 1e-5
+
+
+@pytest.mark.parametrize("name", [entry[0] for entry in OP_CATALOG])
+def test_a_backward_off_by_a_relative_1e_5_on_one_coordinate_fails_check_op(name):
+    """The skew passes unchanged, and fails once it moves the first input's
+    largest gradient coordinate by a relative 1e-5: ten times the gate."""
+    assert _check_skewed(name, _unchanged) < gradcheck.OP_TOLERANCE
+    assert _check_skewed(name, _largest_off_by_relative_1e_5) >= gradcheck.OP_TOLERANCE
+
+
+def test_a_gradient_of_1e_5_where_the_true_one_is_0_fails_check_op():
+    """With queries=1 only the first query row attends, so every Q column
+    past it (qkv[:, 1:, :4]) has a gradient of exactly 0."""
+    seen = []
+
+    def bump_idle_query(g):
+        seen.append(g[:, 1:, :4].copy())
+        g[1, 2, 3] += 1e-5
+
+    error = _check_skewed("attention_first_query", bump_idle_query)
+    assert not seen[0].any()
+    assert error >= gradcheck.OP_TOLERANCE
+
+
 def _ffn_with_nan_bias_gradient(x, w1, b1, w2, b2):
     """The head FFN with a backward whose output-bias gradient is NaN."""
     hid = np.maximum(x.data @ w1.data + b1.data, 0.0)
@@ -190,15 +244,21 @@ def _ffn_with_nan_bias_gradient(x, w1, b1, w2, b2):
 
 
 def test_a_nan_parameter_gradient_fails_check_network_and_the_command(monkeypatch, capsys):
-    """Every head's ffn.b2 gets a NaN gradient; 58 probes reach each of them."""
+    """Every head's ffn.b2 gets a NaN gradient; 58 probes reach each of them.
+    An infinite error is final, so none of them is re-probed as a kink."""
     monkeypatch.setattr("dpmn.heads.ffn", _ffn_with_nan_bias_gradient)
-    worst = check_network(PROBE_PARAMETERS)
+    reprobes = []
+    worst = check_network(PROBE_PARAMETERS, reprobes=reprobes)
     assert {group for group, err in worst.items() if err == math.inf} == {
         "head_a", "head_b", "head_c"}
     assert max(err for group, err in worst.items()
                if not group.startswith("head_")) < gradcheck.NETWORK_TOLERANCE
+    assert reprobes == []
     assert main(["gradcheck", "--probes", str(PROBE_PARAMETERS)]) == 4
     captured = capsys.readouterr()
-    assert "net head_a            max_rel_err inf  FAIL" in captured.out.splitlines()
-    assert captured.out.splitlines()[-1].endswith("result FAIL")
+    lines = captured.out.splitlines()
+    for group in ("head_a", "head_b", "head_c"):
+        assert f"net {group}            max_rel_err inf  FAIL" in lines
+    assert not any(line.startswith("reprobe") for line in lines)
+    assert lines[-1].endswith("result FAIL")
     assert "numeric failure" in captured.err

@@ -499,8 +499,18 @@ def test_head_widths_per_task(rng):
     # block j of the joint read is what head j reads alone
     assert np.array_equal(head_forward(head_c, states, 1, "c").data,
                           _alone(head_c, shared, lengths).data)
-    with pytest.raises(ConfigError, match="classes"):
-        head_forward(head_a, states, 0, "c")
+
+
+def test_directions_hold_exactly_the_heads_lstm_tensors_in_creation_order():
+    store = make_store()
+    head = BiLstmFfnHead(D, H, F, 2, store, "head_t")
+    lstm = [p for name, p in store.tensors.items() if name.startswith("head_t.lstm_")]
+    held = [t for *weights, _ in head.directions for t in weights]
+    assert len(held) == len(lstm) == 6
+    assert all(a is b for a, b in zip(held, lstm))
+    assert [p.name for p in held] == [f"head_t.lstm_{side}.{w}" for side in ("forward", "backward")
+                                      for w in ("w_x", "w_h", "b")]
+    assert [reverse for *_, reverse in head.directions] == [False, True]
 
 
 def test_forward_is_deterministic(rng):
