@@ -118,27 +118,45 @@ class EncoderStack:
         return tok + embedding_lookup(self.pos_emb, positions)
 
 
+def attention_bias(bank: PrefixBank, input_emb: Tensor, lengths: np.ndarray) -> np.ndarray:
+    """What attention adds to its scores, [batch, 1, 1, p_n + T]: 0 toward a
+    row's `lengths` real positions, prompt slots included, and MASK_BIAS
+    toward the positions after them."""
+    slots = np.arange(bank.prompt_len + input_emb.shape[1])
+    return np.where(slots < lengths[:, None], 0.0, MASK_BIAS)[:, None, None, :]
+
+
+def encode_layer(stack: EncoderStack, bank: PrefixBank, i: int, x: Tensor,
+                 attn_bias: np.ndarray, dropout_rng: np.random.Generator | None = None,
+                 queries: int | None = None) -> Tensor:
+    """Layer i over x, the previous layer's output (the text embeddings ahead
+    of layer 0). Layer 0 consumes prefix matrix 0 ahead of the text; every
+    later layer i that has a matrix i in the bank first overwrites the
+    prompt slots with it. Only the last layer is cut short, to its first
+    `queries` positions (all when None): every earlier position feeds its
+    keys and values."""
+    if i < len(bank.matrices):
+        x = prefix(bank.matrices[i], x, skip=bank.prompt_len if i else 0)
+    last = i == len(stack.layers) - 1
+    return stack.layers[i].forward(x, attn_bias, stack.config.dropout, dropout_rng,
+                                   queries if last else None)
+
+
 def encode(stack: EncoderStack, input_emb: Tensor, bank: PrefixBank,
            lengths: np.ndarray, dropout_rng: np.random.Generator | None = None,
-           queries: int | None = None) -> Tensor:
-    """Run the full stack over prompt prefix + text.
+           queries: int | None = None, layer_inputs: list | None = None) -> Tensor:
+    """Run the full stack over prompt prefix + text, layer by layer
+    (`encode_layer`), attention masked by `attention_bias`.
 
-    `lengths` counts each row's real positions, prompt slots included;
-    attention to the positions after them is masked. Layer 0 consumes prefix
-    matrix 0 ahead of the text embeddings; every later layer i that has a
-    matrix i in the bank first overwrites the prompt slots with it. Returns
-    the last layer's hidden sequence at its first `queries` positions, shape
-    [batch, queries, hidden]; when None, all p_n + T of them. Only the last
-    layer is cut short: every earlier position feeds its keys and values.
+    Returns the last layer's hidden sequence at its first `queries`
+    positions, shape [batch, queries, hidden]; when None, all p_n + T of
+    them. A `layer_inputs` list receives each layer's input x, in order, so
+    a caller can run the stack again from any layer.
     """
-    p = bank.prompt_len
-    slots = np.arange(p + input_emb.shape[1])
-    attn_bias = np.where(slots < lengths[:, None], 0.0, MASK_BIAS)[:, None, None, :]
+    attn_bias = attention_bias(bank, input_emb, lengths)
     x = input_emb
-    last = len(stack.layers) - 1
-    for i, layer in enumerate(stack.layers):
-        if i < len(bank.matrices):
-            x = prefix(bank.matrices[i], x, skip=p if i else 0)
-        x = layer.forward(x, attn_bias, stack.config.dropout, dropout_rng,
-                          queries if i == last else None)
+    for i in range(len(stack.layers)):
+        if layer_inputs is not None:
+            layer_inputs.append(x)
+        x = encode_layer(stack, bank, i, x, attn_bias, dropout_rng, queries)
     return x

@@ -7,14 +7,20 @@ floor in the denominator so coordinates whose true gradient is ~0 are
 judged by absolute error instead. A network probe that straddles a ReLU
 kink is re-probed at smaller steps, and every re-probe is reported.
 
-A network probe re-runs only the stages that read its parameter, told by
-its name: for `head_<task>.lstm_*` the heads' joint read on the kept encoder
-output, then that task's classify and loss; for any other `head_<task>.*`
-that classify and loss on the kept states; for every other parameter
-(embedding, prompt, encoder) a full forward. The total adds the kept
-losses of the other tasks as always. Every op gets the bytes a full
-forward gives it and returns the same floats, so every loss is the full
-forward's, bit for bit.
+Neither level repeats work a finite difference does not need. A
+one-direction `lstm_scan` entry runs the +- perturbations of its weights as
+the directions of one scan: each direction's states are bit for bit those of
+a scan of it alone. A network probe resumes at the first stage that reads
+its parameter, told by its name, on what the taped base pass kept: for
+`layer<i>.*` and `prompt.layer<i>` encoder layer i's input, then the rest
+of the stack, the heads' read and every classify and loss; for
+`head_<task>.lstm_*` a scan of that head's two directions, spliced into the
+kept states, then that task's classify and loss; for any other
+`head_<task>.*` that classify and loss on the kept states; for an embedding
+a full forward. The total adds the kept losses of the other tasks as
+always. Every op gets the bytes a full forward gives it and returns the
+same floats, so every loss is the full forward's, bit for bit. No probe
+forward draws dropout, so every stage sees what the base pass saw.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from functools import partial
 import numpy as np
 
 from .data import TASKS, Example, build_vocab, make_batches
-from .encoder import MASK_BIAS
+from .encoder import MASK_BIAS, attention_bias, encode_layer
 from .errors import ConfigError
+from .heads import BiLstmFfnHead
 from .losses import LossWeights, cross_entropy, total_loss
 from .prompt import PromptConfig
 from .runconfig import TrainConfig
@@ -86,19 +93,50 @@ def _fd_max_rel(loss_fn, inputs: list[Tensor], grads: list[np.ndarray]) -> float
     return worst
 
 
-def check_op(forward, inputs: list[Tensor], rng: np.random.Generator) -> float:
-    """Max relative error of d(projection of forward())/d(inputs)."""
+def _projected_backward(forward, inputs: list[Tensor], rng: np.random.Generator):
+    """The inputs' gradients of a random scalar projection of forward(),
+    and the projection's weights."""
     with Tape() as tape:
         out = forward()
         weights = Tensor(rng.normal(size=out.shape))
         loss = sum_(mul(out, weights))
     backward(tape, loss)
-    grads = [t.grad for t in inputs]
+    return [t.grad for t in inputs], weights.data
 
-    def loss_value() -> float:
-        return float((forward().data * weights.data).sum())
 
-    return _fd_max_rel(loss_value, inputs, grads)
+def check_op(forward, inputs: list[Tensor], rng: np.random.Generator) -> float:
+    """Max relative error of d(projection of forward())/d(inputs)."""
+    grads, weights = _projected_backward(forward, inputs, rng)
+    return _fd_max_rel(lambda: float((forward().data * weights).sum()), inputs, grads)
+
+
+def _check_scan(forward, inputs: list[Tensor], rng: np.random.Generator,
+                reverse: bool) -> float:
+    """check_op on a catalog entry `lstm_scan(x, _SCAN_LENGTHS, [(w_x, w_h,
+    b, reverse)])`, with the same errors. x is perturbed call by call. The
+    +- perturbation of each weight coordinate, in check_op's order, is
+    direction 2m or 2m + 1 of one scan; each direction's block of the
+    output, copied C-contiguous and projected, is the product a lone call
+    gives, so it sums to the same float."""
+    grads, weights = _projected_backward(forward, inputs, rng)
+    x, *params = inputs
+    worst = _fd_max_rel(lambda: float((forward().data * weights).sum()), [x], grads[:1])
+    directions = []
+    for p in params:
+        for j in range(p.size):
+            for step in (FD_STEP, -FD_STEP):
+                moved = p.data.copy()
+                moved.flat[j] += step  # kept + step, and kept - step, as _shifted sets them
+                directions.append((*(Tensor(moved if q is p else q.data) for q in params),
+                                   reverse))
+    out = lstm_scan(x, _SCAN_LENGTHS, directions).data
+    blocks = out.reshape(x.shape[0], len(directions), -1).swapaxes(0, 1)
+    products = np.ascontiguousarray(blocks) * weights
+    analytic = np.concatenate([g.reshape(-1) for g in grads[1:]])
+    for g, up, down in zip(analytic, products[0::2], products[1::2]):
+        numeric = (float(up.sum()) - float(down.sum())) / (2.0 * FD_STEP)
+        worst = max(worst, relative_error(g, numeric))
+    return worst
 
 
 def _uniform(*shape, low=-1.0, high=1.0):
@@ -141,6 +179,7 @@ OP_CATALOG = (
     # a 2-slot prompt ahead of a 3-slot text, and over a previous prompt
     ("prefix", (_uniform(2, 4), _uniform(3, 3, 4)), partial(prefix, skip=0)),
     ("prefix_overwrite", (_uniform(2, 4), _uniform(3, 5, 4)), partial(prefix, skip=2)),
+    # the check runs their weight perturbations in lockstep (_check_scan)
     ("lstm_scan", _SCAN_INPUTS, lambda x, *w: lstm_scan(x, _SCAN_LENGTHS, [(*w, False)])),
     ("lstm_scan_reverse", _SCAN_INPUTS,
      lambda x, *w: lstm_scan(x, _SCAN_LENGTHS, [(*w, True)])),
@@ -178,9 +217,16 @@ class OpErrors(dict):
         self.coordinates = coordinates
 
 
+# the catalog's one-direction scans, by name, and whether each runs in reverse
+_SCANS = {"lstm_scan": False, "lstm_scan_reverse": True}
+
+
 def check_all_ops(seed: int = 0) -> OpErrors:
     catalog = _op_catalog(seed)
-    errors = {name: check_op(forward, inputs, rng) for name, inputs, forward, rng in catalog}
+    errors = {}
+    for name, inputs, forward, rng in catalog:
+        check = partial(_check_scan, reverse=_SCANS[name]) if name in _SCANS else check_op
+        errors[name] = check(forward, inputs, rng)
     return OpErrors(errors, sum(t.size for _, inputs, _, _ in catalog for t in inputs))
 
 
@@ -248,24 +294,47 @@ def _probe_losses(model, batch, compute_loss):
     """Run the probe loss on a tape, and backward. Return its value and, per
     parameter name, the loss as a function of the parameters, staged (above)."""
     weights = TINY_CONFIG.loss_weights
+    layer_inputs: list[Tensor] = []
     with Tape() as tape:
-        shared, lengths = model.encode_batch(batch)
+        shared, lengths = model.encode_batch(batch, layer_inputs=layer_inputs)
         states = model.read(shared, lengths)
         parts = {task: cross_entropy(model.classify(states, task), batch.labels[task])
                  for task in TASKS}
         loss = total_loss(*parts.values(), weights)
     backward(tape, loss)
+    attn_bias = attention_bias(model.bank, layer_inputs[0], lengths)
+    queries = model.heads[TASKS[0]].reads
 
-    def from_head(task: str, rescan: bool) -> float:
-        read = model.read(shared, lengths) if rescan else states
-        part = cross_entropy(model.classify(read, task), batch.labels[task])
-        return total_loss(*{**parts, task: part}.values(), weights).item()
+    def loss_from(read: Tensor, tasks=TASKS) -> float:
+        """The total with the parts of `tasks` classified from `read`."""
+        new = {task: cross_entropy(model.classify(read, task), batch.labels[task])
+               for task in tasks}
+        return total_loss(*{**parts, **new}.values(), weights).item()
+
+    def from_layer(start: int) -> float:
+        x = layer_inputs[start]
+        for i in range(start, len(layer_inputs)):
+            x = encode_layer(model.encoder, model.bank, i, x, attn_bias, queries=queries)
+        return loss_from(model.read(x, lengths))
+
+    def from_lstm(task: str) -> float:
+        block = BiLstmFfnHead.bilstm([model.heads[task]], shared, lengths).data
+        spliced = states.data.copy()
+        width = block.shape[1]
+        column = TASKS.index(task) * width
+        spliced[:, column:column + width] = block
+        return loss_from(Tensor(spliced), (task,))
 
     def staged(name: str):
         group = _group_of(name)
         if group.startswith("head_"):
-            rescan = name.startswith(f"{group}.lstm_")
-            return partial(from_head, group.removeprefix("head_"), rescan)
+            task = group.removeprefix("head_")
+            if name.startswith(f"{group}.lstm_"):
+                return partial(from_lstm, task)
+            return partial(loss_from, states, (task,))
+        layer = name.removeprefix("prompt.").split(".")[0]  # prompt.layer<i> enters layer i
+        if layer.startswith("layer"):
+            return partial(from_layer, int(layer.removeprefix("layer")))
         return lambda: compute_loss().item()
 
     return loss.item(), {name: staged(name) for name in model.parameters()}

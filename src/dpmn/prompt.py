@@ -103,8 +103,9 @@ def init_prompt(config: PromptConfig, encoder_config, embedding_table: np.ndarra
 def sweep_configs(lengths, forms, inits, tuning: str = "lm-plus-prompt") -> list[PromptConfig]:
     """Cartesian product of prompt settings, in order, without the points of
     length 0 in the deep form (no prompt has no layers to go deep in). Any
-    other invalid value is a ConfigError naming it, as is a grid with no
-    setting left."""
+    other invalid value is a ConfigError naming it, as is a value given
+    twice on one axis (its points would be trained twice) and a grid with
+    no setting left."""
     if not lengths or not forms or not inits:
         raise ConfigError("sweep needs at least one length, form, and init")
     for init in inits:  # named even where each of its points is a skipped (0, deep) one
@@ -112,6 +113,10 @@ def sweep_configs(lengths, forms, inits, tuning: str = "lm-plus-prompt") -> list
     configs = [PromptConfig(length=length, form=form, init=init, tuning=tuning)
                for length, form, init in product(lengths, forms, inits)
                if (length, form) != (0, "deep")]
+    for axis, values in (("length", lengths), ("form", forms), ("init", inits)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"sweep {axis} {value!r} is given more than once")
     if not configs:
         raise ConfigError("no valid prompt setting in the sweep grid")
     return configs

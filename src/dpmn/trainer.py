@@ -223,7 +223,12 @@ def load_model(checkpoint_path) -> tuple[DpmnModel, TrainConfig, Vocab]:
 
 
 def evaluate_checkpoint(checkpoint_path, examples) -> EvalReport:
+    """Score a checkpoint on `examples`. A record that holds a NaN or an
+    infinity is an IntegrityError naming it, raised before any scoring."""
     model, cfg, vocab = load_model(checkpoint_path)
+    for name, p in model.parameters().items():
+        if not np.isfinite(p.data).all():
+            raise IntegrityError(f"record {name!r} holds a value that is not finite")
     return evaluate_model(model, make_batches(examples, vocab, cfg.batch_size,
                                               model.text_budget))
 

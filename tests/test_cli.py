@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, artifacts, and exit codes."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,32 @@ def test_corrupted_checkpoint_exits_three(workdir, checkpoint, capsys, damage):
         ["eval", "--checkpoint", str(damaged), "--data", str(workdir / "dev.tsv")], damaged, capsys)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_checkpoint_with_a_non_finite_record_exits_three_before_scoring(workdir, checkpoint,
+                                                                        capsys, value):
+    """One value of head_a.ffn.b2 is replaced in the file, which is then
+    resealed, so only the record's values are wrong: eval names the record
+    and scores nothing, so no arithmetic warns."""
+    _, arrays = load_checkpoint(checkpoint)
+    record = np.asarray(arrays["head_a.ffn.b2"], dtype="<f8")
+    damaged_record = record.copy()
+    damaged_record[-1] = value
+    blob = checkpoint.read_bytes()
+    assert blob.count(record.tobytes()) == 1
+    damaged = workdir / "non_finite.ckpt"
+    damaged.write_bytes(reseal(blob[:-4].replace(record.tobytes(), damaged_record.tobytes())))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eval", "--checkpoint", str(damaged), "--data", str(workdir / "dev.tsv")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("data error") and str(damaged) in captured.err
+    assert "'head_a.ffn.b2'" in captured.err
+    assert "RuntimeWarning" not in captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_checkpoint_with_overflowing_extents_exits_three(workdir, capsys):
     damaged = workdir / "overflow.ckpt"
     damaged.write_bytes(one_record_checkpoint(2**21, 2**21, 2**22))
@@ -495,6 +522,20 @@ def test_sweep_with_a_misspelt_or_negative_value_exits_two(workdir, capsys, leng
                                                           inits, named):
     """Only the (0, deep) points are skipped; any other invalid grid value
     is named before anything is printed or written."""
+    _refused_before_any_output(workdir, capsys, [
+        "sweep", "--lengths", lengths, "--forms", forms, "--inits", inits,
+        "--config", str(workdir / "run.cfg")], named)
+
+
+@pytest.mark.parametrize("lengths,forms,inits,named", [
+    ("1,1", "deep", "random", "length 1 is given more than once"),
+    ("0,2", "light,deep,light", "random", "form 'light' is given more than once"),
+    ("2", "deep", "token,random,token", "init 'token' is given more than once"),
+], ids=["length", "form", "init"])
+def test_sweep_with_a_repeated_value_exits_two_before_training(workdir, capsys, lengths, forms,
+                                                               inits, named):
+    """A value given twice would train its grid points twice and write their
+    rows twice; it is refused before anything is trained, printed or written."""
     _refused_before_any_output(workdir, capsys, [
         "sweep", "--lengths", lengths, "--forms", forms, "--inits", inits,
         "--config", str(workdir / "run.cfg")], named)

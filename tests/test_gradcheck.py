@@ -1,6 +1,7 @@
 """The network gradient check evaluates each probe from the first stage that
-reads the probed parameter; these tests hold every staged loss to the full
-forward's bytes and the check's output to the unstaged loop's."""
+reads the probed parameter, and the op check runs an LSTM entry's weight
+perturbations as one lockstep scan; these tests hold every staged loss to
+the full forward's bytes and both checks' output to the unstaged loops'."""
 
 import math
 from dataclasses import replace
@@ -19,11 +20,14 @@ from dpmn.gradcheck import (
     _op_catalog,
     _probe_losses,
     build_probe_setup,
+    check_all_ops,
     check_network,
     check_op,
     relative_error,
 )
-from dpmn.tensor import Tape, Tensor, _record, backward
+from dpmn.encoder import TransformerLayer
+from dpmn.heads import BiLstmFfnHead
+from dpmn.tensor import Tape, Tensor, _record, backward, lstm_scan
 
 PROBE_PARAMETERS = 58  # of the probe network with Bi-LSTM heads
 
@@ -50,6 +54,64 @@ def _unstaged_check_network(n_probes, seed=0, reprobes=None):
         group = _group_of(p.name)
         worst[group] = max(worst.get(group, 0.0), tries[-1][1])
     return worst
+
+
+def _unbatched_check_all_ops(seed):
+    """check_all_ops as it was before the lockstep scans: every coordinate
+    of every entry goes through _shifted, one call per loss (check_op)."""
+    return {name: check_op(forward, inputs, rng)
+            for name, inputs, forward, rng in _op_catalog(seed)}
+
+
+@pytest.mark.parametrize("seed", [0, 31, 294])
+def test_check_all_ops_gives_the_unbatched_errors_bit_for_bit(seed):
+    """Seed 31 fails the 1e-6 gate on lstm_scan_reverse and seed 294 on
+    lstm_scan (ROADMAP item 1), so the errors agree on a failing entry too."""
+    errors = check_all_ops(seed)
+    reference = _unbatched_check_all_ops(seed)
+    assert [(k, v.hex()) for k, v in errors.items()] == [
+        (k, v.hex()) for k, v in reference.items()]
+    failing = {k for k, v in errors.items() if v >= gradcheck.OP_TOLERANCE}
+    assert failing == {0: set(), 31: {"lstm_scan_reverse"}, 294: {"lstm_scan"}}[seed]
+
+
+def test_an_lstm_entry_runs_its_weight_perturbations_as_one_scan(monkeypatch):
+    """Per entry: the taped scan, one scan per perturbation of x's 36
+    coordinates, and one of 96 directions for w_x, w_h and b's 48."""
+    widths = []
+
+    def counted(x, lengths, directions):
+        widths.append(len(directions))
+        return lstm_scan(x, lengths, directions)
+
+    monkeypatch.setattr(gradcheck, "lstm_scan", counted)
+    check_all_ops(0)
+    assert widths == 2 * ([1] * 73 + [96])
+
+
+def _scan_with_skewed(index, skew):
+    """lstm_scan with each direction's weight `index` (1: w_h, 2: b) passed
+    through _skewed, so its gradient goes through `skew`."""
+    def scan(x, lengths, directions):
+        return lstm_scan(x, lengths, [tuple(_skewed(w, skew) if i == index else w
+                                            for i, w in enumerate(d)) for d in directions])
+    return scan
+
+
+@pytest.mark.parametrize("index", [1, 2], ids=["w_h", "b"])
+def test_a_scan_weight_gradient_off_by_a_relative_1e_5_fails_both_lstm_entries(
+        monkeypatch, index):
+    """The lockstep path alone differences the weights: a w_h or b gradient
+    off by a relative 1e-5 on its largest coordinate fails both entries
+    through check_all_ops, and the unskewed wrapper passes them."""
+    entries = ("lstm_scan", "lstm_scan_reverse")
+    monkeypatch.setattr(gradcheck, "lstm_scan", _scan_with_skewed(index, _unchanged))
+    errors = check_all_ops(0)
+    assert all(errors[name] < gradcheck.OP_TOLERANCE for name in entries)
+    monkeypatch.setattr(gradcheck, "lstm_scan",
+                        _scan_with_skewed(index, _largest_off_by_relative_1e_5))
+    errors = check_all_ops(0)
+    assert all(errors[name] >= gradcheck.OP_TOLERANCE for name in entries)
 
 
 @pytest.mark.parametrize("n_probes, seed", [(200, 0), (200, 8), (200, 22), (50, 0)])
@@ -87,41 +149,55 @@ def test_every_staged_loss_is_the_full_forward_loss_bit_for_bit(head_kind, seed)
 
 
 @pytest.mark.parametrize("head_kind, starts", [
-    ("bilstm-ffn", {"forward": 28, "read": 18, "classify": 12}),
-    ("linear", {"forward": 28, "classify": 6}),
+    ("bilstm-ffn", {"forward": 2, "layer0": 13, "layer1": 13, "bilstm": 18, "classify": 12}),
+    ("linear", {"forward": 2, "layer0": 13, "layer1": 13, "classify": 6}),
 ])
 def test_a_probe_reruns_only_the_stages_that_read_its_parameter(monkeypatch, head_kind, starts):
-    """A head's Bi-LSTM parameter re-runs the joint read and its own task's
-    classify, its other parameters only that classify, and every other
-    parameter a full forward."""
+    """An embedding re-runs a full forward. A parameter of encoder layer i,
+    or prompt matrix i, re-runs the stack from layer i, the last layer
+    computing only the positions the heads read, then the heads' read and
+    every classify. A head's Bi-LSTM parameter re-scans that head alone,
+    then runs its own task's classify; its other parameters only that
+    classify."""
     monkeypatch.setattr(gradcheck, "TINY_CONFIG",
                         replace(gradcheck.TINY_CONFIG, head_kind=head_kind))
     model, batch, compute_loss = build_probe_setup()
     _, loss_fns = _probe_losses(model, batch, compute_loss)
     calls = []
 
-    def spy(stage):
-        method = getattr(model, stage)
+    def spy(owner, attr, label, wrap=lambda f: f):
+        method = getattr(owner, attr)
 
         def wrapped(*args):
-            calls.append((stage, args[-1] if stage == "classify" else None))
+            calls.append(label(*args))
             return method(*args)
-        return wrapped
+        monkeypatch.setattr(owner, attr, wrap(wrapped))
 
-    for stage in starts:
-        monkeypatch.setattr(model, stage, spy(stage))
+    spy(model, "forward", lambda batch: ("forward",))
+    spy(TransformerLayer, "forward",
+        lambda layer, *args: (layer.wq.name.split(".")[0], args[-1]))
+    spy(model, "read", lambda *args: ("read",))
+    spy(BiLstmFfnHead, "bilstm", lambda heads, *args: ("bilstm", len(heads)), staticmethod)
+    spy(model, "classify", lambda states, task: ("classify", task))
+    queries = model.heads["a"].reads  # what the last layer computes: None for all
+    joint = [("read",)] + ([("bilstm", 3)] if head_kind == "bilstm-ffn" else [])
+    classify_all = [("classify", task) for task in "abc"]
     counts = dict.fromkeys(starts, 0)
     for name, loss_fn in loss_fns.items():
         calls.clear()
         loss_fn()
         counts[calls[0][0]] += 1
         task = name[len("head_")] if name.startswith("head_") else None
+        layer = name.removeprefix("prompt.").split(".")[0]
         if ".lstm_" in name:
-            assert calls == [("read", None), ("classify", task)], name
+            assert calls == [("bilstm", 1), ("classify", task)], name
         elif task is not None:
             assert calls == [("classify", task)], name
+        elif layer.startswith("layer"):
+            stack = [("layer0", None), ("layer1", queries)][int(layer[-1]):]
+            assert calls == stack + joint + classify_all, name
         else:
-            assert calls[0] == ("forward", None), name
+            assert name.startswith("embedding.") and calls[0] == ("forward",), name
     assert counts == starts
 
 

@@ -251,9 +251,10 @@ def _encode_spy(monkeypatch, calls, force_all=False):
     run the unpruned encoder whatever the model asks for."""
     original = model_module.encode
 
-    def spy(stack, emb, bank, lengths, rng=None, queries=None):
+    def spy(stack, emb, bank, lengths, rng=None, queries=None, layer_inputs=None):
         before = len(tensor._active_tape)
-        out = original(stack, emb, bank, lengths, rng, None if force_all else queries)
+        out = original(stack, emb, bank, lengths, rng, None if force_all else queries,
+                       layer_inputs)
         calls.append((queries, len(tensor._active_tape) - before))
         return out
 

@@ -165,13 +165,15 @@ def test_sweep_rejects_empty_axes():
        inits=st.lists(st.sampled_from(INITS + ("tokn",)), max_size=3))
 @example(lengths=[0], forms=["deep"], inits=["random", "tokn"])  # every point skipped
 def test_sweep_is_the_ordered_product_or_a_config_error(lengths, forms, inits):
-    """With every value valid, the grid is the product in order less its
-    (0, deep) points; it is a ConfigError exactly when a value is invalid
-    or no point is left, and one naming an invalid value if there is one."""
+    """With every value valid and none repeated on its axis, the grid is the
+    product in order less its (0, deep) points; it is a ConfigError exactly
+    when a value is invalid or repeated or no point is left, and one naming
+    an invalid value if there is one, else a repeated one if there is one."""
     invalid = ([str(n) for n in lengths if n < 0] + [repr(f) for f in forms if f not in FORMS]
                + [repr(i) for i in inits if i not in INITS])
+    repeated = [axis for axis in (lengths, forms, inits) if len(set(axis)) < len(axis)]
     expected = [(n, f, i) for n, f, i in product(lengths, forms, inits) if (n, f) != (0, "deep")]
-    if not invalid and expected:
+    if not invalid and not repeated and expected:
         configs = sweep_configs(lengths, forms, inits, tuning="fixed-lm")
         assert [(c.length, c.form, c.init) for c in configs] == expected
         assert {c.tuning for c in configs} == {"fixed-lm"}
@@ -180,3 +182,5 @@ def test_sweep_is_the_ordered_product_or_a_config_error(lengths, forms, inits):
             sweep_configs(lengths, forms, inits, tuning="fixed-lm")
         if invalid and lengths and forms and inits:  # else an empty axis is named
             assert any(f"got {value}" in str(refused.value) for value in invalid)
+        elif repeated and lengths and forms and inits:
+            assert "is given more than once" in str(refused.value)

@@ -166,8 +166,9 @@ def test_linear_head_run_matches_the_unpruned_encoders(corpus, monkeypatch):
     pruned = train(cfg, corpus, corpus)
     original = model_module.encode
     monkeypatch.setattr(model_module, "encode",
-                        lambda stack, emb, bank, lengths, rng=None, queries=None:
-                        original(stack, emb, bank, lengths, rng, None))
+                        lambda stack, emb, bank, lengths, rng=None, queries=None,
+                        layer_inputs=None: original(stack, emb, bank, lengths, rng, None,
+                                                    layer_inputs))
     full = train(cfg, corpus, corpus)
     assert len(pruned.runlog.step_losses) == len(full.runlog.step_losses) > 4
     for got, want in zip(pruned.runlog.step_losses, full.runlog.step_losses):
