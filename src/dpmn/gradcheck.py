@@ -7,20 +7,34 @@ floor in the denominator so coordinates whose true gradient is ~0 are
 judged by absolute error instead. A network probe that straddles a ReLU
 kink is re-probed at smaller steps, and every re-probe is reported.
 
-Neither level repeats work a finite difference does not need. A
-one-direction `lstm_scan` entry runs the +- perturbations of its weights as
-the directions of one scan: each direction's states are bit for bit those of
-a scan of it alone. A network probe resumes at the first stage that reads
-its parameter, told by its name, on what the taped base pass kept: for
-`layer<i>.*` and `prompt.layer<i>` encoder layer i's input, then the rest
-of the stack, the heads' read and every classify and loss; for
-`head_<task>.lstm_*` a scan of that head's two directions, spliced into the
-kept states, then that task's classify and loss; for any other
-`head_<task>.*` that classify and loss on the kept states; for an embedding
-a full forward. The total adds the kept losses of the other tasks as
-always. Every op gets the bytes a full forward gives it and returns the
-same floats, so every loss is the full forward's, bit for bit. No probe
-forward draws dropout, so every stage sees what the base pass saw.
+Neither level repeats work a finite difference does not need. The op check
+runs the +- perturbations of an input as the copies of one call wherever
+the op gives each copy the bytes a lone call gives it: stacked on the
+leading batch axis, with the inputs and constants that follow the batch
+tiled to match, for attention's qkv, add_norm's x and y, the x of ffn,
+linear, prefix, slice, sum and add, and both inputs of mul. A one-direction
+`lstm_scan` entry runs its weights' as the directions of one scan, each
+direction's states bit for bit those of a scan of it alone, and the copies
+of each row of x that never steps alone as the rows of another scan. The
+row that outlives the others steps alone, and a lone live row's recurrent
+product is a matrix-vector one whose sums may differ in the last bits, so
+its coordinates go call by call, as do every weight, bias and gain (all
+copies would share it), an embedding table, a loss's inputs (its output
+sums over rows) and add_norm_dropout's (a larger call draws another mask).
+Every coordinate's up and down projections go to one judgement, so every
+difference is the per-coordinate loop's, bit for bit.
+
+A network probe resumes at the first stage that reads its parameter, told
+by its name, on what the taped base pass kept: for `layer<i>.*` and
+`prompt.layer<i>` encoder layer i's input, then the rest of the stack, the
+heads' read and every classify and loss; for `head_<task>.lstm_*` a scan of
+that head's two directions, spliced into the kept states, then that task's
+classify and loss; for any other `head_<task>.*` that classify and loss on
+the kept states; for an embedding a full forward. The total adds the kept
+losses of the other tasks as always. Every op gets the bytes a full forward
+gives it and returns the same floats, so every loss is the full forward's,
+bit for bit. No probe forward draws dropout, so every stage sees what the
+base pass saw.
 """
 
 from __future__ import annotations
@@ -70,7 +84,7 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), _REL_FLOOR)
 
 
-def _shifted(loss_fn, flat: np.ndarray, j: int, step: float) -> tuple[float, float]:
+def _shifted(loss_fn, flat: np.ndarray, j: int, step: float) -> tuple:
     """loss_fn() with flat[j] moved up and down by step; flat[j] is restored."""
     kept = flat[j]
     flat[j] = kept + step
@@ -81,62 +95,124 @@ def _shifted(loss_fn, flat: np.ndarray, j: int, step: float) -> tuple[float, flo
     return up, down
 
 
-def _fd_max_rel(loss_fn, inputs: list[Tensor], grads: list[np.ndarray]) -> float:
-    """Perturb every coordinate of every input and compare against `grads`."""
+def _numeric(ups: np.ndarray, downs: np.ndarray, weights: np.ndarray) -> list[float]:
+    """The central difference of each coordinate m, from the op's outputs
+    with it moved up, ups[m], and down, downs[m], by FD_STEP: the one place
+    every path, lone, lockstep or stacked, differences. One multiply
+    projects each side, and each output's C-contiguous block is summed
+    alone, to the float a lone output's projection sums to."""
+    up, down = (np.multiply(outs, weights, order="C") for outs in (ups, downs))
+    return [(float(u.sum()) - float(d.sum())) / (2.0 * FD_STEP) for u, d in zip(up, down)]
+
+
+def _max_error(inputs: list[Tensor], grads: list[np.ndarray], weights: np.ndarray,
+               moved: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """Judge every coordinate of every input against `grads`, in order;
+    moved[i] holds input i's (ups, downs) outputs, one per coordinate."""
     worst = 0.0
-    for t, g in zip(inputs, grads):
-        flat = t.data.reshape(-1)
-        gflat = np.zeros_like(flat) if g is None else g.reshape(-1)
-        for j in range(flat.size):
-            up, down = _shifted(loss_fn, flat, j, FD_STEP)
-            worst = max(worst, relative_error(gflat[j], (up - down) / (2.0 * FD_STEP)))
+    for t, g, (ups, downs) in zip(inputs, grads, moved):
+        analytic = np.zeros(t.size) if g is None else g.reshape(-1)
+        for a, numeric in zip(analytic, _numeric(ups, downs, weights)):
+            worst = max(worst, relative_error(a, numeric))
     return worst
 
 
+def _lone_outputs(forward, t: Tensor, coords) -> tuple[np.ndarray, np.ndarray]:
+    """forward()'s outputs with each of t's coordinates in coords moved up
+    and down by FD_STEP, one call each (_shifted), stacked on a new axis 0.
+    Each is copied when made: an output may be a view of t."""
+    flat = t.data.reshape(-1)
+    ups, downs = zip(*(_shifted(lambda: forward().data.copy(), flat, j, FD_STEP)
+                       for j in coords))
+    return np.array(ups), np.array(downs)
+
+
 def _projected_backward(forward, inputs: list[Tensor], rng: np.random.Generator):
-    """The inputs' gradients of a random scalar projection of forward(),
-    and the projection's weights."""
+    """forward()'s output, the inputs' gradients of a random scalar
+    projection of it, and the projection's weights."""
     with Tape() as tape:
         out = forward()
         weights = Tensor(rng.normal(size=out.shape))
         loss = sum_(mul(out, weights))
     backward(tape, loss)
-    return [t.grad for t in inputs], weights.data
+    return out.data, [t.grad for t in inputs], weights.data
 
 
 def check_op(forward, inputs: list[Tensor], rng: np.random.Generator) -> float:
     """Max relative error of d(projection of forward())/d(inputs)."""
-    grads, weights = _projected_backward(forward, inputs, rng)
-    return _fd_max_rel(lambda: float((forward().data * weights).sum()), inputs, grads)
+    _, grads, weights = _projected_backward(forward, inputs, rng)
+    return _max_error(inputs, grads, weights,
+                      [_lone_outputs(forward, t, range(t.size)) for t in inputs])
+
+
+def _moved_copies(a: np.ndarray) -> np.ndarray:
+    """Two copies of `a` per coordinate, on a new axis 0: copy 2j with
+    coordinate j at kept + FD_STEP, copy 2j + 1 at kept - FD_STEP, as
+    _shifted sets them."""
+    flat = a.reshape(-1)
+    j = np.arange(flat.size)
+    copies = np.repeat(flat[None], 2 * flat.size, axis=0)
+    copies[2 * j, j] += FD_STEP
+    copies[2 * j + 1, j] -= FD_STEP
+    return copies.reshape((-1,) + a.shape)
+
+
+def _check_stacked(op, inputs: list[Tensor], rng: np.random.Generator,
+                   stacks: dict[int, tuple[int, ...]]) -> float:
+    """check_op on `op(*inputs)`, with the same errors. For each input i in
+    `stacks`, the copies (_moved_copies) are the rows of one call, one after
+    another on the leading batch axis, with the inputs stacks[i] tiled to
+    match: the op gives each copy its lone call's bytes."""
+    forward = partial(op, *inputs)
+    out, grads, weights = _projected_backward(forward, inputs, rng)
+    moved = []
+    for i, t in enumerate(inputs):
+        if i not in stacks:
+            moved.append(_lone_outputs(forward, t, range(t.size)))
+            continue
+        copies = _moved_copies(t.data)
+        args = [Tensor(copies.reshape((-1,) + t.shape[1:])) if m == i
+                else Tensor(np.concatenate([u.data] * len(copies))) if m in stacks[i] else u
+                for m, u in enumerate(inputs)]
+        outs = op(*args).data.reshape(copies.shape[:1] + out.shape)
+        moved.append((outs[0::2], outs[1::2]))
+    return _max_error(inputs, grads, weights, moved)
 
 
 def _check_scan(forward, inputs: list[Tensor], rng: np.random.Generator,
                 reverse: bool) -> float:
     """check_op on a catalog entry `lstm_scan(x, _SCAN_LENGTHS, [(w_x, w_h,
-    b, reverse)])`, with the same errors. x is perturbed call by call. The
-    +- perturbation of each weight coordinate, in check_op's order, is
-    direction 2m or 2m + 1 of one scan; each direction's block of the
-    output, copied C-contiguous and projected, is the product a lone call
-    gives, so it sums to the same float."""
-    grads, weights = _projected_backward(forward, inputs, rng)
+    b, reverse)])`, with the same errors.
+
+    The copies of each row of x that never steps alone (_moved_copies) are
+    the rows of one scan, each with the row's length, and each copy's state
+    is spliced into a copy of the entry's output. The row that outlives the
+    others steps alone, and a lone live row's recurrent product is a
+    matrix-vector one, whose sums may differ in the last bits, so its
+    coordinates are moved call by call. The +- perturbation of each weight
+    coordinate, in check_op's order, is direction 2m or 2m + 1 of one scan,
+    whose states are bit for bit a lone call's."""
+    out, grads, weights = _projected_backward(forward, inputs, rng)
     x, *params = inputs
-    worst = _fd_max_rel(lambda: float((forward().data * weights).sum()), [x], grads[:1])
-    directions = []
-    for p in params:
-        for j in range(p.size):
-            for step in (FD_STEP, -FD_STEP):
-                moved = p.data.copy()
-                moved.flat[j] += step  # kept + step, and kept - step, as _shifted sets them
-                directions.append((*(Tensor(moved if q is p else q.data) for q in params),
-                                   reverse))
-    out = lstm_scan(x, _SCAN_LENGTHS, directions).data
-    blocks = out.reshape(x.shape[0], len(directions), -1).swapaxes(0, 1)
-    products = np.ascontiguousarray(blocks) * weights
-    analytic = np.concatenate([g.reshape(-1) for g in grads[1:]])
-    for g, up, down in zip(analytic, products[0::2], products[1::2]):
-        numeric = (float(up.sum()) - float(down.sum())) / (2.0 * FD_STEP)
-        worst = max(worst, relative_error(g, numeric))
-    return worst
+    batch, row = x.shape[0], x.size // x.shape[0]
+    lens = _SCAN_LENGTHS.tolist()
+    shared = [r for r, n in enumerate(lens) if sum(m >= n for m in lens) > 1]
+    copies = np.concatenate([_moved_copies(x.data[r]) for r in shared])
+    of_copy = np.repeat(shared, 2 * row)  # the row each copy moves
+    states = lstm_scan(Tensor(copies), _SCAN_LENGTHS[of_copy], [(*params, reverse)]).data
+    outs = np.repeat(out[None], len(copies), axis=0)
+    outs[np.arange(len(copies)), of_copy] = states
+    ups, downs = np.empty((2, x.size) + out.shape)
+    coords = np.arange(x.size).reshape(batch, row)
+    stacked, alone = coords[shared].reshape(-1), np.delete(coords, shared, axis=0).reshape(-1)
+    ups[stacked], downs[stacked] = outs[0::2], outs[1::2]
+    ups[alone], downs[alone] = _lone_outputs(forward, x, alone)
+    directions = [(*(Tensor(c) if q is p else q for q in params), reverse)
+                  for p in params for c in _moved_copies(p.data)]
+    blocks = lstm_scan(x, _SCAN_LENGTHS, directions).data.reshape(batch, len(directions), -1)
+    ends = np.cumsum([2 * p.size for p in params])[:-1]
+    moved = [(ups, downs)] + [(b[0::2], b[1::2]) for b in np.split(blocks.swapaxes(0, 1), ends)]
+    return _max_error(inputs, grads, weights, moved)
 
 
 def _uniform(*shape, low=-1.0, high=1.0):
@@ -153,8 +229,28 @@ _SCAN_LENGTHS = np.array([2, 4, 1])
 _SCAN_INPUTS = (_uniform(3, 4, 3), _uniform(3, 8), _uniform(2, 8), _uniform(8))
 # two heads of width 2; the second row's last key is padding
 _ATTENTION_BIAS = np.where(np.arange(3) < np.array([[3], [2]]), 0.0, MASK_BIAS)[:, None, None, :]
+
+
+def _attention(qkv: Tensor, queries: int | None = None) -> Tensor:
+    """attention over one or more copies of a 2-row qkv stacked on axis 0,
+    _ATTENTION_BIAS tiled to match."""
+    bias = np.concatenate([_ATTENTION_BIAS] * (qkv.shape[0] // 2))
+    return attention(qkv, bias, 2, queries=queries)
+
+
 _ADD_NORM_INPUTS = (_uniform(2, 3, 4), _uniform(2, 3, 4), _uniform(4, low=0.5, high=1.5),
                     _uniform(4))
+_DROPOUT_RNG = np.random.Generator(np.random.PCG64(0))
+_DROPOUT_START = _DROPOUT_RNG.bit_generator.state
+
+
+def _add_norm_dropout(*inputs: Tensor) -> Tensor:
+    """add_norm at rate 0.3 with the same mask on every call: the one
+    generator is reset to PCG64(0)'s first state before each."""
+    _DROPOUT_RNG.bit_generator.state = _DROPOUT_START
+    return add_norm(*inputs, 0.3, _DROPOUT_RNG)
+
+
 # |x @ w1| <= 0.4 and |b1| >= 0.5 keep every hidden pre-activation off the ReLU kink
 _FFN_INPUTS = (_uniform(2, 2, 4), _uniform(4, 5, low=-0.1, high=0.1), _kinkless(5),
                _uniform(5, 3), _uniform(3))
@@ -169,9 +265,7 @@ OP_CATALOG = (
     ("total_loss", (_uniform(), _uniform(), _uniform()),
      lambda *parts: total_loss(*parts, LossWeights(0.5, 0.3, 0.2))),
     ("add_norm", _ADD_NORM_INPUTS, partial(add_norm, rate=0.0, rng=None)),
-    # a generator built afresh per call draws the same mask every time
-    ("add_norm_dropout", _ADD_NORM_INPUTS,
-     lambda *a: add_norm(*a, 0.3, np.random.Generator(np.random.PCG64(0)))),
+    ("add_norm_dropout", _ADD_NORM_INPUTS, _add_norm_dropout),
     ("embedding_lookup", (_uniform(7, 4),),
      lambda table: embedding_lookup(table, np.array([[0, 3, 6], [2, 2, 5]]))),
     ("slice", (_uniform(4, 5, 6),), lambda a: slice_(a, (slice(None), 2, slice(1, 4)))),
@@ -179,7 +273,7 @@ OP_CATALOG = (
     # a 2-slot prompt ahead of a 3-slot text, and over a previous prompt
     ("prefix", (_uniform(2, 4), _uniform(3, 3, 4)), partial(prefix, skip=0)),
     ("prefix_overwrite", (_uniform(2, 4), _uniform(3, 5, 4)), partial(prefix, skip=2)),
-    # the check runs their weight perturbations in lockstep (_check_scan)
+    # the check batches their weights' perturbations and most of x's (_check_scan)
     ("lstm_scan", _SCAN_INPUTS, lambda x, *w: lstm_scan(x, _SCAN_LENGTHS, [(*w, False)])),
     ("lstm_scan_reverse", _SCAN_INPUTS,
      lambda x, *w: lstm_scan(x, _SCAN_LENGTHS, [(*w, True)])),
@@ -187,11 +281,11 @@ OP_CATALOG = (
     ("linear_2d", (_uniform(3, 4), _uniform(4, 2)), linear),
     ("linear_no_bias", (_uniform(2, 3, 4), _uniform(4, 3)), linear),
     ("ffn", _FFN_INPUTS, ffn),
-    ("attention", (_uniform(2, 3, 12),), lambda qkv: attention(qkv, _ATTENTION_BIAS, 2)),
+    ("attention", (_uniform(2, 3, 12),), _attention),
     # only the first query row attends, as in a linear-head model's last layer;
     # K's gradient scales with that one row of Q, so no entry is drawn near 0
     ("attention_first_query", (_kinkless(2, 3, 12),),
-     lambda qkv: attention(qkv, _ATTENTION_BIAS, 2, queries=1)),
+     partial(_attention, queries=1)),
 )
 
 
@@ -219,14 +313,30 @@ class OpErrors(dict):
 
 # the catalog's one-direction scans, by name, and whether each runs in reverse
 _SCANS = {"lstm_scan": False, "lstm_scan_reverse": True}
+# The entries whose check stacks the copies of some inputs (_check_stacked),
+# by name: each such input, and the inputs tiled with it. Every other input
+# of an entry that is not a scan goes call by call: a weight, bias or gain,
+# which every copy would share, an embedding table, a loss's inputs, whose
+# output sums over rows, and add_norm_dropout's, since a larger call draws
+# another mask.
+_STACKS = {
+    "add": {0: ()}, "mul": {0: (1,), 1: (0,)}, "add_norm": {0: (1,), 1: (0,)},
+    "slice": {0: ()}, "sum": {0: ()}, "prefix": {1: ()}, "prefix_overwrite": {1: ()},
+    "linear": {0: ()}, "linear_2d": {0: ()}, "linear_no_bias": {0: ()}, "ffn": {0: ()},
+    "attention": {0: ()}, "attention_first_query": {0: ()},
+}
 
 
 def check_all_ops(seed: int = 0) -> OpErrors:
     catalog = _op_catalog(seed)
     errors = {}
-    for name, inputs, forward, rng in catalog:
-        check = partial(_check_scan, reverse=_SCANS[name]) if name in _SCANS else check_op
-        errors[name] = check(forward, inputs, rng)
+    for (name, _, op), (_, inputs, forward, rng) in zip(OP_CATALOG, catalog):
+        if name in _SCANS:
+            errors[name] = _check_scan(forward, inputs, rng, _SCANS[name])
+        elif name in _STACKS:
+            errors[name] = _check_stacked(op, inputs, rng, _STACKS[name])
+        else:
+            errors[name] = check_op(forward, inputs, rng)
     return OpErrors(errors, sum(t.size for _, inputs, _, _ in catalog for t in inputs))
 
 

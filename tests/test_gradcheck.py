@@ -1,7 +1,9 @@
 """The network gradient check evaluates each probe from the first stage that
-reads the probed parameter, and the op check runs an LSTM entry's weight
-perturbations as one lockstep scan; these tests hold every staged loss to
-the full forward's bytes and both checks' output to the unstaged loops'."""
+reads the probed parameter, and the op check runs the perturbations of
+many inputs as the copies of one call (an LSTM entry's weights as the
+directions of one scan); these tests hold every staged loss to the full
+forward's bytes and both checks' output to the unstaged, per-coordinate
+loops'."""
 
 import math
 from dataclasses import replace
@@ -19,6 +21,7 @@ from dpmn.gradcheck import (
     _network_probe,
     _op_catalog,
     _probe_losses,
+    _projected_backward,
     build_probe_setup,
     check_all_ops,
     check_network,
@@ -56,19 +59,53 @@ def _unstaged_check_network(n_probes, seed=0, reprobes=None):
     return worst
 
 
-def _unbatched_check_all_ops(seed):
-    """check_all_ops as it was before the lockstep scans: every coordinate
-    of every entry goes through _shifted, one call per loss (check_op)."""
-    return {name: check_op(forward, inputs, rng)
-            for name, inputs, forward, rng in _op_catalog(seed)}
+def _unbatched_check_all_ops(seed, numerics=None):
+    """check_all_ops as it was before any batching, written out apart from
+    the check's own differencing: every coordinate of every entry is moved
+    call by call, and the two projected losses differenced. Each numeric
+    derivative, as float hex, goes to `numerics`."""
+    errors = {}
+    for name, inputs, forward, rng in _op_catalog(seed):
+        _, grads, weights = _projected_backward(forward, inputs, rng)
+        worst = 0.0
+        for t, g in zip(inputs, grads):
+            flat = t.data.reshape(-1)
+            for j in range(flat.size):
+                kept = flat[j]
+                flat[j] = kept + FD_STEP
+                up = float((forward().data * weights).sum())
+                flat[j] = kept - FD_STEP
+                down = float((forward().data * weights).sum())
+                flat[j] = kept
+                numeric = (up - down) / (2.0 * FD_STEP)
+                if numerics is not None:
+                    numerics.append(numeric.hex())
+                worst = max(worst, relative_error(0.0 if g is None else g.flat[j], numeric))
+        errors[name] = worst
+    return errors
 
 
 @pytest.mark.parametrize("seed", [0, 31, 294])
 def test_check_all_ops_gives_the_unbatched_errors_bit_for_bit(seed):
-    """Seed 31 fails the 1e-6 gate on lstm_scan_reverse and seed 294 on
-    lstm_scan (ROADMAP item 1), so the errors agree on a failing entry too."""
-    errors = check_all_ops(seed)
-    reference = _unbatched_check_all_ops(seed)
+    """Every coordinate, stacked, lockstep or lone, gets the numeric
+    derivative the per-coordinate loop gives it, so every error is the
+    loop's. Seed 31 fails the 1e-6 gate on lstm_scan_reverse and seed 294
+    on lstm_scan (ROADMAP item 1), so the errors agree on a failing entry
+    too."""
+    numerics, numeric = [], gradcheck._numeric
+
+    def recording(ups, downs, weights):
+        taken = numeric(ups, downs, weights)
+        numerics.extend(n.hex() for n in taken)
+        return taken
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gradcheck, "_numeric", recording)
+        errors = check_all_ops(seed)
+    reference_numerics = []
+    reference = _unbatched_check_all_ops(seed, reference_numerics)
+    assert len(numerics) == errors.coordinates
+    assert numerics == reference_numerics
     assert [(k, v.hex()) for k, v in errors.items()] == [
         (k, v.hex()) for k, v in reference.items()]
     failing = {k for k, v in errors.items() if v >= gradcheck.OP_TOLERANCE}
@@ -76,17 +113,20 @@ def test_check_all_ops_gives_the_unbatched_errors_bit_for_bit(seed):
 
 
 def test_an_lstm_entry_runs_its_weight_perturbations_as_one_scan(monkeypatch):
-    """Per entry: the taped scan, one scan per perturbation of x's 36
-    coordinates, and one of 96 directions for w_x, w_h and b's 48."""
-    widths = []
+    """Per entry: the taped scan; one scan whose 48 rows are the copies of
+    x's rows 0 and 2, 2 per coordinate; one scan per perturbation of the 12
+    coordinates of row 1, the row that steps alone; and one of 96
+    directions for w_x, w_h and b's 48 coordinates."""
+    calls = []
 
     def counted(x, lengths, directions):
-        widths.append(len(directions))
+        calls.append((x.shape[0], lengths.tolist(), len(directions)))
         return lstm_scan(x, lengths, directions)
 
     monkeypatch.setattr(gradcheck, "lstm_scan", counted)
     check_all_ops(0)
-    assert widths == 2 * ([1] * 73 + [96])
+    lone = (3, [2, 4, 1], 1)
+    assert calls == 2 * ([lone, (48, [2] * 24 + [1] * 24, 1)] + [lone] * 24 + [(3, [2, 4, 1], 96)])
 
 
 def _scan_with_skewed(index, skew):
@@ -289,6 +329,43 @@ def test_a_backward_off_by_a_relative_1e_5_on_one_coordinate_fails_check_op(name
     largest gradient coordinate by a relative 1e-5: ten times the gate."""
     assert _check_skewed(name, _unchanged) < gradcheck.OP_TOLERANCE
     assert _check_skewed(name, _largest_off_by_relative_1e_5) >= gradcheck.OP_TOLERANCE
+
+
+def _largest_in_rows_0_and_2(g):
+    """An LSTM entry's x gradient off by a relative 1e-5 on its largest
+    coordinate outside row 1, so on a copy of the stacked scan."""
+    shared = g[[0, 2]]
+    _largest_off_by_relative_1e_5(shared)
+    g[[0, 2]] = shared
+
+
+@pytest.mark.parametrize("name, skew", [
+    ("attention", _largest_off_by_relative_1e_5),
+    ("attention_first_query", _largest_off_by_relative_1e_5),
+    ("add_norm", _largest_off_by_relative_1e_5),
+    ("ffn", _largest_off_by_relative_1e_5),
+    ("lstm_scan", _largest_off_by_relative_1e_5),
+    ("lstm_scan_reverse", _largest_off_by_relative_1e_5),
+    ("lstm_scan", _largest_in_rows_0_and_2),
+    ("lstm_scan_reverse", _largest_in_rows_0_and_2),
+])
+def test_a_first_input_gradient_off_by_a_relative_1e_5_fails_its_entry_through_check_all_ops(
+        monkeypatch, name, skew):
+    """The catalog op is replaced inside gradcheck by one whose first input
+    (qkv or x), stacked into copies, has its gradient passed through the
+    skew: unchanged it passes, and a relative 1e-5 off fails it."""
+    catalog = gradcheck.OP_CATALOG
+
+    def with_skew(skew):
+        def entry(name_, draws, op):
+            if name_ != name:
+                return name_, draws, op
+            return name_, draws, lambda first, *rest: op(_skewed(first, skew), *rest)
+        monkeypatch.setattr(gradcheck, "OP_CATALOG", tuple(entry(*e) for e in catalog))
+        return check_all_ops(0)[name]
+
+    assert with_skew(_unchanged) < gradcheck.OP_TOLERANCE
+    assert with_skew(skew) >= gradcheck.OP_TOLERANCE
 
 
 def test_a_gradient_of_1e_5_where_the_true_one_is_0_fails_check_op():

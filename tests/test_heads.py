@@ -148,6 +148,36 @@ def test_lockstep_scan_is_bitwise_the_separate_scans_at_workload_scale():
     _assert_lockstep_is_separate(21, 32, 32, 16, lengths, [False, True] * 3)
 
 
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 4), st.integers(1, 5),
+       st.lists(st.booleans(), min_size=1, max_size=3), st.integers(0, 2 ** 31), st.data())
+def test_a_row_with_company_at_every_live_step_gets_the_same_state_in_any_call(
+        pool, seq, d, hidden, reverses, seed, data):
+    """Two scans over rows drawn, with repeats, from one pool, each with a
+    filler row as long as its longest: the maximum length is shared, so at
+    each of a row's live steps another row is live in both calls, and every
+    row's state is the same bits in both. The gradient check runs the
+    perturbed copies of a row as the rows of one scan on this ground."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    xs = rng.normal(size=(pool, seq, d))
+    lengths = np.array(data.draw(st.lists(st.integers(0, seq), min_size=pool, max_size=pool)))
+    directions = [(*(Tensor(w) for w in _scan_arrays(rng, 1, seq, d, hidden)[1:]), r)
+                  for r in reverses]
+
+    def states(rows):
+        filler = data.draw(st.integers(0, len(rows)))
+        x = np.insert(xs[rows], filler, rng.normal(size=(seq, d)), axis=0)
+        lens = np.insert(lengths[rows], filler, lengths[rows].max())
+        return np.delete(lstm_scan(Tensor(x), lens, directions).data, filler, axis=0)
+
+    draw_rows = st.lists(st.integers(0, pool - 1), min_size=1, max_size=6)
+    rows_a, rows_b = data.draw(draw_rows), data.draw(draw_rows)
+    a, b = states(rows_a), states(rows_b)
+    for i, r in enumerate(rows_a):
+        for j in (j for j, s in enumerate(rows_b) if s == r):
+            assert a[i].tobytes() == b[j].tobytes(), (r, lengths)
+
+
 def _flip_within_lengths(a, lengths):
     """Each row of a [batch, seq, ...] reversed over its first lengths[r] positions."""
     out = a.copy()

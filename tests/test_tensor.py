@@ -657,3 +657,106 @@ def test_add_norm_and_ffn_reject_bad_shapes_and_rates(rng):
         ffn(x, w1, b1, Tensor(np.zeros((4, 2))), b2)
     with pytest.raises(ShapeError, match="ffn"):
         ffn(x, w1, b1, w2, Tensor(np.zeros(3)))
+
+
+# The gradient check (dpmn.gradcheck) runs the +- perturbations of one input
+# as the copies of one call, one after another on the leading batch axis, the
+# inputs listed with it tiled to match, and judges each copy by its bytes.
+# Each case maps a hypothesis draw and a generator to (op, input arrays,
+# {stacked input: inputs tiled with it}) at drawn sizes.
+
+def _lead(data, rows=1):
+    """Leading sizes whose product is at least `rows`."""
+    return data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)
+                     .filter(lambda s: np.prod(s) >= rows))
+
+
+def _stack_mul(data, rng):
+    shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    # b broadcasts over any axis but the batch axis, which the copies extend
+    ones = data.draw(st.lists(st.booleans(), min_size=len(shape) - 1, max_size=len(shape) - 1))
+    other = [shape[0]] + [1 if one else n for one, n in zip(ones, shape[1:])]
+    return mul, [rng.normal(size=shape), rng.normal(size=other)], {0: (1,), 1: (0,)}
+
+
+def _stack_add_norm(data, rng):
+    shape = (*_lead(data), data.draw(st.integers(1, 7)))
+    arrays = [rng.normal(size=shape), rng.normal(size=shape),
+              rng.normal(size=shape[-1:]), rng.normal(size=shape[-1:])]
+    return lambda *t: add_norm(*t, 0.0, None), arrays, {0: (1,), 1: (0,)}
+
+
+def _stack_slice(data, rng):
+    shape = data.draw(st.tuples(*[st.integers(1, 5)] * 3))
+    lo = data.draw(st.integers(0, shape[2]))
+    idx = (slice(None), data.draw(st.integers(0, shape[1] - 1)),
+           slice(lo, data.draw(st.integers(lo, shape[2]))))
+    return lambda a: slice_(a, idx), [rng.normal(size=shape)], {0: ()}
+
+
+def _stack_sum(data, rng):
+    # up to 10 summed terms, past the 8 at which numpy's pairwise sum unrolls
+    shape = data.draw(st.tuples(*[st.integers(1, 10)] * 3))
+    axis = data.draw(st.sampled_from([1, 2, (1, 2)]))
+    return lambda a: sum_(a, axis=axis), [rng.normal(size=shape)], {0: ()}
+
+
+def _stack_prefix(data, rng):
+    p, text, d = (data.draw(st.integers(1, 4)) for _ in range(3))
+    skip = data.draw(st.integers(0, text))
+    arrays = [rng.normal(size=(p, d)), rng.normal(size=(data.draw(st.integers(1, 4)), text, d))]
+    return lambda m, x: prefix(m, x, skip), arrays, {1: ()}
+
+
+def _stack_linear(data, rng):
+    """At least two GEMM rows: a one-row product runs as a matrix-vector one."""
+    k, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    arrays = [rng.normal(size=(*_lead(data, rows=2), k)), rng.normal(size=(k, n))]
+    if data.draw(st.booleans()):
+        arrays.append(rng.normal(size=n))
+    return linear, arrays, {0: ()}
+
+
+def _stack_ffn(data, rng):
+    k, f, n = (data.draw(st.integers(1, 6)) for _ in range(3))
+    arrays = [rng.normal(size=(*_lead(data, rows=2), k)), rng.normal(size=(k, f)),
+              rng.normal(size=f), rng.normal(size=(f, n)), rng.normal(size=n)]
+    return ffn, arrays, {0: ()}
+
+
+def _stack_attention(data, rng):
+    """The mask bias is a constant per batch row, tiled with the copies."""
+    batch, seq, heads, size = (data.draw(st.integers(1, 4)) for _ in range(4))
+    queries = data.draw(st.one_of(st.none(), st.integers(1, seq)))
+    lengths = rng.integers(1, seq + 1, size=batch)
+    bias = np.where(np.arange(seq) < lengths[:, None], 0.0, MASK_BIAS)[:, None, None, :]
+
+    def op(qkv):
+        return attention(qkv, np.concatenate([bias] * (qkv.shape[0] // batch)), heads, queries)
+
+    return op, [rng.normal(size=(batch, seq, 3 * heads * size))], {0: ()}
+
+
+_STACK_CASES = {
+    "add": lambda data, rng: (add, [rng.normal(size=(*_lead(data), 5)), rng.normal(size=5)],
+                              {0: ()}),
+    "mul": _stack_mul, "add_norm": _stack_add_norm, "slice": _stack_slice, "sum": _stack_sum,
+    "prefix": _stack_prefix, "linear": _stack_linear, "ffn": _stack_ffn,
+    "attention": _stack_attention,
+}
+
+
+@pytest.mark.parametrize("case", list(_STACK_CASES))
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 4), st.integers(0, 2 ** 31), st.data())
+def test_copies_stacked_on_the_batch_axis_get_their_lone_calls_bytes(case, k, seed, data):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    op, arrays, stacks = _STACK_CASES[case](data, rng)
+    for i, tiled in stacks.items():
+        copies = [rng.normal(size=arrays[i].shape) for _ in range(k)]
+        stacked = op(*(Tensor(np.concatenate(copies) if m == i
+                              else np.concatenate([a] * k) if m in tiled else a)
+                       for m, a in enumerate(arrays))).data
+        lone = np.concatenate([op(*(Tensor(c if m == i else a) for m, a in enumerate(arrays))).data
+                               for c in copies])
+        assert stacked.shape == lone.shape and stacked.tobytes() == lone.tobytes(), i
