@@ -7,22 +7,13 @@ floor in the denominator so coordinates whose true gradient is ~0 are
 judged by absolute error instead. A network probe that straddles a ReLU
 kink is re-probed at smaller steps, and every re-probe is reported.
 
-Neither level repeats work a finite difference does not need. The op check
-runs the +- perturbations of an input as the copies of one call wherever
-the op gives each copy the bytes a lone call gives it: stacked on the
-leading batch axis, with the inputs and constants that follow the batch
-tiled to match, for attention's qkv, add_norm's x and y, the x of ffn,
-linear, prefix, slice, sum and add, and both inputs of mul. A one-direction
-`lstm_scan` entry runs its weights' as the directions of one scan, each
-direction's states bit for bit those of a scan of it alone, and the copies
-of each row of x that never steps alone as the rows of another scan. The
-row that outlives the others steps alone, and a lone live row's recurrent
-product is a matrix-vector one whose sums may differ in the last bits, so
-its coordinates go call by call, as do every weight, bias and gain (all
-copies would share it), an embedding table, a loss's inputs (its output
-sums over rows) and add_norm_dropout's (a larger call draws another mask).
-Every coordinate's up and down projections go to one judgement, so every
-difference is the per-coordinate loop's, bit for bit.
+Neither level repeats work a finite difference does not need. Each op
+catalog entry names how its inputs' +- perturbations run: as the copies of
+one call wherever the op gives each copy the bytes a lone call gives it
+(_stacked; an LSTM entry's weights as the directions of one scan,
+_scan_moves), else one call per copy. Every coordinate's up and down outputs
+go to one judgement, so every difference is the per-coordinate loop's, bit
+for bit.
 
 A network probe resumes at the first stage that reads its parameter, told
 by its name, on what the taped base pass kept: for `layer<i>.*` and
@@ -98,51 +89,21 @@ def _shifted(loss_fn, flat: np.ndarray, j: int, step: float) -> tuple:
 def _numeric(ups: np.ndarray, downs: np.ndarray, weights: np.ndarray) -> list[float]:
     """The central difference of each coordinate m, from the op's outputs
     with it moved up, ups[m], and down, downs[m], by FD_STEP: the one place
-    every path, lone, lockstep or stacked, differences. One multiply
+    the op check differences, however the outputs were run. One multiply
     projects each side, and each output's C-contiguous block is summed
     alone, to the float a lone output's projection sums to."""
     up, down = (np.multiply(outs, weights, order="C") for outs in (ups, downs))
     return [(float(u.sum()) - float(d.sum())) / (2.0 * FD_STEP) for u, d in zip(up, down)]
 
 
-def _max_error(inputs: list[Tensor], grads: list[np.ndarray], weights: np.ndarray,
-               moved: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    """Judge every coordinate of every input against `grads`, in order;
-    moved[i] holds input i's (ups, downs) outputs, one per coordinate."""
-    worst = 0.0
-    for t, g, (ups, downs) in zip(inputs, grads, moved):
-        analytic = np.zeros(t.size) if g is None else g.reshape(-1)
-        for a, numeric in zip(analytic, _numeric(ups, downs, weights)):
-            worst = max(worst, relative_error(a, numeric))
-    return worst
-
-
-def _lone_outputs(forward, t: Tensor, coords) -> tuple[np.ndarray, np.ndarray]:
+def _one_call_per_copy(forward, t: Tensor, coords) -> tuple[np.ndarray, np.ndarray]:
     """forward()'s outputs with each of t's coordinates in coords moved up
-    and down by FD_STEP, one call each (_shifted), stacked on a new axis 0.
-    Each is copied when made: an output may be a view of t."""
+    and down by FD_STEP in place, one call each (_shifted), stacked on a new
+    axis 0. Each is copied when made: an output may be a view of t."""
     flat = t.data.reshape(-1)
     ups, downs = zip(*(_shifted(lambda: forward().data.copy(), flat, j, FD_STEP)
                        for j in coords))
     return np.array(ups), np.array(downs)
-
-
-def _projected_backward(forward, inputs: list[Tensor], rng: np.random.Generator):
-    """forward()'s output, the inputs' gradients of a random scalar
-    projection of it, and the projection's weights."""
-    with Tape() as tape:
-        out = forward()
-        weights = Tensor(rng.normal(size=out.shape))
-        loss = sum_(mul(out, weights))
-    backward(tape, loss)
-    return out.data, [t.grad for t in inputs], weights.data
-
-
-def check_op(forward, inputs: list[Tensor], rng: np.random.Generator) -> float:
-    """Max relative error of d(projection of forward())/d(inputs)."""
-    _, grads, weights = _projected_backward(forward, inputs, rng)
-    return _max_error(inputs, grads, weights,
-                      [_lone_outputs(forward, t, range(t.size)) for t in inputs])
 
 
 def _moved_copies(a: np.ndarray) -> np.ndarray:
@@ -157,18 +118,17 @@ def _moved_copies(a: np.ndarray) -> np.ndarray:
     return copies.reshape((-1,) + a.shape)
 
 
-def _check_stacked(op, inputs: list[Tensor], rng: np.random.Generator,
-                   stacks: dict[int, tuple[int, ...]]) -> float:
-    """check_op on `op(*inputs)`, with the same errors. For each input i in
-    `stacks`, the copies (_moved_copies) are the rows of one call, one after
-    another on the leading batch axis, with the inputs stacks[i] tiled to
-    match: the op gives each copy its lone call's bytes."""
-    forward = partial(op, *inputs)
-    out, grads, weights = _projected_backward(forward, inputs, rng)
+def _stacked(stacks: dict[int, tuple[int, ...]], op, inputs: list[Tensor],
+             out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each input's (ups, downs) outputs of `op(*inputs)`, whose output is
+    `out`. For each input i in `stacks` the copies (_moved_copies) are the
+    rows of one call, one after another on the leading batch axis, with the
+    inputs stacks[i] tiled to match: the op gives each copy its lone call's
+    bytes. Every other input goes one call per copy."""
     moved = []
     for i, t in enumerate(inputs):
         if i not in stacks:
-            moved.append(_lone_outputs(forward, t, range(t.size)))
+            moved.append(_one_call_per_copy(partial(op, *inputs), t, range(t.size)))
             continue
         copies = _moved_copies(t.data)
         args = [Tensor(copies.reshape((-1,) + t.shape[1:])) if m == i
@@ -176,23 +136,30 @@ def _check_stacked(op, inputs: list[Tensor], rng: np.random.Generator,
                 for m, u in enumerate(inputs)]
         outs = op(*args).data.reshape(copies.shape[:1] + out.shape)
         moved.append((outs[0::2], outs[1::2]))
-    return _max_error(inputs, grads, weights, moved)
+    return moved
 
 
-def _check_scan(forward, inputs: list[Tensor], rng: np.random.Generator,
-                reverse: bool) -> float:
-    """check_op on a catalog entry `lstm_scan(x, _SCAN_LENGTHS, [(w_x, w_h,
-    b, reverse)])`, with the same errors.
+# every input one call per copy: a weight, bias or gain, which every copy
+# would share, a table, a loss's inputs, whose output sums over rows, and
+# add_norm_dropout's, since a larger call draws another mask
+_PER_COPY = partial(_stacked, {})
+# the first input stacked, the rest one call per copy
+_FIRST_STACKED = partial(_stacked, {0: ()})
+
+
+def _scan_moves(reverse: bool, op, inputs: list[Tensor],
+                out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each input's (ups, downs) outputs, as _stacked gives them, for an
+    entry `lstm_scan(x, _SCAN_LENGTHS, [(w_x, w_h, b, reverse)])`.
 
     The copies of each row of x that never steps alone (_moved_copies) are
     the rows of one scan, each with the row's length, and each copy's state
-    is spliced into a copy of the entry's output. The row that outlives the
-    others steps alone, and a lone live row's recurrent product is a
-    matrix-vector one, whose sums may differ in the last bits, so its
-    coordinates are moved call by call. The +- perturbation of each weight
-    coordinate, in check_op's order, is direction 2m or 2m + 1 of one scan,
-    whose states are bit for bit a lone call's."""
-    out, grads, weights = _projected_backward(forward, inputs, rng)
+    is spliced into a copy of `out`. The row that outlives the others steps
+    alone, and a lone live row's recurrent product is a matrix-vector one,
+    whose sums may differ in the last bits, so its coordinates go one call
+    per copy. The +- perturbation of each weight coordinate, in order, is
+    direction 2m or 2m + 1 of one scan, whose states are bit for bit a lone
+    call's."""
     x, *params = inputs
     batch, row = x.shape[0], x.size // x.shape[0]
     lens = _SCAN_LENGTHS.tolist()
@@ -206,13 +173,30 @@ def _check_scan(forward, inputs: list[Tensor], rng: np.random.Generator,
     coords = np.arange(x.size).reshape(batch, row)
     stacked, alone = coords[shared].reshape(-1), np.delete(coords, shared, axis=0).reshape(-1)
     ups[stacked], downs[stacked] = outs[0::2], outs[1::2]
-    ups[alone], downs[alone] = _lone_outputs(forward, x, alone)
+    ups[alone], downs[alone] = _one_call_per_copy(partial(op, *inputs), x, alone)
     directions = [(*(Tensor(c) if q is p else q for q in params), reverse)
                   for p in params for c in _moved_copies(p.data)]
     blocks = lstm_scan(x, _SCAN_LENGTHS, directions).data.reshape(batch, len(directions), -1)
     ends = np.cumsum([2 * p.size for p in params])[:-1]
-    moved = [(ups, downs)] + [(b[0::2], b[1::2]) for b in np.split(blocks.swapaxes(0, 1), ends)]
-    return _max_error(inputs, grads, weights, moved)
+    return [(ups, downs)] + [(b[0::2], b[1::2]) for b in np.split(blocks.swapaxes(0, 1), ends)]
+
+
+def check_op(op, inputs: list[Tensor], rng: np.random.Generator, moves=_PER_COPY) -> float:
+    """Max relative error of d(projection of op(*inputs))/d(inputs), the
+    projection's weights random. `moves` maps (op, inputs, the op's output)
+    to each input's outputs with each coordinate m moved up, ups[m], and
+    down, downs[m], by FD_STEP."""
+    with Tape() as tape:
+        out = op(*inputs)
+        weights = rng.normal(size=out.shape)
+        loss = sum_(mul(out, Tensor(weights)))
+    backward(tape, loss)
+    worst = 0.0
+    for t, (ups, downs) in zip(inputs, moves(op, inputs, out.data)):
+        analytic = np.zeros(t.size) if t.grad is None else t.grad.reshape(-1)
+        for a, numeric in zip(analytic, _numeric(ups, downs, weights)):
+            worst = max(worst, relative_error(a, numeric))
+    return worst
 
 
 def _uniform(*shape, low=-1.0, high=1.0):
@@ -255,50 +239,54 @@ def _add_norm_dropout(*inputs: Tensor) -> Tensor:
 _FFN_INPUTS = (_uniform(2, 2, 4), _uniform(4, 5, low=-0.1, high=0.1), _kinkless(5),
                _uniform(5, 3), _uniform(3))
 
-# (name, input draws, op): each draw maps a generator to one input array,
-# kept away from kinks, and op maps the input tensors to the output
+# (name, input draws, op, moves): each draw maps a generator to one input
+# array, kept away from kinks; op maps the input tensors to the output, and
+# moves runs the inputs' +- perturbations (check_op)
 OP_CATALOG = (
-    ("add", (_uniform(2, 5), _uniform(5)), add),
-    ("mul", (_uniform(2, 5), _uniform(2, 1)), mul),
+    ("add", (_uniform(2, 5), _uniform(5)), add, _FIRST_STACKED),
+    ("mul", (_uniform(2, 5), _uniform(2, 1)), mul, partial(_stacked, {0: (1,), 1: (0,)})),
     ("cross_entropy", (_uniform(4, 5, low=-2.0, high=2.0),),
-     lambda logits: cross_entropy(logits, np.array([1, 4, -1, 0]))),
+     lambda logits: cross_entropy(logits, np.array([1, 4, -1, 0])), _PER_COPY),
     ("total_loss", (_uniform(), _uniform(), _uniform()),
-     lambda *parts: total_loss(*parts, LossWeights(0.5, 0.3, 0.2))),
-    ("add_norm", _ADD_NORM_INPUTS, partial(add_norm, rate=0.0, rng=None)),
-    ("add_norm_dropout", _ADD_NORM_INPUTS, _add_norm_dropout),
+     lambda *parts: total_loss(*parts, LossWeights(0.5, 0.3, 0.2)), _PER_COPY),
+    ("add_norm", _ADD_NORM_INPUTS, partial(add_norm, rate=0.0, rng=None),
+     partial(_stacked, {0: (1,), 1: (0,)})),
+    ("add_norm_dropout", _ADD_NORM_INPUTS, _add_norm_dropout, _PER_COPY),
     ("embedding_lookup", (_uniform(7, 4),),
-     lambda table: embedding_lookup(table, np.array([[0, 3, 6], [2, 2, 5]]))),
-    ("slice", (_uniform(4, 5, 6),), lambda a: slice_(a, (slice(None), 2, slice(1, 4)))),
-    ("sum", (_uniform(3, 4, 5),), partial(sum_, axis=1)),
+     lambda table: embedding_lookup(table, np.array([[0, 3, 6], [2, 2, 5]])), _PER_COPY),
+    ("slice", (_uniform(4, 5, 6),), lambda a: slice_(a, (slice(None), 2, slice(1, 4))),
+     _FIRST_STACKED),
+    ("sum", (_uniform(3, 4, 5),), partial(sum_, axis=1), _FIRST_STACKED),
     # a 2-slot prompt ahead of a 3-slot text, and over a previous prompt
-    ("prefix", (_uniform(2, 4), _uniform(3, 3, 4)), partial(prefix, skip=0)),
-    ("prefix_overwrite", (_uniform(2, 4), _uniform(3, 5, 4)), partial(prefix, skip=2)),
-    # the check batches their weights' perturbations and most of x's (_check_scan)
-    ("lstm_scan", _SCAN_INPUTS, lambda x, *w: lstm_scan(x, _SCAN_LENGTHS, [(*w, False)])),
-    ("lstm_scan_reverse", _SCAN_INPUTS,
-     lambda x, *w: lstm_scan(x, _SCAN_LENGTHS, [(*w, True)])),
-    ("linear", (_uniform(2, 3, 4), _uniform(4, 5), _uniform(5)), linear),
-    ("linear_2d", (_uniform(3, 4), _uniform(4, 2)), linear),
-    ("linear_no_bias", (_uniform(2, 3, 4), _uniform(4, 3)), linear),
-    ("ffn", _FFN_INPUTS, ffn),
-    ("attention", (_uniform(2, 3, 12),), _attention),
+    ("prefix", (_uniform(2, 4), _uniform(3, 3, 4)), partial(prefix, skip=0),
+     partial(_stacked, {1: ()})),
+    ("prefix_overwrite", (_uniform(2, 4), _uniform(3, 5, 4)), partial(prefix, skip=2),
+     partial(_stacked, {1: ()})),
+    ("lstm_scan", _SCAN_INPUTS, lambda x, *w: lstm_scan(x, _SCAN_LENGTHS, [(*w, False)]),
+     partial(_scan_moves, False)),
+    ("lstm_scan_reverse", _SCAN_INPUTS, lambda x, *w: lstm_scan(x, _SCAN_LENGTHS, [(*w, True)]),
+     partial(_scan_moves, True)),
+    ("linear", (_uniform(2, 3, 4), _uniform(4, 5), _uniform(5)), linear, _FIRST_STACKED),
+    ("linear_2d", (_uniform(3, 4), _uniform(4, 2)), linear, _FIRST_STACKED),
+    ("linear_no_bias", (_uniform(2, 3, 4), _uniform(4, 3)), linear, _FIRST_STACKED),
+    ("ffn", _FFN_INPUTS, ffn, _FIRST_STACKED),
+    ("attention", (_uniform(2, 3, 12),), _attention, _FIRST_STACKED),
     # only the first query row attends, as in a linear-head model's last layer;
     # K's gradient scales with that one row of Q, so no entry is drawn near 0
-    ("attention_first_query", (_kinkless(2, 3, 12),),
-     partial(_attention, queries=1)),
+    ("attention_first_query", (_kinkless(2, 3, 12),), partial(_attention, queries=1),
+     _FIRST_STACKED),
 )
 
 
 def _op_catalog(seed: int):
-    """(name, inputs, forward, rng) for every OP_CATALOG entry. Each entry
+    """(name, op, inputs, rng, moves) for every OP_CATALOG entry. Each entry
     draws its inputs, and then its check's projection weights, from its own
     generator seeded with the check seed and its name, so an entry's numbers
     depend on nothing else in the catalog."""
     catalog = []
-    for name, draws, op in OP_CATALOG:
+    for name, draws, op, moves in OP_CATALOG:
         rng = np.random.Generator(np.random.PCG64([seed, *name.encode()]))
-        inputs = [Tensor(draw(rng)) for draw in draws]
-        catalog.append((name, inputs, partial(op, *inputs), rng))
+        catalog.append((name, op, [Tensor(draw(rng)) for draw in draws], rng, moves))
     return catalog
 
 
@@ -311,33 +299,10 @@ class OpErrors(dict):
         self.coordinates = coordinates
 
 
-# the catalog's one-direction scans, by name, and whether each runs in reverse
-_SCANS = {"lstm_scan": False, "lstm_scan_reverse": True}
-# The entries whose check stacks the copies of some inputs (_check_stacked),
-# by name: each such input, and the inputs tiled with it. Every other input
-# of an entry that is not a scan goes call by call: a weight, bias or gain,
-# which every copy would share, an embedding table, a loss's inputs, whose
-# output sums over rows, and add_norm_dropout's, since a larger call draws
-# another mask.
-_STACKS = {
-    "add": {0: ()}, "mul": {0: (1,), 1: (0,)}, "add_norm": {0: (1,), 1: (0,)},
-    "slice": {0: ()}, "sum": {0: ()}, "prefix": {1: ()}, "prefix_overwrite": {1: ()},
-    "linear": {0: ()}, "linear_2d": {0: ()}, "linear_no_bias": {0: ()}, "ffn": {0: ()},
-    "attention": {0: ()}, "attention_first_query": {0: ()},
-}
-
-
 def check_all_ops(seed: int = 0) -> OpErrors:
     catalog = _op_catalog(seed)
-    errors = {}
-    for (name, _, op), (_, inputs, forward, rng) in zip(OP_CATALOG, catalog):
-        if name in _SCANS:
-            errors[name] = _check_scan(forward, inputs, rng, _SCANS[name])
-        elif name in _STACKS:
-            errors[name] = _check_stacked(op, inputs, rng, _STACKS[name])
-        else:
-            errors[name] = check_op(forward, inputs, rng)
-    return OpErrors(errors, sum(t.size for _, inputs, _, _ in catalog for t in inputs))
+    return OpErrors({name: check_op(*check) for name, *check in catalog},
+                    sum(t.size for _, _, inputs, _, _ in catalog for t in inputs))
 
 
 TINY_CONFIG = TrainConfig(

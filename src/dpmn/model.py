@@ -41,18 +41,19 @@ class DpmnModel:
                  arrays: dict[str, np.ndarray] | None = None):
         if rng_seed < 0:
             raise ConfigError(f"rng_seed must be >= 0, got {rng_seed}")
+        d = encoder_config.hidden_size
+        if head_kind == "bilstm-ffn":  # a linear head reads neither size
+            lstm_hidden = d // 2 if lstm_hidden is None else lstm_hidden
+            head_ffn_size = d if head_ffn_size is None else head_ffn_size
         for name, size in (("lstm_hidden", lstm_hidden), ("head_ffn_size", head_ffn_size)):
             if size is not None and size < 1:
                 raise ConfigError(f"{name} must be >= 1, got {size}")
-        d = encoder_config.hidden_size
         self._store = ParameterStore(np.random.Generator(np.random.PCG64(rng_seed)), arrays)
         self.encoder = EncoderStack(encoder_config, self._store)
         self._encoder_names = set(self._store.tensors)
         self.bank: PrefixBank = init_prompt(
             prompt_config, encoder_config, self.encoder.token_emb.data, self._store, rng_seed + 1
         )
-        lstm_hidden = lstm_hidden or d // 2
-        head_ffn_size = head_ffn_size or d
         self.heads = {
             task: make_head(head_kind, d, lstm_hidden, head_ffn_size,
                             TASK_CLASSES[task], self._store, f"head_{task}")

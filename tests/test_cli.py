@@ -361,6 +361,19 @@ def test_config_the_model_cannot_take_exits_two_before_any_output(workdir, capsy
                                                  str(workdir / "run.cfg")], "")
 
 
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+def test_a_zero_default_lstm_hidden_exits_two_naming_the_key(workdir, capsys, command):
+    """hidden_size 1 halves to an lstm_hidden of 0 when the key is unset:
+    refused as a config error naming it, not raised from inside the heads."""
+    lines = ["hidden_size = 1", "num_heads = 1"]
+    kept = [line for line in FAST_CONFIG.splitlines()
+            if line.split(" = ")[0] not in ("hidden_size", "num_heads")]
+    (workdir / "run.cfg").write_text("\n".join(kept + lines) + "\n", encoding="utf-8")
+    grid = ["--lengths", "1", "--forms", "deep", "--inits", "random"] if command == "sweep" else []
+    _refused_before_any_output(workdir, capsys, [command, *grid, "--config",
+                                                 str(workdir / "run.cfg")], "lstm_hidden")
+
+
 def test_checkpoint_with_a_repeated_vocab_token_exits_three(workdir, checkpoint, capsys):
     """The last vocab.N line of a resealed header repeats vocab.3's token."""
     header, arrays = load_checkpoint(checkpoint)

@@ -21,7 +21,8 @@ from dpmn.gradcheck import (
     _network_probe,
     _op_catalog,
     _probe_losses,
-    _projected_backward,
+    _scan_moves,
+    _stacked,
     build_probe_setup,
     check_all_ops,
     check_network,
@@ -30,7 +31,7 @@ from dpmn.gradcheck import (
 )
 from dpmn.encoder import TransformerLayer
 from dpmn.heads import BiLstmFfnHead
-from dpmn.tensor import Tape, Tensor, _record, backward, lstm_scan
+from dpmn.tensor import Tape, Tensor, _record, backward, lstm_scan, mul, sum_
 
 PROBE_PARAMETERS = 58  # of the probe network with Bi-LSTM heads
 
@@ -61,26 +62,31 @@ def _unstaged_check_network(n_probes, seed=0, reprobes=None):
 
 def _unbatched_check_all_ops(seed, numerics=None):
     """check_all_ops as it was before any batching, written out apart from
-    the check's own differencing: every coordinate of every entry is moved
-    call by call, and the two projected losses differenced. Each numeric
+    the check: every entry's taped projection, then every coordinate moved
+    call by call and the two projected losses differenced. Each numeric
     derivative, as float hex, goes to `numerics`."""
     errors = {}
-    for name, inputs, forward, rng in _op_catalog(seed):
-        _, grads, weights = _projected_backward(forward, inputs, rng)
+    for name, op, inputs, rng, _ in _op_catalog(seed):
+        with Tape() as tape:
+            out = op(*inputs)
+            weights = rng.normal(size=out.shape)
+            loss = sum_(mul(out, Tensor(weights)))
+        backward(tape, loss)
         worst = 0.0
-        for t, g in zip(inputs, grads):
+        for t in inputs:
             flat = t.data.reshape(-1)
             for j in range(flat.size):
                 kept = flat[j]
                 flat[j] = kept + FD_STEP
-                up = float((forward().data * weights).sum())
+                up = float((op(*inputs).data * weights).sum())
                 flat[j] = kept - FD_STEP
-                down = float((forward().data * weights).sum())
+                down = float((op(*inputs).data * weights).sum())
                 flat[j] = kept
                 numeric = (up - down) / (2.0 * FD_STEP)
                 if numerics is not None:
                     numerics.append(numeric.hex())
-                worst = max(worst, relative_error(0.0 if g is None else g.flat[j], numeric))
+                analytic = 0.0 if t.grad is None else t.grad.flat[j]
+                worst = max(worst, relative_error(analytic, numeric))
         errors[name] = worst
     return errors
 
@@ -127,6 +133,48 @@ def test_an_lstm_entry_runs_its_weight_perturbations_as_one_scan(monkeypatch):
     check_all_ops(0)
     lone = (3, [2, 4, 1], 1)
     assert calls == 2 * ([lone, (48, [2] * 24 + [1] * 24, 1)] + [lone] * 24 + [(3, [2, 4, 1], 96)])
+
+
+# Each entry's op calls at seed 0: the taped call, one per stacked input, and
+# two per coordinate of an input that goes one call per copy. An LSTM entry's
+# x rows 0 and 2 and its weights run as scans of their own, so its op runs
+# only for the taped call and the 24 copies of row 1 (see above).
+_OP_CALLS = {
+    "add": 1 + 1 + 10, "mul": 1 + 2, "cross_entropy": 1 + 40, "total_loss": 1 + 6,
+    "add_norm": 1 + 2 + 16, "add_norm_dropout": 1 + 112, "embedding_lookup": 1 + 56,
+    "slice": 1 + 1, "sum": 1 + 1, "prefix": 1 + 1 + 16, "prefix_overwrite": 1 + 1 + 16,
+    "lstm_scan": 1 + 24, "lstm_scan_reverse": 1 + 24, "linear": 1 + 1 + 50,
+    "linear_2d": 1 + 1 + 16, "linear_no_bias": 1 + 1 + 24, "ffn": 1 + 1 + 86,
+    "attention": 1 + 1, "attention_first_query": 1 + 1,
+}
+
+
+def test_each_catalog_entry_makes_its_pinned_number_of_op_calls(monkeypatch):
+    """Every input a _stacked entry names, stacked or tiled, is one of its
+    inputs, so a mistyped index cannot quietly leave an input one call per
+    copy; each count is the one its moves imply, and the one check_all_ops
+    makes."""
+    for name, _, inputs, _, moves in _op_catalog(0):
+        if moves.func is _scan_moves:
+            continue
+        assert moves.func is _stacked, name
+        stacks = moves.args[0]
+        named = {*stacks, *(m for tiled in stacks.values() for m in tiled)}
+        assert named <= set(range(len(inputs))), name
+        per_copy = sum(2 * t.size for i, t in enumerate(inputs) if i not in stacks)
+        assert _OP_CALLS[name] == 1 + len(stacks) + per_copy, name
+    calls = dict.fromkeys(_OP_CALLS, 0)
+
+    def counted(name, op):
+        def call(*args):
+            calls[name] += 1
+            return op(*args)
+        return call
+
+    monkeypatch.setattr(gradcheck, "OP_CATALOG", tuple(
+        (name, draws, counted(name, op), moves) for name, draws, op, moves in OP_CATALOG))
+    check_all_ops(0)
+    assert calls == _OP_CALLS
 
 
 def _scan_with_skewed(index, skew):
@@ -288,8 +336,7 @@ def _doubled_with_nan_gradient(a):
 
 def test_a_nan_backward_fails_check_op():
     a = Tensor(np.array([0.5, -1.0, 2.0]))
-    error = check_op(lambda: _doubled_with_nan_gradient(a), [a],
-                     np.random.Generator(np.random.PCG64(0)))
+    error = check_op(_doubled_with_nan_gradient, [a], np.random.Generator(np.random.PCG64(0)))
     assert error == math.inf and not error < gradcheck.OP_TOLERANCE
 
 
@@ -310,9 +357,8 @@ def _skewed(a, skew):
 def _check_skewed(name, skew):
     """check_op on catalog entry `name` (seed 0), its first input's gradient
     passed through `skew`."""
-    _, inputs, _, rng = next(entry for entry in _op_catalog(0) if entry[0] == name)
-    op = next(op for entry, _, op in OP_CATALOG if entry == name)
-    return check_op(lambda: op(_skewed(inputs[0], skew), *inputs[1:]), inputs, rng)
+    _, op, inputs, rng, _ = next(entry for entry in _op_catalog(0) if entry[0] == name)
+    return check_op(lambda first, *rest: op(_skewed(first, skew), *rest), inputs, rng)
 
 
 def _unchanged(g):
@@ -357,10 +403,10 @@ def test_a_first_input_gradient_off_by_a_relative_1e_5_fails_its_entry_through_c
     catalog = gradcheck.OP_CATALOG
 
     def with_skew(skew):
-        def entry(name_, draws, op):
+        def entry(name_, draws, op, moves):
             if name_ != name:
-                return name_, draws, op
-            return name_, draws, lambda first, *rest: op(_skewed(first, skew), *rest)
+                return name_, draws, op, moves
+            return name_, draws, lambda first, *rest: op(_skewed(first, skew), *rest), moves
         monkeypatch.setattr(gradcheck, "OP_CATALOG", tuple(entry(*e) for e in catalog))
         return check_all_ops(0)[name]
 

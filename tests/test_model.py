@@ -120,7 +120,7 @@ def test_op_errors_do_not_depend_on_the_rest_of_the_catalog(monkeypatch):
     full = check_all_ops(seed=3)
     wider = (lambda rng: rng.uniform(-1.0, 1.0, size=(3, 5)),
              lambda rng: rng.uniform(-1.0, 1.0, size=(3, 1)))
-    catalog = [entry if entry[0] != "mul" else ("mul", wider, entry[2])
+    catalog = [entry if entry[0] != "mul" else ("mul", wider, *entry[2:])
                for entry in gradcheck.OP_CATALOG if entry[0] != "add"]
     monkeypatch.setattr(gradcheck, "OP_CATALOG", tuple(catalog))
     changed = check_all_ops(seed=3)
