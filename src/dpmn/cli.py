@@ -22,7 +22,7 @@ from .trainer import ablate, evaluate_checkpoint, run_grid, train
 
 def _load_config(args) -> TrainConfig:
     cfg = load_config_file(args.config) if args.config else TrainConfig()
-    return replace(cfg, out_dir=args.out) if args.out else cfg
+    return cfg if args.out is None else replace(cfg, out_dir=args.out)
 
 
 @contextmanager

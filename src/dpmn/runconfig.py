@@ -52,6 +52,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.head_kind not in HEAD_KINDS:
             raise ConfigError(f"head_kind must be one of {HEAD_KINDS}, got {self.head_kind!r}")
+        if self.out_dir == "":
+            raise ConfigError("out_dir must not be empty")
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
         shared = {f.name: getattr(self, f.name) for f in fields(EncoderConfig)
@@ -106,8 +108,8 @@ def _fmt(value) -> str | None:
 
 def format_config(cfg: TrainConfig) -> str:
     """Canonical text form; parse_config() inverts it. Unset optional keys
-    are omitted. An out_dir that one config line cannot hold (empty, padded
-    with whitespace, or spanning lines) is a ConfigError."""
+    are omitted. An out_dir that one config line cannot hold (padded with
+    whitespace, or spanning lines) is a ConfigError."""
     out = cfg.out_dir
     if out is not None and (out.splitlines() != [out] or out != out.strip()):
         raise ConfigError(f"out_dir {out!r} cannot be written as one config value")

@@ -35,8 +35,8 @@ from .tensor import Tape, backward
 
 CHECKPOINT_NAME = "model.ckpt"
 RUNLOG_NAME = "runlog.csv"
-RUNLOG_HEADER = ("epoch,train_loss_total,train_loss_a,train_loss_b,train_loss_c,"
-                 "dev_macro_f1_a,dev_macro_f1_b,dev_macro_f1_c,best")
+RUNLOG_HEADER = ",".join(["epoch", "train_loss_total", *(f"train_loss_{t}" for t in TASKS),
+                          *(f"dev_macro_f1_{t}" for t in TASKS), "best"])
 
 
 @dataclass
@@ -112,27 +112,17 @@ def _require_finite(arrays: dict[str, np.ndarray | None], what: str, step: int) 
 
 def evaluate_model(model: DpmnModel, batches: list[Batch]) -> EvalReport:
     """Macro F1 and confusion matrix per task, over examples whose label is
-    present for that task. Forward passes run without a tape (no dropout)."""
-    gold: dict[str, list] = {t: [] for t in TASKS}
-    pred: dict[str, list] = {t: [] for t in TASKS}
+    present for that task: each batch adds its present rows into the task's
+    one matrix. Forward passes run without a tape (no dropout)."""
+    confusion = {t: np.zeros((c, c), dtype=np.int64) for t, c in TASK_CLASSES.items()}
     for batch in batches:
         logits = model.forward(batch)
-        for task in TASKS:
-            labels = batch.labels[task]
-            present = labels >= 0
-            choices = np.argmax(logits[task].data, axis=1)
-            gold[task].extend(labels[present].tolist())
-            pred[task].extend(choices[present].tolist())
-    f1, confusion = {}, {}
-    for task in TASKS:
-        c = TASK_CLASSES[task]
-        if gold[task]:
-            f1[task] = macro_f1(pred[task], gold[task], c)
-            confusion[task] = confusion_matrix(gold[task], pred[task], c)
-        else:
-            f1[task] = 0.0
-            confusion[task] = np.zeros((c, c), dtype=np.int64)
-    return EvalReport(f1=f1, confusion=confusion)
+        for task, counts in confusion.items():
+            present = batch.labels[task] >= 0
+            counts += confusion_matrix(batch.labels[task][present],
+                                       np.argmax(logits[task].data[present], axis=1),
+                                       len(counts))
+    return EvalReport({t: macro_f1(m) for t, m in confusion.items()}, confusion)
 
 
 def train(cfg: TrainConfig, train_examples, dev_examples, *, log=None) -> TrainResult:

@@ -20,7 +20,7 @@ from dpmn.gradcheck import (
     run_gradcheck,
 )
 from dpmn.losses import LossWeights, cross_entropy, total_loss
-from dpmn.metrics import macro_f1
+from dpmn.metrics import confusion_matrix, macro_f1
 from dpmn.prompt import PromptConfig, init_prompt
 from dpmn.runconfig import TrainConfig, parse_config
 from dpmn.tensor import Tape, backward
@@ -128,7 +128,7 @@ def test_criterion_5_metric_oracle():
         n = int(rng.integers(1, 120))
         gold = rng.integers(0, c, size=n)
         pred = rng.integers(0, c, size=n)
-        worst = max(worst, abs(macro_f1(pred, gold, c)
+        worst = max(worst, abs(macro_f1(confusion_matrix(gold, pred, c))
                                - brute_force_macro_f1(pred.tolist(), gold.tolist(), c)))
     _report(5, "metric oracle", worst <= 1e-12,
             f"max |fast - brute force| = {worst:.1e} over 1000 pairs")

@@ -603,6 +603,19 @@ def test_out_naming_a_file_exits_three_before_training(workdir, capsys, command)
     assert taken.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+def test_an_empty_out_exits_two_before_any_output(workdir, capsys, monkeypatch, command):
+    monkeypatch.chdir(workdir)
+    before = sorted(workdir.rglob("*"))
+    grid = ["--lengths", "1", "--forms", "deep", "--inits", "random"] if command == "sweep" else []
+    assert main([command, *grid, "--config", "run.cfg", "--train", "train.tsv",
+                 "--dev", "dev.tsv", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: out_dir must not be empty\n"
+    assert sorted(workdir.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command,artifact", [
     ("train", "model.ckpt"), ("ablate", "ablation.md"), ("sweep", "sweep.csv"),
 ])

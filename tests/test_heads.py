@@ -21,8 +21,10 @@ from conftest import make_store, max_rel_error, numeric_gradient
 from reference_ops import concat, sigmoid, tanh
 
 D, H, F = 6, 4, 5
-# Fused and per-timestep scans sum in different orders; in float64 they
-# agree far inside this bound, so any real disagreement stands out.
+# Fused and per-timestep scans sum in different orders. In float64 a state
+# agrees far inside this bound relative to the largest state, and a gradient
+# coordinate relative to the summed magnitudes of the terms it adds up, so
+# any real disagreement stands out.
 SCAN_REL_TOL = 1e-12
 
 
@@ -48,6 +50,38 @@ def _reference_scan(x, lengths, w_x, w_h, b, hidden, reverse):
     return h
 
 
+def _term_scales(arrays, lengths, proj, hidden, reverse):
+    """Per coordinate of dx, dw_x, dw_h and db, the magnitudes of the terms
+    it sums: the scan and its backward pass with every sum's terms added as
+    magnitudes (1 - s as 1 + s, a gate or cell value as the magnitudes its
+    sum adds up). Round-off scales with these, not with the gradient, which
+    cancellation can make far smaller."""
+    x, w_x, w_h, b = (np.abs(a) for a in arrays)
+    h, c = np.zeros((x.shape[0], hidden)), np.zeros((x.shape[0], hidden))
+    states = []
+    for t in range(x.shape[1] - 1, -1, -1) if reverse else range(x.shape[1]):
+        gates = x[:, t] @ w_x + h @ w_h + b
+        i, f, o = (1 / (1 + np.exp(-gates[:, k * hidden:(k + 1) * hidden])) for k in range(3))
+        g = np.minimum(gates[:, 3 * hidden:], 1.0)  # bounds |tanh| of its sum
+        c_new = f * c + i * g
+        step = (t < lengths)[:, None]
+        states.append((t, step, h, c, i, f, o, g, np.minimum(c_new, 1.0)))
+        h, c = np.where(step, o * np.minimum(c_new, 1.0), h), np.where(step, c_new, c)
+    dh, dc = np.abs(proj), np.zeros_like(c)
+    dx, dw_x, dw_h, db = np.zeros_like(x), 0.0, 0.0, 0.0
+    for t, step, h, c, i, f, o, g, tanh_c in reversed(states):
+        dc_new = dc + dh * o * (1 + tanh_c ** 2)
+        dgates = step * np.concatenate([dc_new * g * i * (1 + i), dc_new * c * f * (1 + f),
+                                        dh * tanh_c * o * (1 + o), dc_new * i * (1 + g ** 2)],
+                                       axis=1)
+        dx[:, t] = dgates @ w_x.T
+        dw_x = dw_x + x[:, t].T @ dgates
+        dw_h = dw_h + h.T @ dgates
+        db = db + dgates.sum(axis=0)
+        dh, dc = np.where(step, dgates @ w_h.T, dh), np.where(step, dc_new * f, dc)
+    return dx, dw_x, dw_h, db
+
+
 def _relative(a, b):
     return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
 
@@ -71,26 +105,61 @@ def _scan_with_grads(scan, arrays, proj):
     return out.data, [t.grad for t in inputs]
 
 
+def _scan_and_reference(lengths, seq, d, hidden, reverse, seed):
+    """The fused scan's state and gradients, the reference's, and the term
+    scales of the gradients."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    arrays = _scan_arrays(rng, len(lengths), seq, d, hidden)
+    proj = rng.normal(size=(len(lengths), hidden))
+    fused, fused_grads = _scan_with_grads(_fused(lengths, reverse), arrays, proj)
+    ref, ref_grads = _scan_with_grads(
+        lambda x, w_x, w_h, b: _reference_scan(x, lengths, w_x, w_h, b, hidden, reverse),
+        arrays, proj)
+    # the untaped path computes the same state bitwise
+    x, w_x, w_h, b = (Tensor(a) for a in arrays)
+    assert np.array_equal(lstm_scan(x, lengths, [(w_x, w_h, b, reverse)]).data, fused)
+    return (fused, fused_grads, ref, ref_grads,
+            _term_scales(arrays, lengths, proj, hidden, reverse))
+
+
+def _off_scale(got_grads, want_grads, scales):
+    """Names of the gradients with a coordinate off by more than its bound."""
+    return [name for name, got, want, scale in zip(("x", "w_x", "w_h", "b"), got_grads,
+                                                   want_grads, scales)
+            if not (np.abs(got - want) <= SCAN_REL_TOL * scale).all()]
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 4), st.integers(1, 3),
        st.booleans(), st.integers(0, 2 ** 31), st.data())
 def test_lstm_scan_matches_per_timestep_reference(batch, seq, d, hidden, reverse, seed, data):
     lengths = np.array(data.draw(st.lists(st.integers(1, seq), min_size=batch, max_size=batch)))
-    rng = np.random.Generator(np.random.PCG64(seed))
-    arrays = _scan_arrays(rng, batch, seq, d, hidden)
-    proj = rng.normal(size=(batch, hidden))
-
-    fused, fused_grads = _scan_with_grads(_fused(lengths, reverse), arrays, proj)
-    ref, ref_grads = _scan_with_grads(
-        lambda x, w_x, w_h, b: _reference_scan(x, lengths, w_x, w_h, b, hidden, reverse),
-        arrays, proj)
+    fused, fused_grads, ref, ref_grads, scales = _scan_and_reference(lengths, seq, d, hidden,
+                                                                     reverse, seed)
     assert _relative(fused, ref) <= SCAN_REL_TOL
-    for name, got, want in zip(("x", "w_x", "w_h", "b"), fused_grads, ref_grads):
-        assert _relative(got, want) <= SCAN_REL_TOL, name
-    # the untaped path computes the same state bitwise
-    x, w_x, w_h, b = (Tensor(a) for a in arrays)
-    untaped = lstm_scan(x, lengths, [(w_x, w_h, b, reverse)])
-    assert np.array_equal(untaped.data, fused)
+    assert _off_scale(fused_grads, ref_grads, scales) == []
+
+
+def test_lstm_scan_matches_the_reference_where_an_x_gradient_cancels():
+    """dx sums eight terms into -2.4e-7, a millionth of its scale, 0.47: the
+    two scans' summation orders differ by 2e-11 of dx but 1e-17 of its scale."""
+    fused, fused_grads, ref, ref_grads, scales = _scan_and_reference(
+        np.array([1]), seq=1, d=1, hidden=2, reverse=False, seed=330)
+    assert _relative(fused, ref) <= SCAN_REL_TOL
+    assert abs(ref_grads[0].item()) < 1e-5 * scales[0].item()
+    assert _off_scale(fused_grads, ref_grads, scales) == []
+
+
+def test_a_dx_coordinate_off_by_a_relative_1e_9_fails_the_scaled_bound():
+    _, fused_grads, _, ref_grads, scales = _scan_and_reference(
+        np.array([3, 3]), seq=3, d=2, hidden=2, reverse=False, seed=0)
+    # the coordinate with the least cancellation: a 1e-9 change of it is
+    # tens of times its bound
+    k = np.unravel_index(np.argmax(np.abs(ref_grads[0]) / scales[0]), scales[0].shape)
+    assert 1e-9 * abs(ref_grads[0][k]) > 10 * SCAN_REL_TOL * scales[0][k]
+    assert _off_scale(fused_grads, ref_grads, scales) == []
+    fused_grads[0][k] *= 1 + 1e-9
+    assert _off_scale(fused_grads, ref_grads, scales) == ["x"]
 
 
 def _bits(a):

@@ -23,18 +23,19 @@ def brute_force_macro_f1(predictions, gold, n_classes):
 
 
 def test_perfect_predictions_score_one():
-    assert macro_f1([0, 1, 2, 1], [0, 1, 2, 1], 3) == 1.0
+    assert macro_f1(confusion_matrix([0, 1, 2, 1], [0, 1, 2, 1], 3)) == 1.0
 
 
 def test_hand_computed_half():
     # both classes: precision 0.5, recall 0.5 -> F1 0.5 each
-    assert macro_f1([0, 1, 0, 1], [0, 0, 1, 1], 2) == pytest.approx(0.5, abs=1e-15)
+    cm = confusion_matrix([0, 0, 1, 1], [0, 1, 0, 1], 2)
+    assert macro_f1(cm) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_all_one_class_on_balanced_data():
     # predicted class: precision 1/2, recall 1 -> F1 2/3; other class 0
     gold = [0] * 10 + [1] * 10
-    assert macro_f1([0] * 20, gold, 2) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert macro_f1(confusion_matrix(gold, [0] * 20, 2)) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_matches_brute_force_oracle_on_random_cases(rng):
@@ -43,14 +44,14 @@ def test_matches_brute_force_oracle_on_random_cases(rng):
         n = int(rng.integers(1, 200))
         gold = rng.integers(0, c, size=n)
         pred = rng.integers(0, c, size=n)
-        fast = macro_f1(pred, gold, c)
+        fast = macro_f1(confusion_matrix(gold, pred, c))
         slow = brute_force_macro_f1(pred.tolist(), gold.tolist(), c)
         assert abs(fast - slow) <= 1e-12
 
 
 def test_class_absent_from_both_contributes_zero():
     # class 2 never appears: its F1 is 0 by the zero-division convention
-    assert macro_f1([0, 1], [0, 1], 3) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert macro_f1(confusion_matrix([0, 1], [0, 1], 3)) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 @settings(deadline=None, max_examples=50)
@@ -59,28 +60,31 @@ def test_class_absent_from_both_contributes_zero():
 def test_permutation_invariance(pairs, shuffler):
     gold = [g for g, _ in pairs]
     pred = [p for _, p in pairs]
-    base = macro_f1(pred, gold, 3)
+    base = macro_f1(confusion_matrix(gold, pred, 3))
     order = list(range(len(pairs)))
     shuffler.shuffle(order)
-    assert macro_f1([pred[i] for i in order], [gold[i] for i in order], 3) == base
+    shuffled = confusion_matrix([gold[i] for i in order], [pred[i] for i in order], 3)
+    assert macro_f1(shuffled) == base
 
 
 def test_consistent_relabeling_invariance(rng):
     gold = rng.integers(0, 3, size=100)
     pred = rng.integers(0, 3, size=100)
     relabel = np.array([2, 0, 1])
-    base = macro_f1(pred, gold, 3)
-    assert macro_f1(relabel[pred], relabel[gold], 3) == pytest.approx(base, abs=1e-15)
+    base = macro_f1(confusion_matrix(gold, pred, 3))
+    relabeled = confusion_matrix(relabel[gold], relabel[pred], 3)
+    assert macro_f1(relabeled) == pytest.approx(base, abs=1e-15)
 
 
-def test_empty_input_rejected():
-    with pytest.raises(ContractError):
-        macro_f1([], [], 2)
+def test_empty_input_gives_an_all_zero_matrix_that_scores_zero():
+    cm = confusion_matrix([], [], 2)
+    assert cm.dtype == np.int64 and np.array_equal(cm, np.zeros((2, 2)))
+    assert macro_f1(cm) == 0.0
 
 
 def test_out_of_range_class_rejected():
     with pytest.raises(ContractError):
-        macro_f1([0, 1], [0, 2], 2)
+        confusion_matrix([0, 2], [0, 1], 2)
 
 
 def test_confusion_matrix_counts():

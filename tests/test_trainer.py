@@ -10,20 +10,29 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpmn import model as model_module, trainer
 from dpmn.checkpoint import checkpoint_bytes, load_checkpoint, parse_checkpoint, save_checkpoint
-from dpmn.data import TASKS, build_vocab, generate_synthetic_corpus, make_batches
+from dpmn.data import (
+    ABSENT,
+    TASK_CLASSES,
+    TASKS,
+    Batch,
+    build_vocab,
+    generate_synthetic_corpus,
+    make_batches,
+)
 from dpmn.encoder import TransformerLayer
 from dpmn.errors import IntegrityError, NumericError
 from dpmn.heads import BiLstmFfnHead
 from dpmn.losses import LossWeights, cross_entropy, total_loss
 from dpmn.prompt import PromptConfig
 from dpmn.runconfig import TrainConfig
-from dpmn.tensor import Tape, attention, backward, linear
+from dpmn.tensor import Tape, Tensor, attention, backward, linear
 from dpmn.trainer import (
     ABLATION_VARIANTS,
-    RUNLOG_HEADER,
     ablate,
     build_model,
     evaluate_checkpoint,
@@ -39,6 +48,7 @@ from conftest import (
     scripted_dev_metric,
 )
 from reference_ops import unfused_add_norm, unfused_ffn
+from test_metrics import brute_force_macro_f1
 
 TINY = dict(num_layers=2, hidden_size=16, num_heads=2, ffn_size=32, max_seq_len=24,
             dropout=0.0, batch_size=16)
@@ -227,7 +237,8 @@ def test_runlog_csv_shape(corpus):
     csv = result.runlog.to_csv()
     assert "np.float" not in csv  # plain decimal floats only
     lines = csv.splitlines()
-    assert lines[0] == RUNLOG_HEADER
+    assert lines[0] == ("epoch,train_loss_total,train_loss_a,train_loss_b,train_loss_c,"
+                        "dev_macro_f1_a,dev_macro_f1_b,dev_macro_f1_c,best")
     assert len(lines) == 1 + len(result.runlog.rows)
     assert sum(int(line.split(",")[-1]) for line in lines[1:]) == 1  # one best marker
     epochs = [int(line.split(",")[0]) for line in lines[1:]]
@@ -338,6 +349,60 @@ def test_evaluation_excludes_hierarchy_masked_examples(corpus):
     assert report.counts["a"] == len(corpus)
     assert report.counts["b"] == n_off
     assert report.counts["c"] == n_tin
+
+
+class _DrawnLogits:
+    """A model stub whose forward pass returns fixed logits per example; a
+    batch's token ids are the indices of its examples."""
+
+    def __init__(self, logits):
+        self.logits = logits
+
+    def forward(self, batch):
+        return {task: Tensor(rows[batch.token_ids[:, 0]]) for task, rows in self.logits.items()}
+
+
+def _batches_of(labels, order, cuts):
+    return [Batch(order[part, None], np.ones(len(part), dtype=np.int64),
+                  {task: column[order[part]] for task, column in labels.items()})
+            for part in np.split(np.arange(len(order)), cuts)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_evaluation_counts_each_present_row_once_however_examples_are_batched(data):
+    n = data.draw(st.integers(1, 30))
+    labels, logits = {}, {}
+    for task, c in TASK_CLASSES.items():
+        label = st.just(ABSENT) if data.draw(st.booleans()) else st.integers(ABSENT, c - 1)
+        labels[task] = np.array(data.draw(st.lists(label, min_size=n, max_size=n)), dtype=np.int64)
+        logits[task] = np.array(data.draw(st.lists(  # small integers: ties are frequent
+            st.lists(st.integers(-2, 2), min_size=c, max_size=c), min_size=n, max_size=n)),
+            dtype=np.float64)
+    model = _DrawnLogits(logits)
+
+    def evaluate(order):
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        return evaluate_model(model, _batches_of(labels, np.array(order), cuts))
+
+    report = evaluate(range(n))
+    for task, c in TASK_CLASSES.items():
+        counted = np.zeros((c, c), dtype=np.int64)
+        gold, predicted = [], []
+        for label, row in zip(labels[task].tolist(), logits[task].tolist()):
+            if label != ABSENT:
+                choice = row.index(max(row))  # the first of tied maxima, as argmax picks
+                counted[label, choice] += 1
+                gold.append(label)
+                predicted.append(choice)
+        assert np.array_equal(report.confusion[task], counted), task
+        assert abs(report.f1[task] - brute_force_macro_f1(predicted, gold, c)) <= 1e-12, task
+        if not gold:
+            assert report.f1[task] == 0.0
+    rebatched = evaluate(data.draw(st.permutations(range(n))))
+    for task in TASKS:
+        assert np.array_equal(rebatched.confusion[task], report.confusion[task]), task
+        assert rebatched.f1[task].hex() == report.f1[task].hex(), task
 
 
 def test_non_finite_loss_aborts_with_step_number(corpus):
