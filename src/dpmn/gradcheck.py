@@ -10,22 +10,27 @@ kink is re-probed at smaller steps, and every re-probe is reported.
 Neither level repeats work a finite difference does not need. Each op
 catalog entry names how its inputs' +- perturbations run: as the copies of
 one call wherever the op gives each copy the bytes a lone call gives it
-(_stacked; an LSTM entry's weights as the directions of one scan,
-_scan_moves), else one call per copy. Every coordinate's up and down outputs
-go to one judgement, so every difference is the per-coordinate loop's, bit
-for bit.
+(_stacked; an LSTM entry's as the directions of one scan, _scan_moves),
+else one call per copy. Every coordinate's up and down outputs go to one
+judgement, so every difference is the per-coordinate loop's, bit for bit.
 
-A network probe resumes at the first stage that reads its parameter, told
-by its name, on what the taped base pass kept: for `layer<i>.*` and
-`prompt.layer<i>` encoder layer i's input, then the rest of the stack, the
-heads' read and every classify and loss; for `head_<task>.lstm_*` a scan of
-that head's two directions, spliced into the kept states, then that task's
-classify and loss; for any other `head_<task>.*` that classify and loss on
-the kept states; for an embedding a full forward. The total adds the kept
-losses of the other tasks as always. Every op gets the bytes a full forward
-gives it and returns the same floats, so every loss is the full forward's,
-bit for bit. No probe forward draws dropout, so every stage sees what the
-base pass saw.
+Every network probe is drawn first, and the +-FD_STEP losses of each
+cycle through the parameters run as one batch. A probe resumes at the
+first stage that reads its parameter, told by its name, on what the taped
+base pass kept: for `layer<i>.*` and `prompt.layer<i>` encoder layer i on
+its kept input, then the rest of the stack; one read of all those encoder
+outputs (for Bi-LSTM heads, one lockstep scan of every head's directions
+over each); then every classify and loss. For `head_<task>.lstm_*` its
+moved direction over the kept encoder output, all of them as one scan,
+spliced into a copy of the kept states, then that task's classify and
+loss; for any other `head_<task>.*` that classify and loss on the kept
+states; for an embedding a full forward. The total adds the kept losses of
+the other tasks as always. Every op gets the bytes a full forward gives it
+and returns the same floats (each direction of a lockstep scan is bit for
+bit a lone scan of it, over the same rows), so every loss is the full
+forward's, bit for bit. No probe forward draws dropout, so every stage
+sees what the base pass saw. A probe that re-probes at a smaller step
+(_network_probe) runs through the same batched losses.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ import numpy as np
 from .data import TASKS, Example, build_vocab, make_batches
 from .encoder import MASK_BIAS, attention_bias, encode_layer
 from .errors import ConfigError
-from .heads import BiLstmFfnHead
 from .losses import LossWeights, cross_entropy, total_loss
 from .prompt import PromptConfig
 from .runconfig import TrainConfig
@@ -150,35 +154,18 @@ _FIRST_STACKED = partial(_stacked, {0: ()})
 def _scan_moves(reverse: bool, op, inputs: list[Tensor],
                 out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each input's (ups, downs) outputs, as _stacked gives them, for an
-    entry `lstm_scan(x, _SCAN_LENGTHS, [(w_x, w_h, b, reverse)])`.
-
-    The copies of each row of x that never steps alone (_moved_copies) are
-    the rows of one scan, each with the row's length, and each copy's state
-    is spliced into a copy of `out`. The row that outlives the others steps
-    alone, and a lone live row's recurrent product is a matrix-vector one,
-    whose sums may differ in the last bits, so its coordinates go one call
-    per copy. The +- perturbation of each weight coordinate, in order, is
-    direction 2m or 2m + 1 of one scan, whose states are bit for bit a lone
-    call's."""
+    entry `lstm_scan(_SCAN_LENGTHS, [(x, w_x, w_h, b, reverse)])`: the +-
+    perturbation of each coordinate of each input, in order, is direction
+    2m or 2m + 1 of one scan, which reads its own copy of x where x is
+    moved (_moved_copies). Every direction steps the lone call's rows, so
+    its states are bit for bit the lone call's output."""
     x, *params = inputs
-    batch, row = x.shape[0], x.size // x.shape[0]
-    lens = _SCAN_LENGTHS.tolist()
-    shared = [r for r, n in enumerate(lens) if sum(m >= n for m in lens) > 1]
-    copies = np.concatenate([_moved_copies(x.data[r]) for r in shared])
-    of_copy = np.repeat(shared, 2 * row)  # the row each copy moves
-    states = lstm_scan(Tensor(copies), _SCAN_LENGTHS[of_copy], [(*params, reverse)]).data
-    outs = np.repeat(out[None], len(copies), axis=0)
-    outs[np.arange(len(copies)), of_copy] = states
-    ups, downs = np.empty((2, x.size) + out.shape)
-    coords = np.arange(x.size).reshape(batch, row)
-    stacked, alone = coords[shared].reshape(-1), np.delete(coords, shared, axis=0).reshape(-1)
-    ups[stacked], downs[stacked] = outs[0::2], outs[1::2]
-    ups[alone], downs[alone] = _one_call_per_copy(partial(op, *inputs), x, alone)
-    directions = [(*(Tensor(c) if q is p else q for q in params), reverse)
-                  for p in params for c in _moved_copies(p.data)]
-    blocks = lstm_scan(x, _SCAN_LENGTHS, directions).data.reshape(batch, len(directions), -1)
-    ends = np.cumsum([2 * p.size for p in params])[:-1]
-    return [(ups, downs)] + [(b[0::2], b[1::2]) for b in np.split(blocks.swapaxes(0, 1), ends)]
+    directions = [(Tensor(c), *params, reverse) for c in _moved_copies(x.data)]
+    directions += [(x, *(Tensor(c) if q is p else q for q in params), reverse)
+                   for p in params for c in _moved_copies(p.data)]
+    blocks = lstm_scan(_SCAN_LENGTHS, directions).data.reshape(len(out), len(directions), -1)
+    ends = np.cumsum([2 * t.size for t in inputs])[:-1]
+    return [(b[0::2], b[1::2]) for b in np.split(blocks.swapaxes(0, 1), ends)]
 
 
 def check_op(op, inputs: list[Tensor], rng: np.random.Generator, moves=_PER_COPY) -> float:
@@ -262,9 +249,9 @@ OP_CATALOG = (
      partial(_stacked, {1: ()})),
     ("prefix_overwrite", (_uniform(2, 4), _uniform(3, 5, 4)), partial(prefix, skip=2),
      partial(_stacked, {1: ()})),
-    ("lstm_scan", _SCAN_INPUTS, lambda x, *w: lstm_scan(x, _SCAN_LENGTHS, [(*w, False)]),
+    ("lstm_scan", _SCAN_INPUTS, lambda *x_w: lstm_scan(_SCAN_LENGTHS, [(*x_w, False)]),
      partial(_scan_moves, False)),
-    ("lstm_scan_reverse", _SCAN_INPUTS, lambda x, *w: lstm_scan(x, _SCAN_LENGTHS, [(*w, True)]),
+    ("lstm_scan_reverse", _SCAN_INPUTS, lambda *x_w: lstm_scan(_SCAN_LENGTHS, [(*x_w, True)]),
      partial(_scan_moves, True)),
     ("linear", (_uniform(2, 3, 4), _uniform(4, 5), _uniform(5)), linear, _FIRST_STACKED),
     ("linear_2d", (_uniform(3, 4), _uniform(4, 2)), linear, _FIRST_STACKED),
@@ -344,9 +331,16 @@ def _group_of(name: str) -> str:
     return name.split(".", 1)[0]
 
 
-def _network_probe(loss_fn, base: float, flat: np.ndarray, j: int,
-                   analytic: float) -> list[tuple[float, float]]:
-    """(step, relative error) of each try at one probe; the last decides.
+def _network_numeric(up: float, down: float, step: float) -> float:
+    """The central difference of a network probe from its loss with the
+    coordinate moved up and down by step: the one place the network check
+    differences, however the losses were run."""
+    return (up - down) / (2.0 * step)
+
+
+def _network_probe(losses_at, base: float, analytic: float) -> list[tuple[float, float]]:
+    """(step, relative error) of each try at one probe, whose (up, down)
+    losses at a step are losses_at(step); the last try decides.
 
     Across a kink within the step, the central difference is off by half
     the gap between the one-sided differences; on a smooth stretch the gap
@@ -355,8 +349,8 @@ def _network_probe(loss_fn, base: float, flat: np.ndarray, j: int,
     infinite error (a value that is not finite) is final: no step mends it."""
     tries = []
     for step in (FD_STEP,) + REPROBE_STEPS:
-        up, down = _shifted(loss_fn, flat, j, step)
-        numeric = (up - down) / (2.0 * step)
+        up, down = losses_at(step)
+        numeric = _network_numeric(up, down, step)
         err = relative_error(analytic, numeric)
         tries.append((step, err))
         gap = abs(up - 2.0 * base + down) / step
@@ -365,9 +359,21 @@ def _network_probe(loss_fn, base: float, flat: np.ndarray, j: int,
     return tries
 
 
+def _at(p: Tensor, j: int, value: float, fn):
+    """fn() with p's flat coordinate j set to value; the coordinate is restored."""
+    flat = p.data.reshape(-1)
+    kept, flat[j] = flat[j], value
+    try:
+        return fn()
+    finally:
+        flat[j] = kept
+
+
 def _probe_losses(model, batch, compute_loss):
-    """Run the probe loss on a tape, and backward. Return its value and, per
-    parameter name, the loss as a function of the parameters, staged (above)."""
+    """Run the probe loss on a tape, and backward. Return its value and the
+    loss as a function of moved coordinates, staged (above): losses(copies)
+    gives, for each copy (parameter, flat index, value), the loss with that
+    one coordinate set to that value."""
     weights = TINY_CONFIG.loss_weights
     layer_inputs: list[Tensor] = []
     with Tape() as tape:
@@ -386,33 +392,64 @@ def _probe_losses(model, batch, compute_loss):
                for task in tasks}
         return total_loss(*{**parts, **new}.values(), weights).item()
 
-    def from_layer(start: int) -> float:
+    def encoded(start: int) -> Tensor:
+        """The encoder output from layer `start` on."""
         x = layer_inputs[start]
         for i in range(start, len(layer_inputs)):
             x = encode_layer(model.encoder, model.bank, i, x, attn_bias, queries=queries)
-        return loss_from(model.read(x, lengths))
+        return x
 
-    def from_lstm(task: str) -> float:
-        block = BiLstmFfnHead.bilstm([model.heads[task]], shared, lengths).data
-        spliced = states.data.copy()
-        width = block.shape[1]
-        column = TASKS.index(task) * width
-        spliced[:, column:column + width] = block
-        return loss_from(Tensor(spliced), (task,))
-
-    def staged(name: str):
-        group = _group_of(name)
+    def stage(p: Tensor):
+        """(task, the head's Bi-LSTM direction index or None) for a head's
+        parameter; (None, the first encoder layer that reads it, None for
+        an embedding) for any other."""
+        group = _group_of(p.name)
         if group.startswith("head_"):
             task = group.removeprefix("head_")
-            if name.startswith(f"{group}.lstm_"):
-                return partial(from_lstm, task)
-            return partial(loss_from, states, (task,))
-        layer = name.removeprefix("prompt.").split(".")[0]  # prompt.layer<i> enters layer i
-        if layer.startswith("layer"):
-            return partial(from_layer, int(layer.removeprefix("layer")))
-        return lambda: compute_loss().item()
+            if not p.name.startswith(f"{group}.lstm_"):
+                return task, None
+            return task, next(s for s, d in enumerate(model.heads[task].directions)
+                              if any(w is p for w in d[:3]))
+        layer = p.name.removeprefix("prompt.").split(".")[0]  # prompt.layer<i> enters layer i
+        return None, int(layer.removeprefix("layer")) if layer.startswith("layer") else None
 
-    return loss.item(), {name: staged(name) for name in model.parameters()}
+    def losses(copies) -> list[float]:
+        """Each copy's full forward, encoder output, or Bi-LSTM direction
+        with its moved weight, is run first; then one read of all the
+        outputs, one scan of all the directions over the kept encoder
+        output, and each copy's classify and loss in order."""
+        stages = [stage(p) for p, _, _ in copies]
+        forwards, outputs, directions = [], [], []
+        for (p, j, value), (task, where) in zip(copies, stages):
+            if task is None and where is None:
+                forwards.append(_at(p, j, value, lambda: compute_loss().item()))
+            elif task is None:
+                outputs.append(_at(p, j, value, partial(encoded, where)))
+            elif where is not None:
+                moved = p.data.copy()
+                moved.reshape(-1)[j] = value
+                direction = model.heads[task].directions[where]
+                directions.append((shared, *(Tensor(moved) if w is p else w for w in direction)))
+        forwards = iter(forwards)
+        reads = iter(model.read_each(outputs, lengths) if outputs else ())
+        if directions:
+            scanned = lstm_scan(lengths, directions).data
+            h = scanned.shape[1] // len(directions)
+            blocks = iter(scanned.reshape(len(scanned), len(directions), h).swapaxes(0, 1))
+        result = []
+        for (p, j, value), (task, where) in zip(copies, stages):
+            if task is None:
+                result.append(next(forwards) if where is None else loss_from(next(reads)))
+            elif where is not None:
+                spliced = states.data.copy()  # head j's [forward | backward] is block j
+                column = (2 * TASKS.index(task) + where) * h
+                spliced[:, column:column + h] = next(blocks)
+                result.append(loss_from(Tensor(spliced), (task,)))
+            else:
+                result.append(_at(p, j, value, partial(loss_from, states, (task,))))
+        return result
+
+    return loss.item(), losses
 
 
 def check_network(n_probes: int, seed: int = 0,
@@ -421,20 +458,37 @@ def check_network(n_probes: int, seed: int = 0,
 
     Probe i perturbs parameter i modulo the parameter count, in creation
     order, at a random coordinate: n probes reach only the first min(n,
-    count) parameters. Returns the max relative error per top-level group;
-    a line per re-probe (see _network_probe) goes to `reprobes`.
+    count) parameters. Every probe is drawn first; the losses at FD_STEP of
+    each cycle through the parameters run as one batch (_probe_losses), so
+    the batch's memory does not grow with n; a re-probe (_network_probe)
+    runs its own. Returns the max relative error per top-level group; a
+    line per re-probe goes to `reprobes`.
     """
     model, batch, compute_loss = build_probe_setup()
     params = list(model.parameters().values())
     rng = np.random.Generator(np.random.PCG64(seed))
-    base, loss_fns = _probe_losses(model, batch, compute_loss)
-
-    worst: dict[str, float] = {}
+    probes = []
     for i in range(n_probes):
         p = params[i % len(params)]
-        j = int(rng.integers(p.size))
+        probes.append((p, int(rng.integers(p.size))))
+    base, losses = _probe_losses(model, batch, compute_loss)
+
+    def moved(step: float, probes) -> list[tuple[float, float]]:
+        """(up, down) losses of each probe's coordinate moved by +-step."""
+        copies = []
+        for p, j in probes:
+            kept = p.data.reshape(-1)[j]
+            copies += [(p, j, kept + step), (p, j, kept - step)]
+        ups_downs = losses(copies)
+        return list(zip(ups_downs[0::2], ups_downs[1::2]))
+
+    firsts = [pair for cycle in range(0, n_probes, len(params))
+              for pair in moved(FD_STEP, probes[cycle:cycle + len(params)])]
+    worst: dict[str, float] = {}
+    for (p, j), first in zip(probes, firsts):
         analytic = 0.0 if p.grad is None else p.grad.reshape(-1)[j]
-        tries = _network_probe(loss_fns[p.name], base, p.data.reshape(-1), j, analytic)
+        tries = _network_probe(lambda step: first if step == FD_STEP else moved(step, [(p, j)])[0],
+                               base, analytic)
         if reprobes is not None:
             reprobes += [f"reprobe {p.name}[{j}] step {step:.0e} rel_err {err:.3e}"
                          for step, err in tries[1:]]

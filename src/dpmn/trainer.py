@@ -130,6 +130,8 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *, log=None) -> TrainR
     vocab = build_vocab(train_examples, cfg.min_freq)
     model = build_model(cfg, vocab)
     trainable = model.trainable_parameters(cfg.prompt.tuning)
+    # backward reaches the frozen parameters too, though nothing reads their gradients
+    frozen = [p for name, p in model.parameters().items() if name not in trainable]
     optimizer = Adam(trainable, cfg.learning_rate)
     dropout_rng = np.random.Generator(np.random.PCG64(cfg.rng_seed + 2))
     weights = cfg.loss_weights
@@ -161,6 +163,8 @@ def train(cfg: TrainConfig, train_examples, dev_examples, *, log=None) -> TrainR
             runlog.step_losses.append(parts)
             epoch_losses += parts
             optimizer.zero_grad()
+            for p in frozen:
+                p.grad = None
             backward(tape, loss)
             _require_finite({name: p.grad for name, p in trainable.items()}, "gradient", step)
             optimizer.step()

@@ -109,6 +109,29 @@ def test_fixed_lm_keeps_encoder_weights_bitwise_frozen(corpus):
     assert bank_before != bank_after
 
 
+@pytest.mark.parametrize("tuning", ["fixed-lm", "lm-plus-prompt"])
+def test_every_parameter_enters_each_backward_without_a_gradient(corpus, monkeypatch, tuning):
+    """Backward reaches the frozen encoder under fixed-lm too: a gradient
+    left set from one step would sum into the next, step after step."""
+    cfg = _cfg(learning_rate=1e-3, max_epochs=2,
+               prompt=PromptConfig(length=1, form="deep", tuning=tuning))
+    built, held = [], []
+
+    def build(*args):
+        built.append(build_model(*args))
+        return built[-1]
+
+    def checked(tape, loss):
+        held.append([name for name, p in built[0].parameters().items() if p.grad is not None])
+        return backward(tape, loss)
+
+    monkeypatch.setattr(trainer, "build_model", build)
+    monkeypatch.setattr(trainer, "backward", checked)
+    result = train(cfg, corpus, corpus)
+    assert len(held) == len(result.runlog.step_losses) >= 2
+    assert held == [[]] * len(held)
+
+
 def test_lm_plus_prompt_updates_encoder_weights(corpus):
     cfg = _cfg(learning_rate=1e-3, max_epochs=5,
                prompt=PromptConfig(length=1, form="deep", tuning="lm-plus-prompt"))
