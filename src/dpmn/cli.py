@@ -12,6 +12,8 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
+import numpy as np
+
 from .data import TASKS, parse_tsv
 from .errors import ConfigError, DataError, NumericError
 from .gradcheck import run_gradcheck
@@ -147,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="train all six architecture variants")
     p_ablate.set_defaults(fn=_cmd_ablate)
 
-    p_grad = sub.add_parser("gradcheck", help="compare analytic gradients to finite differences")
+    p_grad = sub.add_parser("gradcheck",
+                            help="compare analytic gradients to complex-step derivatives")
     p_grad.add_argument("--probes", type=int, default=200)
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.set_defaults(fn=_cmd_gradcheck)
@@ -164,7 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # a non-finite value is reported once, as a NumericError naming where
+        # it appeared, not first as numpy warnings
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

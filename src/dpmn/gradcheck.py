@@ -1,42 +1,46 @@
-"""Central-finite-difference verification of analytic gradients.
+"""Complex-step verification of analytic gradients.
 
 Two levels: every primitive op against a random scalar projection of its
 output, and the composed network loss probed at randomly sampled parameter
-coordinates. Both use step 1e-5 in float64. Relative error uses a small
-floor in the denominator so coordinates whose true gradient is ~0 are
-judged by absolute error instead. A network probe that straddles a ReLU
-kink is re-probed at smaller steps, and every re-probe is reported.
+coordinates. Each moves one coordinate of complex128 data by i*STEP and
+takes Im(output) / STEP as the reference derivative (Squire & Trapp 1998):
+no difference is taken, so there is no round-off, and a ReLU picks its
+branch by the real part, so no move crosses a kink. Every input of a
+complex call is complex: a float buffer refuses a complex addend. Relative
+error uses a small floor in the denominator so coordinates whose true
+gradient is ~0 are judged by absolute error instead.
 
-Neither level repeats work a finite difference does not need. Each op
-catalog entry names how its inputs' +- perturbations run: as the copies of
-one call wherever the op gives each copy the bytes a lone call gives it
-(_stacked; an LSTM entry's as the directions of one scan, _scan_moves),
-else one call per copy. Every coordinate's up and down outputs go to one
-judgement, so every difference is the per-coordinate loop's, bit for bit.
+Neither level repeats work the reference does not need. Each op catalog
+entry names how its inputs' moved copies run: as the copies of one call
+wherever the op gives each copy the bytes a lone call gives it (_stacked;
+an LSTM entry's as the directions of one scan, _scan_moves), else one call
+per copy. Every coordinate's output goes to one judgement (_numeric), so
+every derivative is the per-coordinate loop's, bit for bit.
 
-Every network probe is drawn first, and the +-FD_STEP losses of each
-cycle through the parameters run as one batch. A probe resumes at the
-first stage that reads its parameter, told by its name, on what the taped
-base pass kept: for `layer<i>.*` and `prompt.layer<i>` encoder layer i on
-its kept input, then the rest of the stack; one read of all those encoder
-outputs (for Bi-LSTM heads, one lockstep scan of every head's directions
-over each); then every classify and loss. For `head_<task>.lstm_*` its
-moved direction over the kept encoder output, all of them as one scan,
-spliced into a copy of the kept states, then that task's classify and
-loss; for any other `head_<task>.*` that classify and loss on the kept
-states; for an embedding a full forward. The total adds the kept losses of
-the other tasks as always. Every op gets the bytes a full forward gives it
-and returns the same floats (each direction of a lockstep scan is bit for
+The network check tapes the float loss for the analytic gradient, then
+holds every parameter complex while its probes run. Every probe is drawn
+first, and the moved losses of each cycle through the parameters run as
+one batch. A probe resumes at the first stage that reads its parameter,
+told by its name, on what one untaped complex base pass kept: for
+`layer<i>.*` and `prompt.layer<i>` encoder layer i on its kept input, then
+the rest of the stack; one read of all those encoder outputs (for Bi-LSTM
+heads, one lockstep scan of every head's directions over each); then every
+classify and loss. For `head_<task>.lstm_*` its moved direction over the
+kept encoder output, all of them as one scan, spliced into a copy of the
+kept states, then that task's classify and loss; for any other
+`head_<task>.*` that classify and loss on the kept states; for an
+embedding a full forward. The total adds the kept losses of the other
+tasks as always. Every op gets the bytes a full complex forward gives it
+and returns the same values (each direction of a lockstep scan is bit for
 bit a lone scan of it, over the same rows), so every loss is the full
 forward's, bit for bit. No probe forward draws dropout, so every stage
-sees what the base pass saw. A probe that re-probes at a smaller step
-(_network_probe) runs through the same batched losses.
+sees what the base pass saw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -65,8 +69,7 @@ from .tensor import (
 )
 from .trainer import build_model
 
-FD_STEP = 1e-5
-REPROBE_STEPS = (1e-6, 1e-7)
+STEP = 1e-30  # Im f(x + i STEP) / STEP is f'(x) to O(STEP^2): no round-off to weigh
 OP_TOLERANCE = 1e-6
 NETWORK_TOLERANCE = 1e-4
 _REL_FLOOR = 1e-6
@@ -79,67 +82,45 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), _REL_FLOOR)
 
 
-def _shifted(loss_fn, flat: np.ndarray, j: int, step: float) -> tuple:
-    """loss_fn() with flat[j] moved up and down by step; flat[j] is restored."""
-    kept = flat[j]
-    flat[j] = kept + step
-    up = loss_fn()
-    flat[j] = kept - step
-    down = loss_fn()
-    flat[j] = kept
-    return up, down
-
-
-def _numeric(ups: np.ndarray, downs: np.ndarray, weights: np.ndarray) -> list[float]:
-    """The central difference of each coordinate m, from the op's outputs
-    with it moved up, ups[m], and down, downs[m], by FD_STEP: the one place
-    the op check differences, however the outputs were run. One multiply
-    projects each side, and each output's C-contiguous block is summed
-    alone, to the float a lone output's projection sums to."""
-    up, down = (np.multiply(outs, weights, order="C") for outs in (ups, downs))
-    return [(float(u.sum()) - float(d.sum())) / (2.0 * FD_STEP) for u, d in zip(up, down)]
-
-
-def _one_call_per_copy(forward, t: Tensor, coords) -> tuple[np.ndarray, np.ndarray]:
-    """forward()'s outputs with each of t's coordinates in coords moved up
-    and down by FD_STEP in place, one call each (_shifted), stacked on a new
-    axis 0. Each is copied when made: an output may be a view of t."""
-    flat = t.data.reshape(-1)
-    ups, downs = zip(*(_shifted(lambda: forward().data.copy(), flat, j, FD_STEP)
-                       for j in coords))
-    return np.array(ups), np.array(downs)
+def _numeric(outs: np.ndarray, weights: np.ndarray) -> list[float]:
+    """The complex-step derivative of each coordinate m, Im(projection of
+    outs[m]) / STEP, from the op's output with it moved by i*STEP: the one
+    place the op check takes a derivative, however the outputs were run.
+    One multiply projects every output's imaginary part, and each output's
+    C-contiguous block is summed alone, to the float a lone output's
+    projection sums to."""
+    return [float(p.sum()) / STEP for p in np.multiply(outs.imag, weights, order="C")]
 
 
 def _moved_copies(a: np.ndarray) -> np.ndarray:
-    """Two copies of `a` per coordinate, on a new axis 0: copy 2j with
-    coordinate j at kept + FD_STEP, copy 2j + 1 at kept - FD_STEP, as
-    _shifted sets them."""
+    """One copy of the complex array `a` per coordinate, on a new axis 0:
+    copy j with coordinate j moved by i*STEP."""
     flat = a.reshape(-1)
     j = np.arange(flat.size)
-    copies = np.repeat(flat[None], 2 * flat.size, axis=0)
-    copies[2 * j, j] += FD_STEP
-    copies[2 * j + 1, j] -= FD_STEP
+    copies = np.repeat(flat[None], flat.size, axis=0)
+    copies[j, j] += STEP * 1j
     return copies.reshape((-1,) + a.shape)
 
 
 def _stacked(stacks: dict[int, tuple[int, ...]], op, inputs: list[Tensor],
-             out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each input's (ups, downs) outputs of `op(*inputs)`, whose output is
-    `out`. For each input i in `stacks` the copies (_moved_copies) are the
-    rows of one call, one after another on the leading batch axis, with the
-    inputs stacks[i] tiled to match: the op gives each copy its lone call's
-    bytes. Every other input goes one call per copy."""
+             out: np.ndarray) -> list[np.ndarray]:
+    """Each input's outputs of `op(*inputs)`, whose output is `out`, with
+    each of its coordinates moved (_moved_copies), on a new axis 0. For each
+    input i in `stacks` the copies are the rows of one call, one after
+    another on the leading batch axis, with the inputs stacks[i] tiled to
+    match: the op gives each copy its lone call's bytes. Every other input
+    goes one call per copy."""
     moved = []
     for i, t in enumerate(inputs):
-        if i not in stacks:
-            moved.append(_one_call_per_copy(partial(op, *inputs), t, range(t.size)))
-            continue
         copies = _moved_copies(t.data)
+        if i not in stacks:
+            moved.append(np.array([op(*inputs[:i], Tensor(c), *inputs[i + 1:]).data
+                                   for c in copies]))
+            continue
         args = [Tensor(copies.reshape((-1,) + t.shape[1:])) if m == i
                 else Tensor(np.concatenate([u.data] * len(copies))) if m in stacks[i] else u
                 for m, u in enumerate(inputs)]
-        outs = op(*args).data.reshape(copies.shape[:1] + out.shape)
-        moved.append((outs[0::2], outs[1::2]))
+        moved.append(op(*args).data.reshape(copies.shape[:1] + out.shape))
     return moved
 
 
@@ -151,37 +132,36 @@ _PER_COPY = partial(_stacked, {})
 _FIRST_STACKED = partial(_stacked, {0: ()})
 
 
-def _scan_moves(reverse: bool, op, inputs: list[Tensor],
-                out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each input's (ups, downs) outputs, as _stacked gives them, for an
-    entry `lstm_scan(_SCAN_LENGTHS, [(x, w_x, w_h, b, reverse)])`: the +-
-    perturbation of each coordinate of each input, in order, is direction
-    2m or 2m + 1 of one scan, which reads its own copy of x where x is
-    moved (_moved_copies). Every direction steps the lone call's rows, so
-    its states are bit for bit the lone call's output."""
+def _scan_moves(reverse: bool, op, inputs: list[Tensor], out: np.ndarray) -> list[np.ndarray]:
+    """Each input's moved outputs, as _stacked gives them, for an entry
+    `lstm_scan(_SCAN_LENGTHS, [(x, w_x, w_h, b, reverse)])`: the move of
+    each coordinate of each input, in order, is one direction of one scan,
+    which reads its own copy of x where x is moved (_moved_copies). Every
+    direction steps the lone call's rows, so its states are bit for bit
+    the lone call's output."""
     x, *params = inputs
     directions = [(Tensor(c), *params, reverse) for c in _moved_copies(x.data)]
     directions += [(x, *(Tensor(c) if q is p else q for q in params), reverse)
                    for p in params for c in _moved_copies(p.data)]
     blocks = lstm_scan(_SCAN_LENGTHS, directions).data.reshape(len(out), len(directions), -1)
-    ends = np.cumsum([2 * t.size for t in inputs])[:-1]
-    return [(b[0::2], b[1::2]) for b in np.split(blocks.swapaxes(0, 1), ends)]
+    return np.split(blocks.swapaxes(0, 1), np.cumsum([t.size for t in inputs])[:-1])
 
 
 def check_op(op, inputs: list[Tensor], rng: np.random.Generator, moves=_PER_COPY) -> float:
     """Max relative error of d(projection of op(*inputs))/d(inputs), the
-    projection's weights random. `moves` maps (op, inputs, the op's output)
-    to each input's outputs with each coordinate m moved up, ups[m], and
-    down, downs[m], by FD_STEP."""
+    projection's weights random. `moves` maps (op, the inputs as complex
+    tensors, the op's output) to each input's outputs with each coordinate
+    m moved by i*STEP, outs[m]."""
     with Tape() as tape:
         out = op(*inputs)
         weights = rng.normal(size=out.shape)
         loss = sum_(mul(out, Tensor(weights)))
     backward(tape, loss)
+    complex_inputs = [Tensor(t.data.astype(np.complex128)) for t in inputs]
     worst = 0.0
-    for t, (ups, downs) in zip(inputs, moves(op, inputs, out.data)):
+    for t, outs in zip(inputs, moves(op, complex_inputs, out.data)):
         analytic = np.zeros(t.size) if t.grad is None else t.grad.reshape(-1)
-        for a, numeric in zip(analytic, _numeric(ups, downs, weights)):
+        for a, numeric in zip(analytic, _numeric(outs, weights)):
             worst = max(worst, relative_error(a, numeric))
     return worst
 
@@ -228,7 +208,7 @@ _FFN_INPUTS = (_uniform(2, 2, 4), _uniform(4, 5, low=-0.1, high=0.1), _kinkless(
 
 # (name, input draws, op, moves): each draw maps a generator to one input
 # array, kept away from kinks; op maps the input tensors to the output, and
-# moves runs the inputs' +- perturbations (check_op)
+# moves runs the inputs' moved copies (check_op)
 OP_CATALOG = (
     ("add", (_uniform(2, 5), _uniform(5)), add, _FIRST_STACKED),
     ("mul", (_uniform(2, 5), _uniform(2, 1)), mul, partial(_stacked, {0: (1,), 1: (0,)})),
@@ -279,7 +259,7 @@ def _op_catalog(seed: int):
 
 class OpErrors(dict):
     """The max relative error of each catalog op, by name; `coordinates`
-    counts the input coordinates their checks perturbed."""
+    counts the input coordinates their checks moved."""
 
     def __init__(self, errors: dict[str, float], coordinates: int):
         super().__init__(errors)
@@ -331,38 +311,11 @@ def _group_of(name: str) -> str:
     return name.split(".", 1)[0]
 
 
-def _network_numeric(up: float, down: float, step: float) -> float:
-    """The central difference of a network probe from its loss with the
-    coordinate moved up and down by step: the one place the network check
-    differences, however the losses were run."""
-    return (up - down) / (2.0 * step)
-
-
-def _network_probe(losses_at, base: float, analytic: float) -> list[tuple[float, float]]:
-    """(step, relative error) of each try at one probe, whose (up, down)
-    losses at a step are losses_at(step); the last try decides.
-
-    Across a kink within the step, the central difference is off by half
-    the gap between the one-sided differences; on a smooth stretch the gap
-    (step * f'') is far below a real gradient error. So a failing probe
-    whose gap is at least its error is tried again at the next step. An
-    infinite error (a value that is not finite) is final: no step mends it."""
-    tries = []
-    for step in (FD_STEP,) + REPROBE_STEPS:
-        up, down = losses_at(step)
-        numeric = _network_numeric(up, down, step)
-        err = relative_error(analytic, numeric)
-        tries.append((step, err))
-        gap = abs(up - 2.0 * base + down) / step
-        if err < NETWORK_TOLERANCE or err == math.inf or gap < abs(numeric - analytic):
-            break
-    return tries
-
-
-def _at(p: Tensor, j: int, value: float, fn):
-    """fn() with p's flat coordinate j set to value; the coordinate is restored."""
+def _moved(p: Tensor, j: int, fn):
+    """fn() with p's flat coordinate j moved by i*STEP; the coordinate is restored."""
     flat = p.data.reshape(-1)
-    kept, flat[j] = flat[j], value
+    kept = flat[j]
+    flat[j] = kept + STEP * 1j
     try:
         return fn()
     finally:
@@ -370,27 +323,25 @@ def _at(p: Tensor, j: int, value: float, fn):
 
 
 def _probe_losses(model, batch, compute_loss):
-    """Run the probe loss on a tape, and backward. Return its value and the
-    loss as a function of moved coordinates, staged (above): losses(copies)
-    gives, for each copy (parameter, flat index, value), the loss with that
-    one coordinate set to that value."""
+    """The probe loss as a function of moved coordinates, staged (above),
+    on the model's parameters, which must be complex: losses(copies) gives,
+    for each copy (parameter, flat index), the complex loss with that one
+    coordinate moved by i*STEP. The kept stage inputs come from one untaped
+    pass."""
     weights = TINY_CONFIG.loss_weights
     layer_inputs: list[Tensor] = []
-    with Tape() as tape:
-        shared, lengths = model.encode_batch(batch, layer_inputs=layer_inputs)
-        states = model.read(shared, lengths)
-        parts = {task: cross_entropy(model.classify(states, task), batch.labels[task])
-                 for task in TASKS}
-        loss = total_loss(*parts.values(), weights)
-    backward(tape, loss)
+    shared, lengths = model.encode_batch(batch, layer_inputs=layer_inputs)
+    states = model.read(shared, lengths)
+    parts = {task: cross_entropy(model.classify(states, task), batch.labels[task])
+             for task in TASKS}
     attn_bias = attention_bias(model.bank, layer_inputs[0], lengths)
     queries = model.heads[TASKS[0]].reads
 
-    def loss_from(read: Tensor, tasks=TASKS) -> float:
+    def loss_from(read: Tensor, tasks=TASKS) -> complex:
         """The total with the parts of `tasks` classified from `read`."""
         new = {task: cross_entropy(model.classify(read, task), batch.labels[task])
                for task in tasks}
-        return total_loss(*{**parts, **new}.values(), weights).item()
+        return complex(total_loss(*{**parts, **new}.values(), weights).data)
 
     def encoded(start: int) -> Tensor:
         """The encoder output from layer `start` on."""
@@ -413,21 +364,21 @@ def _probe_losses(model, batch, compute_loss):
         layer = p.name.removeprefix("prompt.").split(".")[0]  # prompt.layer<i> enters layer i
         return None, int(layer.removeprefix("layer")) if layer.startswith("layer") else None
 
-    def losses(copies) -> list[float]:
+    def losses(copies) -> list[complex]:
         """Each copy's full forward, encoder output, or Bi-LSTM direction
         with its moved weight, is run first; then one read of all the
         outputs, one scan of all the directions over the kept encoder
         output, and each copy's classify and loss in order."""
-        stages = [stage(p) for p, _, _ in copies]
+        stages = [stage(p) for p, _ in copies]
         forwards, outputs, directions = [], [], []
-        for (p, j, value), (task, where) in zip(copies, stages):
+        for (p, j), (task, where) in zip(copies, stages):
             if task is None and where is None:
-                forwards.append(_at(p, j, value, lambda: compute_loss().item()))
+                forwards.append(_moved(p, j, lambda: complex(compute_loss().data)))
             elif task is None:
-                outputs.append(_at(p, j, value, partial(encoded, where)))
+                outputs.append(_moved(p, j, partial(encoded, where)))
             elif where is not None:
                 moved = p.data.copy()
-                moved.reshape(-1)[j] = value
+                moved.reshape(-1)[j] += STEP * 1j
                 direction = model.heads[task].directions[where]
                 directions.append((shared, *(Tensor(moved) if w is p else w for w in direction)))
         forwards = iter(forwards)
@@ -437,7 +388,7 @@ def _probe_losses(model, batch, compute_loss):
             h = scanned.shape[1] // len(directions)
             blocks = iter(scanned.reshape(len(scanned), len(directions), h).swapaxes(0, 1))
         result = []
-        for (p, j, value), (task, where) in zip(copies, stages):
+        for (p, j), (task, where) in zip(copies, stages):
             if task is None:
                 result.append(next(forwards) if where is None else loss_from(next(reads)))
             elif where is not None:
@@ -446,23 +397,23 @@ def _probe_losses(model, batch, compute_loss):
                 spliced[:, column:column + h] = next(blocks)
                 result.append(loss_from(Tensor(spliced), (task,)))
             else:
-                result.append(_at(p, j, value, partial(loss_from, states, (task,))))
+                result.append(_moved(p, j, partial(loss_from, states, (task,))))
         return result
 
-    return loss.item(), losses
+    return losses
 
 
-def check_network(n_probes: int, seed: int = 0,
-                  reprobes: list[str] | None = None) -> dict[str, float]:
+def check_network(n_probes: int, seed: int = 0) -> dict[str, float]:
     """Probe random parameter coordinates of the composed network.
 
-    Probe i perturbs parameter i modulo the parameter count, in creation
+    Probe i moves parameter i modulo the parameter count, in creation
     order, at a random coordinate: n probes reach only the first min(n,
-    count) parameters. Every probe is drawn first; the losses at FD_STEP of
-    each cycle through the parameters run as one batch (_probe_losses), so
-    the batch's memory does not grow with n; a re-probe (_network_probe)
-    runs its own. Returns the max relative error per top-level group; a
-    line per re-probe goes to `reprobes`.
+    count) parameters. Every probe is drawn first, and a taped float pass
+    gives the analytic gradient. Then every parameter is held complex, and
+    its float array is restored however the probes end; the moved losses
+    of each cycle through the parameters run as one batch (_probe_losses),
+    so the batch's memory does not grow with n. Returns the max relative
+    error per top-level group.
     """
     model, batch, compute_loss = build_probe_setup()
     params = list(model.parameters().values())
@@ -471,29 +422,24 @@ def check_network(n_probes: int, seed: int = 0,
     for i in range(n_probes):
         p = params[i % len(params)]
         probes.append((p, int(rng.integers(p.size))))
-    base, losses = _probe_losses(model, batch, compute_loss)
-
-    def moved(step: float, probes) -> list[tuple[float, float]]:
-        """(up, down) losses of each probe's coordinate moved by +-step."""
-        copies = []
-        for p, j in probes:
-            kept = p.data.reshape(-1)[j]
-            copies += [(p, j, kept + step), (p, j, kept - step)]
-        ups_downs = losses(copies)
-        return list(zip(ups_downs[0::2], ups_downs[1::2]))
-
-    firsts = [pair for cycle in range(0, n_probes, len(params))
-              for pair in moved(FD_STEP, probes[cycle:cycle + len(params)])]
+    with Tape() as tape:
+        loss = compute_loss()
+    backward(tape, loss)
+    floats = [p.data for p in params]
+    try:
+        for p in params:
+            p.data = p.data.astype(np.complex128)
+        losses = _probe_losses(model, batch, compute_loss)
+        moved = [loss for cycle in range(0, n_probes, len(params))
+                 for loss in losses(probes[cycle:cycle + len(params)])]
+    finally:
+        for p, data in zip(params, floats):
+            p.data = data
     worst: dict[str, float] = {}
-    for (p, j), first in zip(probes, firsts):
+    for (p, j), loss in zip(probes, moved):
         analytic = 0.0 if p.grad is None else p.grad.reshape(-1)[j]
-        tries = _network_probe(lambda step: first if step == FD_STEP else moved(step, [(p, j)])[0],
-                               base, analytic)
-        if reprobes is not None:
-            reprobes += [f"reprobe {p.name}[{j}] step {step:.0e} rel_err {err:.3e}"
-                         for step, err in tries[1:]]
         group = _group_of(p.name)
-        worst[group] = max(worst.get(group, 0.0), tries[-1][1])
+        worst[group] = max(worst.get(group, 0.0), relative_error(analytic, loss.imag / STEP))
     return worst
 
 
@@ -502,7 +448,6 @@ class GradcheckReport:
     op_errors: dict[str, float]
     network_errors: dict[str, float]
     probes: int
-    reprobes: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -517,7 +462,6 @@ class GradcheckReport:
         for group, err in self.network_errors.items():
             verdict = "ok" if err < NETWORK_TOLERANCE else "FAIL"
             out.append(f"net {group:<17} max_rel_err {err:.3e}  {verdict}")
-        out += self.reprobes
         out.append(f"probes {self.probes}  result {'PASS' if self.passed else 'FAIL'}")
         return out
 
@@ -528,6 +472,5 @@ def run_gradcheck(n_probes: int = 200, seed: int = 0) -> GradcheckReport:
     if seed < 0:
         raise ConfigError(f"gradcheck seed must be non-negative, got {seed}")
     op_errors = check_all_ops(seed)
-    reprobes: list[str] = []
-    network_errors = check_network(n_probes, seed, reprobes)
-    return GradcheckReport(op_errors, network_errors, n_probes + op_errors.coordinates, reprobes)
+    return GradcheckReport(op_errors, check_network(n_probes, seed),
+                           n_probes + op_errors.coordinates)

@@ -11,9 +11,11 @@ once backward returns. Leaf gradients accumulate additively across tapes
 and are only cleared explicitly (see Adam.zero_grad); a consumed tape
 cannot be replayed.
 
-Everything is float64, which the gradient checks need; ops save what their
-backward reads and no more. Every op takes Tensors. The loss ops live in
-dpmn.losses; the unfused ops, log_softmax among them, in tests/reference_ops.py.
+Data is float64 everywhere. Only the gradient check's complex-step passes
+run the ops' forwards on complex128, which a Tensor keeps; no backward
+sees it. Ops save what their backward reads and no more. Every op takes
+Tensors. The loss ops live in dpmn.losses; the unfused ops, log_softmax
+among them, in tests/reference_ops.py.
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ LAYER_NORM_EPS = 1e-12
 
 
 class Tensor:
-    """N-dimensional float64 value with an optional gradient slot."""
+    """N-dimensional float64 value with an optional gradient slot; a
+    complex128 array (the gradient check's) stays complex."""
 
     __slots__ = ("data", "grad", "name")
 
     def __init__(self, data, name: str | None = None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.complex128 else data.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
         self.name = name
 
@@ -574,7 +578,8 @@ def lstm_scan(lengths: np.ndarray, directions) -> Tensor:
     b_half *= half_k
     # the position reverse step t reads
     back = np.where(padded, steps, packed - 1 - steps) if any(r for _, r, _ in runs) else None
-    act = np.empty((top, batch, k, gates))
+    dtype = np.result_type(*(x.data for x in inputs), *w_x, *w_h, *b)  # complex in gradcheck
+    act = np.empty((top, batch, k, gates), dtype)
     flat = act.reshape(top * batch, k * gates)  # a view: row (t, r) holds every slot's gates
     oriented = []  # (inputs [top * batch, d], columns) of each run
     lo = 0
@@ -588,10 +593,10 @@ def lstm_scan(lengths: np.ndarray, directions) -> Tensor:
         lo = hi
     flat += b_half
     # slot t + 1 holds the state after step t, and step t reads slot t
-    hs = np.zeros((top + 1, batch, k, hidden))
-    cs = np.zeros((top + 1, batch, k, hidden))
-    tanh_c = np.zeros((top, batch, k, hidden))
-    recurrent = np.empty((batch, k, gates))
+    hs = np.zeros((top + 1, batch, k, hidden), dtype)
+    cs = np.zeros((top + 1, batch, k, hidden), dtype)
+    tanh_c = np.zeros((top, batch, k, hidden), dtype)
+    recurrent = np.empty((batch, k, gates), dtype)
     for t in range(top):
         n = live[t]
         a = act[t, :n]

@@ -415,6 +415,22 @@ def test_non_finite_parameter_exits_four(workdir, capsys, monkeypatch):
     assert err.startswith("numeric failure") and "head_a.ffn.b2 at training step 1" in err
 
 
+def test_an_overflowing_run_exits_four_without_a_runtime_warning(workdir, capsys):
+    """At learning_rate 1e200 the first update overflows the weights. The
+    trainer names the first non-finite loss; numpy's overflow and invalid
+    value warnings, which came before it, are not raised."""
+    (workdir / "run.cfg").write_text(
+        FAST_CONFIG.replace("learning_rate = 0.001", "learning_rate = 1e200"), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--config", str(workdir / "run.cfg"), "--train",
+                     str(workdir / "train.tsv"), "--dev", str(workdir / "dev.tsv")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == "numeric failure: non-finite loss at training step 2\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_non_utf8_corpus_exits_three(workdir, capsys):
     mangled = workdir / "latin1.tsv"
     mangled.write_bytes(b"id\ttweet\tsubtask_a\tsubtask_b\tsubtask_c\n1\tcaf\xe9\tNOT\tNULL\tNULL\n")
@@ -430,14 +446,14 @@ def test_gradcheck_command_passes(capsys):
     assert "op linear" in printed
 
 
-def test_gradcheck_reprobes_a_kink_and_passes(capsys):
+def test_gradcheck_passes_at_a_kink_without_a_reprobe(capsys):
     """Seed 8 probes head_b.ffn.b1[5], whose ReLU pre-activation on one
-    probe example lies within the 1e-5 step of the kink."""
+    probe example lies within 1e-5 of the kink. The complex step moves no
+    real part, so it crosses no kink: every line is an op, a network group
+    or the result."""
     assert main(["gradcheck", "--probes", "200", "--seed", "8"]) == 0
     printed = capsys.readouterr().out.splitlines()
-    reprobes = [line.split() for line in printed if line.startswith("reprobe")]
-    assert [words[:4] for words in reprobes] == [["reprobe", "head_b.ffn.b1[5]", "step", "1e-06"]]
-    assert float(reprobes[0][-1]) < 1e-4
+    assert all(line.split()[0] in ("op", "net", "probes") for line in printed)
     assert printed[-1].endswith("result PASS")
     ops = {line.split()[1] for line in printed if line.startswith("op ")}
     assert {"linear", "linear_2d", "attention"} <= ops

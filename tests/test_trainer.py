@@ -297,6 +297,18 @@ def test_checkpoint_file_save_load_save_identical(tmp_path, corpus):
     assert checkpoint_bytes(header, arrays) == blob
 
 
+def test_a_trained_model_and_its_checkpoint_records_are_float64(tmp_path, corpus):
+    """Complex data lives only inside the gradient check: training leaves
+    every parameter float64, and every record it saves loads as float64."""
+    cfg = _cfg(learning_rate=1e-3, max_epochs=2, out_dir=str(tmp_path / "run"))
+    result = train(cfg, corpus, corpus)
+    params = result.model.parameters()
+    assert {p.data.dtype for p in params.values()} == {np.dtype(np.float64)}
+    _, arrays = load_checkpoint(result.checkpoint_path)
+    assert arrays.keys() == params.keys()
+    assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
+
+
 def test_loaded_model_reproduces_predictions(tmp_path, corpus):
     cfg = _cfg(learning_rate=1e-3, max_epochs=2, out_dir=str(tmp_path / "run"))
     result = train(cfg, corpus, corpus)
