@@ -19,7 +19,7 @@ import zlib
 
 import numpy as np
 
-from .errors import IntegrityError
+from .errors import ContractError, IntegrityError
 
 MAGIC = b"DPMN"
 FORMAT_VERSION = 3  # 3 drops the header's optimizer key; versions 1 and 2 are rejected
@@ -29,12 +29,15 @@ def checkpoint_bytes(header_text: str, arrays: dict[str, np.ndarray]) -> bytes:
     """The checkpoint file as bytes, assembled by one join. Each array is
     passed as its own buffer (converted only if it is not C-contiguous
     little-endian float64) and the CRC32 runs over the chunks as they are
-    added, so the values are copied once, into the result."""
+    added, so the values are copied once, into the result. A complex array
+    is refused: its imaginary part has no place in a float64 record."""
     header = header_text.encode("utf-8")
     chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(header)), header,
               struct.pack("<I", len(arrays))]
     for name, values in arrays.items():
         encoded = name.encode("utf-8")
+        if np.iscomplexobj(values):
+            raise ContractError(f"record {name!r} is complex; a checkpoint holds float64 values")
         # not ascontiguousarray: it would give a rank-0 array rank 1
         values = np.asarray(values, dtype="<f8", order="C")
         chunks.append(struct.pack(f"<I{len(encoded)}sI{values.ndim}I", len(encoded), encoded,

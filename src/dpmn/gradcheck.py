@@ -11,35 +11,38 @@ error uses a small floor in the denominator so coordinates whose true
 gradient is ~0 are judged by absolute error instead.
 
 Neither level repeats work the reference does not need. Each op catalog
-entry names how its inputs' moved copies run: as the copies of one call
-wherever the op gives each copy the bytes a lone call gives it (_stacked;
-an LSTM entry's as the directions of one scan, _scan_moves), else one call
-per copy. Every coordinate's output goes to one judgement (_numeric), so
-every derivative is the per-coordinate loop's, bit for bit.
+entry names how its inputs' moved copies run: as the rows of one call,
+stacked on the batch axis, wherever the op gives each copy a lone call's
+bytes (_stacked; an LSTM entry's weight copies as the directions of one
+scan, _scan_moves), else one call per copy. One judgement (_numeric) sums
+every coordinate's projection of an input in one pass, and one
+relative_error over arrays serves both levels.
 
 The network check tapes the float loss for the analytic gradient, then
 holds every parameter complex while its probes run. Every probe is drawn
 first, and the moved losses of each cycle through the parameters run as
-one batch. A probe resumes at the first stage that reads its parameter,
-told by its name, on what one untaped complex base pass kept: for
-`layer<i>.*` and `prompt.layer<i>` encoder layer i on its kept input, then
-the rest of the stack; one read of all those encoder outputs (for Bi-LSTM
-heads, one lockstep scan of every head's directions over each); then every
-classify and loss. For `head_<task>.lstm_*` its moved direction over the
-kept encoder output, all of them as one scan, spliced into a copy of the
-kept states, then that task's classify and loss; for any other
-`head_<task>.*` that classify and loss on the kept states; for an
-embedding a full forward. The total adds the kept losses of the other
-tasks as always. Every op gets the bytes a full complex forward gives it
-and returns the same values (each direction of a lockstep scan is bit for
-bit a lone scan of it, over the same rows), so every loss is the full
-forward's, bit for bit. No probe forward draws dropout, so every stage
-sees what the base pass saw.
+one batch. A probe runs alone only through the first stage that reads its
+parameter, told by its name, on what one untaped complex base pass kept.
+For `layer<i>.*` and `prompt.layer<i>` that is encoder layer i on its kept
+input; then every such copy runs each later layer, the heads' read and
+each classify as one call, stacked on the batch axis, and its loss alone
+on its own rows. For `head_<task>.lstm_*` it is its moved direction over
+the kept encoder output, all of them as one scan, spliced into a copy of
+the kept states, then that task's classify and loss; for any other
+`head_<task>.*` that classify and loss; for an embedding a full forward.
+The total adds the kept losses of the other tasks.
+
+So every op gets the bytes a full complex forward gives it, and every loss
+is the full forward's, bit for bit: each direction of a lockstep scan is a
+lone scan of it, and a stacked copy gets its lone call's bytes because its
+data is complex (stacked float64 GEMM rows can round otherwise) and the
+probe batch's longest length, like _SCAN_LENGTHS', is shared (a scan step
+with one live row would run a one-row GEMM, which rounds otherwise). No
+probe forward draws dropout, so every stage sees what the base pass saw.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -75,21 +78,25 @@ NETWORK_TOLERANCE = 1e-4
 _REL_FLOOR = 1e-6
 
 
-def relative_error(analytic: float, numeric: float) -> float:
-    """inf when either value is not finite, so no max() over errors drops it."""
-    if not (math.isfinite(analytic) and math.isfinite(numeric)):
-        return math.inf
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), _REL_FLOOR)
+def relative_error(analytic, numeric) -> np.ndarray:
+    """Each pair's |analytic - numeric| / max(|analytic|, |numeric|, floor),
+    elementwise over arrays (a float64 scalar for scalars); inf where either
+    value is not finite, so no max() over errors drops it."""
+    a, n = np.asarray(analytic, np.float64), np.asarray(numeric, np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):  # the non-finite pairs become inf
+        error = np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), _REL_FLOOR)
+    return np.where(np.isfinite(a) & np.isfinite(n), error, np.inf)[()]
 
 
 def _numeric(outs: np.ndarray, weights: np.ndarray) -> list[float]:
     """The complex-step derivative of each coordinate m, Im(projection of
     outs[m]) / STEP, from the op's output with it moved by i*STEP: the one
     place the op check takes a derivative, however the outputs were run.
-    One multiply projects every output's imaginary part, and each output's
-    C-contiguous block is summed alone, to the float a lone output's
-    projection sums to."""
-    return [float(p.sum()) / STEP for p in np.multiply(outs.imag, weights, order="C")]
+    One multiply projects every output's imaginary part into C-contiguous
+    rows, one per output, and one sum along the rows gives each the float a
+    lone output's projection sums to."""
+    products = np.multiply(outs.imag, weights, order="C").reshape(len(outs), -1)
+    return (products.sum(axis=1) / STEP).tolist()
 
 
 def _moved_copies(a: np.ndarray) -> np.ndarray:
@@ -134,17 +141,16 @@ _FIRST_STACKED = partial(_stacked, {0: ()})
 
 def _scan_moves(reverse: bool, op, inputs: list[Tensor], out: np.ndarray) -> list[np.ndarray]:
     """Each input's moved outputs, as _stacked gives them, for an entry
-    `lstm_scan(_SCAN_LENGTHS, [(x, w_x, w_h, b, reverse)])`: the move of
-    each coordinate of each input, in order, is one direction of one scan,
-    which reads its own copy of x where x is moved (_moved_copies). Every
-    direction steps the lone call's rows, so its states are bit for bit
-    the lone call's output."""
+    `_scan(reverse, x, w_x, w_h, b)`: x's copies as the rows of one call,
+    and the move of each weight coordinate, in order, as one direction of
+    one scan over x. Each direction steps the lone call's rows, so its
+    states are bit for bit the lone call's output."""
     x, *params = inputs
-    directions = [(Tensor(c), *params, reverse) for c in _moved_copies(x.data)]
-    directions += [(x, *(Tensor(c) if q is p else q for q in params), reverse)
-                   for p in params for c in _moved_copies(p.data)]
-    blocks = lstm_scan(_SCAN_LENGTHS, directions).data.reshape(len(out), len(directions), -1)
-    return np.split(blocks.swapaxes(0, 1), np.cumsum([t.size for t in inputs])[:-1])
+    directions = [(*(Tensor(c) if q is p else q for q in params), reverse)
+                  for p in params for c in _moved_copies(p.data)]
+    moved_x = _stacked({0: ()}, lambda stacked: op(stacked, *params), [x], out)
+    blocks = lstm_scan(x, _SCAN_LENGTHS, directions).data.reshape(len(out), len(directions), -1)
+    return moved_x + np.split(blocks.swapaxes(0, 1), np.cumsum([p.size for p in params])[:-1])
 
 
 def check_op(op, inputs: list[Tensor], rng: np.random.Generator, moves=_PER_COPY) -> float:
@@ -161,8 +167,7 @@ def check_op(op, inputs: list[Tensor], rng: np.random.Generator, moves=_PER_COPY
     worst = 0.0
     for t, outs in zip(inputs, moves(op, complex_inputs, out.data)):
         analytic = np.zeros(t.size) if t.grad is None else t.grad.reshape(-1)
-        for a, numeric in zip(analytic, _numeric(outs, weights)):
-            worst = max(worst, relative_error(a, numeric))
+        worst = max(worst, float(relative_error(analytic, _numeric(outs, weights)).max()))
     return worst
 
 
@@ -175,9 +180,18 @@ def _kinkless(*shape):
     return lambda rng: rng.uniform(0.5, 1.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
 
 
-# unsorted lengths from 1 to the full length, so the packing permutation is checked
-_SCAN_LENGTHS = np.array([2, 4, 1])
+# unsorted lengths from 1 to the full length, so the packing permutation is
+# checked; two rows share the longest, so stacked copies get their lone bits
+_SCAN_LENGTHS = np.array([4, 1, 4])
 _SCAN_INPUTS = (_uniform(3, 4, 3), _uniform(3, 8), _uniform(2, 8), _uniform(8))
+
+
+def _scan(reverse: bool, x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
+    """One LSTM direction over one or more copies of a 3-row x stacked on
+    axis 0, _SCAN_LENGTHS tiled to match."""
+    return lstm_scan(x, np.tile(_SCAN_LENGTHS, len(x.data) // 3), [(w_x, w_h, b, reverse)])
+
+
 # two heads of width 2; the second row's last key is padding
 _ATTENTION_BIAS = np.where(np.arange(3) < np.array([[3], [2]]), 0.0, MASK_BIAS)[:, None, None, :]
 
@@ -229,10 +243,8 @@ OP_CATALOG = (
      partial(_stacked, {1: ()})),
     ("prefix_overwrite", (_uniform(2, 4), _uniform(3, 5, 4)), partial(prefix, skip=2),
      partial(_stacked, {1: ()})),
-    ("lstm_scan", _SCAN_INPUTS, lambda *x_w: lstm_scan(_SCAN_LENGTHS, [(*x_w, False)]),
-     partial(_scan_moves, False)),
-    ("lstm_scan_reverse", _SCAN_INPUTS, lambda *x_w: lstm_scan(_SCAN_LENGTHS, [(*x_w, True)]),
-     partial(_scan_moves, True)),
+    ("lstm_scan", _SCAN_INPUTS, partial(_scan, False), partial(_scan_moves, False)),
+    ("lstm_scan_reverse", _SCAN_INPUTS, partial(_scan, True), partial(_scan_moves, True)),
     ("linear", (_uniform(2, 3, 4), _uniform(4, 5), _uniform(5)), linear, _FIRST_STACKED),
     ("linear_2d", (_uniform(3, 4), _uniform(4, 2)), linear, _FIRST_STACKED),
     ("linear_no_bias", (_uniform(2, 3, 4), _uniform(4, 3)), linear, _FIRST_STACKED),
@@ -287,7 +299,7 @@ TINY_CONFIG = TrainConfig(
 _PROBE_EXAMPLES = (
     Example("probe0", "@USER you fool trash walk", "OFF", "TIN", "IND"),
     Example("probe1", "sunny park walk friend", "NOT"),
-    Example("probe2", "awful loser show today", "OFF", "UNT"),
+    Example("probe2", "awful loser show today walk", "OFF", "UNT"),
 )
 
 
@@ -337,18 +349,31 @@ def _probe_losses(model, batch, compute_loss):
     attn_bias = attention_bias(model.bank, layer_inputs[0], lengths)
     queries = model.heads[TASKS[0]].reads
 
-    def loss_from(read: Tensor, tasks=TASKS) -> complex:
-        """The total with the parts of `tasks` classified from `read`."""
-        new = {task: cross_entropy(model.classify(read, task), batch.labels[task])
-               for task in tasks}
+    def total(logits: dict[str, np.ndarray]) -> complex:
+        """The total, the parts of the tasks in `logits` taken from them."""
+        new = {task: cross_entropy(Tensor(z), batch.labels[task]) for task, z in logits.items()}
         return complex(total_loss(*{**parts, **new}.values(), weights).data)
 
-    def encoded(start: int) -> Tensor:
-        """The encoder output from layer `start` on."""
-        x = layer_inputs[start]
-        for i in range(start, len(layer_inputs)):
-            x = encode_layer(model.encoder, model.bank, i, x, attn_bias, queries=queries)
-        return x
+    def run_layer(i: int, x: Tensor, copies: int) -> Tensor:
+        """Encoder layer i over `copies` inputs stacked on the batch axis."""
+        bias = np.concatenate([attn_bias] * copies)
+        return encode_layer(model.encoder, model.bank, i, x, bias, queries=queries)
+
+    def encoded(copies, starts: dict[int, int]) -> tuple[Tensor, list[int]]:
+        """The encoder outputs of copies (parameter, flat index), stacked on
+        the batch axis, and the order of their indices in the stack. Copy c
+        runs alone through layer starts[c], the first that reads its moved
+        coordinate; each later layer runs once over all that passed theirs."""
+        x, order = None, []
+        for i, kept in enumerate(layer_inputs):
+            if order:
+                x = run_layer(i, x, len(order))
+            alone = [c for c, start in starts.items() if start == i]
+            outputs = [_moved(*copies[c], partial(run_layer, i, kept, 1)).data for c in alone]
+            if outputs:
+                x = Tensor(np.concatenate(([x.data] if order else []) + outputs))
+                order += alone
+        return x, order
 
     def stage(p: Tensor):
         """(task, the head's Bi-LSTM direction index or None) for a head's
@@ -365,39 +390,43 @@ def _probe_losses(model, batch, compute_loss):
         return None, int(layer.removeprefix("layer")) if layer.startswith("layer") else None
 
     def losses(copies) -> list[complex]:
-        """Each copy's full forward, encoder output, or Bi-LSTM direction
-        with its moved weight, is run first; then one read of all the
-        outputs, one scan of all the directions over the kept encoder
-        output, and each copy's classify and loss in order."""
+        """Each copy's full forward, first encoder layer, or Bi-LSTM
+        direction with its moved weight, is run first. The encoder copies
+        then run the rest of the stack, the read and every classify as one
+        call each, stacked; the directions one scan over the kept encoder
+        output. Each copy's losses come last, on its own rows."""
         stages = [stage(p) for p, _ in copies]
-        forwards, outputs, directions = [], [], []
-        for (p, j), (task, where) in zip(copies, stages):
+        result: list[complex | None] = [None] * len(copies)
+        starts, scanned, directions = {}, [], []
+        for c, ((p, j), (task, where)) in enumerate(zip(copies, stages)):
             if task is None and where is None:
-                forwards.append(_moved(p, j, lambda: complex(compute_loss().data)))
+                result[c] = _moved(p, j, lambda: complex(compute_loss().data))
             elif task is None:
-                outputs.append(_moved(p, j, partial(encoded, where)))
+                starts[c] = where
             elif where is not None:
                 moved = p.data.copy()
                 moved.reshape(-1)[j] += STEP * 1j
-                direction = model.heads[task].directions[where]
-                directions.append((shared, *(Tensor(moved) if w is p else w for w in direction)))
-        forwards = iter(forwards)
-        reads = iter(model.read_each(outputs, lengths) if outputs else ())
-        if directions:
-            scanned = lstm_scan(lengths, directions).data
-            h = scanned.shape[1] // len(directions)
-            blocks = iter(scanned.reshape(len(scanned), len(directions), h).swapaxes(0, 1))
-        result = []
-        for (p, j), (task, where) in zip(copies, stages):
-            if task is None:
-                result.append(next(forwards) if where is None else loss_from(next(reads)))
-            elif where is not None:
+                directions.append(tuple(Tensor(moved) if w is p else w
+                                        for w in model.heads[task].directions[where]))
+                scanned.append(c)
+            else:
+                result[c] = _moved(p, j, lambda: total({task: model.classify(states, task).data}))
+        if starts:
+            x, order = encoded(copies, starts)
+            read = model.read(x, np.tile(lengths, len(order)))
+            logits = {task: np.split(model.classify(read, task).data, len(order))
+                      for task in TASKS}  # one block of rows per copy
+            for block, c in enumerate(order):
+                result[c] = total({task: z[block] for task, z in logits.items()})
+        if scanned:
+            h = directions[0][1].shape[0]
+            blocks = lstm_scan(shared, lengths, directions).data.reshape(-1, len(directions), h)
+            for block, c in enumerate(scanned):
+                task, where = stages[c]
                 spliced = states.data.copy()  # head j's [forward | backward] is block j
                 column = (2 * TASKS.index(task) + where) * h
-                spliced[:, column:column + h] = next(blocks)
-                result.append(loss_from(Tensor(spliced), (task,)))
-            else:
-                result.append(_moved(p, j, partial(loss_from, states, (task,))))
+                spliced[:, column:column + h] = blocks[:, block]
+                result[c] = total({task: model.classify(Tensor(spliced), task).data})
         return result
 
     return losses
@@ -418,10 +447,8 @@ def check_network(n_probes: int, seed: int = 0) -> dict[str, float]:
     model, batch, compute_loss = build_probe_setup()
     params = list(model.parameters().values())
     rng = np.random.Generator(np.random.PCG64(seed))
-    probes = []
-    for i in range(n_probes):
-        p = params[i % len(params)]
-        probes.append((p, int(rng.integers(p.size))))
+    probes = [(p, int(rng.integers(p.size)))
+              for p in (params[i % len(params)] for i in range(n_probes))]
     with Tape() as tape:
         loss = compute_loss()
     backward(tape, loss)
@@ -435,11 +462,12 @@ def check_network(n_probes: int, seed: int = 0) -> dict[str, float]:
     finally:
         for p, data in zip(params, floats):
             p.data = data
+    analytic = [0.0 if p.grad is None else p.grad.reshape(-1)[j] for p, j in probes]
+    errors = relative_error(analytic, np.array([loss.imag for loss in moved]) / STEP)
     worst: dict[str, float] = {}
-    for (p, j), loss in zip(probes, moved):
-        analytic = 0.0 if p.grad is None else p.grad.reshape(-1)[j]
+    for (p, _), error in zip(probes, errors.tolist()):
         group = _group_of(p.name)
-        worst[group] = max(worst.get(group, 0.0), relative_error(analytic, loss.imag / STEP))
+        worst[group] = max(worst.get(group, 0.0), error)
     return worst
 
 

@@ -40,26 +40,15 @@ class BiLstmFfnHead:
 
     @staticmethod
     def read(heads, shared: Tensor, lengths: np.ndarray) -> Tensor:
-        return BiLstmFfnHead.bilstm(heads, [shared], lengths)
+        return BiLstmFfnHead.bilstm(heads, shared, lengths)
 
     @staticmethod
-    def read_each(heads, outputs, lengths: np.ndarray) -> list[Tensor]:
-        """What `read` gives for each of several encoder outputs, from one
-        untaped scan over all of them, each output's states contiguous."""
-        states = BiLstmFfnHead.bilstm(heads, outputs, lengths).data
-        blocks = np.ascontiguousarray(states.reshape(len(states), len(outputs), -1).swapaxes(0, 1))
-        return [Tensor(block) for block in blocks]
-
-    @staticmethod
-    def bilstm(heads, inputs, lengths: np.ndarray) -> Tensor:
-        """Final states of both directions of every head over each input, one
-        lstm_scan: [batch, 2h * len(heads) * len(inputs)], input i's heads
-        in the i-th run of columns."""
+    def bilstm(heads, shared: Tensor, lengths: np.ndarray) -> Tensor:
+        """Final states of both directions of every head, [batch, 2h * len(heads)]."""
         lengths = np.asarray(lengths)
         if (lengths < 1).any():
             raise ContractError("every sequence must have at least one real position")
-        return lstm_scan(lengths, [(x, *d) for x in inputs
-                                   for head in heads for d in head.directions])
+        return lstm_scan(shared, lengths, [d for head in heads for d in head.directions])
 
     def ffn(self, states: Tensor) -> Tensor:
         return ffn(states, self.w_f1, self.b_f1, self.w_f2, self.b_f2)
@@ -81,10 +70,6 @@ class LinearHead:
     @staticmethod
     def read(heads, shared: Tensor, lengths: np.ndarray) -> Tensor:
         return shared
-
-    @staticmethod
-    def read_each(heads, outputs, lengths: np.ndarray) -> list[Tensor]:
-        return list(outputs)
 
     def classify(self, shared: Tensor, block: int) -> Tensor:
         return linear(shared[:, 0, :], self.w, self.b)

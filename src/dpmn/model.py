@@ -96,12 +96,6 @@ class DpmnModel:
         heads = [self.heads[task] for task in TASKS]
         return heads[0].read(heads, shared, lengths)
 
-    def read_each(self, outputs: list[Tensor], lengths: np.ndarray) -> list[Tensor]:
-        """What `read` gives for each of several encoder outputs, read together
-        (untaped: the gradient check's probes)."""
-        heads = [self.heads[task] for task in TASKS]
-        return heads[0].read_each(heads, outputs, lengths)
-
     def classify(self, states: Tensor, task: str) -> Tensor:
         """One task's logits from what the heads read."""
         return head_forward(self.heads[task], states, TASKS.index(task), task)

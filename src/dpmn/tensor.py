@@ -473,72 +473,64 @@ def _gate_scales(batch: int, k: int, hidden: int):
     return scales
 
 
-def lstm_scan(lengths: np.ndarray, directions) -> Tensor:
-    """k masked LSTM directions, each over the input it names, in lockstep;
-    returns their final states side by side, [batch, k*h], direction j in
-    columns j*h to (j+1)*h.
+def lstm_scan(x: Tensor, lengths: np.ndarray, directions) -> Tensor:
+    """k masked LSTM directions over one x [batch, seq, d], in lockstep; returns
+    their final states side by side, [batch, k*h], direction j in columns
+    j*h to (j+1)*h.
 
-    Each direction is (x, w_x, w_h, b, reverse), all of one hidden size h
-    and every x of one shape [batch, seq, d]: w_x [d, 4h], w_h [h, 4h] and
-    b [4h] pack the gates in the order i, f, o, g. Directions that name one
-    Tensor share its gather and each orientation's input projection; a Bi-LSTM
-    read passes one x to all its directions. A row of length n is live for
-    steps 0..n-1, and step t reads position t, or n-1-t in reverse: padded
-    positions never touch a state, and the result is the state after the
-    row's last live step. A row of length 0 keeps a zero state.
+    Each direction is (w_x, w_h, b, reverse), all of one hidden size h:
+    w_x [d, 4h], w_h [h, 4h] and b [4h] pack the gates in the order i, f, o,
+    g. A row of length n is live for steps 0..n-1, and step t reads position
+    t, or n-1-t in reverse: padded positions never touch a state, and the
+    result is the state after the row's last live step. A row of length 0
+    keeps a zero state.
 
     The rows are packed by length: sorted once by descending length (stably),
     the rows live at step t are a prefix, which alone is updated, and the
-    caller's row order is restored on the output and on each dx. The lengths
-    are checked, sorted and counted as a Python list: on a few rows, numpy
-    calls cost more than the gradient check's small scans compute. The
-    weights are concatenated and halved afresh on every call; only the gate
-    constants, read-only and keyed by shape, are kept. The buffers are
-    time-major, a row's k directions side by side in slots, grouped by input
-    in order of first use and within an input the forward directions first:
-    each (input, orientation) run of directions fills adjacent slots, and
-    each step runs every ufunc once over the live rows of all slots, one
-    contiguous block, the recurrent matmul batched over k. Each run's input is
-    gathered once in step order, padded positions zeroed; a padded position
-    keeps index t, so each row's order is a permutation. Each run's input
+    caller's row order is restored on the output and on dx. The lengths are
+    checked, sorted and counted as a Python list: on a few rows, numpy calls
+    cost more than the gradient check's small scans compute. The weights are
+    concatenated and halved afresh on every call; only the gate constants,
+    read-only and keyed by shape, are kept. The buffers are time-major, a
+    row's k directions side by side in slots, the forward directions first:
+    each orientation's directions fill adjacent slots, and each step runs
+    every ufunc once over the live rows of all slots, one contiguous block,
+    the recurrent matmul batched over k. The inputs are gathered once per
+    orientation in step order, padded ones zeroed; a padded position keeps
+    index t, so each row's order is a permutation. Each orientation's input
     projection is one GEMM written straight into its slots' columns, and one
     add puts in every bias. The gate activations overwrite the projection,
     and the h, c and tanh(c) histories are kept. One np.tanh covers all four
     gates, as sigmoid(z) = (1 + tanh(z/2)) / 2 with the i/f/o columns of the
-    weights halved (an exact scaling).
+    weights halved (an exact scaling). The forward buffers take the inputs'
+    type, so complex inputs (the gradient check's) give complex states.
 
     The whole scan is one tape entry. Its backward copies each step's gates
     gate-major, [4, n, k, h], so each gate is one contiguous block, forms the
     gate gradients there and writes them over the activations before the
-    recurrent matmul. Then one GEMM per run gives its directions' dw_x, a
-    matmul batched over k (on C-contiguous states, as a lone scan has) gives
-    dw_h, and one sum over the buffer gives every db. Each input's dx is
-    summed in forward step order over the directions that read it, as scans
-    on one tape would, the last first, and scattered back once. Each
-    direction's result and gradients are bit for bit those of a scan of it
-    alone: every direction steps the same rows, so its recurrent products
-    keep a lone scan's shapes.
+    recurrent matmul. Then one GEMM per orientation gives its directions'
+    dw_x, a matmul batched over k (on C-contiguous states, as a lone scan
+    has) gives dw_h, and one sum over the buffer gives every db. dx is
+    summed in forward step order, the directions as k scans on one tape
+    would, the last first, and scattered back once. Each direction's result
+    and gradients are bit for bit those of a scan of it alone: every
+    direction steps the same rows, so its recurrent products keep a lone
+    scan's shapes.
     """
     lengths = np.asarray(lengths)
+    if x.ndim != 3:
+        raise ShapeError(f"lstm_scan needs x of rank 3, got {x.shape}")
     if not directions:
         raise ShapeError("lstm_scan needs at least one direction")
-    inputs = list({id(x): x for x, *_ in directions}.values())  # in order of first use
-    index = {id(x): i for i, x in enumerate(inputs)}
-    source = [index[id(x)] for x, *_ in directions]  # direction j reads inputs[source[j]]
-    x0 = inputs[0]
-    if x0.ndim != 3 or any(x.shape != x0.shape for x in inputs):
-        raise ShapeError(f"lstm_scan needs inputs of one rank-3 shape, got "
-                         f"{sorted({x.shape for x in inputs})}")
-    batch, seq, d = x0.shape
-    k, hidden = len(directions), directions[0][2].shape[0]
+    batch, seq, d = x.shape
+    k, hidden = len(directions), directions[0][1].shape[0]
     gates = 4 * hidden
-    for _, w_x, w_h, b, _ in directions:
+    for w_x, w_h, b, _ in directions:
         if w_x.shape != (d, gates) or w_h.shape != (hidden, gates) or b.shape != (gates,):
             raise ShapeError(f"lstm_scan weights disagree: w_x {w_x.shape}, w_h {w_h.shape}, "
-                             f"b {b.shape} for x {x0.shape} and hidden size {hidden}")
+                             f"b {b.shape} for x {x.shape} and hidden size {hidden}")
     if lengths.shape != (batch,):
-        raise ShapeError(f"lstm_scan needs one length per row, got {lengths.shape} "
-                         f"for x {x0.shape}")
+        raise ShapeError(f"lstm_scan needs one length per row, got {lengths.shape} for x {x.shape}")
     if lengths.dtype.kind not in "iu":  # np.integer: signed or unsigned
         raise ShapeError(f"lstm_scan needs integer lengths, got dtype {lengths.dtype}")
     lens = lengths.tolist()
@@ -559,16 +551,12 @@ def lstm_scan(lengths: np.ndarray, directions) -> Tensor:
     steps = np.arange(top)[:, None]
     padded = steps >= packed  # [top, batch]
     h1, h2, h3 = hidden, 2 * hidden, 3 * hidden
-    # slot s runs direction inner[s]: by input, then the forward directions first,
-    # each in the caller's order
-    run_of = [(source[j], directions[j][4]) for j in range(k)]  # (input, reverse)
-    inner = sorted(range(k), key=run_of.__getitem__)
+    # slot s runs direction inner[s]: the forward directions first, in the caller's order
+    inner = sorted(range(k), key=lambda j: directions[j][3])
     slot = sorted(range(k), key=inner.__getitem__)  # direction j runs in slot slot[j]
-    keys = [run_of[j] for j in inner]
-    # (input, reverse, end slot) of each run of adjacent slots with one (input, reverse)
-    runs = [(*key, s + 1) for s, key in enumerate(keys) if s + 1 == k or keys[s + 1] != key]
+    forward = k - sum(reverse for *_, reverse in directions)
     half_k, step_half, step_shift = _gate_scales(batch, k, hidden)
-    w_x, w_h, b = ([directions[j][i].data for j in inner] for i in (1, 2, 3))
+    w_x, w_h, b = ([directions[j][i].data for j in inner] for i in range(3))
     # the weights in slot order, their i/f/o columns halved in place
     w_x_half = np.concatenate(w_x, axis=1)
     w_x_half *= half_k
@@ -577,20 +565,20 @@ def lstm_scan(lengths: np.ndarray, directions) -> Tensor:
     b_half = np.concatenate(b)
     b_half *= half_k
     # the position reverse step t reads
-    back = np.where(padded, steps, packed - 1 - steps) if any(r for _, r, _ in runs) else None
-    dtype = np.result_type(*(x.data for x in inputs), *w_x, *w_h, *b)  # complex in gradcheck
+    back = None if forward == k else np.where(padded, steps, packed - 1 - steps)
+    dtype = np.result_type(x.data, *w_x, *w_h, *b)  # complex in the gradient check
     act = np.empty((top, batch, k, gates), dtype)
     flat = act.reshape(top * batch, k * gates)  # a view: row (t, r) holds every slot's gates
-    oriented = []  # (inputs [top * batch, d], columns) of each run
-    lo = 0
-    for i, reverse, hi in runs:
-        xs = inputs[i].data[order, back if reverse else steps]  # [top, batch, d]
+    oriented = []  # (inputs [top * batch, d], columns) of each orientation present
+    for positions, lo, hi in ((steps, 0, forward), (back, forward, k)):
+        if lo == hi:
+            continue
+        xs = x.data[order, positions]  # [top, batch, d]
         xs[padded] = 0.0  # a non-finite padded input cannot reach dw_x
         xs = xs.reshape(top * batch, d)
         cols = slice(lo * gates, hi * gates)
         np.matmul(xs, w_x_half[:, cols], out=flat[:, cols])
         oriented.append((xs, cols))
-        lo = hi
     flat += b_half
     # slot t + 1 holds the state after step t, and step t reads slot t
     hs = np.zeros((top + 1, batch, k, hidden), dtype)
@@ -648,24 +636,21 @@ def lstm_scan(lengths: np.ndarray, directions) -> Tensor:
         d_w_h = states.transpose(0, 2, 1) @ flat.reshape(top * batch, k, gates).transpose(1, 0, 2)
         del states  # before dx's buffers
         d_b = flat.sum(axis=0).reshape(k, gates)
-        # each input's dx in forward step order, (t, r) for position t of packed
-        # row r; a reverse direction's steps map to it through `back`
-        dx_steps = [None] * len(inputs)
-        for j in range(k - 1, -1, -1):  # as scans on one tape sum dx: the last first
-            _, w_x_j, _, _, reverse = directions[j]
+        # dx in forward step order, (t, r) for position t of packed row r;
+        # a reverse direction's steps map to it through `back`
+        for j in range(k - 1, -1, -1):  # as k scans on one tape sum dx: the last first
+            w_x_j, _, _, reverse = directions[j]
             dx_j = (act[:, :, slot[j]].reshape(top * batch, gates) @ w_x_j.data.T)
             dx_j = dx_j.reshape(top, batch, d)
             if reverse:
                 dx_j = dx_j[back, np.arange(batch)]
-            i = source[j]
-            if dx_steps[i] is None:
-                dx_steps[i] = dx_j
+            if j == k - 1:
+                dx_steps = dx_j
             else:
-                dx_steps[i] += dx_j
-        dxs = [np.zeros(x0.shape) for _ in inputs]
-        for dx, dx_i in zip(dxs, dx_steps):
-            dx[order, :top] = dx_i.transpose(1, 0, 2)
-        return (*dxs, *(g for s in slot for g in (d_w_x[:, s], d_w_h[s], d_b[s])))
+                dx_steps += dx_j
+        dx = np.zeros(x.shape)
+        dx[order, :top] = dx_steps.transpose(1, 0, 2)
+        return (dx, *(g for s in slot for g in (d_w_x[:, s], d_w_h[s], d_b[s])))
 
-    _record(out, (*inputs, *(w for direction in directions for w in direction[1:4])), bw)
+    _record(out, (x, *(w for direction in directions for w in direction[:3])), bw)
     return out

@@ -90,16 +90,14 @@ class TrainResult:
 def build_model(cfg: TrainConfig, vocab: Vocab,
                 arrays: dict[str, np.ndarray] | None = None) -> DpmnModel:
     """The model `cfg` describes over `vocab`: drawn afresh, or built on a
-    checkpoint's `arrays`. A config the model cannot take is a ConfigError."""
-    return DpmnModel(
-        cfg.encoder_config(vocab.size),
-        cfg.prompt,
-        head_kind=cfg.head_kind,
-        rng_seed=cfg.rng_seed,
-        lstm_hidden=cfg.lstm_hidden,
-        head_ffn_size=cfg.head_ffn_size,
-        arrays=arrays,
-    )
+    checkpoint's `arrays`. A config the model cannot take, a size numpy
+    cannot allocate included, is a ConfigError."""
+    try:
+        return DpmnModel(cfg.encoder_config(vocab.size), cfg.prompt, head_kind=cfg.head_kind,
+                         rng_seed=cfg.rng_seed, lstm_hidden=cfg.lstm_hidden,
+                         head_ffn_size=cfg.head_ffn_size, arrays=arrays)
+    except MemoryError as e:  # numpy names the allocation it refused
+        raise ConfigError(f"the model does not fit in memory: {e}") from None
 
 
 def _require_finite(arrays: dict[str, np.ndarray | None], what: str, step: int) -> None:

@@ -16,7 +16,7 @@ from dpmn.checkpoint import (
     save_checkpoint,
 )
 from dpmn.data import generate_synthetic_corpus
-from dpmn.errors import IntegrityError
+from dpmn.errors import ContractError, IntegrityError
 from dpmn.runconfig import TrainConfig
 from dpmn.trainer import train
 
@@ -105,6 +105,17 @@ def test_empty_parameter_set_round_trips():
 def test_rank_0_record_keeps_rank_0():
     _, arrays = parse_checkpoint(checkpoint_bytes("k = v\n", {"s": np.array(2.5)}))
     assert arrays["s"].shape == () and arrays["s"] == 2.5
+
+
+@pytest.mark.parametrize("values", [np.array([1 + 2j, 3 + 0j]), np.array([1.0, 3.0], np.complex64),
+                                    np.array(0j)])
+def test_a_complex_record_is_refused_by_name(values):
+    """Casting to float64 would drop the imaginary part, keeping only a
+    numpy ComplexWarning: [1+2j, 3+0j] wrote a checkpoint that parsed back
+    to [1., 3.]. A complex array, even one whose imaginary part is 0, is a
+    ContractError naming its record, before any byte is assembled."""
+    with pytest.raises(ContractError, match="'w'"):
+        checkpoint_bytes("h", {"v": np.ones(2), "w": values})
 
 
 _records = st.dictionaries(

@@ -328,6 +328,44 @@ def test_config_the_model_cannot_take_exits_two(workdir, capsys, lines):
     assert capsys.readouterr().err.startswith("config error")
 
 
+def test_a_head_size_no_machine_can_allocate_exits_two_naming_the_allocation(workdir, capsys):
+    """head_ffn_size 10^15 asks numpy for the head FFN's first weight,
+    [64, 10^15] float64: about 512 PB, more than a 47-bit user address
+    space holds, so no overcommit setting grants it and no page is touched.
+    The model cannot be built, so it is a config error: one stderr line
+    with numpy's account of the allocation, no traceback, and no --out."""
+    config = FAST_CONFIG.replace("hidden_size = 16", "hidden_size = 64")
+    (workdir / "run.cfg").write_text(config + "head_ffn_size = 1000000000000000\n",
+                                     encoding="utf-8")
+    out = workdir / "out"
+    assert main(["train", "--config", str(workdir / "run.cfg"), "--train",
+                 str(workdir / "train.tsv"), "--dev", str(workdir / "dev.tsv"),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        "config error: the model does not fit in memory: Unable to allocate")
+    assert "(64, 1000000000000000)" in captured.err
+    assert not out.exists()
+
+
+def test_running_out_of_memory_after_the_model_is_built_is_not_a_config_error(
+        workdir, monkeypatch):
+    """Only the model's build reports a refused allocation as a config
+    error: one later in a valid run, here where the dev batches are made
+    after --out is created, propagates as itself."""
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate the dev batches")
+
+    monkeypatch.setattr("dpmn.trainer.make_batches", refuse)
+    out = workdir / "out"
+    with pytest.raises(MemoryError, match="dev batches"):
+        main(["train", "--config", str(workdir / "run.cfg"), "--train",
+              str(workdir / "train.tsv"), "--dev", str(workdir / "dev.tsv"), "--out", str(out)])
+    assert out.is_dir()
+
+
 def _refused_before_any_output(workdir, capsys, argv, named):
     out = workdir / "out"
     assert main([*argv, "--train", str(workdir / "train.tsv"), "--dev", str(workdir / "dev.tsv"),

@@ -1,9 +1,11 @@
-"""The network gradient check evaluates each probe from the first stage that
-reads the probed parameter, every probe's Bi-LSTM work in one batched scan,
-and the op check runs the moved copies of many inputs as the copies of one
-call (an LSTM entry's as the directions of one scan); these tests hold
-every staged complex loss to the full complex forward's bytes and both
-checks' output to the unstaged, per-coordinate loops'."""
+"""The network gradient check runs each probe alone only through the first
+stage that reads the probed parameter, and every encoder-side copy on from
+there stacked on the batch axis with the others; the op check runs the
+moved copies of many inputs as the rows of one call (an LSTM entry's
+weight copies as the directions of one scan) and judges each input's
+coordinates in one pass. These tests hold every staged complex loss to the
+full complex forward's bytes and both checks' output to the unstaged,
+per-coordinate loops'."""
 
 import math
 import tracemalloc
@@ -31,6 +33,7 @@ from dpmn.gradcheck import (
 )
 from dpmn.encoder import TransformerLayer
 from dpmn.heads import BiLstmFfnHead
+from dpmn.model import DpmnModel
 from dpmn.tensor import Tape, Tensor, _record, backward, lstm_scan, mul, sum_
 
 PROBE_PARAMETERS = 58  # of the probe network with Bi-LSTM heads
@@ -133,31 +136,31 @@ def test_check_all_ops_passes_where_a_central_difference_failed_by_round_off(see
     assert max(check_all_ops(seed).values()) < gradcheck.OP_TOLERANCE
 
 
-def test_an_lstm_entry_runs_its_weight_perturbations_as_one_scan(monkeypatch):
-    """Per entry: the taped scan, then one scan of 84 directions on the
-    lone call's three rows: 36 for x's 36 coordinates, each reading its own
-    copy of x, and 48 for w_x, w_h and b's 48, all reading x itself."""
+def test_an_lstm_entry_runs_its_perturbations_as_two_scans(monkeypatch):
+    """Per entry: the taped scan; one scan of x's 36 copies stacked on the
+    batch axis, 108 rows with the lengths tiled; and one scan of 48
+    directions, one for each coordinate of w_x, w_h and b, over x itself."""
     calls = []
 
-    def counted(lengths, directions):
-        calls.append((lengths.tolist(), len(directions), len({id(x) for x, *_ in directions}),
-                      {x.shape for x, *_ in directions}))
-        return lstm_scan(lengths, directions)
+    def counted(x, lengths, directions):
+        calls.append((x.shape, lengths.tolist(), len(directions)))
+        return lstm_scan(x, lengths, directions)
 
     monkeypatch.setattr(gradcheck, "lstm_scan", counted)
     check_all_ops(0)
-    assert calls == 2 * [([2, 4, 1], 1, 1, {(3, 4, 3)}), ([2, 4, 1], 84, 37, {(3, 4, 3)})]
+    assert calls == 2 * [((3, 4, 3), [4, 1, 4], 1), ((108, 4, 3), [4, 1, 4] * 36, 1),
+                         ((3, 4, 3), [4, 1, 4], 48)]
 
 
 # Each entry's op calls at seed 0: the taped call, one per stacked input, and
 # one per coordinate of an input that goes one call per copy. An LSTM
-# entry's moves all run as one scan of their own, so its op runs only for
-# the taped call (see above).
+# entry's op runs for the taped call and its stacked x; its weight moves run
+# as one scan of their own (see above).
 _OP_CALLS = {
     "add": 1 + 1 + 5, "mul": 1 + 2, "cross_entropy": 1 + 20, "total_loss": 1 + 3,
     "add_norm": 1 + 2 + 8, "add_norm_dropout": 1 + 56, "embedding_lookup": 1 + 28,
     "slice": 1 + 1, "sum": 1 + 1, "prefix": 1 + 1 + 8, "prefix_overwrite": 1 + 1 + 8,
-    "lstm_scan": 1, "lstm_scan_reverse": 1, "linear": 1 + 1 + 25,
+    "lstm_scan": 1 + 1, "lstm_scan_reverse": 1 + 1, "linear": 1 + 1 + 25,
     "linear_2d": 1 + 1 + 8, "linear_no_bias": 1 + 1 + 12, "ffn": 1 + 1 + 43,
     "attention": 1 + 1, "attention_first_query": 1 + 1,
 }
@@ -192,15 +195,15 @@ def test_each_catalog_entry_makes_its_pinned_number_of_op_calls(monkeypatch):
 
 
 def _scan_with_skewed(index, skew):
-    """lstm_scan with each direction's weight `index` (2: w_h, 3: b) passed
+    """lstm_scan with each direction's weight `index` (1: w_h, 2: b) passed
     through _skewed, so its gradient goes through `skew`."""
-    def scan(lengths, directions):
-        return lstm_scan(lengths, [tuple(_skewed(w, skew) if i == index else w
-                                         for i, w in enumerate(d)) for d in directions])
+    def scan(x, lengths, directions):
+        return lstm_scan(x, lengths, [tuple(_skewed(w, skew) if i == index else w
+                                            for i, w in enumerate(d)) for d in directions])
     return scan
 
 
-@pytest.mark.parametrize("index", [2, 3], ids=["w_h", "b"])
+@pytest.mark.parametrize("index", [1, 2], ids=["w_h", "b"])
 def test_a_scan_weight_gradient_off_by_a_relative_1e_5_fails_both_lstm_entries(
         monkeypatch, index):
     """The lockstep path alone moves the weights: a w_h or b gradient
@@ -288,9 +291,9 @@ def test_a_probe_reruns_only_the_stages_that_read_its_parameter(monkeypatch, hea
     """An embedding re-runs a full forward. A parameter of encoder layer i,
     or prompt matrix i, runs the stack from layer i, the last layer
     computing only the positions the heads read, then the heads' read and
-    every classify. A head's Bi-LSTM parameter scans its moved direction
-    alone, then runs its own task's classify; its other parameters only
-    that classify."""
+    every classify, each over the probe batch's three rows. A head's
+    Bi-LSTM parameter scans its moved direction alone, then runs its own
+    task's classify; its other parameters only that classify."""
     monkeypatch.setattr(gradcheck, "TINY_CONFIG",
                         replace(gradcheck.TINY_CONFIG, head_kind=head_kind))
     model, batch, compute_loss = build_probe_setup()
@@ -308,15 +311,16 @@ def test_a_probe_reruns_only_the_stages_that_read_its_parameter(monkeypatch, hea
 
     spy(model, "forward", lambda batch: ("forward",))
     spy(TransformerLayer, "forward",
-        lambda layer, *args: (layer.wq.name.split(".")[0], args[-1]))
-    spy(model, "read_each", lambda outputs, lengths: ("read_each", len(outputs)))
+        lambda layer, x, *args: (layer.wq.name.split(".")[0], args[-1], len(x.data)))
+    spy(model, "read", lambda shared, lengths: ("read", lengths.tolist()))
     spy(BiLstmFfnHead, "bilstm",
-        lambda heads, inputs, lengths: ("bilstm", len(heads), len(inputs)), staticmethod)
-    spy(gradcheck, "lstm_scan", lambda lengths, directions: ("lstm_scan", len(directions)))
-    spy(model, "classify", lambda states, task: ("classify", task))
+        lambda heads, shared, lengths: ("bilstm", len(heads), len(shared.data)), staticmethod)
+    spy(gradcheck, "lstm_scan",
+        lambda x, lengths, directions: ("lstm_scan", len(x.data), len(directions)))
+    spy(model, "classify", lambda states, task: ("classify", task, len(states.data)))
     queries = model.heads["a"].reads  # what the last layer computes: None for all
-    joint = [("read_each", 1)] + ([("bilstm", 3, 1)] if head_kind == "bilstm-ffn" else [])
-    classify_all = [("classify", task) for task in "abc"]
+    joint = [("read", [8, 7, 8])] + ([("bilstm", 3, 3)] if head_kind == "bilstm-ffn" else [])
+    classify_all = [("classify", task, 3) for task in "abc"]
     counts = dict.fromkeys(starts, 0)
     for name, p in model.parameters().items():
         calls.clear()
@@ -324,11 +328,11 @@ def test_a_probe_reruns_only_the_stages_that_read_its_parameter(monkeypatch, hea
         counts[calls[0][0]] += 1
         task = name[len("head_")] if name.startswith("head_") else None
         layer = name.removeprefix("prompt.").split(".")[0]
-        stack = [("layer0", None), ("layer1", queries)]
+        stack = [("layer0", None, 3), ("layer1", queries, 3)]
         if ".lstm_" in name:
-            assert calls == [("lstm_scan", 1), ("classify", task)], name
+            assert calls == [("lstm_scan", 3, 1), ("classify", task, 3)], name
         elif task is not None:
-            assert calls == [("classify", task)], name
+            assert calls == [("classify", task, 3)], name
         elif layer.startswith("layer"):
             assert calls == stack[int(layer[-1]):] + joint + classify_all, name
         else:
@@ -339,21 +343,50 @@ def test_a_probe_reruns_only_the_stages_that_read_its_parameter(monkeypatch, hea
 def test_a_network_check_scans_its_staged_probes_in_two_calls(monkeypatch):
     """check_network(50, 0), the benchmark's check, makes six lstm_scan
     calls: the taped float pass and the untaped complex base pass (six
-    directions over the encoder output each); one in each of the full
-    forwards of its two embedding probes; one read of its 26 encoder-layer
-    probes' copies, six directions over each copy's own encoder output; and
-    one scan of its 14 Bi-LSTM weight probes' moved directions over the
-    kept encoder output. A probe that scanned alone would add a call."""
+    directions over the three rows of the encoder output each); one in
+    each of the full forwards of its two embedding probes; one read of its
+    26 encoder-layer probes' copies, six directions over their 78 rows
+    stacked; and one scan of its 14 Bi-LSTM weight probes' moved
+    directions over the kept encoder output. A probe that scanned alone
+    would add a call."""
     calls = []
 
-    def counted(lengths, directions):
-        calls.append((len(directions), len({id(x) for x, *_ in directions})))
-        return lstm_scan(lengths, directions)
+    def counted(x, lengths, directions):
+        calls.append((len(x.data), len(directions)))
+        return lstm_scan(x, lengths, directions)
 
     monkeypatch.setattr("dpmn.heads.lstm_scan", counted)
     monkeypatch.setattr(gradcheck, "lstm_scan", counted)
     check_network(50, 0)
-    assert calls == [(6, 1)] * 2 + [(6, 1)] * 2 + [(6 * 26, 26), (14, 1)]
+    assert calls == [(3, 6)] * 2 + [(3, 6)] * 2 + [(78, 6), (3, 14)]
+
+
+def test_a_network_check_runs_each_encoder_copy_alone_only_through_its_first_layer(
+        monkeypatch):
+    """check_network(50, 0)'s 26 encoder-side copies, 13 entering at each
+    layer: each runs its first layer alone, on the probe batch's three
+    rows; then layer 1 runs once over the 13 copies that entered at layer
+    0, stacked, and each head classifies all 26 copies' 78 rows in one
+    call. The passes before them (the taped float pass, the complex base
+    pass and two embedding probes' full forwards) run on three rows."""
+    layers, classified = [], []
+    forward, classify = TransformerLayer.forward, DpmnModel.classify
+
+    def layer(self, x, *args, **kwargs):
+        layers.append((self.wq.name.split(".")[0], len(x.data)))
+        return forward(self, x, *args, **kwargs)
+
+    def head(self, states, task):
+        classified.append((task, len(states.data)))
+        return classify(self, states, task)
+
+    monkeypatch.setattr(TransformerLayer, "forward", layer)
+    monkeypatch.setattr(DpmnModel, "classify", head)
+    check_network(50, 0)
+    passes = 4 * [("layer0", 3), ("layer1", 3)]
+    assert layers == passes + 13 * [("layer0", 3)] + [("layer1", 39)] + 13 * [("layer1", 3)]
+    assert classified[:12] == 4 * [(task, 3) for task in "abc"]
+    assert [call for call in classified if call[1] != 3] == [(task, 78) for task in "abc"]
 
 
 def _drawn_copies(model, n_probes, seed):
@@ -492,6 +525,52 @@ def test_n_probes_reach_exactly_the_first_min_n_58_parameters(monkeypatch, n_pro
                               "head_c.ffn.w1", "head_c.ffn.b1", "head_c.ffn.w2", "head_c.ffn.b2"]
 
 
+@pytest.mark.parametrize("name", ["the probe batch", "_SCAN_LENGTHS"])
+def test_every_stacked_scan_step_has_two_live_rows(name):
+    """The gradient check stacks its copies on the batch axis, where each
+    gets its lone call's bytes only if no scan step has a single live row:
+    numpy runs a one-row recurrent product as a matrix-vector one, which
+    rounds differently from the stacked call's GEMM. So the lengths share
+    their longest, the probe batch's (prompt slots counted) and the LSTM
+    entries' alike."""
+    if name == "the probe batch":
+        model, batch, _ = build_probe_setup()
+        lengths = batch.lengths + model.bank.prompt_len
+    else:
+        lengths = gradcheck._SCAN_LENGTHS
+    live = [int((lengths > t).sum()) for t in range(lengths.max())]
+    assert min(live) >= 2, (
+        f"{name} {lengths.tolist()} leaves one live row at a scan step, where its stacked "
+        f"copies would not get their lone call's bits: give two rows the longest length")
+
+
+def _scalar_relative_error(analytic, numeric):
+    """The rule on one pair, in Python floats: inf unless both are finite."""
+    if not (math.isfinite(analytic) and math.isfinite(numeric)):
+        return math.inf
+    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), gradcheck._REL_FLOOR)
+
+
+_judged = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-7, 1e-6, 1e308, -1e308]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(_judged, _judged), min_size=1, max_size=8))
+def test_relative_error_over_arrays_is_the_scalar_rule_on_each_pair(pairs):
+    """Finite, zero, subnormal, near-floor, huge and non-finite values: each
+    element of the array form is the scalar rule's float, bit for bit, and
+    a scalar pair gives a float64 scalar of the same bits."""
+    analytic, numeric = (np.array(column) for column in zip(*pairs))
+    errors = relative_error(analytic, numeric)
+    assert errors.shape == (len(pairs),)
+    assert [e.hex() for e in errors.tolist()] == [
+        _scalar_relative_error(a, n).hex() for a, n in pairs]
+    for a, n in pairs:
+        error = relative_error(a, n)
+        assert isinstance(error, np.float64) and error.hex() == _scalar_relative_error(a, n).hex()
+
+
 @pytest.mark.parametrize("analytic, numeric", [(math.nan, 1.0), (1.0, math.nan),
                                                (math.nan, math.nan), (math.inf, 1.0),
                                                (-math.inf, -math.inf), (0.0, math.inf)])
@@ -550,12 +629,10 @@ def test_a_backward_off_by_a_relative_1e_5_on_one_coordinate_fails_check_op(name
     assert _check_skewed(name, _largest_off_by_relative_1e_5) >= gradcheck.OP_TOLERANCE
 
 
-def _largest_in_rows_0_and_2(g):
+def _largest_in_row_1(g):
     """An LSTM entry's x gradient off by a relative 1e-5 on its largest
-    coordinate outside row 1, the row that steps alone."""
-    shared = g[[0, 2]]
-    _largest_off_by_relative_1e_5(shared)
-    g[[0, 2]] = shared
+    coordinate in row 1, the length-1 row, live at step 0 alone."""
+    _largest_off_by_relative_1e_5(g[1])
 
 
 @pytest.mark.parametrize("name, skew", [
@@ -565,8 +642,8 @@ def _largest_in_rows_0_and_2(g):
     ("ffn", _largest_off_by_relative_1e_5),
     ("lstm_scan", _largest_off_by_relative_1e_5),
     ("lstm_scan_reverse", _largest_off_by_relative_1e_5),
-    ("lstm_scan", _largest_in_rows_0_and_2),
-    ("lstm_scan_reverse", _largest_in_rows_0_and_2),
+    ("lstm_scan", _largest_in_row_1),
+    ("lstm_scan_reverse", _largest_in_row_1),
 ])
 def test_a_first_input_gradient_off_by_a_relative_1e_5_fails_its_entry_through_check_all_ops(
         monkeypatch, name, skew):
