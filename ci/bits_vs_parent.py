@@ -5,6 +5,9 @@ Run it with the parent commit checked out in a second directory:
     git worktree add --detach ../parent HEAD^1
     python3 ci/bits_vs_parent.py --parent-tree ../parent
 
+Any earlier commit serves as the parent: CI checks out a push's
+before-commit, so a push of several commits is compared as one change.
+
 Each tree runs, with its own `src` first on PYTHONPATH and one BLAS thread,
 the README worked example and six one-change variants of it (`dpmn train`,
 then `dpmn eval` on the dev corpus), `dpmn ablate` on the worked example

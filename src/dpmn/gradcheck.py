@@ -8,7 +8,8 @@ no difference is taken, so there is no round-off, and a ReLU picks its
 branch by the real part, so no move crosses a kink. Every input of a
 complex call is complex: a float buffer refuses a complex addend. Relative
 error uses a small floor in the denominator so coordinates whose true
-gradient is ~0 are judged by absolute error instead.
+gradient is ~0 are judged by absolute error instead. lstm_scan takes its
+tanh in first-order form on complex data, its slope 1/cosh^2 (tensor._tanh).
 
 Neither level repeats work the reference does not need. Each op catalog
 entry names how its inputs' moved copies run: as the rows of one call,
@@ -25,20 +26,22 @@ one batch. A probe runs alone only through the first stage that reads its
 parameter, told by its name, on what one untaped complex base pass kept.
 For `layer<i>.*` and `prompt.layer<i>` that is encoder layer i on its kept
 input; then every such copy runs each later layer, the heads' read and
-each classify as one call, stacked on the batch axis, and its loss alone
-on its own rows. For `head_<task>.lstm_*` it is its moved direction over
-the kept encoder output, all of them as one scan, spliced into a copy of
-the kept states, then that task's classify and loss; for any other
-`head_<task>.*` that classify and loss; for an embedding a full forward.
-The total adds the kept losses of the other tasks.
+each classify as one call, stacked on the batch axis. For
+`head_<task>.lstm_*` it is its moved direction over the kept encoder
+output, all of them as one scan, spliced into copies of the kept states,
+stacked for one classify per task; for any other `head_<task>.*` that
+classify; for an embedding a full forward. One loss call per task, and one
+total, give every stacked copy's loss, each on its own block of rows; the
+kept losses stand in for the tasks a head copy leaves alone.
 
 So every op gets the bytes a full complex forward gives it, and every loss
 is the full forward's, bit for bit: each direction of a lockstep scan is a
-lone scan of it, and a stacked copy gets its lone call's bytes because its
-data is complex (stacked float64 GEMM rows can round otherwise) and the
-probe batch's longest length, like _SCAN_LENGTHS', is shared (a scan step
-with one live row would run a one-row GEMM, which rounds otherwise). No
-probe forward draws dropout, so every stage sees what the base pass saw.
+lone scan of it, each block of a loss call a lone call's loss, and a
+stacked copy gets its lone call's bytes because its data is complex
+(stacked float64 GEMM rows can round otherwise) and the probe batch's
+longest length, like _SCAN_LENGTHS', is shared (a scan step with one live
+row would run a one-row GEMM, which rounds otherwise). No probe forward
+draws dropout, so every stage sees what the base pass saw.
 """
 
 from __future__ import annotations
@@ -228,6 +231,9 @@ OP_CATALOG = (
     ("mul", (_uniform(2, 5), _uniform(2, 1)), mul, partial(_stacked, {0: (1,), 1: (0,)})),
     ("cross_entropy", (_uniform(4, 5, low=-2.0, high=2.0),),
      lambda logits: cross_entropy(logits, np.array([1, 4, -1, 0])), _PER_COPY),
+    # one loss per leading index, so the copies stack on that axis
+    ("cross_entropy_stacked", (_uniform(2, 4, 5, low=-2.0, high=2.0),),
+     lambda logits: cross_entropy(logits, np.array([1, 4, -1, 0])), _FIRST_STACKED),
     ("total_loss", (_uniform(), _uniform(), _uniform()),
      lambda *parts: total_loss(*parts, LossWeights(0.5, 0.3, 0.2)), _PER_COPY),
     ("add_norm", _ADD_NORM_INPUTS, partial(add_norm, rate=0.0, rng=None),
@@ -349,10 +355,15 @@ def _probe_losses(model, batch, compute_loss):
     attn_bias = attention_bias(model.bank, layer_inputs[0], lengths)
     queries = model.heads[TASKS[0]].reads
 
-    def total(logits: dict[str, np.ndarray]) -> complex:
-        """The total, the parts of the tasks in `logits` taken from them."""
-        new = {task: cross_entropy(Tensor(z), batch.labels[task]) for task, z in logits.items()}
-        return complex(total_loss(*{**parts, **new}.values(), weights).data)
+    def totals(logits: dict[str, np.ndarray]) -> list[complex]:
+        """Each copy's total, the parts of the tasks in `logits` taken from
+        their logits, copies' blocks of rows stacked: one loss call per task
+        gives every copy's part, and the kept parts of the others broadcast."""
+        new = {task: cross_entropy(Tensor(z.reshape(-1, len(lengths), z.shape[-1])),
+                                   batch.labels[task]) for task, z in logits.items()}
+        shape = next(iter(new.values())).shape
+        return total_loss(*(new[task] if task in new else Tensor(np.broadcast_to(part.data, shape))
+                            for task, part in parts.items()), weights).data.tolist()
 
     def run_layer(i: int, x: Tensor, copies: int) -> Tensor:
         """Encoder layer i over `copies` inputs stacked on the batch axis."""
@@ -390,14 +401,15 @@ def _probe_losses(model, batch, compute_loss):
         return None, int(layer.removeprefix("layer")) if layer.startswith("layer") else None
 
     def losses(copies) -> list[complex]:
-        """Each copy's full forward, first encoder layer, or Bi-LSTM
-        direction with its moved weight, is run first. The encoder copies
-        then run the rest of the stack, the read and every classify as one
-        call each, stacked; the directions one scan over the kept encoder
-        output. Each copy's losses come last, on its own rows."""
+        """Each copy's full forward, first encoder layer, Bi-LSTM direction
+        or classify, with its moved weight, runs first; then, each stacked,
+        the encoder copies' rest of the stack, read and classify per task,
+        the directions' one scan and their spliced states' classify per
+        task, and one loss call per task for each of the two groups."""
         stages = [stage(p) for p, _ in copies]
-        result: list[complex | None] = [None] * len(copies)
+        result: dict[int, complex] = {}  # by copy index
         starts, scanned, directions = {}, [], []
+        heads = {task: {} for task in TASKS}  # each head copy's logits, by task
         for c, ((p, j), (task, where)) in enumerate(zip(copies, stages)):
             if task is None and where is None:
                 result[c] = _moved(p, j, lambda: complex(compute_loss().data))
@@ -410,24 +422,28 @@ def _probe_losses(model, batch, compute_loss):
                                         for w in model.heads[task].directions[where]))
                 scanned.append(c)
             else:
-                result[c] = _moved(p, j, lambda: total({task: model.classify(states, task).data}))
+                heads[task][c] = _moved(p, j, lambda: model.classify(states, task).data)
         if starts:
             x, order = encoded(copies, starts)
             read = model.read(x, np.tile(lengths, len(order)))
-            logits = {task: np.split(model.classify(read, task).data, len(order))
-                      for task in TASKS}  # one block of rows per copy
-            for block, c in enumerate(order):
-                result[c] = total({task: z[block] for task, z in logits.items()})
+            result.update(zip(order, totals({task: model.classify(read, task).data
+                                             for task in TASKS})))
         if scanned:
             h = directions[0][1].shape[0]
-            blocks = lstm_scan(shared, lengths, directions).data.reshape(-1, len(directions), h)
-            for block, c in enumerate(scanned):
+            scans = lstm_scan(shared, lengths, directions).data.reshape(-1, len(directions), h)
+            spliced = np.repeat(states.data[None], len(scanned), axis=0)
+            for s, c in enumerate(scanned):  # head j's [forward | backward] is block j
                 task, where = stages[c]
-                spliced = states.data.copy()  # head j's [forward | backward] is block j
                 column = (2 * TASKS.index(task) + where) * h
-                spliced[:, column:column + h] = blocks[:, block]
-                result[c] = total({task: model.classify(Tensor(spliced), task).data})
-        return result
+                spliced[s, :, column:column + h] = scans[:, s]
+        for task, logits in heads.items():
+            mine = [s for s, c in enumerate(scanned) if stages[c][0] == task]
+            if mine:
+                z = model.classify(Tensor(spliced[mine].reshape(-1, spliced.shape[-1])), task)
+                logits.update(zip([scanned[s] for s in mine], np.split(z.data, len(mine))))
+            if logits:
+                result.update(zip(logits, totals({task: np.concatenate(list(logits.values()))})))
+        return [result[c] for c in range(len(copies))]
 
     return losses
 

@@ -36,12 +36,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     Absent rows contribute neither loss nor gradient. When every label is
     absent the weights are all zero, so the result is an exact zero that
     still connects to the graph, and downstream parameters receive explicit
-    zero gradients rather than none.
+    zero gradients rather than none. Logits [..., n, c] give one loss per
+    leading index, and its gradient, each bit for bit a lone [n, c] call's.
     """
-    if logits.ndim != 2:
-        raise ShapeError(f"cross_entropy needs logits [n, c], got {logits.shape}")
+    if logits.ndim < 2:
+        raise ShapeError(f"cross_entropy needs logits [..., n, c], got {logits.shape}")
     labels = np.asarray(labels, dtype=np.int64)
-    n, c = logits.shape
+    n, c = logits.shape[-2:]
     if labels.shape != (n,):
         raise ContractError(f"labels shape {labels.shape} does not match batch of {n}")
     bad = labels[(labels < -1) | (labels >= c)]
@@ -50,23 +51,23 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     present = labels >= 0
     weights = np.zeros((n, c))
     weights[present, labels[present]] = -1.0 / max(int(present.sum()), 1)
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = Tensor((log_probs * weights).sum())
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    out = Tensor((log_probs * weights).sum(axis=(-2, -1)))
 
     def bw(g):
-        gw = g * weights
-        return (gw - np.exp(log_probs) * gw.sum(axis=1, keepdims=True),)
+        gw = g[..., None, None] * weights
+        return (gw - np.exp(log_probs) * gw.sum(axis=-1, keepdims=True),)
 
     _record(out, (logits,), bw)
     return out
 
 
 def total_loss(loss_a: Tensor, loss_b: Tensor, loss_c: Tensor, w: LossWeights) -> Tensor:
-    """Weighted sum of the three scalar sub-task losses."""
+    """Weighted sum of the three sub-task losses, elementwise over parts of one shape."""
     parts = (loss_a, loss_b, loss_c)
-    if any(p.shape != () for p in parts):
-        raise ShapeError(f"total_loss needs scalar parts, got {[p.shape for p in parts]}")
+    if len({p.shape for p in parts}) != 1:
+        raise ShapeError(f"total_loss needs parts of one shape, got {[p.shape for p in parts]}")
     out = Tensor((loss_a.data * w.main + loss_b.data * w.auxi1) + loss_c.data * w.auxi2)
     _record(out, parts, lambda g: (g * w.main, g * w.auxi1, g * w.auxi2))
     return out

@@ -12,10 +12,11 @@ and are only cleared explicitly (see Adam.zero_grad); a consumed tape
 cannot be replayed.
 
 Data is float64 everywhere. Only the gradient check's complex-step passes
-run the ops' forwards on complex128, which a Tensor keeps; no backward
-sees it. Ops save what their backward reads and no more. Every op takes
-Tensors. The loss ops live in dpmn.losses; the unfused ops, log_softmax
-among them, in tests/reference_ops.py.
+run the ops' forwards on complex128, which a Tensor keeps (lstm_scan takes
+tanh there to first order, _tanh); no backward sees it. Ops save what
+their backward reads and no more. Every op takes Tensors. The loss ops
+live in dpmn.losses; the unfused ops, log_softmax among them, in
+tests/reference_ops.py.
 """
 
 from __future__ import annotations
@@ -473,6 +474,19 @@ def _gate_scales(batch: int, k: int, hidden: int):
     return scales
 
 
+def _tanh(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.tanh(z, out=out) on float data; on complex data (the gradient
+    check's, moved by O(1e-30)) tanh(Re z) + i Im z / cosh(Re z)^2, exact to
+    float64 and cheaper than complex np.tanh. The slope is not taken as
+    1 - tanh^2, which cancels once tanh nears +-1."""
+    if z.dtype != np.complex128:
+        return np.tanh(z, out=out)
+    with np.errstate(over="ignore"):  # cosh^2 is inf past |Re z| ~ 355: a slope of 0
+        np.divide(z.imag, np.cosh(z.real) ** 2, out=out.imag)  # before out.real: out may be z
+    np.tanh(z.real, out=out.real)
+    return out
+
+
 def lstm_scan(x: Tensor, lengths: np.ndarray, directions) -> Tensor:
     """k masked LSTM directions over one x [batch, seq, d], in lockstep; returns
     their final states side by side, [batch, k*h], direction j in columns
@@ -500,10 +514,11 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, directions) -> Tensor:
     index t, so each row's order is a permutation. Each orientation's input
     projection is one GEMM written straight into its slots' columns, and one
     add puts in every bias. The gate activations overwrite the projection,
-    and the h, c and tanh(c) histories are kept. One np.tanh covers all four
+    and the h, c and tanh(c) histories are kept. One tanh covers all four
     gates, as sigmoid(z) = (1 + tanh(z/2)) / 2 with the i/f/o columns of the
     weights halved (an exact scaling). The forward buffers take the inputs'
-    type, so complex inputs (the gradient check's) give complex states.
+    type, so complex inputs (the gradient check's) give complex states, and
+    both tanh calls take the first-order form there (_tanh).
 
     The whole scan is one tape entry. Its backward copies each step's gates
     gate-major, [4, n, k, h], so each gate is one contiguous block, forms the
@@ -590,13 +605,13 @@ def lstm_scan(x: Tensor, lengths: np.ndarray, directions) -> Tensor:
         a = act[t, :n]
         np.matmul(hs[t, :n].transpose(1, 0, 2), w_h_half, out=recurrent[:n].transpose(1, 0, 2))
         a += recurrent[:n]
-        np.tanh(a, out=a)
+        _tanh(a, out=a)
         a *= step_half[:n]  # g is scaled by 1 and shifted by 0
         a += step_shift[:n]
         c = cs[t + 1, :n]
         np.multiply(a[..., h1:h2], cs[t, :n], out=c)
         c += a[..., :h1] * a[..., h3:]
-        np.tanh(c, out=tanh_c[t, :n])
+        _tanh(c, out=tanh_c[t, :n])
         np.multiply(a[..., h2:h3], tanh_c[t, :n], out=hs[t + 1, :n])
     # row i's state is in time slot lengths[i], packed row unorder[i]
     out = Tensor(hs[lengths[:, None], unorder[:, None], slot].reshape(batch, k * hidden))

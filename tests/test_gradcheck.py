@@ -7,7 +7,9 @@ coordinates in one pass. These tests hold every staged complex loss to the
 full complex forward's bytes and both checks' output to the unstaged,
 per-coordinate loops'."""
 
+import inspect
 import math
+import textwrap
 import tracemalloc
 from dataclasses import replace
 
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpmn import gradcheck
+from dpmn import gradcheck, tensor
 from dpmn.cli import main
 from dpmn.gradcheck import (
     OP_CATALOG,
@@ -157,7 +159,8 @@ def test_an_lstm_entry_runs_its_perturbations_as_two_scans(monkeypatch):
 # entry's op runs for the taped call and its stacked x; its weight moves run
 # as one scan of their own (see above).
 _OP_CALLS = {
-    "add": 1 + 1 + 5, "mul": 1 + 2, "cross_entropy": 1 + 20, "total_loss": 1 + 3,
+    "add": 1 + 1 + 5, "mul": 1 + 2, "cross_entropy": 1 + 20, "cross_entropy_stacked": 1 + 1,
+    "total_loss": 1 + 3,
     "add_norm": 1 + 2 + 8, "add_norm_dropout": 1 + 56, "embedding_lookup": 1 + 28,
     "slice": 1 + 1, "sum": 1 + 1, "prefix": 1 + 1 + 8, "prefix_overwrite": 1 + 1 + 8,
     "lstm_scan": 1 + 1, "lstm_scan_reverse": 1 + 1, "linear": 1 + 1 + 25,
@@ -367,8 +370,11 @@ def test_a_network_check_runs_each_encoder_copy_alone_only_through_its_first_lay
     layer: each runs its first layer alone, on the probe batch's three
     rows; then layer 1 runs once over the 13 copies that entered at layer
     0, stacked, and each head classifies all 26 copies' 78 rows in one
-    call. The passes before them (the taped float pass, the complex base
-    pass and two embedding probes' full forwards) run on three rows."""
+    call. Each head then classifies its Bi-LSTM probes' spliced states in
+    one call: 6 copies' 18 rows for heads a and b, 2 copies' 6 rows for
+    head c. The passes before them (the taped float pass, the complex base
+    pass and two embedding probes' full forwards) and each head's other
+    probes run on three rows."""
     layers, classified = [], []
     forward, classify = TransformerLayer.forward, DpmnModel.classify
 
@@ -386,7 +392,8 @@ def test_a_network_check_runs_each_encoder_copy_alone_only_through_its_first_lay
     passes = 4 * [("layer0", 3), ("layer1", 3)]
     assert layers == passes + 13 * [("layer0", 3)] + [("layer1", 39)] + 13 * [("layer1", 3)]
     assert classified[:12] == 4 * [(task, 3) for task in "abc"]
-    assert [call for call in classified if call[1] != 3] == [(task, 78) for task in "abc"]
+    assert [call for call in classified if call[1] != 3] == [
+        ("a", 78), ("b", 78), ("c", 78), ("a", 18), ("b", 18), ("c", 6)]
 
 
 def _drawn_copies(model, n_probes, seed):
@@ -644,6 +651,7 @@ def _largest_in_row_1(g):
     ("lstm_scan_reverse", _largest_off_by_relative_1e_5),
     ("lstm_scan", _largest_in_row_1),
     ("lstm_scan_reverse", _largest_in_row_1),
+    ("cross_entropy_stacked", _largest_off_by_relative_1e_5),
 ])
 def test_a_first_input_gradient_off_by_a_relative_1e_5_fails_its_entry_through_check_all_ops(
         monkeypatch, name, skew):
@@ -662,6 +670,41 @@ def test_a_first_input_gradient_off_by_a_relative_1e_5_fails_its_entry_through_c
 
     assert with_skew(_unchanged) < gradcheck.OP_TOLERANCE
     assert with_skew(skew) >= gradcheck.OP_TOLERANCE
+
+
+def _scan_with_backward_edit(old, new):
+    """lstm_scan compiled from its own source with the backward's `old`
+    replaced by `new`, in the tensor module's namespace: the forward, and so
+    the complex reference, is the real scan's."""
+    source = textwrap.dedent(inspect.getsource(tensor.lstm_scan))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(tensor))
+    exec(compile(source.replace(old, new), tensor.__file__, "exec"), namespace)
+    return namespace["lstm_scan"]
+
+
+# the g gate's slope 1 - g^2 and tanh(c)'s 1 - tanh(c)^2, each taken as 1 - x
+_WRONG_TANH_SLOPES = {"g": ("1.0 - a[3] * a[3]", "1.0 - a[3]"),
+                      "tanh_c": ("1.0 - tc * tc", "1.0 - tc")}
+
+
+@pytest.mark.parametrize("slope", list(_WRONG_TANH_SLOPES))
+def test_a_scan_backward_with_a_wrong_tanh_slope_fails_the_op_and_network_checks(
+        monkeypatch, slope):
+    """The complex pass takes tanh's slope from 1/cosh^2, apart from the
+    backward's 1 - tanh^2: a scan whose backward takes either tanh's slope
+    as 1 - x fails both LSTM entries and the network check, and the same
+    source recompiled unedited passes them."""
+    old, new = _WRONG_TANH_SLOPES[slope]
+    entries = ("lstm_scan", "lstm_scan_reverse")
+    for edit, fails in ((old, False), (new, True)):
+        scan = _scan_with_backward_edit(old, edit)
+        monkeypatch.setattr(gradcheck, "lstm_scan", scan)
+        monkeypatch.setattr("dpmn.heads.lstm_scan", scan)
+        errors = check_all_ops(0)
+        assert all((errors[name] >= gradcheck.OP_TOLERANCE) == fails for name in entries), edit
+        worst = max(check_network(PROBE_PARAMETERS).values())
+        assert (worst >= gradcheck.NETWORK_TOLERANCE) == fails, edit
 
 
 def test_a_gradient_of_1e_5_where_the_true_one_is_0_fails_check_op():

@@ -64,14 +64,54 @@ def test_label_below_minus_one_rejected():
         cross_entropy(Tensor(np.zeros((2, 2))), np.array([-2, 1]))
 
 
-@pytest.mark.parametrize("shape", [(2,), (2, 2, 2), ()])
+@pytest.mark.parametrize("shape", [(2,), ()])
 def test_logits_not_a_matrix_rejected(shape):
+    """Logits below rank 2 are refused; [..., n, c] is the next test's."""
     with pytest.raises(ShapeError):
         cross_entropy(Tensor(np.zeros(shape)), np.zeros(2, dtype=np.int64))
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=2), st.integers(1, 6),
+       st.sampled_from([2, 3, 5]), st.sampled_from(["labelled", "one absent", "all absent"]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_logits_over_leading_axes_give_each_index_a_lone_calls_loss_and_gradient(
+        lead, n, c, absent, moved, seed):
+    """Logits [..., n, c] give one loss per leading index and a logits
+    gradient, each bit for bit a lone [n, c] call's, with a -1 row or a
+    column of labels all absent. On complex logits moved by 1e-30 (the
+    gradient check's stacked copies) each loss is a lone call's too."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    labels = rng.integers(0, c, size=n)
+    if absent == "one absent":
+        labels[rng.integers(n)] = -1
+    elif absent == "all absent":
+        labels[:] = -1
+    values = rng.normal(scale=3.0, size=(*lead, n, c))
+    if moved:
+        values = values + 1e-30j * rng.normal(size=values.shape)
+    projection = rng.normal(size=lead)
+    logits = Tensor(values.copy())
+    with Tape() as tape:
+        losses = cross_entropy(logits, labels)
+        loss = sum_(mul(losses, Tensor(projection)))
+    assert losses.shape == tuple(lead)
+    if not moved:
+        backward(tape, loss)
+    for index in np.ndindex(*lead):
+        lone = Tensor(values[index].copy())
+        with Tape() as tape:
+            part = cross_entropy(lone, labels)
+            loss = mul(part, Tensor(projection[index]))
+        assert losses.data[index].tobytes() == part.data.tobytes(), index
+        if not moved:
+            backward(tape, loss)
+            assert logits.grad[index].tobytes() == lone.grad.tobytes(), index
+
+
 @pytest.mark.parametrize("shape", [(1,), (2,), (2, 1)])
 def test_non_scalar_part_rejected_at_the_call(shape):
+    """A part whose shape is not the other parts' (here scalars') is refused."""
     with pytest.raises(ShapeError):
         total_loss(Tensor(1.0), Tensor(np.ones(shape)), Tensor(3.0), LossWeights())
 
@@ -87,6 +127,34 @@ def test_cross_entropy_gradients_match_finite_differences(rng):
         return cross_entropy(Tensor(logits.data), labels).item()
 
     assert max_rel_error(logits.grad, numeric_gradient(value, logits.data)) < 1e-6
+
+
+def test_total_loss_over_parts_of_one_shape_is_each_index_s_scalar_total(rng):
+    """Parts of one shape combine elementwise: each index's total, and each
+    part's gradient, is a scalar call's bit for bit."""
+    w = LossWeights(0.4, 0.35, 0.25)
+    values = [rng.normal(size=(2, 3)) for _ in range(3)]
+    projection = rng.normal(size=(2, 3))
+    parts = [Tensor(v) for v in values]
+    with Tape() as tape:
+        total = total_loss(*parts, w)
+        loss = sum_(mul(total, Tensor(projection)))
+    backward(tape, loss)
+    for index in np.ndindex(2, 3):
+        lone = [Tensor(v[index]) for v in values]
+        with Tape() as tape:
+            scalar = total_loss(*lone, w)
+            loss = mul(scalar, Tensor(projection[index]))
+        backward(tape, loss)
+        assert total.data[index].tobytes() == scalar.data.tobytes(), index
+        for part, one in zip(parts, lone):
+            assert part.grad[index].tobytes() == one.grad.tobytes(), index
+
+
+@pytest.mark.parametrize("shapes", [((2,), (2,), (3,)), ((2, 1), (2,), (2,)), ((), (), (1,))])
+def test_parts_of_different_shapes_rejected_at_the_call(shapes):
+    with pytest.raises(ShapeError, match="one shape"):
+        total_loss(*(Tensor(np.ones(shape)) for shape in shapes), LossWeights())
 
 
 def test_single_task_weights_reproduce_task_loss_exactly(rng):

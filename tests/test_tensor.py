@@ -12,6 +12,7 @@ from dpmn.errors import ContractError, EmbeddingIndexError, ShapeError
 from dpmn.tensor import (
     Tape,
     Tensor,
+    _tanh,
     add,
     add_norm,
     attention,
@@ -760,3 +761,61 @@ def test_copies_stacked_on_the_batch_axis_get_their_lone_calls_bytes(case, k, se
         lone = np.concatenate([op(*(Tensor(c if m == i else a) for m, a in enumerate(arrays))).data
                                for c in copies])
         assert stacked.shape == lone.shape and stacked.tobytes() == lone.tobytes(), i
+
+
+# lstm_scan's tanh: np.tanh on float data, its first-order form on the
+# gradient check's complex data, whose imaginary parts are moves of 1e-30
+_MOVE = 1e-30
+_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
+
+
+def _complex_tanh_close(z, out):
+    """The helper's complex result against complex np.tanh's: the real part
+    bit for bit np.tanh(Re z), the imaginary part within 8 ulp, relative, or
+    8 of the smallest subnormal where it underflows."""
+    reference = np.tanh(z)
+    assert out.real.tobytes() == np.tanh(z.real).tobytes()
+    assert (np.abs(out.imag - reference.imag)
+            <= 8 * np.finfo(np.float64).eps * np.abs(reference.imag) + 8 * _SUBNORMAL).all()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.1, 1.0, 5.0, 20.0, 100.0, 340.0, 700.0]),
+       st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_the_scan_tanh_is_np_tanh_on_floats_and_first_order_on_complex_moves(seed, scale, shape):
+    """On float data the helper gives np.tanh's bits. On complex data moved
+    by O(1e-30) its real part is np.tanh(Re z) bit for bit and its
+    imaginary part, the complex-step derivative times the move, is complex
+    np.tanh's to a few ulp, |Re z| up to 700 (past about 355 both read 0)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.uniform(-scale, scale, size=shape)
+    assert _tanh(x, np.empty_like(x)).tobytes() == np.tanh(x).tobytes()
+    z = x + 1j * _MOVE * rng.uniform(-2.0, 2.0, size=shape)
+    _complex_tanh_close(z, _tanh(z, np.empty_like(z)))
+
+
+@pytest.mark.parametrize("x", [20.0, -20.0, 400.0, -400.0, 800.0, -800.0])
+def test_the_scan_tanh_keeps_its_slope_where_one_minus_tanh_squared_reads_0(x):
+    """Where tanh(x) rounds to +-1, 1 - tanh^2 reads 0; the helper takes the
+    slope from 1/cosh^2, which is 1.7e-17 at |x| = 20, and past |x| ~ 355,
+    where cosh^2 overflows, reads 0 without a RuntimeWarning (an error
+    under this suite's settings)."""
+    assert 1.0 - np.tanh(x) ** 2 == 0.0
+    z = np.array([x + 1j * _MOVE])
+    out = _tanh(z, np.empty_like(z))
+    _complex_tanh_close(z, out)
+    slope = out.imag[0] / _MOVE
+    if abs(x) == 20.0:
+        assert slope == pytest.approx(1.0 / np.cosh(20.0) ** 2, rel=1e-15) and slope > 1e-17
+    else:
+        assert slope == 0.0
+
+
+def test_the_scan_tanh_in_place_gives_the_out_of_place_bits(rng):
+    """lstm_scan overwrites its gate block with its tanh: out is z."""
+    for z in (rng.normal(scale=3.0, size=(4, 2, 5)),
+              rng.normal(scale=3.0, size=(4, 2, 5)) + 1j * _MOVE * rng.normal(size=(4, 2, 5))):
+        expected = _tanh(z, np.empty_like(z))
+        in_place = z.copy()
+        assert _tanh(in_place, out=in_place) is in_place
+        assert in_place.tobytes() == expected.tobytes()
