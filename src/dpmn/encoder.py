@@ -81,13 +81,25 @@ class TransformerLayer:
     def forward(self, x: Tensor, attn_bias: np.ndarray, dropout_rate: float,
                 rng: np.random.Generator | None, queries: int | None = None) -> Tensor:
         """The layer's output at the first `queries` positions (all when
-        None), shape [batch, queries, d]. Keys and values cover every
-        position, so the QKV projection still runs over the whole sequence."""
+        None), shape [batch, queries, d]: the FFN block over the attention
+        block, each post-norm, their dropout drawn in that order."""
+        return self.feed_forward(self.attend(x, attn_bias, dropout_rate, rng, queries),
+                                 dropout_rate, rng)
+
+    def attend(self, x: Tensor, attn_bias: np.ndarray, dropout_rate: float,
+               rng: np.random.Generator | None, queries: int | None = None) -> Tensor:
+        """The attention block, add_norm of x and its attention output, at the
+        first `queries` positions. Keys and values cover every position, so
+        the QKV projection still runs over the whole sequence."""
         context = attention(linear(x, self.wq, self.bqkv), attn_bias, self.num_heads, queries)
         if queries is not None:
             x = x[:, :queries]
-        x = add_norm(x, linear(context, self.wo, self.bo), self.attn_gain, self.attn_bias,
-                     dropout_rate, rng)
+        return add_norm(x, linear(context, self.wo, self.bo), self.attn_gain, self.attn_bias,
+                        dropout_rate, rng)
+
+    def feed_forward(self, x: Tensor, dropout_rate: float,
+                     rng: np.random.Generator | None) -> Tensor:
+        """The FFN block, add_norm of x and its position-wise FFN."""
         return add_norm(x, ffn(x, self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2),
                         self.ffn_gain, self.ffn_bias, dropout_rate, rng)
 
@@ -128,35 +140,34 @@ def attention_bias(bank: PrefixBank, input_emb: Tensor, lengths: np.ndarray) -> 
 
 def encode_layer(stack: EncoderStack, bank: PrefixBank, i: int, x: Tensor,
                  attn_bias: np.ndarray, dropout_rng: np.random.Generator | None = None,
-                 queries: int | None = None) -> Tensor:
+                 queries: int | None = None, attend_only: bool = False) -> Tensor:
     """Layer i over x, the previous layer's output (the text embeddings ahead
-    of layer 0). Layer 0 consumes prefix matrix 0 ahead of the text; every
+    of layer 0); with `attend_only`, only its attention block, the input of
+    its FFN block. Layer 0 consumes prefix matrix 0 ahead of the text; every
     later layer i that has a matrix i in the bank first overwrites the
     prompt slots with it. Only the last layer is cut short, to its first
     `queries` positions (all when None): every earlier position feeds its
     keys and values."""
     if i < len(bank.matrices):
         x = prefix(bank.matrices[i], x, skip=bank.prompt_len if i else 0)
+    layer = stack.layers[i]
     last = i == len(stack.layers) - 1
-    return stack.layers[i].forward(x, attn_bias, stack.config.dropout, dropout_rng,
-                                   queries if last else None)
+    return (layer.attend if attend_only else layer.forward)(
+        x, attn_bias, stack.config.dropout, dropout_rng, queries if last else None)
 
 
 def encode(stack: EncoderStack, input_emb: Tensor, bank: PrefixBank,
            lengths: np.ndarray, dropout_rng: np.random.Generator | None = None,
-           queries: int | None = None, layer_inputs: list | None = None) -> Tensor:
+           queries: int | None = None) -> Tensor:
     """Run the full stack over prompt prefix + text, layer by layer
     (`encode_layer`), attention masked by `attention_bias`.
 
     Returns the last layer's hidden sequence at its first `queries`
     positions, shape [batch, queries, hidden]; when None, all p_n + T of
-    them. A `layer_inputs` list receives each layer's input x, in order, so
-    a caller can run the stack again from any layer.
+    them.
     """
     attn_bias = attention_bias(bank, input_emb, lengths)
     x = input_emb
     for i in range(len(stack.layers)):
-        if layer_inputs is not None:
-            layer_inputs.append(x)
         x = encode_layer(stack, bank, i, x, attn_bias, dropout_rng, queries)
     return x

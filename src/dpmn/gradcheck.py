@@ -13,24 +13,27 @@ tanh in first-order form on complex data, its slope 1/cosh^2 (tensor._tanh).
 
 Neither level repeats work the reference does not need. Each op catalog
 entry names how its inputs' moved copies run: as the rows of one call,
-stacked on the batch axis, wherever the op gives each copy a lone call's
-bytes (_stacked; an LSTM entry's weight copies as the directions of one
-scan, _scan_moves), else one call per copy. One judgement (_numeric) sums
-every coordinate's projection of an input in one pass, and one
-relative_error over arrays serves both levels.
+stacked on the batch axis (or on a new leading one), wherever the op
+gives each copy a lone call's bytes (_stacked; an LSTM entry's weight
+copies as the directions of one scan, _scan_moves), else one call per
+copy. One judgement (_numeric) sums every coordinate's projection of an
+input in one pass, and one relative_error over arrays serves both levels.
 
 The network check tapes the float loss for the analytic gradient, then
 holds every parameter complex while its probes run. Every probe is drawn
 first, and the moved losses of each cycle through the parameters run as
 one batch. A probe runs alone only through the first stage that reads its
 parameter, told by its name, on what one untaped complex base pass kept.
-For `layer<i>.*` and `prompt.layer<i>` that is encoder layer i on its kept
-input; then every such copy runs each later layer, the heads' read and
-each classify as one call, stacked on the batch axis. For
-`head_<task>.lstm_*` it is its moved direction over the kept encoder
+The encoder runs in stages: the embeddings, then each layer's attention
+block (prompt injection included) and its FFN block. An embedding copy
+starts at the embeddings, a `layer<i>.ffn*` copy at layer i's FFN block on
+its kept input, and any other `layer<i>.*` copy or `prompt.layer<i>` at
+layer i's attention block; then every such copy runs each later stage,
+the heads' read and each classify as one call, stacked on the batch axis.
+For `head_<task>.lstm_*` it is its moved direction over the kept encoder
 output, all of them as one scan, spliced into copies of the kept states,
 stacked for one classify per task; for any other `head_<task>.*` that
-classify; for an embedding a full forward. One loss call per task, and one
+classify. No probe runs a full forward. One loss call per task, and one
 total, give every stacked copy's loss, each on its own block of rows; the
 kept losses stand in for the tasks a head copy leaves alone.
 
@@ -113,13 +116,16 @@ def _moved_copies(a: np.ndarray) -> np.ndarray:
 
 
 def _stacked(stacks: dict[int, tuple[int, ...]], op, inputs: list[Tensor],
-             out: np.ndarray) -> list[np.ndarray]:
+             out: np.ndarray, new_axis: bool = False) -> list[np.ndarray]:
     """Each input's outputs of `op(*inputs)`, whose output is `out`, with
     each of its coordinates moved (_moved_copies), on a new axis 0. For each
     input i in `stacks` the copies are the rows of one call, one after
-    another on the leading batch axis, with the inputs stacks[i] tiled to
-    match: the op gives each copy its lone call's bytes. Every other input
-    goes one call per copy."""
+    another on the leading batch axis (with `new_axis`, on a new leading
+    axis), with the inputs stacks[i] tiled to match: the op gives each copy
+    its lone call's bytes. Every other input goes one call per copy."""
+    def laid(a):  # copies on axis 0, laid out as the op takes them
+        return a if new_axis else a.reshape((-1,) + a.shape[2:])
+
     moved = []
     for i, t in enumerate(inputs):
         copies = _moved_copies(t.data)
@@ -127,16 +133,15 @@ def _stacked(stacks: dict[int, tuple[int, ...]], op, inputs: list[Tensor],
             moved.append(np.array([op(*inputs[:i], Tensor(c), *inputs[i + 1:]).data
                                    for c in copies]))
             continue
-        args = [Tensor(copies.reshape((-1,) + t.shape[1:])) if m == i
-                else Tensor(np.concatenate([u.data] * len(copies))) if m in stacks[i] else u
+        args = [Tensor(laid(copies)) if m == i
+                else Tensor(laid(np.stack([u.data] * len(copies)))) if m in stacks[i] else u
                 for m, u in enumerate(inputs)]
         moved.append(op(*args).data.reshape(copies.shape[:1] + out.shape))
     return moved
 
 
 # every input one call per copy: a weight, bias or gain, which every copy
-# would share, a table, a loss's inputs, whose output sums over rows, and
-# add_norm_dropout's, since a larger call draws another mask
+# would share, a table, and a loss's inputs, whose output sums over rows
 _PER_COPY = partial(_stacked, {})
 # the first input stacked, the rest one call per copy
 _FIRST_STACKED = partial(_stacked, {0: ()})
@@ -208,15 +213,22 @@ def _attention(qkv: Tensor, queries: int | None = None) -> Tensor:
 
 _ADD_NORM_INPUTS = (_uniform(2, 3, 4), _uniform(2, 3, 4), _uniform(4, low=0.5, high=1.5),
                     _uniform(4))
-_DROPOUT_RNG = np.random.Generator(np.random.PCG64(0))
-_DROPOUT_START = _DROPOUT_RNG.bit_generator.state
+
+
+class _RepeatedMask:
+    """A generator stand-in for add_norm's dropout: random(shape) gives the
+    first draw of PCG64(0) for one 2-row call, repeated along axis 0 over
+    every copy of those rows a stacked call holds."""
+
+    _DRAW = np.random.Generator(np.random.PCG64(0)).random((2, 3, 4))
+
+    def random(self, shape):
+        return np.concatenate([self._DRAW] * (shape[0] // 2))
 
 
 def _add_norm_dropout(*inputs: Tensor) -> Tensor:
-    """add_norm at rate 0.3 with the same mask on every call: the one
-    generator is reset to PCG64(0)'s first state before each."""
-    _DROPOUT_RNG.bit_generator.state = _DROPOUT_START
-    return add_norm(*inputs, 0.3, _DROPOUT_RNG)
+    """add_norm at rate 0.3 with the same mask on every 2-row block."""
+    return add_norm(*inputs, 0.3, _RepeatedMask())
 
 
 # |x @ w1| <= 0.4 and |b1| >= 0.5 keep every hidden pre-activation off the ReLU kink
@@ -229,8 +241,10 @@ _FFN_INPUTS = (_uniform(2, 2, 4), _uniform(4, 5, low=-0.1, high=0.1), _kinkless(
 OP_CATALOG = (
     ("add", (_uniform(2, 5), _uniform(5)), add, _FIRST_STACKED),
     ("mul", (_uniform(2, 5), _uniform(2, 1)), mul, partial(_stacked, {0: (1,), 1: (0,)})),
+    # one loss per leading index, so the copies stack on a new leading axis
     ("cross_entropy", (_uniform(4, 5, low=-2.0, high=2.0),),
-     lambda logits: cross_entropy(logits, np.array([1, 4, -1, 0])), _PER_COPY),
+     lambda logits: cross_entropy(logits, np.array([1, 4, -1, 0])),
+     partial(_stacked, {0: ()}, new_axis=True)),
     # one loss per leading index, so the copies stack on that axis
     ("cross_entropy_stacked", (_uniform(2, 4, 5, low=-2.0, high=2.0),),
      lambda logits: cross_entropy(logits, np.array([1, 4, -1, 0])), _FIRST_STACKED),
@@ -238,7 +252,8 @@ OP_CATALOG = (
      lambda *parts: total_loss(*parts, LossWeights(0.5, 0.3, 0.2)), _PER_COPY),
     ("add_norm", _ADD_NORM_INPUTS, partial(add_norm, rate=0.0, rng=None),
      partial(_stacked, {0: (1,), 1: (0,)})),
-    ("add_norm_dropout", _ADD_NORM_INPUTS, _add_norm_dropout, _PER_COPY),
+    ("add_norm_dropout", _ADD_NORM_INPUTS, _add_norm_dropout,
+     partial(_stacked, {0: (1,), 1: (0,)})),
     ("embedding_lookup", (_uniform(7, 4),),
      lambda table: embedding_lookup(table, np.array([[0, 3, 6], [2, 2, 5]])), _PER_COPY),
     ("slice", (_uniform(4, 5, 6),), lambda a: slice_(a, (slice(None), 2, slice(1, 4))),
@@ -345,15 +360,33 @@ def _probe_losses(model, batch, compute_loss):
     on the model's parameters, which must be complex: losses(copies) gives,
     for each copy (parameter, flat index), the complex loss with that one
     coordinate moved by i*STEP. The kept stage inputs come from one untaped
-    pass."""
+    pass, stage by stage. No probe runs a full forward, so `compute_loss`,
+    the full forward's loss, goes uncalled."""
     weights = TINY_CONFIG.loss_weights
-    layer_inputs: list[Tensor] = []
-    shared, lengths = model.encode_batch(batch, layer_inputs=layer_inputs)
+    encoder, bank = model.encoder, model.bank
+    lengths = batch.lengths + bank.prompt_len
+    queries = model.heads[TASKS[0]].reads
+
+    def run_stage(k: int, x: Tensor | None) -> Tensor:
+        """Encoder stage k over x, one or more copies of its input stacked on
+        the batch axis: the text embeddings at 0 (x unused), then layer i's
+        attention block at 2i + 1 (encode_layer) and its FFN block at 2i + 2."""
+        if k == 0:
+            return encoder.embed(batch.token_ids, prompt_len=bank.prompt_len)
+        i, ffn_block = divmod(k - 1, 2)
+        if ffn_block:
+            return encoder.layers[i].feed_forward(x, 0.0, None)
+        bias = np.concatenate([attn_bias] * (len(x.data) // len(lengths)))
+        return encode_layer(encoder, bank, i, x, bias, queries=queries, attend_only=True)
+
+    stage_inputs, shared = [None], run_stage(0, None)  # stage k's input at k
+    attn_bias = attention_bias(bank, shared, lengths)
+    for k in range(1, 2 * len(encoder.layers) + 1):
+        stage_inputs.append(shared)
+        shared = run_stage(k, shared)
     states = model.read(shared, lengths)
     parts = {task: cross_entropy(model.classify(states, task), batch.labels[task])
              for task in TASKS}
-    attn_bias = attention_bias(model.bank, layer_inputs[0], lengths)
-    queries = model.heads[TASKS[0]].reads
 
     def totals(logits: dict[str, np.ndarray]) -> list[complex]:
         """Each copy's total, the parts of the tasks in `logits` taken from
@@ -365,22 +398,17 @@ def _probe_losses(model, batch, compute_loss):
         return total_loss(*(new[task] if task in new else Tensor(np.broadcast_to(part.data, shape))
                             for task, part in parts.items()), weights).data.tolist()
 
-    def run_layer(i: int, x: Tensor, copies: int) -> Tensor:
-        """Encoder layer i over `copies` inputs stacked on the batch axis."""
-        bias = np.concatenate([attn_bias] * copies)
-        return encode_layer(model.encoder, model.bank, i, x, bias, queries=queries)
-
     def encoded(copies, starts: dict[int, int]) -> tuple[Tensor, list[int]]:
         """The encoder outputs of copies (parameter, flat index), stacked on
         the batch axis, and the order of their indices in the stack. Copy c
-        runs alone through layer starts[c], the first that reads its moved
-        coordinate; each later layer runs once over all that passed theirs."""
+        runs alone through stage starts[c], the first that reads its moved
+        coordinate; each later stage runs once over all that passed theirs."""
         x, order = None, []
-        for i, kept in enumerate(layer_inputs):
+        for k, kept in enumerate(stage_inputs):
             if order:
-                x = run_layer(i, x, len(order))
-            alone = [c for c, start in starts.items() if start == i]
-            outputs = [_moved(*copies[c], partial(run_layer, i, kept, 1)).data for c in alone]
+                x = run_stage(k, x)
+            alone = [c for c, start in starts.items() if start == k]
+            outputs = [_moved(*copies[c], partial(run_stage, k, kept)).data for c in alone]
             if outputs:
                 x = Tensor(np.concatenate(([x.data] if order else []) + outputs))
                 order += alone
@@ -388,8 +416,9 @@ def _probe_losses(model, batch, compute_loss):
 
     def stage(p: Tensor):
         """(task, the head's Bi-LSTM direction index or None) for a head's
-        parameter; (None, the first encoder layer that reads it, None for
-        an embedding) for any other."""
+        parameter; (None, the first encoder stage that reads it) for any
+        other: the embeddings', layer i's FFN block's (`layer<i>.ffn*`) or,
+        for its other parameters and prompt matrix i, its attention block's."""
         group = _group_of(p.name)
         if group.startswith("head_"):
             task = group.removeprefix("head_")
@@ -397,23 +426,23 @@ def _probe_losses(model, batch, compute_loss):
                 return task, None
             return task, next(s for s, d in enumerate(model.heads[task].directions)
                               if any(w is p for w in d[:3]))
-        layer = p.name.removeprefix("prompt.").split(".")[0]  # prompt.layer<i> enters layer i
-        return None, int(layer.removeprefix("layer")) if layer.startswith("layer") else None
+        if group == "embedding":
+            return None, 0
+        layer, _, block = p.name.removeprefix("prompt.").partition(".")
+        return None, 2 * int(layer.removeprefix("layer")) + 1 + block.startswith("ffn")
 
     def losses(copies) -> list[complex]:
-        """Each copy's full forward, first encoder layer, Bi-LSTM direction
-        or classify, with its moved weight, runs first; then, each stacked,
-        the encoder copies' rest of the stack, read and classify per task,
-        the directions' one scan and their spliced states' classify per
-        task, and one loss call per task for each of the two groups."""
+        """Each copy's first encoder stage, Bi-LSTM direction or classify,
+        with its moved weight, runs first; then, each stacked, the encoder
+        copies' rest of the stack, read and classify per task, the
+        directions' one scan and their spliced states' classify per task,
+        and one loss call per task for each of the two groups."""
         stages = [stage(p) for p, _ in copies]
         result: dict[int, complex] = {}  # by copy index
         starts, scanned, directions = {}, [], []
         heads = {task: {} for task in TASKS}  # each head copy's logits, by task
         for c, ((p, j), (task, where)) in enumerate(zip(copies, stages)):
-            if task is None and where is None:
-                result[c] = _moved(p, j, lambda: complex(compute_loss().data))
-            elif task is None:
+            if task is None:
                 starts[c] = where
             elif where is not None:
                 moved = p.data.copy()

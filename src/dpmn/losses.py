@@ -22,8 +22,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name, v in (("main", self.main), ("auxi1", self.auxi1), ("auxi2", self.auxi2)):
-            if v < 0:
-                raise ConfigError(f"loss weight {name} is negative: {v}")
+            if not v >= 0:  # False for NaN too
+                raise ConfigError(f"loss weight {name} must be a non-negative number, got {v}")
         total = self.main + self.auxi1 + self.auxi2
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ConfigError(f"loss weights must sum to 1, got {total!r}")

@@ -78,19 +78,6 @@ class DpmnModel:
         return {name: p for name, p in self._store.tensors.items()
                 if strategy == "lm-plus-prompt" or name not in self._encoder_names}
 
-    def encode_batch(self, batch: Batch, dropout_rng: np.random.Generator | None = None,
-                     layer_inputs: list | None = None) -> tuple[Tensor, np.ndarray]:
-        """The encoder output the heads read, and each row's length with its
-        prompt slots. The encoder's last layer computes only the leading
-        positions the heads read (`reads`; None for all). A `layer_inputs`
-        list receives each encoder layer's input (see `encode`)."""
-        p = self.bank.prompt_len
-        lengths = batch.lengths + p
-        emb = self.encoder.embed(batch.token_ids, prompt_len=p)
-        queries = self.heads[TASKS[0]].reads
-        return encode(self.encoder, emb, self.bank, lengths, dropout_rng, queries,
-                      layer_inputs), lengths
-
     def read(self, shared: Tensor, lengths: np.ndarray) -> Tensor:
         """What the heads read together from the encoder output."""
         heads = [self.heads[task] for task in TASKS]
@@ -102,8 +89,15 @@ class DpmnModel:
 
     def forward(self, batch: Batch,
                 dropout_rng: np.random.Generator | None = None) -> dict[str, Tensor]:
-        """Logits per task. Pass a dropout generator only while training."""
-        states = self.read(*self.encode_batch(batch, dropout_rng))
+        """Logits per task. Pass a dropout generator only while training.
+        Each row's length counts its prompt slots, and the encoder's last
+        layer computes only the leading positions the heads read (`reads`;
+        None for all)."""
+        p = self.bank.prompt_len
+        lengths = batch.lengths + p
+        shared = encode(self.encoder, self.encoder.embed(batch.token_ids, prompt_len=p),
+                        self.bank, lengths, dropout_rng, self.heads[TASKS[0]].reads)
+        states = self.read(shared, lengths)
         return {task: self.classify(states, task) for task in TASKS}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:

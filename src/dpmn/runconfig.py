@@ -47,6 +47,8 @@ class TrainConfig:
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and positive, "
                               f"got {self.learning_rate}")
+        if math.isnan(self.dropout):  # format_config would write a nan parse_config refuses
+            raise ConfigError(f"dropout must be a number, got {self.dropout}")
         for name in ("batch_size", "max_epochs", "early_stop_patience", "min_freq"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -8,6 +8,9 @@ another class or module breaks the benchmark. This test fails first.
 import importlib
 import os
 import sys
+from dataclasses import replace
+
+import pytest
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -43,3 +46,29 @@ def test_a_bilstm_forward_records_a_span_for_every_head_layer(monkeypatch):
     assert taped["heads.ffn"] == [1, 1, 1]
     for task in "abc":
         assert taped[f"heads.head_{task}"] == [2]  # its block of the scan, then its FFN
+
+
+@pytest.mark.parametrize("head_kind, last_layer", [("bilstm-ffn", 6), ("linear", 7)])
+def test_an_encoder_forward_records_one_span_per_layer(monkeypatch, head_kind, last_layer):
+    """The per-layer encoder metrics read these spans: one `encoder.layer<i>`
+    per layer, inside the one `encoder.encode`, each with its six tape
+    entries (QKV, attention, output projection, add_norm, FFN, add_norm);
+    a linear-head model's last layer records one more, the slice of the
+    positions its heads read. A layer's two blocks add no span."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    tracing = importlib.import_module("tracing")
+    from dpmn import gradcheck
+    from dpmn.tensor import Tape
+
+    monkeypatch.setattr(gradcheck, "TINY_CONFIG",
+                        replace(gradcheck.TINY_CONFIG, head_kind=head_kind))
+    model, batch, _ = gradcheck.build_probe_setup()
+    tracer = tracing.Tracer()
+    with tracer.installed(0), Tape():
+        model.forward(batch)
+    encode = [i for i, span in enumerate(tracer.spans) if span[tracing.NAME] == "encoder.encode"]
+    layers = [(span[tracing.NAME], span[tracing.PARENT], span[tracing.COUNT])
+              for span in tracer.spans if span[tracing.NAME].startswith("encoder.layer")]
+    assert len(encode) == 1
+    assert layers == [("encoder.layer0", encode[0], 6), ("encoder.layer1", encode[0], last_layer)]

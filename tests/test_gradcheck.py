@@ -33,7 +33,7 @@ from dpmn.gradcheck import (
     check_op,
     relative_error,
 )
-from dpmn.encoder import TransformerLayer
+from dpmn.encoder import EncoderStack, TransformerLayer
 from dpmn.heads import BiLstmFfnHead
 from dpmn.model import DpmnModel
 from dpmn.tensor import Tape, Tensor, _record, backward, lstm_scan, mul, sum_
@@ -159,9 +159,9 @@ def test_an_lstm_entry_runs_its_perturbations_as_two_scans(monkeypatch):
 # entry's op runs for the taped call and its stacked x; its weight moves run
 # as one scan of their own (see above).
 _OP_CALLS = {
-    "add": 1 + 1 + 5, "mul": 1 + 2, "cross_entropy": 1 + 20, "cross_entropy_stacked": 1 + 1,
+    "add": 1 + 1 + 5, "mul": 1 + 2, "cross_entropy": 1 + 1, "cross_entropy_stacked": 1 + 1,
     "total_loss": 1 + 3,
-    "add_norm": 1 + 2 + 8, "add_norm_dropout": 1 + 56, "embedding_lookup": 1 + 28,
+    "add_norm": 1 + 2 + 8, "add_norm_dropout": 1 + 2 + 8, "embedding_lookup": 1 + 28,
     "slice": 1 + 1, "sum": 1 + 1, "prefix": 1 + 1 + 8, "prefix_overwrite": 1 + 1 + 8,
     "lstm_scan": 1 + 1, "lstm_scan_reverse": 1 + 1, "linear": 1 + 1 + 25,
     "linear_2d": 1 + 1 + 8, "linear_no_bias": 1 + 1 + 12, "ffn": 1 + 1 + 43,
@@ -286,24 +286,15 @@ def test_every_staged_loss_is_the_full_forward_loss_bit_for_bit(head_kind, seed)
     assert [_hexed(losses([copy])[0]) for copy in copies] == full
 
 
-@pytest.mark.parametrize("head_kind, starts", [
-    ("bilstm-ffn", {"forward": 2, "layer0": 13, "layer1": 13, "lstm_scan": 18, "classify": 12}),
-    ("linear", {"forward": 2, "layer0": 13, "layer1": 13, "classify": 6}),
-])
-def test_a_probe_reruns_only_the_stages_that_read_its_parameter(monkeypatch, head_kind, starts):
-    """An embedding re-runs a full forward. A parameter of encoder layer i,
-    or prompt matrix i, runs the stack from layer i, the last layer
-    computing only the positions the heads read, then the heads' read and
-    every classify, each over the probe batch's three rows. A head's
-    Bi-LSTM parameter scans its moved direction alone, then runs its own
-    task's classify; its other parameters only that classify."""
-    monkeypatch.setattr(gradcheck, "TINY_CONFIG",
-                        replace(gradcheck.TINY_CONFIG, head_kind=head_kind))
-    model, batch, compute_loss = build_probe_setup()
-    _complex(model.parameters().values())
-    losses = _probe_losses(model, batch, compute_loss)
-    calls = []
+# each encoder stage's first call, as the spies below label it: stage 0 the
+# embeddings, stage 2i + 1 layer i's attention block, 2i + 2 its FFN block
+_STAGES = ("embed", "layer0.attend", "layer0.ffn", "layer1.attend", "layer1.ffn")
 
+
+def _spy_stages(monkeypatch, model, calls):
+    """Record, in `calls`, every call a probe batch makes to a full forward
+    (the model's or a layer's), to each encoder stage, with the rows it
+    runs over, and to the heads' read, scans and classifies."""
     def spy(owner, attr, label, wrap=lambda f: f):
         method = getattr(owner, attr)
 
@@ -312,16 +303,56 @@ def test_a_probe_reruns_only_the_stages_that_read_its_parameter(monkeypatch, hea
             return method(*args, **kwargs)
         monkeypatch.setattr(owner, attr, wrap(wrapped))
 
+    def layer(block):
+        return lambda layer, x, *args: (layer.wq.name.split(".")[0] + block, len(x.data))
+
     spy(model, "forward", lambda batch: ("forward",))
-    spy(TransformerLayer, "forward",
-        lambda layer, x, *args: (layer.wq.name.split(".")[0], args[-1], len(x.data)))
+    spy(TransformerLayer, "forward", layer(".forward"))
+    spy(EncoderStack, "embed", lambda stack, ids: ("embed", len(ids)))
+    spy(TransformerLayer, "attend",
+        lambda layer, x, *args: (layer.wq.name.split(".")[0] + ".attend", args[-1], len(x.data)))
+    spy(TransformerLayer, "feed_forward", layer(".ffn"))
     spy(model, "read", lambda shared, lengths: ("read", lengths.tolist()))
     spy(BiLstmFfnHead, "bilstm",
         lambda heads, shared, lengths: ("bilstm", len(heads), len(shared.data)), staticmethod)
     spy(gradcheck, "lstm_scan",
         lambda x, lengths, directions: ("lstm_scan", len(x.data), len(directions)))
     spy(model, "classify", lambda states, task: ("classify", task, len(states.data)))
+
+
+def _encoder_stage(name):
+    """The first encoder stage that reads parameter `name` (see _STAGES)."""
+    if name.startswith("embedding."):
+        return 0
+    layer, _, block = name.removeprefix("prompt.").partition(".")
+    return 2 * int(layer[-1]) + 1 + block.startswith("ffn")
+
+
+@pytest.mark.parametrize("head_kind, starts", [
+    ("bilstm-ffn", {"embed": 2, "layer0.attend": 7, "layer0.ffn": 6, "layer1.attend": 7,
+                    "layer1.ffn": 6, "lstm_scan": 18, "classify": 12}),
+    ("linear", {"embed": 2, "layer0.attend": 7, "layer0.ffn": 6, "layer1.attend": 7,
+                "layer1.ffn": 6, "classify": 6}),
+])
+def test_a_probe_reruns_only_the_stages_that_read_its_parameter(monkeypatch, head_kind, starts):
+    """An embedding re-runs the embeddings, then the whole stack. A
+    parameter of encoder layer i's attention block, or prompt matrix i, runs
+    the stack from that block, and one of its FFN block from there, the last
+    layer's attention computing only the positions the heads read; then the
+    heads' read and every classify, each over the probe batch's three rows.
+    No probe runs a full forward of the model or of a layer. A head's
+    Bi-LSTM parameter scans its moved direction alone, then runs its own
+    task's classify; its other parameters only that classify."""
+    monkeypatch.setattr(gradcheck, "TINY_CONFIG",
+                        replace(gradcheck.TINY_CONFIG, head_kind=head_kind))
+    model, batch, compute_loss = build_probe_setup()
+    _complex(model.parameters().values())
+    losses = _probe_losses(model, batch, compute_loss)
+    calls = []
+    _spy_stages(monkeypatch, model, calls)
     queries = model.heads["a"].reads  # what the last layer computes: None for all
+    stack = [("embed", 3), ("layer0.attend", None, 3), ("layer0.ffn", 3),
+             ("layer1.attend", queries, 3), ("layer1.ffn", 3)]
     joint = [("read", [8, 7, 8])] + ([("bilstm", 3, 3)] if head_kind == "bilstm-ffn" else [])
     classify_all = [("classify", task, 3) for task in "abc"]
     counts = dict.fromkeys(starts, 0)
@@ -330,28 +361,48 @@ def test_a_probe_reruns_only_the_stages_that_read_its_parameter(monkeypatch, hea
         losses([(p, 0)])
         counts[calls[0][0]] += 1
         task = name[len("head_")] if name.startswith("head_") else None
-        layer = name.removeprefix("prompt.").split(".")[0]
-        stack = [("layer0", None, 3), ("layer1", queries, 3)]
         if ".lstm_" in name:
             assert calls == [("lstm_scan", 3, 1), ("classify", task, 3)], name
         elif task is not None:
             assert calls == [("classify", task, 3)], name
-        elif layer.startswith("layer"):
-            assert calls == stack[int(layer[-1]):] + joint + classify_all, name
         else:
-            assert name.startswith("embedding.") and calls[0] == ("forward",), name
+            assert calls == stack[_encoder_stage(name):] + joint + classify_all, name
     assert counts == starts
 
 
+@pytest.mark.parametrize("name", ["layer0.ffn.w1", "layer0.ffn_norm.bias", "layer1.ffn.b2",
+                                  "layer1.ffn_norm.gain"])
+def test_an_ffn_block_probe_reruns_only_that_block_and_what_follows_it(monkeypatch, name):
+    """A probe of layer i's FFN block runs that block alone on its kept
+    input, and no attention block at or before layer i; its loss is the
+    full forward's, bit for bit, alone and among a copy of every other
+    encoder parameter entering before it."""
+    model, batch, compute_loss = build_probe_setup()
+    params = model.parameters()
+    _complex(params.values())
+    losses = _probe_losses(model, batch, compute_loss)
+    full = _hexed(_moved_loss(compute_loss, params[name], 1))
+    calls = []
+    _spy_stages(monkeypatch, model, calls)
+    assert _hexed(losses([(params[name], 1)])[0]) == full
+    encoder_calls = [call for call in calls if call[0].startswith(("embed", "layer"))]
+    block = _encoder_stage(name)
+    assert encoder_calls == [(_STAGES[block], 3)] + [
+        (stage, *(() if stage.endswith("ffn") else (None,)), 3)
+        for stage in _STAGES[block + 1:]]
+    earlier = [(p, 0) for other, p in params.items()
+               if not other.startswith("head_") and _encoder_stage(other) < block]
+    assert _hexed(losses(earlier + [(params[name], 1)])[-1]) == full
+
+
 def test_a_network_check_scans_its_staged_probes_in_two_calls(monkeypatch):
-    """check_network(50, 0), the benchmark's check, makes six lstm_scan
+    """check_network(50, 0), the benchmark's check, makes four lstm_scan
     calls: the taped float pass and the untaped complex base pass (six
-    directions over the three rows of the encoder output each); one in
-    each of the full forwards of its two embedding probes; one read of its
-    26 encoder-layer probes' copies, six directions over their 78 rows
-    stacked; and one scan of its 14 Bi-LSTM weight probes' moved
-    directions over the kept encoder output. A probe that scanned alone
-    would add a call."""
+    directions over the three rows of the encoder output each); one read of
+    its 28 encoder-side probes' copies, its two embedding probes' included,
+    six directions over their 84 rows stacked; and one scan of its 14
+    Bi-LSTM weight probes' moved directions over the kept encoder output. A
+    probe that scanned alone would add a call."""
     calls = []
 
     def counted(x, lengths, directions):
@@ -361,39 +412,59 @@ def test_a_network_check_scans_its_staged_probes_in_two_calls(monkeypatch):
     monkeypatch.setattr("dpmn.heads.lstm_scan", counted)
     monkeypatch.setattr(gradcheck, "lstm_scan", counted)
     check_network(50, 0)
-    assert calls == [(3, 6)] * 2 + [(3, 6)] * 2 + [(78, 6), (3, 14)]
+    assert calls == [(3, 6)] * 2 + [(84, 6), (3, 14)]
 
 
 def test_a_network_check_runs_each_encoder_copy_alone_only_through_its_first_layer(
         monkeypatch):
-    """check_network(50, 0)'s 26 encoder-side copies, 13 entering at each
-    layer: each runs its first layer alone, on the probe batch's three
-    rows; then layer 1 runs once over the 13 copies that entered at layer
-    0, stacked, and each head classifies all 26 copies' 78 rows in one
-    call. Each head then classifies its Bi-LSTM probes' spliced states in
-    one call: 6 copies' 18 rows for heads a and b, 2 copies' 6 rows for
-    head c. The passes before them (the taped float pass, the complex base
-    pass and two embedding probes' full forwards) and each head's other
-    probes run on three rows."""
-    layers, classified = [], []
-    forward, classify = TransformerLayer.forward, DpmnModel.classify
+    """check_network(50, 0)'s 28 encoder-side copies: its two embedding
+    copies run the embeddings alone, and 13 copies enter each layer, 7 at
+    its attention block (6 parameters and a prompt matrix) and 6 at its FFN
+    block, each running that block alone on the probe batch's three rows.
+    Each block then runs once over every copy that passed an earlier one,
+    stacked: layer 0's attention over the 2 embedding copies' 6 rows, its
+    FFN over 9 copies, layer 1's attention over 15 and its FFN over 22. Each
+    head classifies all 28 copies' 84 rows in one call, then its Bi-LSTM
+    probes' spliced states in one more: 6 copies' 18 rows for heads a and b,
+    2 copies' 6 rows for head c. Only the taped float pass runs a full
+    forward of the model and of each layer; the complex base pass runs each
+    block once, and each head's other probes classify three rows."""
+    model_forward, classified, embedded, blocks = [], [], [], []
+    forward, embed, classify = DpmnModel.forward, EncoderStack.embed, DpmnModel.classify
 
-    def layer(self, x, *args, **kwargs):
-        layers.append((self.wq.name.split(".")[0], len(x.data)))
-        return forward(self, x, *args, **kwargs)
+    def spied(log, method, label):
+        def call(self, *args, **kwargs):
+            log.append(label(self, *args))
+            return method(self, *args, **kwargs)
+        return call
 
-    def head(self, states, task):
-        classified.append((task, len(states.data)))
-        return classify(self, states, task)
+    def layer(block):
+        return lambda self, x, *args: (self.wq.name.split(".")[0] + block, len(x.data))
 
-    monkeypatch.setattr(TransformerLayer, "forward", layer)
-    monkeypatch.setattr(DpmnModel, "classify", head)
+    monkeypatch.setattr(DpmnModel, "forward", spied(model_forward, forward, lambda *a: "forward"))
+    monkeypatch.setattr(EncoderStack, "embed", spied(embedded, embed,
+                                                     lambda self, ids, *a: len(ids)))
+    for attr, block in (("forward", ".forward"), ("attend", ".attend"),
+                        ("feed_forward", ".ffn")):
+        monkeypatch.setattr(TransformerLayer, attr,
+                            spied(blocks, getattr(TransformerLayer, attr), layer(block)))
+    monkeypatch.setattr(DpmnModel, "classify",
+                        spied(classified, classify, lambda self, states, task:
+                              (task, len(states.data))))
     check_network(50, 0)
-    passes = 4 * [("layer0", 3), ("layer1", 3)]
-    assert layers == passes + 13 * [("layer0", 3)] + [("layer1", 39)] + 13 * [("layer1", 3)]
-    assert classified[:12] == 4 * [(task, 3) for task in "abc"]
+    assert model_forward == ["forward"]
+    assert embedded == [3] * 4  # the taped pass, the base pass and the two embedding copies
+    taped = [("layer0.forward", 3), ("layer0.attend", 3), ("layer0.ffn", 3),
+             ("layer1.forward", 3), ("layer1.attend", 3), ("layer1.ffn", 3)]
+    base = [("layer0.attend", 3), ("layer0.ffn", 3), ("layer1.attend", 3), ("layer1.ffn", 3)]
+    staged = ([("layer0.attend", 6)] + 7 * [("layer0.attend", 3)]
+              + [("layer0.ffn", 27)] + 6 * [("layer0.ffn", 3)]
+              + [("layer1.attend", 45)] + 7 * [("layer1.attend", 3)]
+              + [("layer1.ffn", 66)] + 6 * [("layer1.ffn", 3)])
+    assert blocks == taped + base + staged
+    assert classified[:6] == 2 * [(task, 3) for task in "abc"]
     assert [call for call in classified if call[1] != 3] == [
-        ("a", 78), ("b", 78), ("c", 78), ("a", 18), ("b", 18), ("c", 6)]
+        ("a", 84), ("b", 84), ("c", 84), ("a", 18), ("b", 18), ("c", 6)]
 
 
 def _drawn_copies(model, n_probes, seed):

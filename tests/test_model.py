@@ -245,10 +245,9 @@ def _encode_spy(monkeypatch, calls, force_all=False):
     run the unpruned encoder whatever the model asks for."""
     original = model_module.encode
 
-    def spy(stack, emb, bank, lengths, rng=None, queries=None, layer_inputs=None):
+    def spy(stack, emb, bank, lengths, rng=None, queries=None):
         before = len(tensor._active_tape)
-        out = original(stack, emb, bank, lengths, rng, None if force_all else queries,
-                       layer_inputs)
+        out = original(stack, emb, bank, lengths, rng, None if force_all else queries)
         calls.append((queries, len(tensor._active_tape) - before))
         return out
 

@@ -1,5 +1,6 @@
 """The flat key-value config format and checkpoint headers."""
 
+import math
 import re
 from pathlib import Path
 
@@ -56,9 +57,13 @@ _ANY_INT = st.integers(-10**12, 10**12)
 _POSITIVE = st.integers(1, 10**12)
 
 
+_NAN_FIELDS = ("main", "auxi1", "auxi2", "dropout")
+
+
 @st.composite
 def _configs(draw):
-    """A TrainConfig with every field drawn from the values it accepts."""
+    """(None or the name of a float field set to NaN, a function that builds
+    the TrainConfig); every other field is drawn from the values it accepts."""
     length = draw(st.integers(0, 6))
     prompt = PromptConfig(
         length=length,
@@ -68,20 +73,22 @@ def _configs(draw):
     )
     main = draw(st.floats(0.0, 1.0))
     auxi1 = draw(st.floats(0.0, 1.0 - main))
-    return TrainConfig(
+    nan_field = draw(st.none() | st.sampled_from(_NAN_FIELDS))
+    weights = [math.nan if nan_field == name else value
+               for name, value in zip(_NAN_FIELDS, (main, auxi1, (1.0 - main) - auxi1))]
+    fields = dict(
         learning_rate=draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
                                      allow_infinity=False)),
         batch_size=draw(_POSITIVE),
         max_epochs=draw(_POSITIVE),
         early_stop_patience=draw(_POSITIVE),
-        loss_weights=LossWeights(main, auxi1, (1.0 - main) - auxi1),
         prompt=prompt,
         num_layers=draw(_ANY_INT),
         hidden_size=draw(_ANY_INT),
         num_heads=draw(_ANY_INT),
         ffn_size=draw(_ANY_INT),
         max_seq_len=draw(_ANY_INT),
-        dropout=draw(st.floats(allow_nan=False)),
+        dropout=math.nan if nan_field == "dropout" else draw(st.floats(allow_nan=False)),
         head_kind=draw(st.sampled_from(HEAD_KINDS)),
         lstm_hidden=draw(st.none() | _ANY_INT),
         head_ffn_size=draw(st.none() | _ANY_INT),
@@ -89,11 +96,22 @@ def _configs(draw):
         rng_seed=draw(_ANY_INT),
         out_dir=draw(st.none() | _TEXT),
     )
+    return nan_field, lambda: TrainConfig(loss_weights=LossWeights(*weights), **fields)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_configs())
-def test_every_field_round_trips_through_text(cfg):
+def test_every_field_round_trips_through_text(drawn):
+    """A config round-trips through its text form. A NaN in a loss weight
+    or in dropout is refused at construction, naming the field: every range
+    check is False for NaN, and format_config would write a `nan` that
+    parse_config refuses."""
+    nan_field, build = drawn
+    if nan_field is not None:
+        with pytest.raises(ConfigError, match=nan_field):
+            build()
+        return
+    cfg = build()
     assert parse_config(format_config(cfg)) == cfg
 
 
@@ -178,6 +196,15 @@ def test_value_whitespace_is_stripped():
 def test_nan_value_rejected(key):
     with pytest.raises(ConfigError, match=key):
         parse_config(f"{key} = nan\n")
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: LossWeights(math.nan, 0.5, 0.5), "loss weight main"),
+    (lambda: TrainConfig(dropout=math.nan), "dropout"),
+])
+def test_a_nan_float_field_is_refused_at_construction(build, field):
+    with pytest.raises(ConfigError, match=field):
+        build()
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "1e999", "Infinity"])
