@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure (NaN loss or failed gradient check).
+failure (NaN loss, non-finite evaluation logit or failed gradient check).
 """
 
 from __future__ import annotations

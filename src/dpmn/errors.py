@@ -50,4 +50,4 @@ class IntegrityError(DataError):
 
 
 class NumericError(DpmnError):
-    """Non-finite values where finite ones are required (NaN loss, failed gradcheck)."""
+    """Non-finite values where finite ones are required (NaN loss or logit, failed gradcheck)."""

@@ -28,14 +28,15 @@ The encoder runs in stages: the embeddings, then each layer's attention
 block (prompt injection included) and its FFN block. An embedding copy
 starts at the embeddings, a `layer<i>.ffn*` copy at layer i's FFN block on
 its kept input, and any other `layer<i>.*` copy or `prompt.layer<i>` at
-layer i's attention block; then every such copy runs each later stage,
-the heads' read and each classify as one call, stacked on the batch axis.
-For `head_<task>.lstm_*` it is its moved direction over the kept encoder
-output, all of them as one scan, spliced into copies of the kept states,
-stacked for one classify per task; for any other `head_<task>.*` that
-classify. No probe runs a full forward. One loss call per task, and one
-total, give every stacked copy's loss, each on its own block of rows; the
-kept losses stand in for the tasks a head copy leaves alone.
+layer i's attention block; then every such copy runs each later stage
+and the heads' read as one call, stacked on the batch axis. A
+`head_<task>.lstm_*` copy runs its moved direction over the kept encoder
+output, all of them as one scan, spliced into a copy of the kept states;
+any other `head_<task>.*` copy reads the kept states. No probe runs a full
+forward. Every copy is read out alike: one classify per task over every
+copy's states stacked, then each non-LSTM head copy's own task's classify
+with its moved weight over its block, and one loss call per task and one
+total give every copy's loss, each on its own block of rows.
 
 So every op gets the bytes a full complex forward gives it, and every loss
 is the full forward's, bit for bit: each direction of a lockstep scan is a
@@ -355,17 +356,18 @@ def _moved(p: Tensor, j: int, fn):
         flat[j] = kept
 
 
-def _probe_losses(model, batch, compute_loss):
+def _probe_losses(model, batch):
     """The probe loss as a function of moved coordinates, staged (above),
     on the model's parameters, which must be complex: losses(copies) gives,
     for each copy (parameter, flat index), the complex loss with that one
-    coordinate moved by i*STEP. The kept stage inputs come from one untaped
-    pass, stage by stage. No probe runs a full forward, so `compute_loss`,
-    the full forward's loss, goes uncalled."""
+    coordinate moved by i*STEP. The kept stage inputs, encoder output and
+    states the heads read come from one untaped pass, stage by stage."""
     weights = TINY_CONFIG.loss_weights
     encoder, bank = model.encoder, model.bank
     lengths = batch.lengths + bank.prompt_len
     queries = model.heads[TASKS[0]].reads
+    # the directions the heads' read scans, direction g's states in columns g*h
+    scanned = [d for task in TASKS for d in getattr(model.heads[task], "directions", ())]
 
     def run_stage(k: int, x: Tensor | None) -> Tensor:
         """Encoder stage k over x, one or more copies of its input stacked on
@@ -385,18 +387,6 @@ def _probe_losses(model, batch, compute_loss):
         stage_inputs.append(shared)
         shared = run_stage(k, shared)
     states = model.read(shared, lengths)
-    parts = {task: cross_entropy(model.classify(states, task), batch.labels[task])
-             for task in TASKS}
-
-    def totals(logits: dict[str, np.ndarray]) -> list[complex]:
-        """Each copy's total, the parts of the tasks in `logits` taken from
-        their logits, copies' blocks of rows stacked: one loss call per task
-        gives every copy's part, and the kept parts of the others broadcast."""
-        new = {task: cross_entropy(Tensor(z.reshape(-1, len(lengths), z.shape[-1])),
-                                   batch.labels[task]) for task, z in logits.items()}
-        shape = next(iter(new.values())).shape
-        return total_loss(*(new[task] if task in new else Tensor(np.broadcast_to(part.data, shape))
-                            for task, part in parts.items()), weights).data.tolist()
 
     def encoded(copies, starts: dict[int, int]) -> tuple[Tensor, list[int]]:
         """The encoder outputs of copies (parameter, flat index), stacked on
@@ -415,64 +405,58 @@ def _probe_losses(model, batch, compute_loss):
         return x, order
 
     def stage(p: Tensor):
-        """(task, the head's Bi-LSTM direction index or None) for a head's
-        parameter; (None, the first encoder stage that reads it) for any
-        other: the embeddings', layer i's FFN block's (`layer<i>.ffn*`) or,
-        for its other parameters and prompt matrix i, its attention block's."""
+        """(task, the index g of its direction among `scanned`, or None) for a
+        head's parameter; (None, the first encoder stage that reads it) for
+        any other: the embeddings', layer i's FFN block's (`layer<i>.ffn*`)
+        or, for its other parameters and prompt matrix i, its attention
+        block's."""
         group = _group_of(p.name)
         if group.startswith("head_"):
-            task = group.removeprefix("head_")
-            if not p.name.startswith(f"{group}.lstm_"):
-                return task, None
-            return task, next(s for s, d in enumerate(model.heads[task].directions)
-                              if any(w is p for w in d[:3]))
+            return group.removeprefix("head_"), next(
+                (g for g, d in enumerate(scanned) if any(w is p for w in d[:3])), None)
         if group == "embedding":
             return None, 0
         layer, _, block = p.name.removeprefix("prompt.").partition(".")
         return None, 2 * int(layer.removeprefix("layer")) + 1 + block.startswith("ffn")
 
     def losses(copies) -> list[complex]:
-        """Each copy's first encoder stage, Bi-LSTM direction or classify,
-        with its moved weight, runs first; then, each stacked, the encoder
-        copies' rest of the stack, read and classify per task, the
-        directions' one scan and their spliced states' classify per task,
-        and one loss call per task for each of the two groups."""
-        stages = [stage(p) for p, _ in copies]
-        result: dict[int, complex] = {}  # by copy index
-        starts, scanned, directions = {}, [], []
-        heads = {task: {} for task in TASKS}  # each head copy's logits, by task
-        for c, ((p, j), (task, where)) in enumerate(zip(copies, stages)):
+        """Every copy's read-out, what the heads read, stacked on a new axis
+        0: the encoder copies' from one read of their stacked encoder
+        outputs, each Bi-LSTM copy's the kept states with its moved
+        direction, all of them run as one scan, spliced in, and every other
+        head copy's the kept states. One classify per task over all of them,
+        then each other head copy's own task's classify, with its moved
+        weight, over its block; one loss call per task and one total give
+        every copy's loss."""
+        read_outs = np.repeat(states.data[None], len(copies), axis=0)
+        starts, spliced, directions, own = {}, [], [], []
+        for c, (p, j) in enumerate(copies):
+            task, where = stage(p)
             if task is None:
                 starts[c] = where
-            elif where is not None:
+            elif where is None:
+                own.append((c, task))
+            else:
                 moved = p.data.copy()
                 moved.reshape(-1)[j] += STEP * 1j
-                directions.append(tuple(Tensor(moved) if w is p else w
-                                        for w in model.heads[task].directions[where]))
-                scanned.append(c)
-            else:
-                heads[task][c] = _moved(p, j, lambda: model.classify(states, task).data)
+                directions.append(tuple(Tensor(moved) if w is p else w for w in scanned[where]))
+                spliced.append((c, where))
         if starts:
             x, order = encoded(copies, starts)
             read = model.read(x, np.tile(lengths, len(order)))
-            result.update(zip(order, totals({task: model.classify(read, task).data
-                                             for task in TASKS})))
-        if scanned:
+            read_outs[order] = read.data.reshape((len(order),) + states.shape)
+        if spliced:
             h = directions[0][1].shape[0]
-            scans = lstm_scan(shared, lengths, directions).data.reshape(-1, len(directions), h)
-            spliced = np.repeat(states.data[None], len(scanned), axis=0)
-            for s, c in enumerate(scanned):  # head j's [forward | backward] is block j
-                task, where = stages[c]
-                column = (2 * TASKS.index(task) + where) * h
-                spliced[s, :, column:column + h] = scans[:, s]
-        for task, logits in heads.items():
-            mine = [s for s, c in enumerate(scanned) if stages[c][0] == task]
-            if mine:
-                z = model.classify(Tensor(spliced[mine].reshape(-1, spliced.shape[-1])), task)
-                logits.update(zip([scanned[s] for s in mine], np.split(z.data, len(mine))))
-            if logits:
-                result.update(zip(logits, totals({task: np.concatenate(list(logits.values()))})))
-        return [result[c] for c in range(len(copies))]
+            scans = lstm_scan(shared, lengths, directions).data.reshape(len(lengths), -1, h)
+            for s, (c, g) in enumerate(spliced):
+                read_outs[c, :, g * h:(g + 1) * h] = scans[:, s]
+        stacked = Tensor(read_outs.reshape((-1,) + states.shape[1:]))
+        logits = {task: model.classify(stacked, task).data.reshape(len(copies), len(lengths), -1)
+                  for task in TASKS}
+        for c, task in own:
+            logits[task][c] = _moved(*copies[c], partial(model.classify, states, task)).data
+        return total_loss(*(cross_entropy(Tensor(logits[task]), batch.labels[task])
+                            for task in TASKS), weights).data.tolist()
 
     return losses
 
@@ -501,7 +485,7 @@ def check_network(n_probes: int, seed: int = 0) -> dict[str, float]:
     try:
         for p in params:
             p.data = p.data.astype(np.complex128)
-        losses = _probe_losses(model, batch, compute_loss)
+        losses = _probe_losses(model, batch)
         moved = [loss for cycle in range(0, n_probes, len(params))
                  for loss in losses(probes[cycle:cycle + len(params)])]
     finally:

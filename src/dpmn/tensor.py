@@ -21,6 +21,7 @@ tests/reference_ops.py.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import ConfigError, ContractError, EmbeddingIndexError, ShapeError
 _active_tape = None
 
 INIT_STD = 0.02  # BERT-style initializer scale
+_INTP_MAX = int(np.iinfo(np.intp).max)  # numpy's longest axis and largest array in bytes
 LAYER_NORM_EPS = 1e-12
 
 
@@ -79,7 +81,9 @@ class ParameterStore:
     Normal(0, INIT_STD^2) from `rng`, or from the store's own generator when
     none is given. A fill that is a function of that generator returns the
     values it draws; a constant, or an array broadcast to the shape, draws
-    nothing.
+    nothing. A shape numpy cannot represent, an axis or a byte count past
+    its index range, is a ConfigError naming the parameter, raised before
+    numpy is asked for it.
 
     A store given `loaded` arrays (a checkpoint's records) draws nothing at
     all: each parameter adopts, without a copy, the loaded array of its
@@ -98,6 +102,9 @@ class ParameterStore:
         rng = self.rng if rng is None else rng
         if self.loaded is not None:
             values = saved_array(self.loaded, name, shape)
+        elif max(shape, default=0) > _INTP_MAX or math.prod(map(int, shape)) * 8 > _INTP_MAX:
+            raise ConfigError(f"parameter {name} of shape {tuple(map(int, shape))} is larger "
+                              f"than numpy can represent")
         elif fill is None:
             values = rng.normal(0.0, INIT_STD, size=shape)
         elif callable(fill):
@@ -421,13 +428,11 @@ def slice_(a: Tensor, idx) -> Tensor:
     return out
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+def sum_(a: Tensor, axis=None) -> Tensor:
+    out = Tensor(a.data.sum(axis=axis))
 
     def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 

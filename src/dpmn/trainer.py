@@ -111,15 +111,18 @@ def _require_finite(arrays: dict[str, np.ndarray | None], what: str, step: int) 
 def evaluate_model(model: DpmnModel, batches: list[Batch]) -> EvalReport:
     """Macro F1 and confusion matrix per task, over examples whose label is
     present for that task: each batch adds its present rows into the task's
-    one matrix. Forward passes run without a tape (no dropout)."""
+    one matrix. Forward passes run without a tape (no dropout). A logit
+    that is NaN or infinite, which argmax would score, is a NumericError."""
     confusion = {t: np.zeros((c, c), dtype=np.int64) for t, c in TASK_CLASSES.items()}
     for batch in batches:
         logits = model.forward(batch)
         for task, counts in confusion.items():
+            scores = logits[task].data
+            if not np.isfinite(scores).all():
+                raise NumericError(f"non-finite logit for task {task} in evaluation")
             present = batch.labels[task] >= 0
             counts += confusion_matrix(batch.labels[task][present],
-                                       np.argmax(logits[task].data[present], axis=1),
-                                       len(counts))
+                                       np.argmax(scores[present], axis=1), len(counts))
     return EvalReport({t: macro_f1(m) for t, m in confusion.items()}, confusion)
 
 

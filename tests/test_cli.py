@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from dpmn import trainer
 from dpmn.checkpoint import checkpoint_bytes, load_checkpoint, parse_checkpoint
 from dpmn.cli import main
-from dpmn.data import generate_synthetic_corpus, write_tsv
+from dpmn.data import TASKS, generate_synthetic_corpus, write_tsv
 from dpmn.errors import DataError, HierarchyError, IntegrityError, ParseError
 from dpmn.gradcheck import GradcheckReport
 from dpmn.optim import Adam
@@ -350,6 +351,33 @@ def test_a_head_size_no_machine_can_allocate_exits_two_naming_the_allocation(wor
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,parameter,shape", [
+    ("lstm_hidden", "head_a.lstm_forward.w_x", "(16, 400000000000000000000000)"),
+    ("max_seq_len", "embedding.position", "(100000000000000000000000, 16)"),
+    ("ffn_size", "layer0.ffn.w1", "(16, 100000000000000000000000)"),
+    ("hidden_size", "embedding.token", "100000000000000000000000)"),
+])
+def test_a_size_numpy_cannot_represent_exits_two_naming_the_parameter(workdir, capsys, key,
+                                                                      parameter, shape):
+    """A size of 10^23 gives a parameter shape past numpy's index range,
+    which numpy refuses with a ValueError before it touches a page. The
+    store refuses it first, as a config error naming the parameter and its
+    shape: one stderr line, no traceback and no --out."""
+    kept = [line for line in FAST_CONFIG.splitlines() if line.split(" = ")[0] != key]
+    (workdir / "run.cfg").write_text("\n".join(kept + [f"{key} = {10**23}"]) + "\n",
+                                     encoding="utf-8")
+    out = workdir / "out"
+    assert main(["train", "--config", str(workdir / "run.cfg"), "--train",
+                 str(workdir / "train.tsv"), "--dev", str(workdir / "dev.tsv"),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"config error: parameter {parameter} of shape ")
+    assert f"{shape} is larger than numpy can represent" in captured.err
+    assert not out.exists()
+
+
 def test_running_out_of_memory_after_the_model_is_built_is_not_a_config_error(
         workdir, monkeypatch):
     """Only the model's build reports a refused allocation as a config
@@ -467,6 +495,57 @@ def test_an_overflowing_run_exits_four_without_a_runtime_warning(workdir, capsys
     err = capsys.readouterr().err
     assert err == "numeric failure: non-finite loss at training step 2\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# one layer of width 8 and one batch over 20 training rows: the first update
+# at learning rate 1e308 leaves every weight finite and every dev logit NaN
+_NAN_LOGITS_CONFIG = """\
+learning_rate = 1e308
+batch_size = 32
+max_epochs = 1
+num_layers = 1
+hidden_size = 8
+num_heads = 2
+ffn_size = 16
+max_seq_len = 24
+dropout = 0.0
+prompt_length = 1
+"""
+
+
+def _nan_logits_run(workdir):
+    write_tsv(workdir / "train20.tsv", generate_synthetic_corpus(20, seed=6))
+    (workdir / "nan.cfg").write_text(_NAN_LOGITS_CONFIG, encoding="utf-8")
+    return ["train", "--config", str(workdir / "nan.cfg"), "--train",
+            str(workdir / "train20.tsv"), "--dev", str(workdir / "dev.tsv"),
+            "--out", str(workdir / "out")]
+
+
+def test_non_finite_dev_logits_exit_four_and_train_writes_nothing(workdir, capsys):
+    """The run's one step is finite, so no training check fires; its dev
+    logits are NaN, which argmax would score. Evaluation names them: exit
+    4, one stderr line, and neither runlog.csv nor model.ckpt is written."""
+    assert main(_nan_logits_run(workdir)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric failure: non-finite logit for task a in evaluation\n"
+    assert not any((workdir / "out").iterdir())
+
+
+def test_eval_of_a_checkpoint_with_non_finite_logits_exits_four(workdir, capsys, monkeypatch):
+    """The same run's checkpoint, written with evaluation stubbed out during
+    training, holds only finite records; scoring it gives NaN logits, so
+    `dpmn eval` exits 4 with one stderr line and prints no score."""
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer, "evaluate_model", lambda model, batches: trainer.EvalReport(
+            dict.fromkeys(TASKS, 0.0), {}))
+        assert main(_nan_logits_run(workdir)) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(workdir / "out" / "model.ckpt"),
+                 "--data", str(workdir / "dev.tsv")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric failure: non-finite logit for task a in evaluation\n"
 
 
 def test_non_utf8_corpus_exits_three(workdir, capsys):

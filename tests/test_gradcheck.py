@@ -227,8 +227,8 @@ def _recording_probe_losses(monkeypatch):
     order check_network's batches give them."""
     losses, probe_losses = [], gradcheck._probe_losses
 
-    def recorded(model, batch, compute_loss):
-        staged = probe_losses(model, batch, compute_loss)
+    def recorded(model, batch):
+        staged = probe_losses(model, batch)
 
         def recording(copies):
             taken = staged(copies)
@@ -278,7 +278,7 @@ def test_every_staged_loss_is_the_full_forward_loss_bit_for_bit(head_kind, seed)
         mp.setattr(gradcheck, "TINY_CONFIG", replace(gradcheck.TINY_CONFIG, head_kind=head_kind))
         model, batch, compute_loss = build_probe_setup()
         _complex(model.parameters().values())
-        losses = _probe_losses(model, batch, compute_loss)
+        losses = _probe_losses(model, batch)
     rng = np.random.Generator(np.random.PCG64(seed))
     copies = [(p, int(rng.integers(p.size))) for p in model.parameters().values()]
     full = [_hexed(_moved_loss(compute_loss, *copy)) for copy in copies]
@@ -341,13 +341,14 @@ def test_a_probe_reruns_only_the_stages_that_read_its_parameter(monkeypatch, hea
     layer's attention computing only the positions the heads read; then the
     heads' read and every classify, each over the probe batch's three rows.
     No probe runs a full forward of the model or of a layer. A head's
-    Bi-LSTM parameter scans its moved direction alone, then runs its own
-    task's classify; its other parameters only that classify."""
+    Bi-LSTM parameter scans its moved direction alone, then every classify
+    over its spliced states; its other parameters every classify over the
+    kept states, then their own task's with the moved weight."""
     monkeypatch.setattr(gradcheck, "TINY_CONFIG",
                         replace(gradcheck.TINY_CONFIG, head_kind=head_kind))
     model, batch, compute_loss = build_probe_setup()
     _complex(model.parameters().values())
-    losses = _probe_losses(model, batch, compute_loss)
+    losses = _probe_losses(model, batch)
     calls = []
     _spy_stages(monkeypatch, model, calls)
     queries = model.heads["a"].reads  # what the last layer computes: None for all
@@ -362,9 +363,9 @@ def test_a_probe_reruns_only_the_stages_that_read_its_parameter(monkeypatch, hea
         counts[calls[0][0]] += 1
         task = name[len("head_")] if name.startswith("head_") else None
         if ".lstm_" in name:
-            assert calls == [("lstm_scan", 3, 1), ("classify", task, 3)], name
+            assert calls == [("lstm_scan", 3, 1)] + classify_all, name
         elif task is not None:
-            assert calls == [("classify", task, 3)], name
+            assert calls == classify_all + [("classify", task, 3)], name
         else:
             assert calls == stack[_encoder_stage(name):] + joint + classify_all, name
     assert counts == starts
@@ -380,7 +381,7 @@ def test_an_ffn_block_probe_reruns_only_that_block_and_what_follows_it(monkeypat
     model, batch, compute_loss = build_probe_setup()
     params = model.parameters()
     _complex(params.values())
-    losses = _probe_losses(model, batch, compute_loss)
+    losses = _probe_losses(model, batch)
     full = _hexed(_moved_loss(compute_loss, params[name], 1))
     calls = []
     _spy_stages(monkeypatch, model, calls)
@@ -424,13 +425,15 @@ def test_a_network_check_runs_each_encoder_copy_alone_only_through_its_first_lay
     Each block then runs once over every copy that passed an earlier one,
     stacked: layer 0's attention over the 2 embedding copies' 6 rows, its
     FFN over 9 copies, layer 1's attention over 15 and its FFN over 22. Each
-    head classifies all 28 copies' 84 rows in one call, then its Bi-LSTM
-    probes' spliced states in one more: 6 copies' 18 rows for heads a and b,
-    2 copies' 6 rows for head c. Only the taped float pass runs a full
-    forward of the model and of each layer; the complex base pass runs each
-    block once, and each head's other probes classify three rows."""
-    model_forward, classified, embedded, blocks = [], [], [], []
+    head classifies all 50 copies' 150 rows in one call; then each of the 8
+    other head probes (head a's and head b's FFN weights) classifies its own
+    task's three rows with its moved weight. One loss call per task, over
+    all 50 copies, follows the taped pass's three. Only the taped float
+    pass runs a full forward of the model and of each layer; the complex
+    base pass runs each block once and classifies nothing."""
+    model_forward, classified, embedded, blocks, losses = [], [], [], [], []
     forward, embed, classify = DpmnModel.forward, EncoderStack.embed, DpmnModel.classify
+    cross_entropy = gradcheck.cross_entropy
 
     def spied(log, method, label):
         def call(self, *args, **kwargs):
@@ -451,6 +454,12 @@ def test_a_network_check_runs_each_encoder_copy_alone_only_through_its_first_lay
     monkeypatch.setattr(DpmnModel, "classify",
                         spied(classified, classify, lambda self, states, task:
                               (task, len(states.data))))
+
+    def counted(logits, labels):
+        losses.append(logits.shape)
+        return cross_entropy(logits, labels)
+
+    monkeypatch.setattr(gradcheck, "cross_entropy", counted)
     check_network(50, 0)
     assert model_forward == ["forward"]
     assert embedded == [3] * 4  # the taped pass, the base pass and the two embedding copies
@@ -462,9 +471,9 @@ def test_a_network_check_runs_each_encoder_copy_alone_only_through_its_first_lay
               + [("layer1.attend", 45)] + 7 * [("layer1.attend", 3)]
               + [("layer1.ffn", 66)] + 6 * [("layer1.ffn", 3)])
     assert blocks == taped + base + staged
-    assert classified[:6] == 2 * [(task, 3) for task in "abc"]
-    assert [call for call in classified if call[1] != 3] == [
-        ("a", 84), ("b", 84), ("c", 84), ("a", 18), ("b", 18), ("c", 6)]
+    assert classified == ([(task, 3) for task in "abc"] + [(task, 150) for task in "abc"]
+                          + 4 * [("a", 3)] + 4 * [("b", 3)])
+    assert losses == [(3, 2), (3, 2), (3, 3), (50, 3, 2), (50, 3, 2), (50, 3, 3)]
 
 
 def _drawn_copies(model, n_probes, seed):
@@ -481,7 +490,7 @@ def test_losses_batched_by_parameter_cycle_are_those_of_one_batch():
     as one batch, bit for bit."""
     model, batch, compute_loss = build_probe_setup()
     _complex(model.parameters().values())
-    losses = _probe_losses(model, batch, compute_loss)
+    losses = _probe_losses(model, batch)
     copies = _drawn_copies(model, 2 * PROBE_PARAMETERS + 5, 3)
     cycle = PROBE_PARAMETERS
     one_batch = [_hexed(loss) for loss in losses(copies)]
@@ -497,8 +506,8 @@ def test_a_network_check_batches_one_parameter_cycle_at_a_time(monkeypatch):
     about four times it)."""
     sizes, probe_losses = [], gradcheck._probe_losses
 
-    def recorded(model, batch, compute_loss):
-        losses = probe_losses(model, batch, compute_loss)
+    def recorded(model, batch):
+        losses = probe_losses(model, batch)
 
         def sized(copies):
             sizes.append(len(copies))
@@ -535,8 +544,8 @@ def test_check_network_leaves_every_parameter_its_own_float_array(monkeypatch, r
         built.extend((p, p.data, p.data.tobytes()) for p in model.parameters().values())
         return model, batch, compute_loss
 
-    def recorded(model, batch, compute_loss):
-        losses = probe_losses(model, batch, compute_loss)
+    def recorded(model, batch):
+        losses = probe_losses(model, batch)
 
         def checked(copies):
             held.append({p.data.dtype for p, _, _ in built})
@@ -584,8 +593,8 @@ def test_n_probes_reach_exactly_the_first_min_n_58_parameters(monkeypatch, n_pro
     direction and FFN) are never probed, though `net head_c` is printed."""
     probed, probe_losses = [], gradcheck._probe_losses
 
-    def recorded(model, batch, compute_loss):
-        losses = probe_losses(model, batch, compute_loss)
+    def recorded(model, batch):
+        losses = probe_losses(model, batch)
 
         def moved(copies):
             probed.extend(p.name for p, _ in copies)
