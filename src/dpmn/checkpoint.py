@@ -98,6 +98,8 @@ def parse_checkpoint(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
     arrays: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
         name = str(r.take(r.u32()), "utf-8")
+        if name in arrays:
+            raise IntegrityError(f"record {name!r} appears twice")
         shape = r.u32s(r.u32())
         values = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8")
         try:

@@ -117,7 +117,8 @@ class EncoderStack:
 
     def embed(self, token_ids: np.ndarray, prompt_len: int = 0) -> Tensor:
         """Token plus position embeddings, with positions offset by the
-        prompt length so prompt slots own positions 0..p_n-1."""
+        prompt length so prompt slots own positions 0..p_n-1. The positions
+        are one contiguous range, so they are a slice of the table."""
         token_ids = np.asarray(token_ids)
         seq = token_ids.shape[1]
         limit = text_budget(self.config.max_seq_len, prompt_len)
@@ -126,8 +127,7 @@ class EncoderStack:
                 f"sequence length {seq} exceeds max_seq_len - p_n = {limit}"
             )
         tok = embedding_lookup(self.token_emb, token_ids)
-        positions = np.arange(prompt_len, prompt_len + seq)
-        return tok + embedding_lookup(self.pos_emb, positions)
+        return tok + self.pos_emb[prompt_len:prompt_len + seq]
 
 
 def attention_bias(bank: PrefixBank, input_emb: Tensor, lengths: np.ndarray) -> np.ndarray:

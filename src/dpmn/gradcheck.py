@@ -1,11 +1,11 @@
 """Complex-step verification of analytic gradients.
 
-Two levels: every primitive op against a random scalar projection of its
-output, and the composed network loss probed at randomly sampled parameter
-coordinates. Each moves one coordinate of complex128 data by i*STEP and
-takes Im(output) / STEP as the reference derivative (Squire & Trapp 1998):
-no difference is taken, so there is no round-off, and a ReLU picks its
-branch by the real part, so no move crosses a kink. Every input of a
+Two levels: every primitive op's vector-Jacobian product with random
+output weights, and the composed network loss probed at randomly sampled
+parameter coordinates. Each moves one coordinate of complex128 data by
+i*STEP and takes Im(output) / STEP as the reference derivative (Squire &
+Trapp 1998): no difference is taken, so there is no round-off, and a ReLU
+picks its branch by the real part, so no move crosses a kink. Every input of a
 complex call is complex: a float buffer refuses a complex addend. Relative
 error uses a small floor in the denominator so coordinates whose true
 gradient is ~0 are judged by absolute error instead. lstm_scan takes its
@@ -72,10 +72,8 @@ from .tensor import (
     ffn,
     linear,
     lstm_scan,
-    mul,
     prefix,
     slice_,
-    sum_,
 )
 from .trainer import build_model
 
@@ -163,15 +161,15 @@ def _scan_moves(reverse: bool, op, inputs: list[Tensor], out: np.ndarray) -> lis
 
 
 def check_op(op, inputs: list[Tensor], rng: np.random.Generator, moves=_PER_COPY) -> float:
-    """Max relative error of d(projection of op(*inputs))/d(inputs), the
-    projection's weights random. `moves` maps (op, the inputs as complex
-    tensors, the op's output) to each input's outputs with each coordinate
-    m moved by i*STEP, outs[m]."""
+    """Max relative error of the op's vector-Jacobian product with random
+    output weights, backward(tape, out, weights), against the derivative of
+    the projection sum(weights * op(*inputs)). `moves` maps (op, the inputs
+    as complex tensors, the op's output) to each input's outputs with each
+    coordinate m moved by i*STEP, outs[m]."""
     with Tape() as tape:
         out = op(*inputs)
-        weights = rng.normal(size=out.shape)
-        loss = sum_(mul(out, Tensor(weights)))
-    backward(tape, loss)
+    weights = rng.normal(size=out.shape)
+    backward(tape, out, weights)
     complex_inputs = [Tensor(t.data.astype(np.complex128)) for t in inputs]
     worst = 0.0
     for t, outs in zip(inputs, moves(op, complex_inputs, out.data)):
@@ -241,7 +239,6 @@ _FFN_INPUTS = (_uniform(2, 2, 4), _uniform(4, 5, low=-0.1, high=0.1), _kinkless(
 # moves runs the inputs' moved copies (check_op)
 OP_CATALOG = (
     ("add", (_uniform(2, 5), _uniform(5)), add, _FIRST_STACKED),
-    ("mul", (_uniform(2, 5), _uniform(2, 1)), mul, partial(_stacked, {0: (1,), 1: (0,)})),
     # one loss per leading index, so the copies stack on a new leading axis
     ("cross_entropy", (_uniform(4, 5, low=-2.0, high=2.0),),
      lambda logits: cross_entropy(logits, np.array([1, 4, -1, 0])),
@@ -259,7 +256,6 @@ OP_CATALOG = (
      lambda table: embedding_lookup(table, np.array([[0, 3, 6], [2, 2, 5]])), _PER_COPY),
     ("slice", (_uniform(4, 5, 6),), lambda a: slice_(a, (slice(None), 2, slice(1, 4))),
      _FIRST_STACKED),
-    ("sum", (_uniform(3, 4, 5),), partial(sum_, axis=1), _FIRST_STACKED),
     # a 2-slot prompt ahead of a 3-slot text, and over a previous prompt
     ("prefix", (_uniform(2, 4), _uniform(3, 3, 4)), partial(prefix, skip=0),
      partial(_stacked, {1: ()})),
@@ -281,7 +277,7 @@ OP_CATALOG = (
 
 def _op_catalog(seed: int):
     """(name, op, inputs, rng, moves) for every OP_CATALOG entry. Each entry
-    draws its inputs, and then its check's projection weights, from its own
+    draws its inputs, and then its check's output weights, from its own
     generator seeded with the check seed and its name, so an entry's numbers
     depend on nothing else in the catalog."""
     catalog = []

@@ -15,8 +15,8 @@ Data is float64 everywhere. Only the gradient check's complex-step passes
 run the ops' forwards on complex128, which a Tensor keeps (lstm_scan takes
 tanh there to first order, _tanh); no backward sees it. Ops save what
 their backward reads and no more. Every op takes Tensors. The loss ops
-live in dpmn.losses; the unfused ops, log_softmax among them, in
-tests/reference_ops.py.
+live in dpmn.losses; the unfused ops, mul, sum_ and log_softmax among
+them, in tests/reference_ops.py.
 """
 
 from __future__ import annotations
@@ -172,9 +172,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate dLoss/dx into .grad of every leaf reachable from loss,
-    consuming the tape.
+def backward(tape: Tape, out: Tensor, grad: np.ndarray | None = None) -> None:
+    """Accumulate into .grad of every leaf reachable from `out` the gradient
+    of sum(grad * out), the vector-Jacobian product, consuming the tape.
+    `grad` must have out's shape; without it, `out` is a scalar loss, seeded
+    with 1.
 
     Each entry is released as soon as its backward has run, and its
     output's .grad is reset to None, so only leaves keep a gradient.
@@ -185,16 +187,22 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ContractError("this tape was consumed by an earlier backward")
     if tape is _active_tape:
         raise ContractError("backward needs a closed tape: leave its with block first")
-    if loss.size != 1:
-        raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-    if not any(out is loss for out, _, _ in entries):
-        raise ContractError("loss was not produced by an op recorded on this tape")
+    if grad is None:
+        if out.size != 1:
+            raise ContractError(f"loss must be scalar, got shape {out.shape}")
+        grad = np.ones_like(out.data)
+    elif np.shape(grad) != out.shape:
+        raise ContractError(f"grad of shape {np.shape(grad)} does not match out's {out.shape}")
+    else:
+        grad = np.array(grad, dtype=np.float64)  # a copy: no leaf's .grad aliases the caller's
+    if not any(o is out for o, _, _ in entries):
+        raise ContractError("out was not produced by an op recorded on this tape")
     tape._entries, tape._consumed = None, len(entries)
-    _accumulate(loss, np.ones_like(loss.data))
+    _accumulate(out, grad)
     while entries:
-        out, parents, backward_fn = entries.pop()
-        g, out.grad = out.grad, None
-        if g is not None:  # else not on the path from loss
+        node, parents, backward_fn = entries.pop()
+        g, node.grad = node.grad, None
+        if g is not None:  # else not on the path from out
             for parent, pg in zip(parents, backward_fn(g)):
                 if pg is not None:
                     _accumulate(parent, pg)
@@ -219,22 +227,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    _record(out, (a, b), bw)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = Tensor(a.data * b.data)
-    except ValueError:
-        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}") from None
-
-    def bw(g):
-        return (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
-        )
 
     _record(out, (a, b), bw)
     return out
@@ -423,18 +415,6 @@ def slice_(a: Tensor, idx) -> Tensor:
         da = np.zeros_like(a.data)
         da[idx] += g
         return (da,)
-
-    _record(out, (a,), bw)
-    return out
-
-
-def sum_(a: Tensor, axis=None) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis))
-
-    def bw(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
 
     _record(out, (a,), bw)
     return out

@@ -81,6 +81,18 @@ def reseal(body: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def with_a_repeated_record(header_text: str, arrays: dict, name: str) -> bytes:
+    """A resealed checkpoint holding `arrays` and, last, a second record
+    named `name` whose values are the first's plus one: a file the writer,
+    given a dict, cannot produce. The record is written under a stand-in
+    name of the same length, which is then renamed in the bytes."""
+    stand_in = name[:-1] + ("y" if name.endswith("x") else "x")
+    body = checkpoint_bytes(header_text, {**arrays, stand_in: arrays[name] + 1.0})[:-4]
+    prefix = struct.pack("<I", len(name.encode("utf-8")))
+    assert body.count(prefix + stand_in.encode("utf-8")) == 1
+    return reseal(body.replace(prefix + stand_in.encode("utf-8"), prefix + name.encode("utf-8")))
+
+
 def one_record_checkpoint(*extents: int) -> bytes:
     """A resealed checkpoint whose one record claims `extents` and holds no values."""
     body = checkpoint_bytes("k = v\n", {"w": np.zeros(0)})[:-4]

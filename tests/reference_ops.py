@@ -6,12 +6,39 @@ The package computes these only inside its fused primitives (`linear`,
 them into the references those primitives must reproduce, and check each one
 against finite differences in test_tensor.py. `unfused_add_norm` and
 `unfused_ffn` are the compositions the fused `add_norm` and `ffn` replace.
+`mul` and `sum_` also build the projection sum(proj * out) whose gradient
+`backward(tape, out, proj)` gives in one step.
 """
 
 import numpy as np
 
 from dpmn.errors import ContractError, ShapeError
-from dpmn.tensor import LAYER_NORM_EPS, Tensor, _record, _unbroadcast, add, linear, mul
+from dpmn.tensor import LAYER_NORM_EPS, Tensor, _record, _unbroadcast, add, linear
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    try:
+        out = Tensor(a.data * b.data)
+    except ValueError:
+        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}") from None
+
+    def bw(g):
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+
+    _record(out, (a, b), bw)
+    return out
+
+
+def sum_(a: Tensor, axis=None) -> Tensor:
+    out = Tensor(a.data.sum(axis=axis))
+
+    def bw(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.shape).copy(),)
+
+    _record(out, (a,), bw)
+    return out
 
 
 def relu(a: Tensor) -> Tensor:

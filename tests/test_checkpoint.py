@@ -20,7 +20,7 @@ from dpmn.errors import ContractError, IntegrityError
 from dpmn.runconfig import TrainConfig
 from dpmn.trainer import train
 
-from conftest import one_record_checkpoint, reseal
+from conftest import one_record_checkpoint, reseal, with_a_repeated_record
 
 
 def _arrays(rng):
@@ -144,6 +144,15 @@ def test_records_of_rank_0_to_4_round_trip_into_owned_arrays(records, dtype, ord
         assert got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
         assert not np.shares_memory(got, np.frombuffer(blob, np.uint8))
     assert checkpoint_bytes(header, parsed) == blob
+
+
+def test_a_record_name_read_twice_is_refused_by_name(rng):
+    """The later record does not silently replace the earlier one."""
+    arrays = _arrays(rng)
+    for name in arrays:
+        blob = with_a_repeated_record("k = v\n", arrays, name)
+        with pytest.raises(IntegrityError, match=f"record '{name}' appears twice"):
+            parse_checkpoint(blob)
 
 
 def test_extents_whose_product_overflows_int64_are_truncation():

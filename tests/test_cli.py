@@ -14,7 +14,7 @@ from dpmn.errors import DataError, HierarchyError, IntegrityError, ParseError
 from dpmn.gradcheck import GradcheckReport
 from dpmn.optim import Adam
 
-from conftest import MISMATCHED_RECORDS, one_record_checkpoint, reseal
+from conftest import MISMATCHED_RECORDS, one_record_checkpoint, reseal, with_a_repeated_record
 
 FAST_CONFIG = """\
 learning_rate = 0.001
@@ -276,6 +276,19 @@ def test_checkpoint_with_a_non_finite_record_exits_three_before_scoring(workdir,
     assert "'head_a.ffn.b2'" in captured.err
     assert "RuntimeWarning" not in captured.err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_checkpoint_with_a_repeated_record_exits_three(workdir, checkpoint, capsys):
+    """A correctly checksummed file holding a second head_a.ffn.b2 record is
+    refused, naming it, rather than loaded with the second's values."""
+    header, arrays = load_checkpoint(checkpoint)
+    damaged = workdir / "repeated.ckpt"
+    damaged.write_bytes(with_a_repeated_record(header, arrays, "head_a.ffn.b2"))
+    assert main(["eval", "--checkpoint", str(damaged), "--data", str(workdir / "dev.tsv")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error") and str(damaged) in captured.err
+    assert "record 'head_a.ffn.b2' appears twice" in captured.err
 
 
 def test_checkpoint_with_overflowing_extents_exits_three(workdir, capsys):

@@ -14,7 +14,7 @@ from dpmn.encoder import (
 )
 from dpmn.errors import ConfigError, ContractError, EmbeddingIndexError
 from dpmn.prompt import PromptConfig, init_prompt
-from dpmn.tensor import Tape, Tensor, backward, sum_
+from dpmn.tensor import Tape, Tensor, backward
 
 from conftest import make_store
 from reference_ops import softmax
@@ -99,8 +99,7 @@ def test_gradients_reach_every_deep_prefix_matrix():
     ids = np.array([[2, 3, 4]])
     with Tape() as tape:
         out = _run(stack, bank, ids)
-        loss = sum_(out)
-    backward(tape, loss)
+    backward(tape, out, np.ones(out.shape))
     assert len(bank.matrices) == CFG.num_layers
     for m in bank.matrices:
         assert m.grad is not None and np.abs(m.grad).max() > 0

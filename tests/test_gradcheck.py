@@ -36,7 +36,9 @@ from dpmn.gradcheck import (
 from dpmn.encoder import EncoderStack, TransformerLayer
 from dpmn.heads import BiLstmFfnHead
 from dpmn.model import DpmnModel
-from dpmn.tensor import Tape, Tensor, _record, backward, lstm_scan, mul, sum_
+from dpmn.tensor import Tape, Tensor, _record, backward, lstm_scan
+
+from reference_ops import mul, sum_
 
 PROBE_PARAMETERS = 58  # of the probe network with Bi-LSTM heads
 
@@ -159,10 +161,10 @@ def test_an_lstm_entry_runs_its_perturbations_as_two_scans(monkeypatch):
 # entry's op runs for the taped call and its stacked x; its weight moves run
 # as one scan of their own (see above).
 _OP_CALLS = {
-    "add": 1 + 1 + 5, "mul": 1 + 2, "cross_entropy": 1 + 1, "cross_entropy_stacked": 1 + 1,
+    "add": 1 + 1 + 5, "cross_entropy": 1 + 1, "cross_entropy_stacked": 1 + 1,
     "total_loss": 1 + 3,
     "add_norm": 1 + 2 + 8, "add_norm_dropout": 1 + 2 + 8, "embedding_lookup": 1 + 28,
-    "slice": 1 + 1, "sum": 1 + 1, "prefix": 1 + 1 + 8, "prefix_overwrite": 1 + 1 + 8,
+    "slice": 1 + 1, "prefix": 1 + 1 + 8, "prefix_overwrite": 1 + 1 + 8,
     "lstm_scan": 1 + 1, "lstm_scan_reverse": 1 + 1, "linear": 1 + 1 + 25,
     "linear_2d": 1 + 1 + 8, "linear_no_bias": 1 + 1 + 12, "ffn": 1 + 1 + 43,
     "attention": 1 + 1, "attention_first_query": 1 + 1,

@@ -15,10 +15,10 @@ from dpmn.losses import cross_entropy, total_loss
 from dpmn.model import DpmnModel, head_forward
 from dpmn.prompt import PromptConfig
 from dpmn.runconfig import TrainConfig
-from dpmn.tensor import Tape, Tensor, backward, linear, lstm_scan, mul, sum_
+from dpmn.tensor import Tape, Tensor, backward, linear, lstm_scan
 
 from conftest import make_store, max_rel_error, numeric_gradient
-from reference_ops import concat, sigmoid, tanh
+from reference_ops import concat, mul, sigmoid, tanh
 
 D, H, F = 6, 4, 5
 # Fused and per-timestep scans sum in different orders. In float64 a state
@@ -100,8 +100,7 @@ def _scan_with_grads(scan, arrays, proj):
     inputs = [Tensor(a.copy()) for a in arrays]
     with Tape() as tape:
         out = scan(*inputs)
-        loss = sum_(mul(out, Tensor(proj)))
-    backward(tape, loss)
+    backward(tape, out, proj)
     return out.data, [t.grad for t in inputs]
 
 
@@ -174,15 +173,14 @@ def _assert_lockstep_is_separate(seed, seq, d, hidden, lengths, reverses):
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.normal(size=(batch, seq, d))
     weights = [_scan_arrays(rng, batch, seq, d, hidden)[1:] for _ in range(k)]
-    proj = Tensor(rng.normal(size=(batch, k * hidden)))
+    proj = rng.normal(size=(batch, k * hidden))
 
     def run(scan):
         inputs = [Tensor(x.copy())] + [Tensor(w.copy()) for ws in weights for w in ws]
         directions = [(*inputs[1 + 3 * j:4 + 3 * j], r) for j, r in enumerate(reverses)]
         with Tape() as tape:
             out = scan(inputs[0], directions)
-            loss = sum_(mul(out, proj))
-        backward(tape, loss)
+        backward(tape, out, proj)
         return [out.data] + [np.zeros_like(t.data) if t.grad is None else t.grad for t in inputs]
 
     joint = run(lambda x, directions: lstm_scan(x, lengths, directions))
@@ -402,8 +400,7 @@ def _run_scan(reverses, x, lengths, weights, proj):
     directions = [(*inputs[1 + 3 * j:4 + 3 * j], r) for j, r in enumerate(reverses)]
     with Tape() as tape:
         out = lstm_scan(inputs[0], lengths, directions)
-        loss = sum_(mul(out, Tensor(proj)))
-    backward(tape, loss)
+    backward(tape, out, proj)
     return [out.data] + [np.zeros_like(t.data) if t.grad is None else t.grad for t in inputs]
 
 
@@ -592,12 +589,11 @@ def test_ffn_gradients_match_finite_differences(rng):
     params = [x, head.w_f1, head.b_f1, head.w_f2, head.b_f2]
     with Tape() as tape:
         out = head.ffn(x)
-        proj = Tensor(rng.normal(size=out.shape))
-        loss = sum_(mul(out, proj))
-    backward(tape, loss)
+    proj = rng.normal(size=out.shape)
+    backward(tape, out, proj)
 
     def value():
-        return float((head.ffn(Tensor(x.data)).data * proj.data).sum())
+        return float((head.ffn(Tensor(x.data)).data * proj).sum())
 
     for t in params:
         assert max_rel_error(t.grad, numeric_gradient(value, t.data)) < 1e-6
@@ -610,12 +606,11 @@ def test_bilstm_head_gradients_match_finite_differences(rng):
     lengths = np.array([3, 2])
     with Tape() as tape:
         out = _alone(head, shared, lengths)
-        proj = Tensor(rng.normal(size=out.shape))
-        loss = sum_(mul(out, proj))
-    backward(tape, loss)
+    proj = rng.normal(size=out.shape)
+    backward(tape, out, proj)
 
     def value():
-        return float((_alone(head, Tensor(shared.data), lengths).data * proj.data).sum())
+        return float((_alone(head, Tensor(shared.data), lengths).data * proj).sum())
 
     for t in [shared, *store.tensors.values()]:
         assert max_rel_error(

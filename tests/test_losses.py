@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from dpmn.errors import ConfigError, ContractError, ShapeError
 from dpmn.losses import LossWeights, cross_entropy, total_loss
-from dpmn.tensor import Tape, Tensor, add, backward, linear, mul, sum_
+from dpmn.tensor import Tape, Tensor, add, backward, linear
 
 from conftest import max_rel_error, numeric_gradient
-from reference_ops import log_softmax
+from reference_ops import log_softmax, mul, sum_
 
 
 def test_confident_correct_prediction_is_near_zero_loss():
@@ -94,18 +94,16 @@ def test_logits_over_leading_axes_give_each_index_a_lone_calls_loss_and_gradient
     logits = Tensor(values.copy())
     with Tape() as tape:
         losses = cross_entropy(logits, labels)
-        loss = sum_(mul(losses, Tensor(projection)))
     assert losses.shape == tuple(lead)
     if not moved:
-        backward(tape, loss)
+        backward(tape, losses, projection)
     for index in np.ndindex(*lead):
         lone = Tensor(values[index].copy())
         with Tape() as tape:
             part = cross_entropy(lone, labels)
-            loss = mul(part, Tensor(projection[index]))
         assert losses.data[index].tobytes() == part.data.tobytes(), index
         if not moved:
-            backward(tape, loss)
+            backward(tape, part, projection[index])
             assert logits.grad[index].tobytes() == lone.grad.tobytes(), index
 
 
@@ -138,14 +136,12 @@ def test_total_loss_over_parts_of_one_shape_is_each_index_s_scalar_total(rng):
     parts = [Tensor(v) for v in values]
     with Tape() as tape:
         total = total_loss(*parts, w)
-        loss = sum_(mul(total, Tensor(projection)))
-    backward(tape, loss)
+    backward(tape, total, projection)
     for index in np.ndindex(2, 3):
         lone = [Tensor(v[index]) for v in values]
         with Tape() as tape:
             scalar = total_loss(*lone, w)
-            loss = mul(scalar, Tensor(projection[index]))
-        backward(tape, loss)
+        backward(tape, scalar, projection[index])
         assert total.data[index].tobytes() == scalar.data.tobytes(), index
         for part, one in zip(parts, lone):
             assert part.grad[index].tobytes() == one.grad.tobytes(), index

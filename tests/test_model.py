@@ -112,15 +112,15 @@ def test_op_errors_do_not_depend_on_the_rest_of_the_catalog(monkeypatch):
     """Each catalog entry draws from its own generator: dropping one entry and
     reshaping another leaves every other entry's error bitwise unchanged."""
     full = check_all_ops(seed=3)
-    wider = (lambda rng: rng.uniform(-1.0, 1.0, size=(3, 5)),
-             lambda rng: rng.uniform(-1.0, 1.0, size=(3, 1)))
-    catalog = [entry if entry[0] != "mul" else ("mul", wider, *entry[2:])
+    wider = (lambda rng: rng.uniform(-1.0, 1.0, size=(5, 4)),
+             lambda rng: rng.uniform(-1.0, 1.0, size=(4, 2)))
+    catalog = [entry if entry[0] != "linear_2d" else ("linear_2d", wider, *entry[2:])
                for entry in gradcheck.OP_CATALOG if entry[0] != "add"]
     monkeypatch.setattr(gradcheck, "OP_CATALOG", tuple(catalog))
     changed = check_all_ops(seed=3)
-    assert "add" not in changed and changed["mul"] != full["mul"]
+    assert "add" not in changed and changed["linear_2d"] != full["linear_2d"]
     for name, err in changed.items():
-        if name != "mul":
+        if name != "linear_2d":
             assert err == full[name], name
 
 

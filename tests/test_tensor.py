@@ -1,5 +1,6 @@
 """Op semantics and gradient correctness of the autodiff core."""
 
+import re
 import weakref
 
 import numpy as np
@@ -20,15 +21,14 @@ from dpmn.tensor import (
     embedding_lookup,
     ffn,
     linear,
-    mul,
+    lstm_scan,
     prefix,
     slice_,
-    sum_,
 )
 
 from conftest import max_rel_error, numeric_gradient
-from reference_ops import (concat, dropout, layer_norm, log_softmax, relu, reshape, sigmoid,
-                           softmax, tanh, unfused_add_norm, unfused_ffn)
+from reference_ops import (concat, dropout, layer_norm, log_softmax, mul, relu, reshape,
+                           sigmoid, softmax, sum_, tanh, unfused_add_norm, unfused_ffn)
 
 
 def test_matmul_identity():
@@ -156,11 +156,43 @@ def test_backward_accumulates_across_reuses(rng):
 
 
 def test_backward_rejects_non_scalar(rng):
+    """Without a grad, out must be a scalar loss; the refusal leaves the
+    tape unconsumed, so a backward given out's gradient still runs."""
     x = Tensor(rng.normal(size=(3,)))
     with Tape() as tape:
         y = relu(x)
-    with pytest.raises(ContractError, match="scalar"):
+    with pytest.raises(ContractError, match=r"^loss must be scalar, got shape \(3,\)$"):
         backward(tape, y)
+    backward(tape, y, np.ones(3))
+    assert np.array_equal(x.grad, (x.data > 0).astype(np.float64))
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (3, 2), (2, 1), (1, 2, 3)])
+def test_backward_rejects_a_grad_not_of_out_s_shape(rng, shape):
+    """A grad that only broadcasts to out's shape is refused too, and the
+    refusal leaves the tape unconsumed."""
+    x, y = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 3)))
+    with Tape() as tape:
+        out = add(x, y)
+    with pytest.raises(ContractError, match=rf"grad of shape {re.escape(str(shape))} does not "
+                                            r"match out's \(2, 3\)"):
+        backward(tape, out, np.ones(shape))
+    assert x.grad is None
+    backward(tape, out, np.ones((2, 3)))
+    assert np.array_equal(x.grad, np.ones((2, 3)))
+
+
+def test_backward_copies_the_grad_it_is_given(rng):
+    """add hands its output's gradient to its inputs as it is, yet no leaf's
+    .grad is the caller's array: changing it afterwards changes no gradient."""
+    x, y = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 3)))
+    with Tape() as tape:
+        out = add(x, y)
+    grad = rng.normal(size=(2, 3))
+    kept = grad.copy()
+    backward(tape, out, grad)
+    grad[...] = 0.0
+    assert np.array_equal(x.grad, kept) and np.array_equal(y.grad, kept)
 
 
 def test_backward_rejects_loss_off_tape(rng):
@@ -267,12 +299,11 @@ def _fd_check(forward, inputs, rng, tol=1e-6):
         t.grad = None  # explicit zeroing; grads accumulate across tapes
     with Tape() as tape:
         out = forward()
-        proj = Tensor(rng.normal(size=out.shape))
-        loss = sum_(mul(out, proj))
-    backward(tape, loss)
+    proj = rng.normal(size=out.shape)
+    backward(tape, out, proj)
 
     def value():
-        return float((forward().data * proj.data).sum())
+        return float((forward().data * proj).sum())
 
     for t in inputs:
         analytic = np.zeros_like(t.data) if t.grad is None else t.grad
@@ -420,9 +451,75 @@ def _value_and_grads(fn, arrays, proj):
     inputs = [None if a is None else Tensor(a.copy()) for a in arrays]
     with Tape() as tape:
         out = fn(*inputs)
-        loss = sum_(mul(out, Tensor(proj)))
-    backward(tape, loss)
+    backward(tape, out, proj)
     return out.data, [t.grad for t in inputs if t is not None]
+
+
+def _vjp_linear(data, rng):
+    lead = data.draw(st.lists(st.integers(1, 4), max_size=2))
+    k, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    arrays = [rng.normal(size=(*lead, k)), rng.normal(size=(k, n))]
+    return linear, arrays + ([rng.normal(size=n)] if data.draw(st.booleans()) else [])
+
+
+def _vjp_ffn(data, rng):
+    lead = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    k, f, n = (data.draw(st.integers(1, 5)) for _ in range(3))
+    return ffn, [rng.normal(size=(*lead, k)), rng.normal(size=(k, f)), rng.normal(size=f),
+                 rng.normal(size=(f, n)), rng.normal(size=n)]
+
+
+def _vjp_add_norm(data, rng):
+    """With dropout, each call draws its mask from a generator seeded alike."""
+    shape = (*data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)),
+             data.draw(st.integers(1, 6)))
+    rate, seed = data.draw(st.sampled_from([0.0, 0.3])), data.draw(st.integers(0, 2 ** 31))
+    arrays = [rng.normal(size=shape), rng.normal(size=shape),
+              rng.uniform(0.5, 1.5, size=shape[-1]), rng.normal(size=shape[-1])]
+    return lambda *t: add_norm(*t, rate, np.random.Generator(np.random.PCG64(seed))), arrays
+
+
+def _vjp_lstm_scan(data, rng):
+    """One or two directions, each either way, over rows of any length."""
+    batch, seq, d, hidden = (data.draw(st.integers(1, 4)) for _ in range(4))
+    lengths = np.array(data.draw(st.lists(st.integers(0, seq), min_size=batch, max_size=batch)))
+    reverses = data.draw(st.lists(st.booleans(), min_size=1, max_size=2))
+    arrays = [rng.normal(size=(batch, seq, d))]
+    for _ in reverses:
+        arrays += [rng.normal(size=(d, 4 * hidden)), rng.normal(size=(hidden, 4 * hidden)),
+                   rng.normal(size=4 * hidden)]
+
+    def op(x, *weights):
+        return lstm_scan(x, lengths, [(*weights[3 * j:3 * j + 3], reverse)
+                                      for j, reverse in enumerate(reverses)])
+
+    return op, arrays
+
+
+_VJP_CASES = {"linear": _vjp_linear, "ffn": _vjp_ffn, "add_norm": _vjp_add_norm,
+              "lstm_scan": _vjp_lstm_scan}
+
+
+@pytest.mark.parametrize("case", list(_VJP_CASES))
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(st.integers(0, 2 ** 31), st.data())
+def test_backward_given_out_s_gradient_is_the_reference_projection_s_bit_for_bit(
+        case, seed, data):
+    """backward(tape, out, w) gives each input the gradient that the
+    projection sum_(mul(out, w)), composed of reference ops, gives it: its
+    seed 1, times w, is w."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    op, arrays = _VJP_CASES[case](data, rng)
+    w = rng.normal(size=op(*(Tensor(a) for a in arrays)).shape)
+    got, want = [Tensor(a.copy()) for a in arrays], [Tensor(a.copy()) for a in arrays]
+    with Tape() as tape:
+        out = op(*got)
+    backward(tape, out, w)
+    with Tape() as tape:
+        loss = sum_(mul(op(*want), Tensor(w)))
+    backward(tape, loss)
+    for g, r in zip(got, want, strict=True):
+        assert g.grad is not None and _same_bits(g.grad, r.grad)
 
 
 def _assert_matches_reference(fused, reference, arrays, proj):
@@ -672,14 +769,6 @@ def _lead(data, rows=1):
                      .filter(lambda s: np.prod(s) >= rows))
 
 
-def _stack_mul(data, rng):
-    shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-    # b broadcasts over any axis but the batch axis, which the copies extend
-    ones = data.draw(st.lists(st.booleans(), min_size=len(shape) - 1, max_size=len(shape) - 1))
-    other = [shape[0]] + [1 if one else n for one, n in zip(ones, shape[1:])]
-    return mul, [rng.normal(size=shape), rng.normal(size=other)], {0: (1,), 1: (0,)}
-
-
 def _stack_add_norm(data, rng):
     shape = (*_lead(data), data.draw(st.integers(1, 7)))
     arrays = [rng.normal(size=shape), rng.normal(size=shape),
@@ -693,13 +782,6 @@ def _stack_slice(data, rng):
     idx = (slice(None), data.draw(st.integers(0, shape[1] - 1)),
            slice(lo, data.draw(st.integers(lo, shape[2]))))
     return lambda a: slice_(a, idx), [rng.normal(size=shape)], {0: ()}
-
-
-def _stack_sum(data, rng):
-    # up to 10 summed terms, past the 8 at which numpy's pairwise sum unrolls
-    shape = data.draw(st.tuples(*[st.integers(1, 10)] * 3))
-    axis = data.draw(st.sampled_from([1, 2, (1, 2)]))
-    return lambda a: sum_(a, axis=axis), [rng.normal(size=shape)], {0: ()}
 
 
 def _stack_prefix(data, rng):
@@ -741,9 +823,8 @@ def _stack_attention(data, rng):
 _STACK_CASES = {
     "add": lambda data, rng: (add, [rng.normal(size=(*_lead(data), 5)), rng.normal(size=5)],
                               {0: ()}),
-    "mul": _stack_mul, "add_norm": _stack_add_norm, "slice": _stack_slice, "sum": _stack_sum,
-    "prefix": _stack_prefix, "linear": _stack_linear, "ffn": _stack_ffn,
-    "attention": _stack_attention,
+    "add_norm": _stack_add_norm, "slice": _stack_slice, "prefix": _stack_prefix,
+    "linear": _stack_linear, "ffn": _stack_ffn, "attention": _stack_attention,
 }
 
 
