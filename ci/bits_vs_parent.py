@@ -9,12 +9,13 @@ Any earlier commit serves as the parent: CI checks out a push's
 before-commit, so a push of several commits is compared as one change.
 
 Each tree runs, with its own `src` first on PYTHONPATH and one BLAS thread,
-the README worked example and six one-change variants of it (`dpmn train`,
+the README worked example and seven one-change variants of it (`dpmn train`,
 then `dpmn eval` on the dev corpus), `dpmn ablate` on the worked example
 and `dpmn gradcheck --probes 58`, on one pair of corpora written once. The
 artifacts are each variant's `runlog.csv`, `model.ckpt` and eval stdout
 (`eval.txt`), `ablate/ablation.csv` and the gradcheck stdout
-(`gradcheck.txt`). The script prints every artifact that differs.
+(`gradcheck.txt`), 26 in all. The script prints every artifact that
+differs.
 
 A change may alter bits on purpose: it declares so on a line of its own
 that it adds to CHANGES.md (relative to the parent tree's commit), starting
@@ -58,6 +59,7 @@ prompt_form = deep
 # worked example's line or is added after it
 VARIANTS = {
     "worked": {},
+    "dropout": {"dropout": "0.1"},
     "linear-dropout": {"head_kind": "linear", "dropout": "0.1"},
     "token-init": {"prompt_init": "token"},
     "light": {"prompt_form": "light"},

@@ -6,7 +6,8 @@ slots before layer i, so the bank's matrix count alone sets the form: one
 matrix is the light form, one per layer the deep form. Attention is
 unmasked toward prompt positions, and padding stays masked.
 
-Residual ordering is post-layer-norm, matching the original BERT.
+Residual ordering is post-layer-norm, matching the original BERT. Each
+layer draws its dropout masks, at its own rate, from a forward's generator.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ class TransformerLayer:
         d, f = config.hidden_size, config.ffn_size
         pre = f"layer{index}"
         self.num_heads = config.num_heads
+        self.dropout = config.dropout
         # Q|K|V side by side, as `attention` reads them: three d x d draws in order.
         # Still `wq`: perfbench names each layer's span by `layer.wq.name`.
         self.wq = store.new(f"{pre}.attention.wqkv", (d, 3 * d),
@@ -78,30 +80,33 @@ class TransformerLayer:
         self.ffn_gain = store.new(f"{pre}.ffn_norm.gain", (d,), 1.0)
         self.ffn_bias = store.new(f"{pre}.ffn_norm.bias", (d,), 0.0)
 
-    def forward(self, x: Tensor, attn_bias: np.ndarray, dropout_rate: float,
-                rng: np.random.Generator | None, queries: int | None = None) -> Tensor:
+    def forward(self, x: Tensor, attn_bias: np.ndarray, rng: np.random.Generator | None = None,
+                queries: int | None = None) -> Tensor:
         """The layer's output at the first `queries` positions (all when
         None), shape [batch, queries, d]: the FFN block over the attention
-        block, each post-norm, their dropout drawn in that order."""
-        return self.feed_forward(self.attend(x, attn_bias, dropout_rate, rng, queries),
-                                 dropout_rate, rng)
+        block, each post-norm, their dropout masks drawn from `rng` in order."""
+        return self.feed_forward(self.attend(x, attn_bias, rng, queries), rng)
 
-    def attend(self, x: Tensor, attn_bias: np.ndarray, dropout_rate: float,
-               rng: np.random.Generator | None, queries: int | None = None) -> Tensor:
+    def attend(self, x: Tensor, attn_bias: np.ndarray, rng: np.random.Generator | None = None,
+               queries: int | None = None) -> Tensor:
         """The attention block, add_norm of x and its attention output, at the
         first `queries` positions. Keys and values cover every position, so
         the QKV projection still runs over the whole sequence."""
         context = attention(linear(x, self.wq, self.bqkv), attn_bias, self.num_heads, queries)
         if queries is not None:
             x = x[:, :queries]
-        return add_norm(x, linear(context, self.wo, self.bo), self.attn_gain, self.attn_bias,
-                        dropout_rate, rng)
+        y = linear(context, self.wo, self.bo)
+        return add_norm(x, y, self.attn_gain, self.attn_bias, self.dropout, self._keep(y, rng))
 
-    def feed_forward(self, x: Tensor, dropout_rate: float,
-                     rng: np.random.Generator | None) -> Tensor:
+    def feed_forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         """The FFN block, add_norm of x and its position-wise FFN."""
-        return add_norm(x, ffn(x, self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2),
-                        self.ffn_gain, self.ffn_bias, dropout_rate, rng)
+        y = ffn(x, self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2)
+        return add_norm(x, y, self.ffn_gain, self.ffn_bias, self.dropout, self._keep(y, rng))
+
+    def _keep(self, y: Tensor, rng: np.random.Generator | None) -> np.ndarray | None:
+        """y's dropout keep-mask, drawn from `rng` at the layer's rate; None,
+        drawing nothing, without a generator (evaluation) or at rate 0."""
+        return None if rng is None or self.dropout == 0.0 else rng.random(y.shape) >= self.dropout
 
 
 class EncoderStack:
@@ -153,7 +158,7 @@ def encode_layer(stack: EncoderStack, bank: PrefixBank, i: int, x: Tensor,
     layer = stack.layers[i]
     last = i == len(stack.layers) - 1
     return (layer.attend if attend_only else layer.forward)(
-        x, attn_bias, stack.config.dropout, dropout_rng, queries if last else None)
+        x, attn_bias, dropout_rng, queries if last else None)
 
 
 def encode(stack: EncoderStack, input_emb: Tensor, bank: PrefixBank,

@@ -214,20 +214,8 @@ _ADD_NORM_INPUTS = (_uniform(2, 3, 4), _uniform(2, 3, 4), _uniform(4, low=0.5, h
                     _uniform(4))
 
 
-class _RepeatedMask:
-    """A generator stand-in for add_norm's dropout: random(shape) gives the
-    first draw of PCG64(0) for one 2-row call, repeated along axis 0 over
-    every copy of those rows a stacked call holds."""
-
-    _DRAW = np.random.Generator(np.random.PCG64(0)).random((2, 3, 4))
-
-    def random(self, shape):
-        return np.concatenate([self._DRAW] * (shape[0] // 2))
-
-
-def _add_norm_dropout(*inputs: Tensor) -> Tensor:
-    """add_norm at rate 0.3 with the same mask on every 2-row block."""
-    return add_norm(*inputs, 0.3, _RepeatedMask())
+# one dropout mask for a 2-row call, which broadcasts over copies stacked on a new axis
+_KEEP = np.random.Generator(np.random.PCG64(0)).random((2, 3, 4)) >= 0.3
 
 
 # |x @ w1| <= 0.4 and |b1| >= 0.5 keep every hidden pre-activation off the ReLU kink
@@ -248,10 +236,9 @@ OP_CATALOG = (
      lambda logits: cross_entropy(logits, np.array([1, 4, -1, 0])), _FIRST_STACKED),
     ("total_loss", (_uniform(), _uniform(), _uniform()),
      lambda *parts: total_loss(*parts, LossWeights(0.5, 0.3, 0.2)), _PER_COPY),
-    ("add_norm", _ADD_NORM_INPUTS, partial(add_norm, rate=0.0, rng=None),
-     partial(_stacked, {0: (1,), 1: (0,)})),
-    ("add_norm_dropout", _ADD_NORM_INPUTS, _add_norm_dropout,
-     partial(_stacked, {0: (1,), 1: (0,)})),
+    ("add_norm", _ADD_NORM_INPUTS, add_norm, partial(_stacked, {0: (1,), 1: (0,)})),
+    ("add_norm_dropout", _ADD_NORM_INPUTS, partial(add_norm, rate=0.3, keep=_KEEP),
+     partial(_stacked, {0: (1,), 1: (0,)}, new_axis=True)),
     ("embedding_lookup", (_uniform(7, 4),),
      lambda table: embedding_lookup(table, np.array([[0, 3, 6], [2, 2, 5]])), _PER_COPY),
     ("slice", (_uniform(4, 5, 6),), lambda a: slice_(a, (slice(None), 2, slice(1, 4))),
@@ -373,7 +360,7 @@ def _probe_losses(model, batch):
             return encoder.embed(batch.token_ids, prompt_len=bank.prompt_len)
         i, ffn_block = divmod(k - 1, 2)
         if ffn_block:
-            return encoder.layers[i].feed_forward(x, 0.0, None)
+            return encoder.layers[i].feed_forward(x)
         bias = np.concatenate([attn_bias] * (len(x.data) // len(lengths)))
         return encode_layer(encoder, bank, i, x, bias, queries=queries, attend_only=True)
 

@@ -14,9 +14,10 @@ cannot be replayed.
 Data is float64 everywhere. Only the gradient check's complex-step passes
 run the ops' forwards on complex128, which a Tensor keeps (lstm_scan takes
 tanh there to first order, _tanh); no backward sees it. Ops save what
-their backward reads and no more. Every op takes Tensors. The loss ops
-live in dpmn.losses; the unfused ops, mul, sum_ and log_softmax among
-them, in tests/reference_ops.py.
+their backward reads and no more. Every op takes Tensors, and none draws a
+random number: add_norm is handed its dropout mask. The loss ops live in
+dpmn.losses; the unfused ops, mul, sum_ and log_softmax among them, in
+tests/reference_ops.py.
 """
 
 from __future__ import annotations
@@ -340,26 +341,31 @@ def attention(qkv: Tensor, bias: np.ndarray, num_heads: int,
     return out
 
 
-def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, rate: float,
-             rng: np.random.Generator | None) -> Tensor:
+def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, rate: float = 0.0,
+             keep: np.ndarray | None = None) -> Tensor:
     """layer_norm(x + dropout(y)): the residual sum normalized over the last
     axis to zero mean and unit variance, then scaled by gain and shifted by
     bias. One tape entry with a hand-written backward.
 
-    Inverted dropout draws y's zero/scale mask from `rng`; without a
-    generator (evaluation) or at rate 0 nothing is dropped and nothing is
-    drawn. Mean and variance are sums divided by the width, as np.mean and
-    np.var compute them.
+    Inverted dropout keeps y where the boolean mask `keep`, which must
+    broadcast to y, is True and scales it by 1 / (1 - rate); without a mask
+    (evaluation) nothing is dropped. The caller draws the mask. Mean and
+    variance are sums divided by the width, as np.mean and np.var compute
+    them.
     """
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     if x.shape != y.shape or x.ndim < 1 or not gain.shape == bias.shape == x.shape[-1:]:
         raise ShapeError(f"add_norm needs x and y [..., d], gain [d] and bias [d], got "
                          f"{x.shape}, {y.shape}, {gain.shape} and {bias.shape}")
-    keep = None  # the boolean dropout mask; kept values are scaled by `scale`
-    if rng is not None and rate != 0.0:
-        keep = rng.random(y.shape) >= rate
-        scale = 1.0 / (1.0 - rate)
+    if keep is not None:
+        keep = np.asarray(keep)
+        fits = keep.ndim <= y.ndim and all(
+            k in (1, n) for k, n in zip(keep.shape[::-1], y.shape[::-1]))
+        if keep.dtype != bool or not fits:
+            raise ShapeError(f"add_norm needs a boolean keep mask that broadcasts to y, got "
+                             f"{keep.dtype} {keep.shape} for y {y.shape}")
+        scale = 1.0 / (1.0 - rate)  # kept values are scaled by it
     # the residual sum, centred and then scaled into xhat in place
     xhat = x.data + (y.data if keep is None else y.data * keep * scale)
     n = xhat.shape[-1]

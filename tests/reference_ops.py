@@ -5,7 +5,9 @@ The package computes these only inside its fused primitives (`linear`,
 (`cross_entropy`, which holds `log_softmax`); the tests compose
 them into the references those primitives must reproduce, and check each one
 against finite differences in test_tensor.py. `unfused_add_norm` and
-`unfused_ffn` are the compositions the fused `add_norm` and `ffn` replace.
+`unfused_ffn` are the compositions the fused `add_norm` and `ffn` replace;
+`dropout` takes its keep mask as `add_norm` does, so both can be handed
+one mask.
 `mul` and `sum_` also build the projection sum(proj * out) whose gradient
 `backward(tape, out, proj)` gives in one step.
 """
@@ -143,19 +145,19 @@ def reshape(a: Tensor, shape) -> Tensor:
     return out
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; the zero/scale mask is drawn from `rng`. Without a
-    generator (evaluation) or at rate 0 it is the identity and draws nothing."""
+def dropout(a: Tensor, rate: float, keep: np.ndarray | None) -> Tensor:
+    """Inverted dropout: a where the boolean mask `keep` is True, scaled by
+    1 / (1 - rate), and 0 elsewhere. Without a mask (evaluation) it is the
+    identity."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None or rate == 0.0:
+    if keep is None:
         return a
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    return mul(a, Tensor(mask))
+    return mul(a, Tensor(keep / (1.0 - rate)))
 
 
-def unfused_add_norm(x, y, gain, bias, rate, rng) -> Tensor:
-    return layer_norm(add(x, dropout(y, rate, rng)), gain, bias)
+def unfused_add_norm(x, y, gain, bias, rate=0.0, keep=None) -> Tensor:
+    return layer_norm(add(x, dropout(y, rate, keep)), gain, bias)
 
 
 def unfused_ffn(x, w1, b1, w2, b2) -> Tensor:

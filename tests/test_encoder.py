@@ -113,9 +113,9 @@ def test_deep_layers_replace_prompt_slots(monkeypatch):
     seen = []
     original = TransformerLayer.forward
 
-    def spy(self, x, attn_bias, rate, rng, queries=None):
+    def spy(self, x, attn_bias, rng=None, queries=None):
         seen.append(x.data[:, : bank.prompt_len, :].copy())
-        return original(self, x, attn_bias, rate, rng, queries)
+        return original(self, x, attn_bias, rng, queries)
 
     monkeypatch.setattr(TransformerLayer, "forward", spy)
     _run(stack, bank, np.array([[2, 3, 4], [5, 6, 7]]))
@@ -131,9 +131,9 @@ def test_light_prefix_flows_through_after_layer_zero(monkeypatch):
     seen = []
     original = TransformerLayer.forward
 
-    def spy(self, x, attn_bias, rate, rng, queries=None):
+    def spy(self, x, attn_bias, rng=None, queries=None):
         seen.append(x.data[:, :2, :].copy())
-        return original(self, x, attn_bias, rate, rng, queries)
+        return original(self, x, attn_bias, rng, queries)
 
     monkeypatch.setattr(TransformerLayer, "forward", spy)
     _run(stack, bank, np.array([[2, 3, 4]]))
@@ -162,7 +162,7 @@ def test_transformer_layer_records_six_tape_entries(rng):
     x = Tensor(rng.normal(size=(2, 5, CFG.hidden_size)))
     bias = np.zeros((2, 1, 1, 5))
     with Tape() as tape:
-        layer.forward(x, bias, 0.0, None)
+        layer.forward(x, bias)
     assert len(tape) == 6
 
 

@@ -12,6 +12,7 @@ import math
 import textwrap
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -754,15 +755,15 @@ def test_a_first_input_gradient_off_by_a_relative_1e_5_fails_its_entry_through_c
     assert with_skew(skew) >= gradcheck.OP_TOLERANCE
 
 
-def _scan_with_backward_edit(old, new):
-    """lstm_scan compiled from its own source with the backward's `old`
-    replaced by `new`, in the tensor module's namespace: the forward, and so
-    the complex reference, is the real scan's."""
-    source = textwrap.dedent(inspect.getsource(tensor.lstm_scan))
+def _with_backward_edit(op, old, new):
+    """The tensor op named `op` compiled from its own source with the
+    backward's `old` replaced by `new`, in the tensor module's namespace:
+    the forward, and so the complex reference, is the real op's."""
+    source = textwrap.dedent(inspect.getsource(getattr(tensor, op)))
     assert source.count(old) == 1, old
     namespace = dict(vars(tensor))
     exec(compile(source.replace(old, new), tensor.__file__, "exec"), namespace)
-    return namespace["lstm_scan"]
+    return namespace[op]
 
 
 # the g gate's slope 1 - g^2 and tanh(c)'s 1 - tanh(c)^2, each taken as 1 - x
@@ -780,13 +781,33 @@ def test_a_scan_backward_with_a_wrong_tanh_slope_fails_the_op_and_network_checks
     old, new = _WRONG_TANH_SLOPES[slope]
     entries = ("lstm_scan", "lstm_scan_reverse")
     for edit, fails in ((old, False), (new, True)):
-        scan = _scan_with_backward_edit(old, edit)
+        scan = _with_backward_edit("lstm_scan", old, edit)
         monkeypatch.setattr(gradcheck, "lstm_scan", scan)
         monkeypatch.setattr("dpmn.heads.lstm_scan", scan)
         errors = check_all_ops(0)
         assert all((errors[name] >= gradcheck.OP_TOLERANCE) == fails for name in entries), edit
         worst = max(check_network(PROBE_PARAMETERS).values())
         assert (worst >= gradcheck.NETWORK_TOLERANCE) == fails, edit
+
+
+def test_an_add_norm_backward_that_leaves_y_s_gradient_unmasked_fails_the_dropout_entry(
+        monkeypatch):
+    """add_norm recompiled with its backward passing y the unmasked,
+    unscaled gradient fails the add_norm_dropout entry through
+    check_all_ops, whose x and y copies run stacked on a new axis under one
+    broadcast mask, and the same source recompiled unedited passes it. The
+    maskless add_norm entry passes both."""
+    old = "dx if keep is None else dx * keep * scale"
+    catalog = gradcheck.OP_CATALOG
+    dropout_op = next(op for name, _, op, _ in catalog if name == "add_norm_dropout")
+    for edit, fails in ((old, False), ("dx", True)):
+        edited = _with_backward_edit("add_norm", old, edit)
+        ops = {"add_norm": edited, "add_norm_dropout": partial(edited, **dropout_op.keywords)}
+        monkeypatch.setattr(gradcheck, "OP_CATALOG", tuple(
+            (name, draws, ops.get(name, op), moves) for name, draws, op, moves in catalog))
+        errors = check_all_ops(0)
+        assert (errors["add_norm_dropout"] >= gradcheck.OP_TOLERANCE) == fails, edit
+        assert errors["add_norm"] < gradcheck.OP_TOLERANCE, edit
 
 
 def test_a_gradient_of_1e_5_where_the_true_one_is_0_fails_check_op():

@@ -379,18 +379,19 @@ def test_reshape_broadcast_gradients(rng):
 
 def test_dropout_zero_rate_is_identity(rng):
     x = Tensor(rng.normal(size=(3, 3)))
-    assert dropout(x, 0.0, rng) is x
-    assert dropout(x, 0.3, None) is x  # no generator: evaluation, nothing dropped
+    assert np.array_equal(dropout(x, 0.0, np.ones(x.shape, dtype=bool)).data, x.data)
+    assert dropout(x, 0.3, None) is x  # no mask: evaluation, nothing dropped
 
 
 def test_dropout_deterministic_given_seed():
     x = Tensor(np.ones((100, 10)))
     outs = []
     for _ in range(2):
-        gen = np.random.Generator(np.random.PCG64(9))
-        outs.append(dropout(x, 0.3, gen).data)
+        keep = np.random.Generator(np.random.PCG64(9)).random(x.shape) >= 0.3
+        outs.append(dropout(x, 0.3, keep).data)
     assert np.array_equal(outs[0], outs[1])
     kept = outs[0] != 0
+    assert np.array_equal(kept, keep)
     assert np.allclose(outs[0][kept], 1.0 / 0.7)
 
 
@@ -470,13 +471,14 @@ def _vjp_ffn(data, rng):
 
 
 def _vjp_add_norm(data, rng):
-    """With dropout, each call draws its mask from a generator seeded alike."""
+    """With dropout, every call takes one drawn mask."""
     shape = (*data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)),
              data.draw(st.integers(1, 6)))
-    rate, seed = data.draw(st.sampled_from([0.0, 0.3])), data.draw(st.integers(0, 2 ** 31))
+    rate = data.draw(st.sampled_from([0.0, 0.3]))
     arrays = [rng.normal(size=shape), rng.normal(size=shape),
               rng.uniform(0.5, 1.5, size=shape[-1]), rng.normal(size=shape[-1])]
-    return lambda *t: add_norm(*t, rate, np.random.Generator(np.random.PCG64(seed))), arrays
+    keep = rng.random(shape) >= rate if rate else None
+    return lambda *t: add_norm(*t, rate, keep), arrays
 
 
 def _vjp_lstm_scan(data, rng):
@@ -637,24 +639,24 @@ def test_fused_primitives_reject_bad_shapes(rng):
 
 @settings(deadline=None, max_examples=80)
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=2), st.integers(1, 7),
-       st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.4, 0.5]), st.booleans(), st.integers(0, 2 ** 31))
-def test_add_norm_matches_the_unfused_chain_bitwise(lead, d, rate, with_rng, seed):
-    """Same value, same four gradients and the same generator state after:
-    the mask is drawn as dropout drew it, and only when it is applied."""
+       st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.4, 0.5]), st.sampled_from([None, "y", "new-axis"]),
+       st.integers(0, 2 ** 31))
+def test_add_norm_matches_the_unfused_chain_bitwise(lead, d, rate, mask, seed):
+    """Same value and same four gradients given the same keep mask: none,
+    one of y's shape, or one that broadcasts over a new leading axis of
+    copies, as the op check's dropout entry stacks them."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    arrays = [rng.normal(size=(*lead, d)), rng.normal(size=(*lead, d)),
+    shape = (*lead, d) if mask != "new-axis" else (3, *lead, d)
+    arrays = [rng.normal(size=shape), rng.normal(size=shape),
               rng.uniform(0.5, 1.5, size=d), rng.normal(size=d)]
-    proj = rng.normal(size=(*lead, d))
-    results = []
-    for op in (add_norm, unfused_add_norm):
-        gen = np.random.Generator(np.random.PCG64(seed + 1)) if with_rng else None
-        out, grads = _value_and_grads(lambda *t: op(*t, rate, gen), arrays, proj)
-        results.append((out, grads, None if gen is None else gen.random()))
-    (got, got_grads, got_next), (want, want_grads, want_next) = results
+    proj = rng.normal(size=shape)
+    keep = None if mask is None else rng.random((*lead, d)) >= rate
+    (got, got_grads), (want, want_grads) = (
+        _value_and_grads(lambda *t: op(*t, rate, keep), arrays, proj)
+        for op in (add_norm, unfused_add_norm))
     assert np.array_equal(got, want)
     for g, w in zip(got_grads, want_grads, strict=True):
         assert np.array_equal(g, w)
-    assert got_next == want_next
 
 
 @settings(deadline=None, max_examples=60)
@@ -713,10 +715,10 @@ def test_add_norm_dropout_matches_the_unfused_chain_on_zeros_and_nan(rng):
     arrays = [rng.normal(size=(3, 4, 5)), y, rng.uniform(0.5, 1.5, size=5), rng.normal(size=5)]
     proj = rng.normal(size=(3, 4, 5))
     results = []
+    keep = np.random.Generator(np.random.PCG64(4)).random(y.shape) >= 0.5
     for op in (add_norm, unfused_add_norm):
-        gen = np.random.Generator(np.random.PCG64(4))
         with np.errstate(invalid="ignore"):  # inf * 0 where an infinity is dropped
-            results.append(_value_and_grads(lambda *t: op(*t, 0.5, gen), arrays, proj))
+            results.append(_value_and_grads(lambda *t: op(*t, 0.5, keep), arrays, proj))
     (got, got_grads), (want, want_grads) = results
     assert np.isnan(got).any() and not np.isnan(got).all()
     assert _same_bits(got, want)
@@ -730,21 +732,28 @@ def test_add_norm_and_ffn_record_one_tape_entry_each(rng):
     w1, b1 = Tensor(rng.normal(size=(4, 5))), Tensor(np.zeros(5))
     w2, b2 = Tensor(rng.normal(size=(5, 4))), Tensor(np.zeros(4))
     with Tape() as tape:
-        add_norm(x, ffn(x, w1, b1, w2, b2), gain, bias, 0.5, rng)
+        add_norm(x, ffn(x, w1, b1, w2, b2), gain, bias, 0.5, rng.random(x.shape) >= 0.5)
     assert len(tape) == 2
 
 
 def test_add_norm_and_ffn_reject_bad_shapes_and_rates(rng):
     x, gain = Tensor(np.zeros((2, 3, 4))), Tensor(np.ones(4))
     with pytest.raises(ShapeError, match=r"\(2, 3, 4\), \(2, 3, 5\)"):
-        add_norm(x, Tensor(np.zeros((2, 3, 5))), gain, gain, 0.0, None)
+        add_norm(x, Tensor(np.zeros((2, 3, 5))), gain, gain)
     with pytest.raises(ShapeError, match="gain"):
-        add_norm(x, x, Tensor(np.ones(3)), gain, 0.0, None)
+        add_norm(x, x, Tensor(np.ones(3)), gain)
     with pytest.raises(ShapeError, match="bias"):
-        add_norm(x, x, gain, Tensor(np.ones(5)), 0.0, None)
+        add_norm(x, x, gain, Tensor(np.ones(5)))
     for rate in (-0.1, 1.0):
         with pytest.raises(ContractError, match="dropout rate"):
-            add_norm(x, x, gain, gain, rate, None)
+            add_norm(x, x, gain, gain, rate)
+    # a keep mask must be boolean and broadcast to y: no bare numpy error, no silent scaling
+    for keep in (np.ones((2, 3, 4)), np.ones((2, 3, 4), dtype=np.uint8), np.ones((3, 3, 4), bool),
+                 np.ones((2, 1, 5), bool), np.ones((2, 2, 3, 4), bool)):
+        with pytest.raises(ShapeError, match=re.escape(f"{keep.shape} for y (2, 3, 4)")):
+            add_norm(x, x, gain, gain, 0.3, keep)
+    for keep in (np.ones((3, 4), bool), np.ones((2, 3, 1), bool), np.ones((2, 3, 4), bool)):
+        assert add_norm(x, x, gain, gain, 0.3, keep).shape == x.shape
     w1, b1 = Tensor(np.zeros((4, 5))), Tensor(np.zeros(5))
     w2, b2 = Tensor(np.zeros((5, 2))), Tensor(np.zeros(2))
     with pytest.raises(ShapeError, match="ffn"):
@@ -773,7 +782,7 @@ def _stack_add_norm(data, rng):
     shape = (*_lead(data), data.draw(st.integers(1, 7)))
     arrays = [rng.normal(size=shape), rng.normal(size=shape),
               rng.normal(size=shape[-1:]), rng.normal(size=shape[-1:])]
-    return lambda *t: add_norm(*t, 0.0, None), arrays, {0: (1,), 1: (0,)}
+    return add_norm, arrays, {0: (1,), 1: (0,)}
 
 
 def _stack_slice(data, rng):

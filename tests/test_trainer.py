@@ -24,7 +24,7 @@ from dpmn.data import (
     generate_synthetic_corpus,
     make_batches,
 )
-from dpmn.encoder import TransformerLayer
+from dpmn.encoder import EncoderConfig, TransformerLayer
 from dpmn.errors import IntegrityError, NumericError
 from dpmn.heads import BiLstmFfnHead
 from dpmn.losses import LossWeights, cross_entropy, total_loss
@@ -45,6 +45,7 @@ from conftest import (
     MISMATCHED_RECORDS,
     encoder_parameters,
     head_parameters,
+    make_store,
     scripted_dev_metric,
 )
 from reference_ops import unfused_add_norm, unfused_ffn
@@ -153,16 +154,45 @@ def test_two_runs_are_bitwise_identical(corpus):
             == checkpoint_bytes(b.header_text, b.model.state_arrays()))
 
 
-def _reference_layer_forward(self, x, attn_bias, rate, rng, queries=None):
+def _reference_layer_forward(self, x, attn_bias, rng=None, queries=None):
     """TransformerLayer.forward with the unfused residual, dropout, layer
-    norm and ReLU."""
+    norm and ReLU; each dropout mask is drawn from `rng` at the layer's
+    rate, as unfused dropout drew it, and none without a generator or at
+    rate 0."""
+    def keep(y):
+        return None if rng is None or self.dropout == 0.0 else rng.random(y.shape) >= self.dropout
+
     context = attention(linear(x, self.wq, self.bqkv), attn_bias, self.num_heads, queries)
     if queries is not None:
         x = x[:, :queries]
-    x = unfused_add_norm(x, linear(context, self.wo, self.bo), self.attn_gain, self.attn_bias,
-                         rate, rng)
-    ffn_out = unfused_ffn(x, self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2)
-    return unfused_add_norm(x, ffn_out, self.ffn_gain, self.ffn_bias, rate, rng)
+    y = linear(context, self.wo, self.bo)
+    x = unfused_add_norm(x, y, self.attn_gain, self.attn_bias, self.dropout, keep(y))
+    y = unfused_ffn(x, self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2)
+    return unfused_add_norm(x, y, self.ffn_gain, self.ffn_bias, self.dropout, keep(y))
+
+
+@pytest.mark.parametrize("queries", [None, 1])
+@pytest.mark.parametrize("rate, seeded", [(0.3, True), (0.3, False), (0.0, True)])
+def test_layer_forward_draws_its_masks_as_the_unfused_reference(rate, seeded, queries):
+    """A layer's forward gives the unfused reference's value, bit for bit,
+    and leaves the generator where the reference leaves it: two masks drawn
+    at rate 0.3, and nothing drawn at rate 0 or without a generator."""
+    cfg = EncoderConfig(vocab_size=5, num_layers=1, hidden_size=8, num_heads=2, ffn_size=16,
+                        max_seq_len=8, dropout=rate)
+    layer = TransformerLayer(0, cfg, make_store(0))
+    x = Tensor(np.random.Generator(np.random.PCG64(1)).normal(size=(2, 5, 8)))
+    bias = np.where(np.arange(5) < np.array([[5], [3]]), 0.0, -1e9)[:, None, None, :]
+    results = []
+    for forward in (TransformerLayer.forward, _reference_layer_forward):
+        gen = np.random.Generator(np.random.PCG64(2)) if seeded else None
+        out = forward(layer, x, bias, gen, queries).data
+        results.append((out, gen and gen.bit_generator.state))
+    (got, got_state), (want, want_state) = results
+    assert np.array_equal(got, want)
+    assert got_state == want_state
+    if seeded:
+        fresh = np.random.Generator(np.random.PCG64(2)).bit_generator.state
+        assert (got_state == fresh) == (rate == 0.0)
 
 
 def _reference_head_ffn(self, states):
