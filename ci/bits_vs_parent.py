@@ -1,4 +1,5 @@
-"""Compare the artifacts of this tree with those of its parent commit, byte for byte.
+"""Compare the artifacts of this tree with those of its parent commit, and
+with this tree's own second run, byte for byte.
 
 Run it with the parent commit checked out in a second directory:
 
@@ -10,23 +11,26 @@ before-commit, so a push of several commits is compared as one change.
 
 Each tree runs, with its own `src` first on PYTHONPATH and one BLAS thread,
 the README worked example and seven one-change variants of it (`dpmn train`,
-then `dpmn eval` on the dev corpus), `dpmn ablate` on the worked example
-and `dpmn gradcheck --probes 58`, on one pair of corpora written once. The
-artifacts are each variant's `runlog.csv`, `model.ckpt` and eval stdout
-(`eval.txt`), `ablate/ablation.csv` and the gradcheck stdout
-(`gradcheck.txt`), 26 in all. The script prints every artifact that
-differs.
+then `dpmn eval` on the dev corpus), `dpmn ablate` and a token-init
+`dpmn sweep` (`--lengths 0,2 --forms deep,light --inits random,token`) on
+the worked example, and `dpmn gradcheck --probes 58`, on one pair of
+corpora written once. The artifacts are each variant's `runlog.csv`,
+`model.ckpt` and eval stdout (`eval.txt`), `ablate/ablation.csv`,
+`sweep/sweep.csv` and the gradcheck stdout (`gradcheck.txt`), 27 in all.
+This tree then runs a second time under two BLAS threads. The script prints,
+for every artifact, whether it differs from the parent's and from the
+repeat's, and checks that each variant's `model.ckpt` re-saves to its own
+bytes through this tree's `load_checkpoint` and `checkpoint_bytes`.
 
 A change may alter bits on purpose: it declares so on a line of its own
 that it adds to CHANGES.md (relative to the parent tree's commit), starting
-`BITS:`. Each
-backquoted span on such a line is a glob (fnmatch) over artifact names, such
-as `gradcheck.txt` or `*/model.ckpt`. The script exits 0 when every
-differing artifact matches a declared glob, and 1 otherwise.
-
-`--inputs DIR` only writes the corpora (`train.tsv`, `dev.tsv`) and each
-variant's config (`<variant>.cfg`) into DIR, so other checks run the same
-worked example.
+`BITS:`. Each backquoted span on such a line is a glob (fnmatch) over
+artifact names, such as `gradcheck.txt` or `*/model.ckpt`. No such line
+excuses an artifact that differs between this tree's two runs, or a
+checkpoint that does not re-save to its own bytes. The script exits 0 when
+every artifact is the same in both runs of this tree, every checkpoint
+re-saves to its own bytes and every artifact that differs from the
+parent's matches a declared glob, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -38,8 +42,13 @@ import re
 import subprocess
 import sys
 from fnmatch import fnmatchcase
+from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))  # this tree
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from dpmn import generate_synthetic_corpus, write_tsv  # noqa: E402
+from dpmn.checkpoint import checkpoint_bytes, load_checkpoint  # noqa: E402
 
 WORKED = """\
 learning_rate = 0.001
@@ -83,42 +92,45 @@ def variant_config(changes: dict[str, str]) -> str:
 
 def artifact_names() -> list[str]:
     names = [f"{v}/{a}" for v in VARIANTS for a in ("runlog.csv", "model.ckpt", "eval.txt")]
-    return names + ["ablate/ablation.csv", "gradcheck.txt"]
+    return names + ["ablate/ablation.csv", "sweep/sweep.csv", "gradcheck.txt"]
 
 
-def tree_env(tree: str) -> dict[str, str]:
-    """The environment that runs `tree`'s source, on one BLAS thread."""
+def tree_env(tree: str, threads: int) -> dict[str, str]:
+    """The environment that runs `tree`'s source, on `threads` BLAS threads."""
     path = os.pathsep.join(filter(None, [os.path.join(tree, "src"), os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    return dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
 
 
-def dpmn(tree: str, cwd: str, *args: str, stdout=subprocess.DEVNULL) -> None:
-    """One `dpmn` command on `tree`'s source; a failure stops the comparison."""
-    done = subprocess.run([sys.executable, "-m", "dpmn.cli", *args], cwd=cwd,
-                          env=tree_env(tree), stdout=stdout, stderr=subprocess.PIPE, text=True)
-    if done.returncode != 0:
-        sys.exit(f"dpmn {' '.join(args)} exited {done.returncode} on {tree}:\n{done.stderr}")
+def run_tree(tree: str, out: str, inputs: str, threads: int) -> None:
+    """Every artifact of `tree` under `out`, run on the corpora and configs in
+    `inputs` on `threads` BLAS threads."""
+    env = tree_env(tree, threads)
 
+    def dpmn(*args: str, stdout=subprocess.DEVNULL) -> None:
+        """One `dpmn` command; a failure stops the comparison."""
+        done = subprocess.run([sys.executable, "-m", "dpmn.cli", *args], cwd=out, env=env,
+                              stdout=stdout, stderr=subprocess.PIPE, text=True)
+        if done.returncode != 0:
+            sys.exit(f"dpmn {' '.join(args)} exited {done.returncode} on {tree}:\n{done.stderr}")
 
-def run_tree(tree: str, out: str, inputs: str) -> None:
-    """Every artifact of `tree` under `out`, run on the corpora and configs in `inputs`."""
     # an installed dpmn must not stand in for the tree's own
     found = subprocess.run([sys.executable, "-c", "import dpmn; print(dpmn.__file__)"],
-                           env=tree_env(tree), capture_output=True, text=True, check=True)
+                           env=env, capture_output=True, text=True, check=True)
     if not found.stdout.startswith(os.path.join(tree, "src", "")):
         sys.exit(f"{tree} imports dpmn from {found.stdout.strip()}, not from its own src")
     os.makedirs(out)
-    data = [os.path.join(inputs, name) for name in ("train.tsv", "dev.tsv")]
+    data = ["--train", os.path.join(inputs, "train.tsv"), "--dev", os.path.join(inputs, "dev.tsv")]
     for name in VARIANTS:
-        dpmn(tree, out, "train", "--config", os.path.join(inputs, f"{name}.cfg"),
-             "--train", data[0], "--dev", data[1], "--out", name)
+        dpmn("train", "--config", os.path.join(inputs, f"{name}.cfg"), *data, "--out", name)
         with open(os.path.join(out, name, "eval.txt"), "w", encoding="utf-8") as f:
-            dpmn(tree, out, "eval", "--checkpoint", os.path.join(name, "model.ckpt"),
-                 "--data", data[1], stdout=f)
-    dpmn(tree, out, "ablate", "--config", os.path.join(inputs, "worked.cfg"),
-         "--train", data[0], "--dev", data[1], "--out", "ablate")
+            dpmn("eval", "--checkpoint", os.path.join(name, "model.ckpt"), "--data", data[3],
+                 stdout=f)
+    worked = os.path.join(inputs, "worked.cfg")
+    dpmn("ablate", "--config", worked, *data, "--out", "ablate")
+    dpmn("sweep", "--config", worked, "--lengths", "0,2", "--forms", "deep,light",
+         "--inits", "random,token", *data, "--out", "sweep")
     with open(os.path.join(out, "gradcheck.txt"), "w", encoding="utf-8") as f:
-        dpmn(tree, out, "gradcheck", "--probes", "58", stdout=f)
+        dpmn("gradcheck", "--probes", "58", stdout=f)
 
 
 def declared_globs(added_lines: list[str]) -> list[str]:
@@ -132,10 +144,24 @@ def undeclared(differing: list[str], added_lines: list[str]) -> list[str]:
     return [name for name in differing if not any(fnmatchcase(name, g) for g in globs)]
 
 
+def failing(vs_parent: list[str], vs_repeat: list[str], added_lines: list[str]) -> list[str]:
+    """The artifacts that fail: each that differs between this tree's two
+    runs, which no `BITS:` line excuses, then each other one that differs
+    from the parent's and that no added `BITS:` line names."""
+    return vs_repeat + [name for name in undeclared(vs_parent, added_lines)
+                        if name not in vs_repeat]
+
+
+def resaved_differently(out: str) -> list[str]:
+    """The variants' checkpoints under `out` that do not re-save to their
+    own bytes through this tree's `load_checkpoint` and `checkpoint_bytes`."""
+    paths = {f"{v}/model.ckpt": Path(out, v, "model.ckpt") for v in VARIANTS}
+    return [name for name, path in paths.items()
+            if checkpoint_bytes(*load_checkpoint(path)) != path.read_bytes()]
+
+
 def write_inputs(directory: str) -> None:
     """The two corpora and each variant's config, `<variant>.cfg`, in `directory`."""
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    from dpmn import generate_synthetic_corpus, write_tsv
     os.makedirs(directory, exist_ok=True)
     write_tsv(os.path.join(directory, "train.tsv"), generate_synthetic_corpus(64, seed=7))
     write_tsv(os.path.join(directory, "dev.tsv"), generate_synthetic_corpus(32, seed=8))
@@ -160,36 +186,40 @@ def added_changes_lines(parent_tree: str) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    which = parser.add_mutually_exclusive_group(required=True)
-    which.add_argument("--parent-tree", help="checkout of the parent commit")
-    which.add_argument("--inputs", metavar="DIR",
-                       help="only write the corpora and the variants' configs into DIR")
+    parser.add_argument("--parent-tree", required=True, help="checkout of the parent commit")
     parser.add_argument("--work", default="bits-work", help="directory for the runs' output")
     args = parser.parse_args(argv)
-    if args.inputs:
-        write_inputs(args.inputs)
-        return 0
     if os.path.exists(args.work):
         sys.exit(f"{args.work} exists; give a new --work directory")
-    sides = {"parent": os.path.abspath(args.parent_tree), "change": ROOT}
-    added = added_changes_lines(sides["parent"])  # a tree that is no checkout fails first
+    parent = os.path.abspath(args.parent_tree)
+    added = added_changes_lines(parent)  # a tree that is no checkout fails first
     work = os.path.abspath(args.work)
     write_inputs(work)
-    for side, tree in sides.items():
-        run_tree(tree, os.path.join(work, side), work)
-    differing = [name for name in artifact_names()
-                 if not filecmp.cmp(*(os.path.join(work, side, name) for side in sides),
-                                    shallow=False)]
+    runs = {"parent": (parent, 1), "change": (ROOT, 1), "repeat": (ROOT, 2)}
+    for run, (tree, threads) in runs.items():
+        run_tree(tree, os.path.join(work, run), work, threads)
+
+    def differing(other: str) -> list[str]:
+        return [name for name in artifact_names()
+                if not filecmp.cmp(os.path.join(work, "change", name),
+                                   os.path.join(work, other, name), shallow=False)]
+
+    vs_parent, vs_repeat = differing("parent"), differing("repeat")
+    print("parent   repeat   artifact")
     for name in artifact_names():
-        print(f"{'differs' if name in differing else 'same   '}  {name}")
-    missing = undeclared(differing, added)
-    if missing:
-        print("differing artifacts that no added `BITS:` line of CHANGES.md names: "
-              + ", ".join(missing))
+        print("".join("differs  " if name in d else "same     " for d in (vs_parent, vs_repeat))
+              + name)
+    failed = (failing(vs_parent, vs_repeat, added)
+              + [f"{name} (re-saved)" for name in resaved_differently(os.path.join(work, "change"))])
+    if failed:
+        print("failed: " + ", ".join(failed) + "; an artifact fails when it differs between this "
+              "tree's two runs, or from the parent's with no added `BITS:` line of CHANGES.md "
+              "naming it, and a checkpoint when it re-saves to other bytes")
         return 1
-    print(f"{len(differing)} of {len(artifact_names())} artifacts differ from the parent's, "
-          "each named on an added BITS: line" if differing else
-          "every artifact is byte-identical to the parent's")
+    print("every artifact is the same in this tree's two runs, every checkpoint re-saves to its "
+          "own bytes, and " + (f"the {len(vs_parent)} of {len(artifact_names())} artifacts that "
+                               "differ from the parent's are each named on an added BITS: line"
+                               if vs_parent else "every artifact is the same as the parent's"))
     return 0
 
 

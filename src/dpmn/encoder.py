@@ -118,7 +118,13 @@ class EncoderStack:
         d = config.hidden_size
         self.token_emb = store.new("embedding.token", (config.vocab_size, d))
         self.pos_emb = store.new("embedding.position", (config.max_seq_len, d))
-        self.layers = [TransformerLayer(i, config, store) for i in range(config.num_layers)]
+        self.layers = [TransformerLayer(0, config, store)]
+        # the other layers' values are asked of numpy at once, so a stack no machine holds
+        # fails here rather than after layers drawn until memory runs out
+        rest = (config.num_layers - 1,
+                sum(t.size for name, t in store.tensors.items() if name.startswith("layer0.")))
+        store.check_fits(f"the stack of layers 1-{rest[0]}", rest)
+        self.layers += [TransformerLayer(i, config, store) for i in range(1, config.num_layers)]
 
     def embed(self, token_ids: np.ndarray, prompt_len: int = 0) -> Tensor:
         """Token plus position embeddings, with positions offset by the

@@ -103,22 +103,38 @@ class ParameterStore:
         rng = self.rng if rng is None else rng
         if self.loaded is not None:
             values = saved_array(self.loaded, name, shape)
-        elif max(shape, default=0) > _INTP_MAX or math.prod(map(int, shape)) * 8 > _INTP_MAX:
-            raise ConfigError(f"parameter {name} of shape {tuple(map(int, shape))} is larger "
-                              f"than numpy can represent")
-        elif fill is None:
-            values = rng.normal(0.0, INIT_STD, size=shape)
-        elif callable(fill):
-            values = fill(rng)
         else:
-            values = np.full(shape, fill, dtype=np.float64)
+            _check_representable(f"parameter {name}", shape)
+            if fill is None:
+                values = rng.normal(0.0, INIT_STD, size=shape)
+            elif callable(fill):
+                values = fill(rng)
+            else:
+                values = np.full(shape, fill, dtype=np.float64)
         t = self.tensors[name] = Tensor(values, name=name)
         return t
+
+    @staticmethod
+    def check_fits(what: str, shape) -> None:
+        """Ask numpy once for an untouched float64 block of `shape`, freed at
+        once: a size it cannot represent is a ConfigError naming `what`, and
+        one it cannot allocate its MemoryError. Nothing is drawn."""
+        _check_representable(what, shape)
+        np.empty(shape)
 
     def reject_unknown(self, arrays: dict[str, np.ndarray]) -> None:
         unknown = arrays.keys() - self.tensors.keys()
         if unknown:
             raise ConfigError(f"parameter names do not match: unknown {sorted(unknown)[:3]}")
+
+
+def _check_representable(what: str, shape) -> None:
+    """A ConfigError naming `what` and `shape` when numpy cannot represent a
+    float64 array of that shape: an axis or a byte count past its index
+    range, which numpy would refuse with a ValueError."""
+    if max(shape, default=0) > _INTP_MAX or math.prod(map(int, shape)) * 8 > _INTP_MAX:
+        raise ConfigError(f"{what} of shape {tuple(map(int, shape))} is larger than numpy "
+                          f"can represent")
 
 
 def saved_array(arrays: dict[str, np.ndarray], name: str, shape) -> np.ndarray:

@@ -1,13 +1,16 @@
-"""The byte-identity step (ci/bits_vs_parent.py): its config matrix, the
-inputs it writes and its rule for which differing artifacts a change has
-declared."""
+"""The byte-identity check (ci/bits_vs_parent.py): its config matrix, the
+inputs it writes, its rule for which differing artifacts a change has
+declared, its rule that a difference between this tree's own two runs
+fails whatever is declared, and its re-save check of each checkpoint."""
 
 import importlib.util
 import os
 import re
 
+import numpy as np
 import pytest
 
+from dpmn.checkpoint import save_checkpoint
 from dpmn.data import parse_tsv
 from dpmn.runconfig import TrainConfig, parse_config
 
@@ -38,10 +41,35 @@ def test_only_backquoted_globs_on_added_bits_lines_declare_an_artifact():
     assert bits.undeclared([], []) == []
 
 
-def test_the_artifacts_are_each_variants_three_the_ablation_table_and_gradcheck():
+def test_a_difference_between_this_tree_s_two_runs_fails_even_where_declared():
+    """A BITS line excuses a difference from the parent's artifact, never one
+    between this tree's one- and two-thread runs: that artifact fails, and is
+    named once, even where it also differs from the parent's."""
+    declared = ["BITS: `*/model.ckpt` and `gradcheck.txt`"]
+    assert bits.failing([], ["worked/model.ckpt"], declared) == ["worked/model.ckpt"]
+    assert bits.failing(["worked/model.ckpt", "gradcheck.txt"], ["worked/model.ckpt"],
+                        declared) == ["worked/model.ckpt"]
+    assert bits.failing(["worked/model.ckpt", "light/eval.txt"], ["gradcheck.txt"],
+                        declared) == ["gradcheck.txt", "light/eval.txt"]
+    assert bits.failing(["worked/model.ckpt", "gradcheck.txt"], [], declared) == []
+
+
+def test_a_checkpoint_that_re_saves_to_other_bytes_is_named(tmp_path, monkeypatch):
+    for name in bits.VARIANTS:
+        (tmp_path / name).mkdir()
+        save_checkpoint(tmp_path / name / "model.ckpt", f"variant = {name}\n",
+                        {"w": np.arange(3.0)})
+    assert bits.resaved_differently(str(tmp_path)) == []
+    resave = bits.checkpoint_bytes
+    monkeypatch.setattr(bits, "checkpoint_bytes",
+                        lambda header, arrays: resave(header.replace("light", "lite"), arrays))
+    assert bits.resaved_differently(str(tmp_path)) == ["light/model.ckpt"]
+
+
+def test_the_artifacts_are_each_variants_three_the_ablation_table_the_sweep_and_gradcheck():
     names = bits.artifact_names()
-    assert len(names) == 3 * len(bits.VARIANTS) + 2 == len(set(names))
-    assert names[-2:] == ["ablate/ablation.csv", "gradcheck.txt"]
+    assert len(names) == 3 * len(bits.VARIANTS) + 3 == 27 == len(set(names))
+    assert names[-3:] == ["ablate/ablation.csv", "sweep/sweep.csv", "gradcheck.txt"]
 
 
 def test_the_worked_example_is_the_readme_s():

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, artifacts, and exit codes."""
 
 import struct
+import time
 import warnings
 
 import numpy as np
@@ -311,11 +312,13 @@ def test_checkpoint_whose_records_do_not_fit_its_model_exits_three(workdir, chec
 
 
 # Config lines a trained FAST_CONFIG checkpoint cannot describe a model with:
-# the model rejects "seed" and "lstm-hidden", not the config, and "token-ids"
-# names prompt_token_ids, which is no longer a key.
+# the model rejects "seed" and "lstm-hidden", not the config, "token-ids"
+# names prompt_token_ids, which is no longer a key, and "layers" is a stack of
+# about 1.5 EiB, which numpy refuses once layer 0 is loaded.
 _INVALID_CONFIG = {"batch-size": "batch_size = 0", "heads": "num_heads = 0",
                    "seed": "rng_seed = -1", "lstm-hidden": "lstm_hidden = 0",
-                   "token-ids": "prompt_init = token\nprompt_token_ids = 999"}
+                   "token-ids": "prompt_init = token\nprompt_token_ids = 999",
+                   "layers": f"num_layers = {10**14}"}
 # Config lines the config accepts and the model rejects; with min_freq 1000
 # the vocabulary is the reserved ids alone, so token init finds no row to copy.
 _MODEL_REJECTS = {"seed": "rng_seed = -1", "lstm-hidden": "lstm_hidden = 0",
@@ -364,17 +367,45 @@ def test_a_head_size_no_machine_can_allocate_exits_two_naming_the_allocation(wor
     assert not out.exists()
 
 
+def test_a_layer_count_no_machine_can_allocate_exits_two_at_once(workdir, capsys):
+    """num_layers 10^12 at hidden_size 64: once layer 0 is drawn, numpy is
+    asked for the other layers' values, [10^12 - 1, 21088] float64, about
+    150 PiB, more than even a 57-bit user address space holds, so no
+    machine grants it and no page is touched. The model cannot be built,
+    so it is a config error at once rather than layers drawn until memory
+    runs out: one stderr line, no traceback, and no --out."""
+    config = FAST_CONFIG.replace("hidden_size = 16", "hidden_size = 64")
+    (workdir / "run.cfg").write_text(config.replace("num_layers = 2", f"num_layers = {10**12}"),
+                                     encoding="utf-8")
+    out = workdir / "out"
+    start = time.perf_counter()
+    assert main(["train", "--config", str(workdir / "run.cfg"), "--train",
+                 str(workdir / "train.tsv"), "--dev", str(workdir / "dev.tsv"),
+                 "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        "config error: the model does not fit in memory: Unable to allocate")
+    assert "(999999999999, 21088)" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,parameter,shape", [
-    ("lstm_hidden", "head_a.lstm_forward.w_x", "(16, 400000000000000000000000)"),
-    ("max_seq_len", "embedding.position", "(100000000000000000000000, 16)"),
-    ("ffn_size", "layer0.ffn.w1", "(16, 100000000000000000000000)"),
-    ("hidden_size", "embedding.token", "100000000000000000000000)"),
+    ("lstm_hidden", "parameter head_a.lstm_forward.w_x", "(16, 400000000000000000000000)"),
+    ("max_seq_len", "parameter embedding.position", "(100000000000000000000000, 16)"),
+    ("ffn_size", "parameter layer0.ffn.w1", "(16, 100000000000000000000000)"),
+    ("hidden_size", "parameter embedding.token", "100000000000000000000000)"),
+    ("num_layers", "the stack of layers 1-99999999999999999999999",
+     "(99999999999999999999999, 2224)"),
 ])
 def test_a_size_numpy_cannot_represent_exits_two_naming_the_parameter(workdir, capsys, key,
                                                                       parameter, shape):
-    """A size of 10^23 gives a parameter shape past numpy's index range,
-    which numpy refuses with a ValueError before it touches a page. The
-    store refuses it first, as a config error naming the parameter and its
+    """A size of 10^23 gives a parameter shape, or a stack of layers, past
+    numpy's index range, which numpy refuses with a ValueError before it
+    touches a page. The store, or the encoder for its stack, refuses it
+    first, as a config error naming the parameter or the layers and the
     shape: one stderr line, no traceback and no --out."""
     kept = [line for line in FAST_CONFIG.splitlines() if line.split(" = ")[0] != key]
     (workdir / "run.cfg").write_text("\n".join(kept + [f"{key} = {10**23}"]) + "\n",
@@ -386,7 +417,7 @@ def test_a_size_numpy_cannot_represent_exits_two_naming_the_parameter(workdir, c
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"config error: parameter {parameter} of shape ")
+    assert captured.err.startswith(f"config error: {parameter} of shape ")
     assert f"{shape} is larger than numpy can represent" in captured.err
     assert not out.exists()
 
